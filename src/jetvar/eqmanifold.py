@@ -9,14 +9,8 @@ fixpoint rewriting with lazily prolonged, cached rules.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import ConsistencyError, OrientationError
-from .forms import (
-    DifferentialForm,
-    DX,
-    THETA,
-)
+from .forms import DifferentialForm, THETA, exterior_derivative, theta_image
 from .jetcalc import (
     EvolutionaryField,
     JetContext,
@@ -24,7 +18,7 @@ from .jetcalc import (
     total_derivative,
     total_derivative_multi,
 )
-from .symexpr import Expression, JetCoord, MultiIndex, atom_key, partial
+from .symexpr import Expression, JetCoord, MultiIndex
 
 
 class SolvedEquation:
@@ -53,7 +47,8 @@ class SolvedEquation:
             raise OrientationError("duplicate rule heads")
         self.heads = tuple(heads)
         self._cache: dict[JetCoord, Expression] = {}
-        self._lock = threading.Lock()
+        # one SpatialStructure per frame, filled by spatial.spatial_structure
+        self.spatial_structures: dict = {}
         self.integrability_order = integrability_order
         # normalize declared right sides against the full rule set
         self.rhs = []
@@ -61,8 +56,7 @@ class SolvedEquation:
             self._cache[head] = rhs  # provisional, so siblings can see it
         for head, rhs in zip(heads, raw_rhs):
             normal = self.restrict(rhs, _stack=(head,))
-            with self._lock:
-                self._cache[head] = normal
+            self._cache[head] = normal
             self.rhs.append(normal)
         self.rhs = tuple(self.rhs)
         for head, rhs in zip(self.heads, self.rhs):
@@ -95,8 +89,7 @@ class SolvedEquation:
 
     def rule_for(self, coord: JetCoord, _stack=()) -> Expression:
         """Normalized right side for a principal-derived coordinate."""
-        with self._lock:
-            hit = self._cache.get(coord)
+        hit = self._cache.get(coord)
         if hit is not None:
             return hit
         for busy in _stack:
@@ -111,13 +104,9 @@ class SolvedEquation:
         if head is None:
             raise KeyError(f"{self.ctx.atom_name(coord)} is not a principal coordinate")
         gamma = coord.mindex - head.mindex
-        with self._lock:
-            base = self._cache[head]
-        raw = total_derivative_multi(self.ctx, gamma, base)
+        raw = total_derivative_multi(self.ctx, gamma, self._cache[head])
         normal = self.restrict(raw, _stack=_stack + (coord,))
-        with self._lock:
-            self._cache.setdefault(coord, normal)
-            return self._cache[coord]
+        return self._cache.setdefault(coord, normal)
 
     def prolong_rule(self, principal: JetCoord, gamma: MultiIndex):
         """Rule for the coordinate principal+gamma, derived from a declared head."""
@@ -149,11 +138,8 @@ class SolvedEquation:
                 if g.is_theta():
                     coord = JetCoord(g.index, g.mindex)
                     if self.is_principal(coord):
-                        rhs = self.rule_for(coord)
-                        for atom in sorted(rhs.jet_atoms(), key=atom_key):
-                            d = partial(rhs, atom)
-                            if not d.is_zero():
-                                expanded.append((d, THETA(atom.dep, atom.mindex)))
+                        for atom, d in theta_image(self.rule_for(coord)):
+                            expanded.append((d, THETA(atom.dep, atom.mindex)))
                     else:
                         expanded.append((self.ctx.one(), g))
                 else:
@@ -174,43 +160,8 @@ class SolvedEquation:
 
     def restricted_exterior_derivative(self, omega: DifferentialForm) -> DifferentialForm:
         """de Rham differential on the equation manifold, in internal
-        coordinates; structure equation restricted through the rules."""
-        ctx = self.ctx
-        items = []
-        for gens, coeff in omega.terms.items():
-            for gen, dcoeff in self._restricted_split(coeff):
-                items.append((dcoeff, (gen,) + gens))
-            for pos, g in enumerate(gens):
-                if not g.is_theta():
-                    continue
-                sign = -1 if pos % 2 else 1
-                rest = gens[:pos] + gens[pos + 1:]
-                for i in range(ctx.n):
-                    step = JetCoord(g.index, g.mindex + MultiIndex.single(i))
-                    if self.is_internal(step):
-                        c = coeff if sign == 1 else -coeff
-                        items.append((c, (DX(i), THETA(step.dep, step.mindex)) + rest))
-                    else:
-                        rhs = self.rule_for(step)
-                        for atom in sorted(rhs.jet_atoms(), key=atom_key):
-                            d = partial(rhs, atom)
-                            if d.is_zero():
-                                continue
-                            c = coeff * d if sign == 1 else -(coeff * d)
-                            items.append((c, (DX(i), THETA(atom.dep, atom.mindex)) + rest))
-        return DifferentialForm.from_terms(ctx, items)
-
-    def _restricted_split(self, coeff: Expression):
-        """dbar f = Dbar_i(f) dx^i + (df/dc) theta_c over internal atoms."""
-        restricted = self.restrict(coeff)
-        for i in range(self.ctx.n):
-            d = self.restrict(total_derivative(self.ctx, i, restricted))
-            if not d.is_zero():
-                yield DX(i), d
-        for atom in sorted(restricted.jet_atoms(), key=atom_key):
-            d = partial(restricted, atom)
-            if not d.is_zero():
-                yield THETA(atom.dep, atom.mindex), d
+        coordinates: d, then restriction."""
+        return self.restrict_form(exterior_derivative(omega))
 
     # -- symmetries and sanity -----------------------------------------------
 
@@ -255,8 +206,7 @@ def iter_multi_indices(n: int, max_order: int):
 
     def rec(i, remaining):
         if i == n - 1:
-            for c in range(remaining + 1):
-                yield (c,)
+            yield (remaining,)
             return
         for c in range(remaining + 1):
             for tail in rec(i + 1, remaining - c):
@@ -264,28 +214,4 @@ def iter_multi_indices(n: int, max_order: int):
 
     for total in range(max_order + 1):
         for counts in rec(0, total):
-            if sum(counts) == total:
-                yield MultiIndex.of({i: c for i, c in enumerate(counts) if c})
-
-
-# -- free-function operation surface ------------------------------------------
-
-
-def prolong_rule(eq: SolvedEquation, principal: JetCoord, gamma: MultiIndex):
-    return eq.prolong_rule(principal, gamma)
-
-
-def restrict(eq: SolvedEquation, e: Expression) -> Expression:
-    return eq.restrict(e)
-
-
-def restrict_form(eq: SolvedEquation, omega: DifferentialForm) -> DifferentialForm:
-    return eq.restrict_form(omega)
-
-
-def restricted_total_derivative(eq: SolvedEquation, i: int, e: Expression) -> Expression:
-    return eq.restricted_total_derivative(i, e)
-
-
-def is_symmetry(eq: SolvedEquation, phi: EvolutionaryField) -> bool:
-    return eq.is_symmetry(phi)
+            yield MultiIndex.of({i: c for i, c in enumerate(counts) if c})

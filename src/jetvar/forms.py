@@ -244,6 +244,15 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     return a.wedge(b)
 
 
+def theta_image(f: Expression):
+    """Contact part of d f: the nonzero (u^k_alpha, df/du^k_alpha) pairs,
+    so that theta(f) = sum (df/du^k_alpha) theta^k_alpha, in atom_key order."""
+    for atom in sorted(f.jet_atoms(), key=atom_key):
+        d = partial(f, atom)
+        if not d.is_zero():
+            yield atom, d
+
+
 def vertical_split(coeff: Expression):
     """d f = D_i(f) dx^i + (df/du^k_alpha) theta^k_alpha, yielded as
     (generator, Expression) pairs."""
@@ -252,10 +261,8 @@ def vertical_split(coeff: Expression):
         d = total_derivative(ctx, i, coeff)
         if not d.is_zero():
             yield DX(i), d
-    for atom in sorted(coeff.jet_atoms(), key=atom_key):
-        d = partial(coeff, atom)
-        if not d.is_zero():
-            yield THETA(atom.dep, atom.mindex), d
+    for atom, d in theta_image(coeff):
+        yield THETA(atom.dep, atom.mindex), d
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
@@ -290,21 +297,27 @@ def horizontal_differential(omega: DifferentialForm) -> DifferentialForm:
     return DifferentialForm.from_terms(ctx, items)
 
 
-def contract_evolutionary(field: EvolutionaryField, omega: DifferentialForm) -> DifferentialForm:
-    """Interior product with E_phi: dx^i -> 0, theta^k_alpha -> D_alpha(phi^k)."""
-    ctx = omega.ctx
+def interior_product(omega: DifferentialForm, value) -> DifferentialForm:
+    """Interior product with a vertical field given by its value on each
+    coordinate: dx^i -> 0, theta^k_alpha -> value(u^k_alpha)."""
     items = []
     for gens, coeff in omega.terms.items():
         for pos, g in enumerate(gens):
             if not g.is_theta():
                 continue
-            value = total_derivative_multi(ctx, g.mindex, field.component(g.index))
-            if value.is_zero():
+            v = value(JetCoord(g.index, g.mindex))
+            if v.is_zero():
                 continue
             sign = -1 if pos % 2 else 1
             rest = gens[:pos] + gens[pos + 1:]
-            items.append((coeff * value if sign == 1 else -(coeff * value), rest))
-    return DifferentialForm.from_terms(ctx, items)
+            items.append((coeff * v if sign == 1 else -(coeff * v), rest))
+    return DifferentialForm.from_terms(omega.ctx, items)
+
+
+def contract_evolutionary(field: EvolutionaryField, omega: DifferentialForm) -> DifferentialForm:
+    """Interior product with E_phi: dx^i -> 0, theta^k_alpha -> D_alpha(phi^k)."""
+    return interior_product(omega, lambda c: total_derivative_multi(
+        omega.ctx, c.mindex, field.component(c.dep)))
 
 
 def lie_derivative_evolutionary(field: EvolutionaryField, omega: DifferentialForm) -> DifferentialForm:

@@ -15,12 +15,20 @@ from dataclasses import dataclass
 
 from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
-from .forms import DX, DifferentialForm
+from .forms import DX, DifferentialForm, interior_product, theta_image
 from .symexpr import Expression, JetCoord, MultiIndex, atom_key, partial
 
 FREE = "free"
 NULL = "null"
 CONSTRAINED = "constrained"
+
+# Depth of the constraint-point scan that classifies generator families
+# (raised to one past the highest rule head).
+SCAN_ORDER = 6
+# Depth to which an S-symmetry's commutation with the spatial total
+# derivatives, and a constraint resolution, are checked.
+EXTENSION_CHECK_ORDER = 3
+RESOLUTION_CHECK_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -75,11 +83,10 @@ class SpatialStructure:
     constrained (tied to other coordinates by a spatial relation).
     """
 
-    def __init__(self, eq: SolvedEquation, frame: SpatialFrame, scan_order: int = 6):
+    def __init__(self, eq: SolvedEquation, frame: SpatialFrame):
         self.eq = eq
         self.frame = frame
         self.ctx = eq.ctx
-        self.scan_order = scan_order
         self._status: dict[tuple[int, MultiIndex], str] = {}
         self._scan()
 
@@ -110,7 +117,7 @@ class SpatialStructure:
         spatial derivative rewrites."""
         eq, ctx, frame = self.eq, self.ctx, self.frame
         max_head = max((h.mindex.order for h in eq.heads), default=0)
-        order = max(self.scan_order, max_head + 1)
+        order = max(SCAN_ORDER, max_head + 1)
         spatial = frame.spatial_indices(ctx)
         for coord in eq.internal_coordinates(order):
             fam = self.family_of(coord)
@@ -187,6 +194,14 @@ class SpatialStructure:
         return True
 
 
+def spatial_structure(eq: SolvedEquation, frame: SpatialFrame) -> SpatialStructure:
+    """The SpatialStructure of (eq, frame), built once and kept by eq."""
+    structure = eq.spatial_structures.get(frame)
+    if structure is None:
+        structure = eq.spatial_structures[frame] = SpatialStructure(eq, frame)
+    return structure
+
+
 # ---------------------------------------------------------------------------
 # spatial symmetries
 
@@ -213,11 +228,11 @@ class ExtendedSSymmetry:
     """Action of an S-symmetry on every internal coordinate."""
 
     def __init__(self, eq: SolvedEquation, frame: SpatialFrame,
-                 candidate: SSymmetryCandidate, check_order: int = 3):
+                 candidate: SSymmetryCandidate):
         self.eq = eq
         self.frame = frame
         self.ctx = eq.ctx
-        self.structure = SpatialStructure(eq, frame)
+        self.structure = spatial_structure(eq, frame)
         self._components = candidate.normalized(self.ctx)
         self._cache: dict[JetCoord, Expression] = {}
         for coord, value in self._components.items():
@@ -231,7 +246,7 @@ class ExtendedSSymmetry:
                     "is not a generating coordinate", coordinate=coord)
             value = eq.restrict(value)
             self._components[coord] = value
-        self._verify(check_order)
+        self._verify()
 
     def apply_coord(self, coord: JetCoord) -> Expression:
         """Component on one internal coordinate."""
@@ -260,23 +275,12 @@ class ExtendedSSymmetry:
     def contract(self, omega: DifferentialForm) -> DifferentialForm:
         """Interior product: dx -> 0, theta of an internal coordinate -> its
         component."""
-        items = []
-        for gens, coeff in omega.terms.items():
-            for pos, g in enumerate(gens):
-                if not g.is_theta():
-                    continue
-                value = self.apply_coord(JetCoord(g.index, g.mindex))
-                if value.is_zero():
-                    continue
-                sign = -1 if pos % 2 else 1
-                rest = gens[:pos] + gens[pos + 1:]
-                items.append((coeff * value if sign == 1 else -(coeff * value), rest))
-        return DifferentialForm.from_terms(self.ctx, items)
+        return interior_product(omega, self.apply_coord)
 
-    def _verify(self, check_order: int):
+    def _verify(self):
         """Commutation with spatial derivatives must be consistent across the
         rewrite relations (e.g. divergence-type constraints)."""
-        for coord, j, rhs in self.structure.constraint_points(check_order):
+        for coord, j, rhs in self.structure.constraint_points(EXTENSION_CHECK_ORDER):
             left = self.eq.restrict(
                 self.eq.restricted_total_derivative(j, self.apply_coord(coord)))
             right = self.apply(rhs)
@@ -290,8 +294,8 @@ class ExtendedSSymmetry:
 
 
 def extend_S_symmetry(eq: SolvedEquation, frame: SpatialFrame,
-                      candidate: SSymmetryCandidate, check_order: int = 3) -> ExtendedSSymmetry:
-    return ExtendedSSymmetry(eq, frame, candidate, check_order)
+                      candidate: SSymmetryCandidate) -> ExtendedSSymmetry:
+    return ExtendedSSymmetry(eq, frame, candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +325,10 @@ class ConstraintResolution:
                 rules[atom] = self.coordinate_value(eq, atom)
         return e.substitute(rules) if rules else e
 
-    def verify(self, eq: SolvedEquation, frame: SpatialFrame, check_order: int = 2):
+    def verify(self, eq: SolvedEquation, frame: SpatialFrame):
         """Substituted expressions must satisfy the constraint identically."""
-        structure = SpatialStructure(eq, frame)
-        for coord, j, rhs in structure.constraint_points(check_order):
+        structure = spatial_structure(eq, frame)
+        for coord, j, rhs in structure.constraint_points(RESOLUTION_CHECK_ORDER):
             if coord.dep not in self.substitutions:
                 continue
             left = eq.restricted_total_derivative(j, self.coordinate_value(eq, coord))
@@ -408,7 +412,7 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
     resolution and are substituted away first.
     """
     omega1 = reduce_mod_S2(frame, omega1)
-    structure = SpatialStructure(eq, frame)
+    structure = spatial_structure(eq, frame)
     ctx = eq.ctx
     horizontal, thetas = _normal_form_parts(frame, omega1)
 
@@ -419,11 +423,7 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
         for coord, b in thetas.items():
             b = resolution.apply_to_expression(eq, b)
             if coord.dep in resolution.resolved_dependents():
-                value = resolution.coordinate_value(eq, coord)
-                for atom in sorted(value.jet_atoms(), key=atom_key):
-                    d = partial(value, atom)
-                    if d.is_zero():
-                        continue
+                for atom, d in theta_image(resolution.coordinate_value(eq, coord)):
                     new_thetas[atom] = new_thetas.get(atom, ctx.zero()) + b * d
             else:
                 new_thetas[coord] = new_thetas.get(coord, ctx.zero()) + b
@@ -473,15 +473,13 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
 
 def is_gauge_symmetry(frame: SpatialFrame, eq: SolvedEquation, rep,
                       candidate: SSymmetryCandidate,
-                      resolution: ConstraintResolution | None = None,
-                      check_order: int = 3) -> bool:
+                      resolution: ConstraintResolution | None = None) -> bool:
     """Substitute an S-symmetry into the spatial presymplectic structure and
     test the resulting spatial variational 1-form for triviality."""
     if rep.equation is not eq:
         raise ValueError("internal Lagrangian was built over a different equation")
-    extended = extend_S_symmetry(eq, frame, candidate, check_order)
-    d_rep = eq.restricted_exterior_derivative(rep.form)
-    contracted = extended.contract(d_rep)
+    extended = extend_S_symmetry(eq, frame, candidate)
+    contracted = extended.contract(rep.presymplectic)
     return is_gauge_trivial(frame, eq, reduce_mod_S2(frame, contracted), resolution)
 
 

@@ -672,14 +672,6 @@ def _coeff_str(c: Rat) -> str:
 # free-function operation surface
 
 
-def add(a: Expression, b: Expression) -> Expression:
-    return a + b
-
-
-def mul(a: Expression, b: Expression) -> Expression:
-    return a * b
-
-
 def partial(e: Expression, a: Atom) -> Expression:
     """Formal partial derivative treating every atom as an independent
     coordinate; opaque symbols differentiate through their argument lists."""
@@ -691,7 +683,3 @@ def partial(e: Expression, a: Atom) -> Expression:
 
 def substitute(e: Expression, rules: dict) -> Expression:
     return e.substitute(rules)
-
-
-def is_zero(e: Expression) -> bool:
-    return e.is_zero()

@@ -91,10 +91,12 @@ def presymplectic_potential(L: Lagrangian) -> DifferentialForm:
 
 @dataclass(frozen=True)
 class InternalLagrangianRep:
-    """(L + omega_L) restricted to the equation manifold."""
+    """(L + omega_L) restricted to the equation manifold, with its restricted
+    d, the presymplectic form."""
 
     equation: SolvedEquation
     form: DifferentialForm
+    presymplectic: DifferentialForm
 
 
 def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangianRep:
@@ -114,7 +116,7 @@ def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangian
     if cartan_degree_filter(d_rep, 2) != d_rep:
         raise LagrangianError(
             "d(L + omega_L) restricted is not in the square of the Cartan ideal")
-    return InternalLagrangianRep(eq, rep)
+    return InternalLagrangianRep(eq, rep, d_rep)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class PresymplecticStructure:
 
 
 def presymplectic_structure(rep: InternalLagrangianRep) -> PresymplecticStructure:
-    return PresymplecticStructure(rep.equation.restricted_exterior_derivative(rep.form))
+    return PresymplecticStructure(rep.presymplectic)
 
 
 def verify_omega_identity(L: Lagrangian, omega_L: DifferentialForm,

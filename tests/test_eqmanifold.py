@@ -8,7 +8,7 @@ from jetvar import (
 )
 from jetvar.eqmanifold import iter_multi_indices
 from jetvar.errors import ConsistencyError, OrientationError
-from jetvar.symexpr import MultiIndex
+from jetvar.symexpr import JetCoord, MultiIndex
 
 from helpers import (
     E,
@@ -18,6 +18,7 @@ from helpers import (
     laplace_equation,
     pkdv_equation,
     random_expression,
+    random_form,
     wave_equation,
 )
 
@@ -90,6 +91,29 @@ def test_restricted_derivative_pkdv():
     ctx, eq = pkdv_equation()
     assert eq.restricted_total_derivative(0, ctx.var("u")) == \
         E("3*u[x]^2 + u[xxx]", ctx)
+
+
+def test_restricted_exterior_derivative_randomized():
+    """d_E(omega) = d_E(omega|_E), it lives in internal coordinates, and
+    d_E^2 = 0, for forms whose coefficients mention principal coordinates."""
+    rng = random.Random(20261017)
+    cases = [
+        (laplace_equation, ("yy", "xyy")),
+        (wave_equation, ("xy", "xxy")),
+        (pkdv_equation, ("t", "tx")),
+    ]
+    for make, principal in cases:
+        ctx, eq = make()
+        pool = default_pool(ctx) + [ctx.jet_atom("u", spec) for spec in principal]
+        for _ in range(20):
+            omega = random_form(rng, ctx, pool, rng.randint(0, 2))
+            d_omega = eq.restricted_exterior_derivative(omega)
+            assert d_omega == eq.restricted_exterior_derivative(eq.restrict_form(omega))
+            for gens, coeff in d_omega.terms.items():
+                assert all(eq.is_internal(a) for a in coeff.jet_atoms())
+                assert all(eq.is_internal(JetCoord(g.index, g.mindex))
+                           for g in gens if g.is_theta())
+            assert eq.restricted_exterior_derivative(d_omega).is_zero()
 
 
 def test_is_symmetry_translation():

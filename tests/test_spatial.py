@@ -17,7 +17,7 @@ from jetvar import (
 )
 from jetvar.errors import SSymmetryError, UnresolvedConstraint
 from jetvar.forms import DifferentialForm
-from jetvar.spatial import SpatialStructure, s_degree
+from jetvar.spatial import SpatialStructure, s_degree, spatial_structure
 from jetvar.symexpr import MultiIndex
 
 from helpers import E, F, laplace_equation, pkdv_equation, wave_equation
@@ -84,6 +84,22 @@ def test_structure_classification_maxwell(maxwell_built):
     assert st.status(r12) == "free"
     a0_tower = (ctx.dependent_index("A0"), MultiIndex.single(0, 2))
     assert st.status(a0_tower) == "free"
+
+
+def test_structure_built_once_per_equation_and_frame(laplace):
+    ctx, eq, frame = laplace
+    a = SSymmetryCandidate({ctx.jet_atom("u"): E("u[x]", ctx),
+                            ctx.jet_atom("u", "y"): E("u[xy]", ctx)})
+    b = SSymmetryCandidate({ctx.jet_atom("u"): E("u*u[y]", ctx),
+                            ctx.jet_atom("u", "y"): E("u[x]^2", ctx)})
+    shared = extend_S_symmetry(eq, frame, a).structure
+    assert extend_S_symmetry(eq, frame, b).structure is shared
+    assert spatial_structure(eq, frame) is shared
+    assert spatial_structure(eq, SpatialFrame(0)) is not shared
+    _, other_eq = laplace_equation(ctx)
+    assert spatial_structure(other_eq, frame) is not shared
+    direct = SpatialStructure(eq, frame)
+    assert direct is not shared and direct.status((0, MultiIndex.zero())) == "free"
 
 
 def test_extension_matches_display_laplace(laplace):

@@ -141,6 +141,7 @@ def test_presymplectic_pure_cartan_degree_two(all_built):
             continue
         rep = internal_lagrangian(built.lagrangian, built.eq)
         d_rep = built.eq.restricted_exterior_derivative(rep.form)
+        assert rep.presymplectic == d_rep, name
         assert cartan_degree_filter(d_rep, 2) == d_rep, name
 
 
