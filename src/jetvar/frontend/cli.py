@@ -57,27 +57,34 @@ def _emit(report: Report, args) -> int:
 
 
 def _cmd_prolong(args) -> int:
+    if args.order < 0:
+        print(f"refused: --order must be at least 0, not {args.order}", file=sys.stderr)
+        return 2
     try:
-        problem = parse(Path(args.file).read_text(encoding="utf-8"))
-        built = build(problem, max_order=args.max_order)
+        text = Path(args.file).read_text(encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    from ..eqmanifold import iter_multi_indices
+    from ..symexpr import JetCoord
+    try:
+        built = build(parse(text), max_order=args.max_order)
+        if built.eq is None:
+            print("refused: no equation declared", file=sys.stderr)
+            return 2
+        eq = built.eq
+        count = 0
+        for k in range(built.ctx.m):
+            for alpha in iter_multi_indices(built.ctx.n, args.order):
+                coord = JetCoord(k, alpha)
+                if eq.is_internal(coord):
+                    continue
+                rhs = eq.rule_for(coord)
+                print(f"{built.ctx.atom_name(coord)} -> {rhs}")
+                count += 1
     except JetvarError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    if built.eq is None:
-        print("refused: no equation declared", file=sys.stderr)
-        return 2
-    eq = built.eq
-    count = 0
-    from ..eqmanifold import iter_multi_indices
-    from ..symexpr import JetCoord
-    for k in range(built.ctx.m):
-        for alpha in iter_multi_indices(built.ctx.n, args.order):
-            coord = JetCoord(k, alpha)
-            if eq.is_internal(coord):
-                continue
-            rhs = eq.rule_for(coord)
-            print(f"{built.ctx.atom_name(coord)} -> {rhs}")
-            count += 1
     print(f"-- {count} rules to order {args.order}")
     return 0
 

@@ -754,7 +754,7 @@ class Evaluator:
                         out = out.wedge(left)
                     return out
                 return left ** k
-        except UnsupportedExpression as exc:
+        except (UnsupportedExpression, ZeroDivisionError) as exc:
             raise SemanticError(str(exc), *node.pos) from None
         raise SemanticError(f"unknown operator {op!r}", *node.pos)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedExpression
+from .errors import ContextMismatch, UnsupportedExpression
 from .symexpr import (
     BaseVar,
     Expression,
@@ -31,7 +31,8 @@ __all__ = [
 
 def total_derivative(ctx: JetContext, i: int, e: Expression) -> Expression:
     """D_{x^i}: sends u^k_alpha to u^k_{alpha+x^i}, differentiates opaque
-    symbols by the chain rule through their declared arguments."""
+    symbols by the chain rule through their declared arguments.  D_{x^i} of
+    each atom is computed once per context (``ctx.total_derivative_memo``)."""
 
     def action(atom):
         if isinstance(atom, BaseVar):
@@ -40,7 +41,9 @@ def total_derivative(ctx: JetContext, i: int, e: Expression) -> Expression:
             return ctx.expr(JetCoord(atom.dep, atom.mindex + MultiIndex.single(i)))
         return ctx.zero()
 
-    return e.derive(action)
+    if e.ctx is not ctx:
+        raise ContextMismatch("expression belongs to a different context")
+    return e.derive(action, ctx.total_derivative_memo[i])
 
 
 def total_derivative_multi(ctx: JetContext, alpha: MultiIndex, e: Expression) -> Expression:

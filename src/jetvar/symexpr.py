@@ -6,16 +6,25 @@ function symbols, and formal partials of opaque symbols.  An optional
 single-monomial denominator gives limited rational-function support.
 Canonical forms are unique, so ``a == b`` decides mathematical equality
 on this fragment.
+
+Atoms are interned per JetContext: the context numbers each atom the first
+time an expression uses it, and a monomial is a tuple of (atom id, power)
+pairs sorted by id.  Arithmetic is therefore work on tuples of ints, and
+the id order is the canonical order inside one context.  Ids depend on the
+order in which atoms are first seen, so nothing that is printed or compared
+across contexts reads them: printing sorts terms, factors and denominators
+by ``atom_key``, and callers that need a stable atom order sort by it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContextMismatch, UnsupportedExpression
 
 Rat = Fraction
+_Q1 = Rat(1)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +105,16 @@ class MultiIndex:
 _BASE, _JET, _FN, _FNPARTIAL = 0, 1, 2, 3
 
 
+def _atom_hash(self) -> int:
+    # The value the generated dataclass __hash__ gives, computed once per
+    # instance: opaque symbols carry about 26 jet-coordinate arguments.
+    h = self._hash
+    if h is None:
+        h = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True, slots=True)
 class BaseVar:
     index: int
@@ -108,6 +127,9 @@ class BaseVar:
 class JetCoord:
     dep: int
     mindex: MultiIndex = MultiIndex()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = _atom_hash
 
     def key(self) -> tuple:
         return (_JET, self.dep, self.mindex.key())
@@ -117,6 +139,9 @@ class JetCoord:
 class OpaqueFn:
     name: str
     args: tuple = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = _atom_hash
 
     def key(self) -> tuple:
         return (_FN, self.name, tuple(a.key() for a in self.args))
@@ -129,6 +154,9 @@ class FnPartial:
     name: str
     args: tuple = ()
     derivs: tuple[int, ...] = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = _atom_hash
 
     def key(self) -> tuple:
         return (_FNPARTIAL, self.name, tuple(a.key() for a in self.args), self.derivs)
@@ -150,9 +178,14 @@ def is_coordinate(a: Atom) -> bool:
 
 class JetContext:
     """Bundle data: the named independent and dependent variables plus the
-    opaque function signatures declared over them."""
+    opaque function signatures declared over them.
 
-    __slots__ = ("independents", "dependents", "_opaque", "_ind_pos", "_dep_pos")
+    The context also owns the atom intern table that monomials index into,
+    and one memo per direction of D_{x^i} on atoms, keyed by atom id.
+    """
+
+    __slots__ = ("independents", "dependents", "_opaque", "_ind_pos", "_dep_pos",
+                 "_atom_ids", "_atoms", "total_derivative_memo")
 
     def __init__(self, independents, dependents):
         self.independents = tuple(independents)
@@ -165,6 +198,9 @@ class JetContext:
         self._opaque: dict[str, tuple] = {}
         self._ind_pos = {name: i for i, name in enumerate(self.independents)}
         self._dep_pos = {name: k for k, name in enumerate(self.dependents)}
+        self._atom_ids: dict[Atom, int] = {}
+        self._atoms: list[Atom] = []
+        self.total_derivative_memo = tuple({} for _ in self.independents)
 
     @property
     def n(self) -> int:
@@ -228,6 +264,16 @@ class JetContext:
     def opaque_names(self):
         return tuple(self._opaque)
 
+    # -- atom interning --------------------------------------------------------
+
+    def atom_id(self, a: Atom) -> int:
+        """The id of an atom in this context, interning it on first use."""
+        i = self._atom_ids.get(a)
+        if i is None:
+            i = self._atom_ids[a] = len(self._atoms)
+            self._atoms.append(a)
+        return i
+
     # -- atom and expression constructors ------------------------------------
 
     def atom(self, spec) -> Atom:
@@ -263,15 +309,13 @@ class JetContext:
 
     def expr(self, spec) -> "Expression":
         """Expression consisting of a single atom."""
-        a = self.atom(spec)
-        return Expression(self, {((a, 1),): Rat(1)}, ())
+        return Expression(self, {((self.atom_id(self.atom(spec)), 1),): _Q1}, ())
 
     def var(self, name: str) -> "Expression":
         return self.expr(name)
 
     def jet(self, dep: str, mindex=MultiIndex()) -> "Expression":
-        a = self.jet_atom(dep, mindex)
-        return Expression(self, {((a, 1),): Rat(1)}, ())
+        return self.expr(self.jet_atom(dep, mindex))
 
     def atom_name(self, a: Atom) -> str:
         if isinstance(a, BaseVar):
@@ -293,7 +337,8 @@ class JetContext:
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers (a monomial is a sorted tuple of (atom, power) pairs)
+# monomial helpers (a monomial is a tuple of (atom id, power) pairs sorted
+# by id, every power positive)
 
 Monomial = tuple
 
@@ -301,47 +346,55 @@ _ONE: Monomial = ()
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    powers: dict = {}
-    order: list = []
-    for atom, p in a + b:
-        if atom not in powers:
-            powers[atom] = 0
-            order.append(atom)
-        powers[atom] += p
-    items = [(atom, powers[atom]) for atom in order if powers[atom] != 0]
-    items.sort(key=lambda ap: atom_key(ap[0]))
-    return tuple(items)
+    if not a:
+        return b
+    if not b:
+        return a
+    powers = dict(a)
+    for i, p in b:
+        powers[i] = powers.get(i, 0) + p
+    return tuple(sorted(powers.items()))
 
 
 def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
     pb = dict(b)
-    out = [(atom, min(p, pb[atom])) for atom, p in a if atom in pb]
-    return tuple((atom, p) for atom, p in out if p > 0)
+    return tuple((i, min(p, pb[i])) for i, p in a if i in pb)
 
 
 def _mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b assuming b divides a."""
     pb = dict(b)
     out = []
-    for atom, p in a:
-        q = p - pb.get(atom, 0)
+    for i, p in a:
+        q = p - pb.get(i, 0)
         if q < 0:
             raise ValueError("monomial does not divide")
         if q > 0:
-            out.append((atom, q))
+            out.append((i, q))
     return tuple(out)
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    counts = dict(a)
-    for atom, p in b:
-        counts[atom] = max(counts.get(atom, 0), p)
-    items = sorted(counts.items(), key=lambda ap: atom_key(ap[0]))
-    return tuple(items)
+    powers = dict(a)
+    for i, p in b:
+        powers[i] = max(powers.get(i, 0), p)
+    return tuple(sorted(powers.items()))
 
 
-def _mono_key(m: Monomial) -> tuple:
-    return tuple((atom_key(a), p) for a, p in m)
+def _sum(ctx: JetContext, pieces) -> "Expression":
+    """Sum of expressions, collecting the undivided ones in one pass."""
+    acc: dict = {}
+    divided = []
+    for e in pieces:
+        if e.den:
+            divided.append(e)
+            continue
+        for m, c in e.terms.items():
+            acc[m] = acc.get(m, 0) + c
+    total = Expression(ctx, acc)
+    for e in divided:
+        total = total + e
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +444,7 @@ class Expression:
 
     def __hash__(self):
         if self._hash is None:
-            items = tuple(sorted(((_mono_key(m), c) for m, c in self.terms.items())))
-            self._hash = hash((id(self.ctx), self.den, items))
+            self._hash = hash((id(self.ctx), self.den, frozenset(self.terms.items())))
         return self._hash
 
     def __add__(self, other):
@@ -402,17 +454,17 @@ class Expression:
         if self.den == other.den:
             terms = dict(self.terms)
             for m, c in other.terms.items():
-                terms[m] = terms.get(m, Rat(0)) + c
+                terms[m] = terms.get(m, 0) + c
             return Expression(self.ctx, terms, self.den)
         den = _mono_lcm(self.den, other.den)
         fa, fb = _mono_div(den, self.den), _mono_div(den, other.den)
         terms: dict = {}
         for m, c in self.terms.items():
             key = _mono_mul(m, fa)
-            terms[key] = terms.get(key, Rat(0)) + c
+            terms[key] = terms.get(key, 0) + c
         for m, c in other.terms.items():
             key = _mono_mul(m, fb)
-            terms[key] = terms.get(key, Rat(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return Expression(self.ctx, terms, den)
 
     __radd__ = __add__
@@ -440,7 +492,7 @@ class Expression:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 key = _mono_mul(ma, mb)
-                terms[key] = terms.get(key, Rat(0)) + ca * cb
+                terms[key] = terms.get(key, 0) + ca * cb
         return Expression(self.ctx, terms, _mono_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -503,7 +555,7 @@ class Expression:
             return None
         (mono, coeff), = self.terms.items()
         if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
-            return mono[0][0]
+            return self.ctx._atoms[mono[0][0]]
         return None
 
     def atoms(self) -> set:
@@ -516,9 +568,11 @@ class Expression:
                 for arg in a.args:
                     visit(arg)
 
-        for m in list(self.terms) + [self.den]:
-            for atom, _ in m:
-                visit(atom)
+        atoms = self.ctx._atoms
+        ids = {i for m in self.terms for i, _ in m}
+        ids.update(i for i, _ in self.den)
+        for i in ids:
+            visit(atoms[i])
         return out
 
     def jet_atoms(self, dep: int | None = None) -> set:
@@ -536,51 +590,56 @@ class Expression:
 
     # -- derivations -----------------------------------------------------------
 
-    def derive(self, action) -> "Expression":
+    def derive(self, action, memo: dict | None = None) -> "Expression":
         """Extend an atom action to a derivation of the whole expression.
 
         ``action(atom)`` must return the derivative of that atom as an
         Expression; function atoms are routed through the chain rule before
-        action sees them.
+        action sees them.  ``memo`` maps atom ids to their derivatives under
+        this derivation; pass the same dict to reuse them across calls.
         """
         ctx = self.ctx
+        atoms = ctx._atoms
+        if memo is None:
+            memo = {}
 
-        def atom_derivative(a: Atom) -> Expression:
+        def atom_derivative(i: int) -> Expression:
+            d = memo.get(i)
+            if d is not None:
+                return d
+            a = atoms[i]
             if isinstance(a, (OpaqueFn, FnPartial)):
-                out = ctx.zero()
+                pieces = []
                 base_derivs = a.derivs if isinstance(a, FnPartial) else ()
                 for slot, arg in enumerate(a.args, start=1):
-                    darg = atom_derivative(arg)
+                    darg = atom_derivative(ctx.atom_id(arg))
                     if darg.is_zero():
                         continue
                     derivs = tuple(sorted(base_derivs + (slot,)))
-                    fp = FnPartial(a.name, a.args, derivs)
-                    out = out + ctx.expr(fp) * darg
-                return out
-            return action(a)
+                    pieces.append(ctx.expr(FnPartial(a.name, a.args, derivs)) * darg)
+                d = _sum(ctx, pieces)
+            else:
+                d = action(a)
+            memo[i] = d
+            return d
 
-        def mono_derivative(m: Monomial) -> Expression:
-            total = ctx.zero()
-            for i, (atom, p) in enumerate(m):
-                da = atom_derivative(atom)
+        def mono_derivative(m: Monomial, c) -> list:
+            """The terms of c * d(m), one per factor of m."""
+            pieces = []
+            for k, (i, p) in enumerate(m):
+                da = atom_derivative(i)
                 if da.is_zero():
                     continue
-                rest = list(m)
-                rest[i] = (atom, p - 1)
-                rest = tuple(ap for ap in rest if ap[1] > 0)
-                piece = Expression(ctx, {rest: Rat(p)}) * da
-                total = total + piece
-            return total
+                rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p > 1 else m[:k] + m[k + 1:]
+                pieces.append(Expression(ctx, {rest: c * p}) * da)
+            return pieces
 
-        num = ctx.zero()
-        for m, c in self.terms.items():
-            dm = mono_derivative(m)
-            if not dm.is_zero():
-                num = num + Expression(ctx, {_ONE: c}) * dm
+        num = _sum(ctx, [piece for m, c in self.terms.items()
+                         for piece in mono_derivative(m, c)])
         if not self.den:
             return num
-        den_expr = Expression(ctx, {self.den: Rat(1)})
-        dden = mono_derivative(self.den)
+        den_expr = Expression(ctx, {self.den: _Q1})
+        dden = _sum(ctx, mono_derivative(self.den, _Q1))
         numer = Expression(ctx, dict(self.terms))
         # quotient rule: d(n/d) = (dn*d - n*dd) / d^2
         top = num * den_expr - numer * dden
@@ -595,54 +654,77 @@ class Expression:
             if not isinstance(repl, Expression) or repl.ctx is not ctx:
                 raise ContextMismatch("substitution values must share the context")
 
-        def subst_atom(a: Atom) -> Expression:
-            if a in rules:
-                return rules[a]
-            if isinstance(a, (OpaqueFn, FnPartial)):
-                new_args = []
-                changed = False
-                for arg in a.args:
-                    repl = subst_atom(arg)
-                    new_atom = repl.as_atom()
-                    if new_atom is None:
-                        raise UnsupportedExpression(
-                            "substitution inside an opaque argument must yield a coordinate")
-                    changed = changed or new_atom != arg
-                    new_args.append(new_atom)
-                if not changed:
-                    return ctx.expr(a)
-                if isinstance(a, FnPartial):
-                    return ctx.expr(FnPartial(a.name, tuple(new_args), a.derivs))
-                return ctx.expr(OpaqueFn(a.name, tuple(new_args)))
-            return ctx.expr(a)
+        def renamed(a: Atom) -> Atom:
+            """a with the rules applied inside its opaque arguments."""
+            if not isinstance(a, (OpaqueFn, FnPartial)):
+                return a
+            new_args = []
+            for arg in a.args:
+                repl = rules.get(arg)
+                new_atom = renamed(arg) if repl is None else repl.as_atom()
+                if new_atom is None:
+                    raise UnsupportedExpression(
+                        "substitution inside an opaque argument must yield a coordinate")
+                new_args.append(new_atom)
+            new_args = tuple(new_args)
+            if new_args == a.args:
+                return a
+            if isinstance(a, FnPartial):
+                return FnPartial(a.name, new_args, a.derivs)
+            return OpaqueFn(a.name, new_args)
 
-        def subst_mono(m: Monomial) -> Expression:
-            out = ctx.one()
-            for atom, p in m:
-                out = out * subst_atom(atom) ** p
+        atoms = ctx._atoms
+        replaced: dict = {}  # atom id -> its image, or None when it stays
+
+        def image(i: int) -> "Expression | None":
+            if i in replaced:
+                return replaced[i]
+            a = atoms[i]
+            out = rules.get(a)
+            if out is None:
+                b = renamed(a)
+                out = None if b is a else ctx.expr(b)
+            replaced[i] = out
             return out
 
-        total = ctx.zero()
-        for m, c in self.terms.items():
-            total = total + ctx.const(c) * subst_mono(m)
+        def subst_mono(m: Monomial, c) -> Expression:
+            kept = []
+            factors = []
+            for i, p in m:
+                out = image(i)
+                if out is None:
+                    kept.append((i, p))
+                else:
+                    factors.append((out, p))
+            piece = Expression(ctx, {tuple(kept): c})
+            for out, p in factors:
+                piece = piece * out ** p
+            return piece
+
+        total = _sum(ctx, [subst_mono(m, c) for m, c in self.terms.items()])
         if self.den:
-            den_sub = subst_mono(self.den)
-            total = total / den_sub
+            total = total / subst_mono(self.den, _Q1)
         return total
 
     # -- printing ----------------------------------------------------------------
+
+    def _factors(self, m: Monomial) -> list:
+        """The (atom, power) factors of a monomial in atom_key order."""
+        atoms = self.ctx._atoms
+        return sorted(((atoms[i], p) for i, p in m), key=lambda ap: atom_key(ap[0]))
+
+    def _monomial_str(self, m: Monomial) -> str:
+        name = self.ctx.atom_name
+        return "*".join(name(a) if p == 1 else f"{name(a)}^{p}" for a, p in self._factors(m))
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=_mono_key):
+        for m in sorted(self.terms,
+                        key=lambda m: tuple((atom_key(a), p) for a, p in self._factors(m))):
             c = self.terms[m]
-            factors = []
-            for atom, p in m:
-                name = self.ctx.atom_name(atom)
-                factors.append(name if p == 1 else f"{name}^{p}")
-            body = "*".join(factors)
+            body = self._monomial_str(m)
             if not body:
                 piece = _coeff_str(abs(c))
             elif abs(c) == 1:
@@ -657,10 +739,7 @@ class Expression:
             else:
                 out += (" - " if negative else " + ") + piece
         if self.den:
-            den = "*".join(
-                self.ctx.atom_name(a) if p == 1 else f"{self.ctx.atom_name(a)}^{p}"
-                for a, p in self.den)
-            out = f"({out})/({den})"
+            out = f"({out})/({self._monomial_str(self.den)})"
         return out
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +310,59 @@ def test_cli_presymplectic_section(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "s_presymplectic" in out
+
+
+@pytest.mark.parametrize("rhs", ["1/0", "u[x]*0^-1"])
+@pytest.mark.parametrize("command", ["check", "prolong"])
+def test_cli_division_by_zero_exit_2(tmp_path, capsys, command, rhs):
+    target = tmp_path / "zero.jv"
+    target.write_text(f"independents x y\ndependents u\nequation u[yy] = {rhs}\n",
+                      encoding="utf-8")
+    code = cli_main([command, str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "3:" in captured.out + captured.err
+    assert "division by zero" in captured.out + captured.err
+
+
+def test_division_by_zero_semantic_error():
+    with pytest.raises(SemanticError) as err:
+        parse_expression("u/(x - x)", context2())
+    assert (err.value.line, err.value.column) == (1, 2)
+
+
+def test_cli_prolong_missing_file_exit_2(tmp_path, capsys):
+    code = cli_main(["prolong", str(tmp_path / "nosuch.jv")])
+    assert code == 2
+    assert "nosuch.jv" in capsys.readouterr().err
+
+
+def test_cli_prolong_rule_loop_exit_2(tmp_path, capsys):
+    # u_xy -> v_xy -> u_xy: the declared rules are oriented, their prolongation loops
+    target = tmp_path / "loop.jv"
+    target.write_text("independents x y\ndependents u v\n"
+                      "equation u[x] = v[x]\nequation v[y] = u[y]\n", encoding="utf-8")
+    code = cli_main(["prolong", str(target), "--order", "2"])
+    assert code == 2
+    assert "loops" in capsys.readouterr().err
+
+
+def test_cli_prolong_negative_order_exit_2(tmp_path, capsys):
+    target = tmp_path / "prob.jv"
+    target.write_text(fixture_text("laplace"), encoding="utf-8")
+    code = cli_main(["prolong", str(target), "--order", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--order" in captured.err
+    assert "rules to order" not in captured.out
+
+
+_REFERENCE_REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("name", ["laplace", "wave", "pkdv", "maxwell"])
+def test_reproduce_report_bytes_match_reference(tmp_path, capsys, name):
+    out_path = tmp_path / f"{name}.report.json"
+    assert cli_main(["reproduce", name, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert out_path.read_bytes() == (_REFERENCE_REPORTS / f"{name}.report.json").read_bytes()
