@@ -69,12 +69,6 @@ class SolvedEquation:
 
     # -- rule machinery ------------------------------------------------------
 
-    def rule_heads(self):
-        return self.heads
-
-    def declared_rules(self):
-        return tuple(zip(self.heads, self.rhs))
-
     def _dividing_head(self, coord: JetCoord):
         for head in self.heads:
             if head.dep == coord.dep and head.mindex.divides(coord.mindex):

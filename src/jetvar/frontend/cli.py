@@ -68,7 +68,7 @@ def _cmd_prolong(args) -> int:
     from ..eqmanifold import iter_multi_indices
     from ..symexpr import JetCoord
     try:
-        built = build(parse(text), max_order=args.max_order)
+        built = build(parse(text))
         if built.eq is None:
             print("refused: no equation declared", file=sys.stderr)
             return 2
@@ -94,7 +94,7 @@ def _add_global_flags(parser, suppress=False):
     parser.add_argument("--out", default=d,
                         help="write the machine-readable report here")
     parser.add_argument("--max-order", type=int,
-                        default=argparse.SUPPRESS if suppress else 4,
+                        default=argparse.SUPPRESS if suppress else 3,
                         help="integrability / consistency check depth")
     parser.add_argument("--verbose", action="store_true",
                         default=argparse.SUPPRESS if suppress else False)
@@ -119,6 +119,10 @@ def main(argv=None) -> int:
     _add_global_flags(p, suppress=True)
 
     args = parser.parse_args(argv)
+    if args.max_order < 0:
+        print(f"refused: --max-order must be at least 0, not {args.max_order}",
+              file=sys.stderr)
+        return 2
 
     if args.command == "prolong":
         return _cmd_prolong(args)

@@ -69,7 +69,7 @@ class Report:
 
     @property
     def counts(self):
-        out = {PASS: 0, FAIL: 0, REFUSED: 0}
+        out = {PASS: 0, FAIL: 0, REFUSED: int(self.error is not None)}
         for c in self.checks:
             out[c.status] += 1
         return out
@@ -143,7 +143,7 @@ class BuiltProblem:
     evaluator: Evaluator
 
 
-def build(problem: ProblemFile, max_order: int = 4) -> BuiltProblem:
+def build(problem: ProblemFile) -> BuiltProblem:
     ctx = JetContext(problem.independents, problem.dependents)
     free_eval = Evaluator(ctx, None)
     for decl in problem.opaques:
@@ -160,8 +160,7 @@ def build(problem: ProblemFile, max_order: int = 4) -> BuiltProblem:
                 raise SemanticError(
                     f"rule for {ctx.atom_name(head)} mentions its own head", decl.line, 1)
             rules.append((head, rhs))
-        eq = SolvedEquation(ctx, rules, integrability_order=max_order,
-                            check_integrability=False)
+        eq = SolvedEquation(ctx, rules, check_integrability=False)
 
     evaluator = Evaluator(ctx, eq)
 
@@ -269,13 +268,13 @@ class _Checker:
 
 
 def run_check(problem: ProblemFile | str, name: str = "problem",
-              max_order: int = 4) -> Report:
+              max_order: int = 3) -> Report:
     started = time.perf_counter()
     report = Report(problem=name)
     try:
         if isinstance(problem, str):
             problem = parse(problem)
-        built = build(problem, max_order=max_order)
+        built = build(problem)
         _run_pipeline(built, report, max_order)
     except JetvarError as exc:
         report.error = str(exc)
@@ -289,9 +288,9 @@ def _run_pipeline(built: BuiltProblem, report: Report, max_order: int):
 
     if eq is not None:
         try:
-            eq.check_integrability(min(max_order, 3))
+            eq.check_integrability(max_order)
             report.add("integrability", PASS,
-                       computed=f"[D_i,D_j] = 0 on internal coordinates to order {min(max_order, 3)}")
+                       computed=f"[D_i,D_j] = 0 on internal coordinates to order {max_order}")
         except ConsistencyError as exc:
             report.add("integrability", FAIL, message=str(exc))
             return
@@ -357,21 +356,20 @@ def _check_candidate(checker: _Checker, cname: str, candidate, rep):
         return
 
     try:
-        extend_S_symmetry(eq, frame, candidate)
-        extends = True
+        extended = extend_S_symmetry(eq, frame, candidate)
         detail = None
     except SSymmetryError as exc:
-        extends = False
+        extended = None
         detail = str(exc)
 
     decl = checker.expect_for("s_symmetry", cname)
     if decl is not None:
-        computed = "true" if extends else "false"
+        computed = "false" if extended is None else "true"
         report.add(f"s_symmetry[{cname}]",
                    PASS if decl.value == computed else FAIL,
-                   computed=computed if extends else f"false ({detail})",
+                   computed=f"false ({detail})" if extended is None else computed,
                    expected=_expected_str(decl), line=decl.line)
-    elif not extends:
+    elif extended is None:
         report.add(f"s_symmetry[{cname}]", REFUSED, message=detail)
         checker.expect_for("gauge", cname)  # cannot be decided
         return
@@ -389,7 +387,7 @@ def _check_candidate(checker: _Checker, cname: str, candidate, rep):
                    computed=computed, expected=_expected_str(decl), line=decl.line)
 
     decl = checker.expect_for("gauge", cname)
-    if not extends:
+    if extended is None:
         if decl is not None:
             report.add(f"gauge[{cname}]", REFUSED, message=detail, line=decl.line)
         return
@@ -399,7 +397,7 @@ def _check_candidate(checker: _Checker, cname: str, candidate, rep):
                        message="no internal Lagrangian available", line=decl.line)
         return
     try:
-        trivial = is_gauge_symmetry(frame, eq, rep, candidate, built.resolution)
+        trivial = is_gauge_symmetry(rep, extended, built.resolution)
     except JetvarError as exc:
         report.add(f"gauge[{cname}]", REFUSED, message=str(exc),
                    line=decl.line if decl else None)
@@ -429,5 +427,5 @@ def fixture_text(name: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-def reproduce(name: str, max_order: int = 4) -> Report:
+def reproduce(name: str, max_order: int = 3) -> Report:
     return run_check(fixture_text(name), name=name, max_order=max_order)

@@ -112,21 +112,26 @@ class SpatialStructure:
     def is_generator(self, coord: JetCoord) -> bool:
         return self.eq.is_internal(coord) and self.spatial_part(coord).order == 0
 
+    def _rewritten_steps(self, coord: JetCoord):
+        """(direction, rewritten value) for each spatial step of coord that
+        leaves the internal coordinates."""
+        for j in self.frame.spatial_indices(self.ctx):
+            step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
+            if not self.eq.is_internal(step):
+                yield j, self.eq.rule_for(step)
+
     def _scan(self):
         """Classify families by scanning constraint points: internal c whose
-        spatial derivative rewrites."""
-        eq, ctx, frame = self.eq, self.ctx, self.frame
+        spatial derivative rewrites; constraint_points reads them back."""
+        eq = self.eq
         max_head = max((h.mindex.order for h in eq.heads), default=0)
-        order = max(SCAN_ORDER, max_head + 1)
-        spatial = frame.spatial_indices(ctx)
-        for coord in eq.internal_coordinates(order):
+        self.scan_order = max(SCAN_ORDER, max_head + 1)
+        self._points = []
+        for coord in eq.internal_coordinates(self.scan_order):
             fam = self.family_of(coord)
             self._status.setdefault(fam, FREE)
-            for j in spatial:
-                step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
-                if eq.is_internal(step):
-                    continue
-                rhs = eq.rule_for(step)
+            for j, rhs in self._rewritten_steps(coord):
+                self._points.append((coord, j, rhs))
                 if rhs.is_zero():
                     if self._status[fam] == FREE:
                         self._status[fam] = NULL
@@ -140,23 +145,17 @@ class SpatialStructure:
         if family in self._status:
             return self._status[family]
         # outside the scanned range: fall back to a direct probe
-        coord = self.generator_coord(family)
-        for j in self.frame.spatial_indices(self.ctx):
-            step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
-            if not self.eq.is_internal(step):
-                return NULL if self.eq.rule_for(step).is_zero() else CONSTRAINED
+        for _, rhs in self._rewritten_steps(self.generator_coord(family)):
+            return NULL if rhs.is_zero() else CONSTRAINED
         return FREE
 
     def constraint_points(self, max_order: int):
-        """(coordinate, spatial direction, rewritten value) triples."""
-        out = []
-        spatial = self.frame.spatial_indices(self.ctx)
-        for coord in self.eq.internal_coordinates(max_order):
-            for j in spatial:
-                step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
-                if not self.eq.is_internal(step):
-                    out.append((coord, j, self.eq.rule_for(step)))
-        return out
+        """(coordinate, spatial direction, rewritten value) triples for the
+        internal coordinates up to max_order, in internal_coordinates order."""
+        if max_order > self.scan_order:
+            raise ValueError(f"constraint points were scanned to order "
+                             f"{self.scan_order}, not {max_order}")
+        return [p for p in self._points if p[0].mindex.order <= max_order]
 
     # -- spatial variational calculus ---------------------------------------
 
@@ -304,35 +303,38 @@ def extend_S_symmetry(eq: SolvedEquation, frame: SpatialFrame,
 
 @dataclass(frozen=True)
 class ConstraintResolution:
-    """Substitution resolving an under-determined spatial constraint by
-    potentials, e.g. divergence-free fields as curls of antisymmetric
-    potentials.  Maps resolved dependent indices to expressions in the
-    potential coordinates."""
+    """Substitution resolving an under-determined spatial constraint of
+    (eq, frame) by potentials, e.g. divergence-free fields as curls of
+    antisymmetric potentials.  Maps resolved dependent indices to expressions
+    in the potential coordinates; verified when constructed."""
 
+    eq: SolvedEquation
+    frame: SpatialFrame
     substitutions: dict
 
-    def resolved_dependents(self):
-        return set(self.substitutions)
+    def __post_init__(self):
+        self.verify()
 
-    def coordinate_value(self, eq: SolvedEquation, coord: JetCoord) -> Expression:
+    def coordinate_value(self, coord: JetCoord) -> Expression:
         base = self.substitutions[coord.dep]
-        return eq.restricted_total_derivative_multi(coord.mindex, base)
+        return self.eq.restricted_total_derivative_multi(coord.mindex, base)
 
-    def apply_to_expression(self, eq: SolvedEquation, e: Expression) -> Expression:
+    def apply_to_expression(self, e: Expression) -> Expression:
         rules = {}
         for atom in e.jet_atoms():
             if atom.dep in self.substitutions:
-                rules[atom] = self.coordinate_value(eq, atom)
+                rules[atom] = self.coordinate_value(atom)
         return e.substitute(rules) if rules else e
 
-    def verify(self, eq: SolvedEquation, frame: SpatialFrame):
+    def verify(self):
         """Substituted expressions must satisfy the constraint identically."""
-        structure = spatial_structure(eq, frame)
+        eq = self.eq
+        structure = spatial_structure(eq, self.frame)
         for coord, j, rhs in structure.constraint_points(RESOLUTION_CHECK_ORDER):
             if coord.dep not in self.substitutions:
                 continue
-            left = eq.restricted_total_derivative(j, self.coordinate_value(eq, coord))
-            right = self.apply_to_expression(eq, rhs)
+            left = eq.restricted_total_derivative(j, self.coordinate_value(coord))
+            right = self.apply_to_expression(rhs)
             if not (left - right).is_zero():
                 raise UnsupportedExpression(
                     "resolution violates the constraint at "
@@ -360,9 +362,7 @@ def antisymmetric_potential_resolution(eq: SolvedEquation, frame: SpatialFrame,
                            MultiIndex.single(spatial[other - 1]))
             total = total + sign * term
         subs[dep] = total
-    res = ConstraintResolution(subs)
-    res.verify(eq, frame)
-    return res
+    return ConstraintResolution(eq, frame, subs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +411,20 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
     must be a spatial divergence.  Constrained generators require a
     resolution and are substituted away first.
     """
+    if resolution is not None and (resolution.eq is not eq or resolution.frame != frame):
+        raise ValueError("constraint resolution was built for a different equation or frame")
     omega1 = reduce_mod_S2(frame, omega1)
     structure = spatial_structure(eq, frame)
     ctx = eq.ctx
     horizontal, thetas = _normal_form_parts(frame, omega1)
 
     if resolution is not None:
-        resolution.verify(eq, frame)
-        horizontal = resolution.apply_to_expression(eq, horizontal)
+        horizontal = resolution.apply_to_expression(horizontal)
         new_thetas: dict[JetCoord, Expression] = {}
         for coord, b in thetas.items():
-            b = resolution.apply_to_expression(eq, b)
-            if coord.dep in resolution.resolved_dependents():
-                for atom, d in theta_image(resolution.coordinate_value(eq, coord)):
+            b = resolution.apply_to_expression(b)
+            if coord.dep in resolution.substitutions:
+                for atom, d in theta_image(resolution.coordinate_value(coord)):
                     new_thetas[atom] = new_thetas.get(atom, ctx.zero()) + b * d
             else:
                 new_thetas[coord] = new_thetas.get(coord, ctx.zero()) + b
@@ -471,16 +472,15 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
     return structure.is_spatial_divergence(eq.restrict(horizontal))
 
 
-def is_gauge_symmetry(frame: SpatialFrame, eq: SolvedEquation, rep,
-                      candidate: SSymmetryCandidate,
+def is_gauge_symmetry(rep, extended: ExtendedSSymmetry,
                       resolution: ConstraintResolution | None = None) -> bool:
-    """Substitute an S-symmetry into the spatial presymplectic structure and
-    test the resulting spatial variational 1-form for triviality."""
-    if rep.equation is not eq:
+    """Substitute an extended S-symmetry into the spatial presymplectic
+    structure and test the resulting spatial variational 1-form for
+    triviality."""
+    if rep.equation is not extended.eq:
         raise ValueError("internal Lagrangian was built over a different equation")
-    extended = extend_S_symmetry(eq, frame, candidate)
-    contracted = extended.contract(rep.presymplectic)
-    return is_gauge_trivial(frame, eq, reduce_mod_S2(frame, contracted), resolution)
+    return is_gauge_trivial(extended.frame, extended.eq,
+                            extended.contract(rep.presymplectic), resolution)
 
 
 def is_spatial_gradient(frame: SpatialFrame, eq: SolvedEquation, chi: dict) -> bool:

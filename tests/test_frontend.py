@@ -325,6 +325,32 @@ def test_cli_division_by_zero_exit_2(tmp_path, capsys, command, rhs):
     assert "division by zero" in captured.out + captured.err
 
 
+def test_build_refusal_counted_in_summary(tmp_path, capsys):
+    target = tmp_path / "zero.jv"
+    target.write_text("independents x y\ndependents u\nequation u[yy] = 1/0\n",
+                      encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    code = cli_main(["check", str(target), "--out", str(out_path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "[REFUSED]" in out and "-- 0 passed, 0 failed, 1 refused" in out
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["summary"] == {"pass": 0, "fail": 0, "refused": 1}
+
+
+@pytest.mark.parametrize("flags, order", [
+    (["--max-order", "2"], 2), (["--max-order", "4"], 4), ([], 3)])
+def test_cli_max_order_honoured(capsys, flags, order):
+    assert cli_main(["reproduce", "laplace", "--verbose", *flags]) == 0
+    assert f"internal coordinates to order {order}\n" in capsys.readouterr().out
+
+
+def test_cli_negative_max_order_exit_2(capsys):
+    assert cli_main(["reproduce", "laplace", "--max-order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-order" in captured.err and "[PASS]" not in captured.out
+
+
 def test_division_by_zero_semantic_error():
     with pytest.raises(SemanticError) as err:
         parse_expression("u/(x - x)", context2())

@@ -3,7 +3,9 @@ import pytest
 import random
 
 from jetvar import (
+    ConstraintResolution,
     Lagrangian,
+    SolvedEquation,
     SpatialFrame,
     SSymmetryCandidate,
     extend_S_symmetry,
@@ -15,10 +17,16 @@ from jetvar import (
     s_degree_filter,
     s_presymplectic_representative,
 )
-from jetvar.errors import SSymmetryError, UnresolvedConstraint
+from jetvar.errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
 from jetvar.forms import DifferentialForm
-from jetvar.spatial import SpatialStructure, s_degree, spatial_structure
-from jetvar.symexpr import MultiIndex
+from jetvar.frontend import reproduce
+from jetvar.spatial import (
+    ExtendedSSymmetry,
+    SpatialStructure,
+    s_degree,
+    spatial_structure,
+)
+from jetvar.symexpr import JetCoord, MultiIndex
 
 from helpers import E, F, laplace_equation, pkdv_equation, wave_equation
 
@@ -100,6 +108,51 @@ def test_structure_built_once_per_equation_and_frame(laplace):
     assert spatial_structure(other_eq, frame) is not shared
     direct = SpatialStructure(eq, frame)
     assert direct is not shared and direct.status((0, MultiIndex.zero())) == "free"
+
+
+@pytest.mark.parametrize("name, extensions, resolutions",
+                         [("maxwell", 9, 1), ("laplace", 5, 0), ("wave", 7, 0), ("pkdv", 5, 0)])
+def test_reproduce_verifies_each_candidate_and_resolution_once(
+        monkeypatch, name, extensions, resolutions):
+    calls = {"extension": 0, "resolution": 0}
+
+    def counting(key, method):
+        def wrapper(self, *args):
+            calls[key] += 1
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(ExtendedSSymmetry, "_verify",
+                        counting("extension", ExtendedSSymmetry._verify))
+    monkeypatch.setattr(ConstraintResolution, "verify",
+                        counting("resolution", ConstraintResolution.verify))
+    assert reproduce(name).exit_code == 0
+    assert calls == {"extension": extensions, "resolution": resolutions}
+
+
+def _direct_constraint_points(structure, max_order):
+    """Reference: probe every spatial step of every internal coordinate."""
+    eq = structure.eq
+    out = []
+    for coord in eq.internal_coordinates(max_order):
+        for j in structure.frame.spatial_indices(structure.ctx):
+            step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
+            if not eq.is_internal(step):
+                out.append((coord, j, eq.rule_for(step)))
+    return out
+
+
+def test_constraint_points_match_direct_loop(all_built):
+    seen = 0
+    for name, built in all_built.items():
+        structure = spatial_structure(built.eq, built.frame)
+        for k in range(structure.scan_order + 1):
+            points = structure.constraint_points(k)
+            assert points == _direct_constraint_points(structure, k), (name, k)
+            seen += len(points)
+        with pytest.raises(ValueError):
+            structure.constraint_points(structure.scan_order + 1)
+    assert seen > 0
 
 
 def test_extension_matches_display_laplace(laplace):
@@ -242,6 +295,26 @@ def test_unresolved_constraint_refused(maxwell_built):
     assert not is_gauge_trivial(frame, eq, omega, maxwell_built.resolution)
 
 
+def test_gauge_trivial_rejects_resolution_of_other_equation_or_frame(maxwell_built):
+    eq, ctx, frame = maxwell_built.eq, maxwell_built.ctx, maxwell_built.frame
+    res = maxwell_built.resolution
+    omega = F("theta(F02)*d(x1)*d(x2)*d(x3)", ctx) * ctx.var("A1")
+    with pytest.raises(ValueError, match="different equation or frame"):
+        is_gauge_trivial(SpatialFrame(1), eq, omega, res)
+    twin = SolvedEquation(ctx, list(zip(eq.heads, eq.rhs)), check_integrability=False)
+    with pytest.raises(ValueError, match="different equation or frame"):
+        is_gauge_trivial(frame, twin, omega, res)
+
+
+def test_gauge_symmetry_rejects_rep_of_other_equation(laplace):
+    ctx, eq, frame = laplace
+    _, other_eq = laplace_equation(ctx)
+    rep = internal_lagrangian(Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx)), other_eq)
+    ext = extend_S_symmetry(eq, frame, SSymmetryCandidate({ctx.jet_atom("u"): ctx.zero()}))
+    with pytest.raises(ValueError, match="different equation"):
+        is_gauge_symmetry(rep, ext)
+
+
 def test_gauge_symmetry_wave_family():
     ctx, eq = wave_equation()
     frame = SpatialFrame(1)
@@ -250,9 +323,9 @@ def test_gauge_symmetry_wave_family():
     ctx.declare_opaque("q0", [ctx.atom("y"), ctx.jet_atom("u", "y")])
     good = SSymmetryCandidate({ctx.jet_atom("u"): ctx.expr(ctx.atom("q0")),
                                ctx.jet_atom("u", "y"): E("u[yy]^2", ctx)})
-    assert is_gauge_symmetry(frame, eq, rep, good)
+    assert is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, good))
     bad = SSymmetryCandidate({ctx.jet_atom("u"): E("u[x]", ctx)})
-    assert not is_gauge_symmetry(frame, eq, rep, bad)
+    assert not is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, bad))
 
 
 def test_gauge_symmetry_zero_characteristic(laplace):
@@ -260,7 +333,7 @@ def test_gauge_symmetry_zero_characteristic(laplace):
     lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
     rep = internal_lagrangian(lag, eq)
     zero = SSymmetryCandidate({ctx.jet_atom("u"): ctx.zero()})
-    assert is_gauge_symmetry(frame, eq, rep, zero)
+    assert is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, zero))
 
 
 def test_spatial_gradient_examples(laplace):
@@ -283,17 +356,15 @@ def test_spatial_gradient_curl_detected(maxwell_built):
 
 
 def test_resolution_validates(maxwell_built):
-    maxwell_built.resolution.verify(maxwell_built.eq, maxwell_built.frame)
+    maxwell_built.resolution.verify()
 
 
 def test_resolution_violation_detected(maxwell_built):
-    from jetvar import ConstraintResolution
     ctx, eq, frame = maxwell_built.ctx, maxwell_built.eq, maxwell_built.frame
-    from jetvar.errors import UnsupportedExpression
-    bogus = ConstraintResolution({
+    bogus = {
         ctx.dependent_index("F01"): E("r12[x2]", ctx),
         ctx.dependent_index("F02"): E("r12[x1]", ctx),  # wrong sign: not antisymmetric
         ctx.dependent_index("F03"): ctx.zero(),
-    })
+    }
     with pytest.raises(UnsupportedExpression):
-        bogus.verify(eq, frame)
+        ConstraintResolution(eq, frame, bogus)
