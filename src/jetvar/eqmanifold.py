@@ -3,29 +3,24 @@ prolongation.
 
 A SolvedEquation is an oriented rewrite system u^k_beta -> rhs.  Principal
 coordinates (heads and their derivatives) are eliminated; everything else
-is an internal coordinate on the equation manifold.  Restriction is
-fixpoint rewriting with lazily prolonged, cached rules.
+is an internal coordinate on the equation manifold.  The restricted total
+derivatives Dbar_i are the one source of normal forms: a head's rule is its
+declared right side restricted, the rule of a derived coordinate is Dbar_j
+of the rule one derivative lower, and restriction substitutes rules once.
 """
 
 from __future__ import annotations
 
 from .errors import ConsistencyError, OrientationError
 from .forms import DifferentialForm, THETA, exterior_derivative, theta_image
-from .jetcalc import (
-    EvolutionaryField,
-    JetContext,
-    linearization,
-    total_derivative,
-    total_derivative_multi,
-)
-from .symexpr import Expression, JetCoord, MultiIndex
+from .jetcalc import EvolutionaryField, JetContext, linearization
+from .symexpr import BaseVar, Expression, JetCoord, MultiIndex
 
 
 class SolvedEquation:
     """Oriented rewrite system defining an infinitely prolonged equation."""
 
-    def __init__(self, ctx: JetContext, rules, integrability_order: int = 4,
-                 check_integrability: bool = True):
+    def __init__(self, ctx: JetContext, rules):
         self.ctx = ctx
         heads: list[JetCoord] = []
         raw_rhs: list[Expression] = []
@@ -46,32 +41,24 @@ class SolvedEquation:
         if len(set(heads)) != len(heads):
             raise OrientationError("duplicate rule heads")
         self.heads = tuple(heads)
+        # heads by dependent, in declaration order: the first dividing one wins
+        self._heads_of: dict[int, list[JetCoord]] = {}
+        for head in heads:
+            self._heads_of.setdefault(head.dep, []).append(head)
+        self._declared = dict(zip(heads, raw_rhs))
         self._cache: dict[JetCoord, Expression] = {}
+        # Dbar_i of each atom by atom id, one dict per direction; the values
+        # for principal steps are the cached rules themselves
+        self._dbar_memo = tuple({} for _ in range(ctx.n))
         # one SpatialStructure per frame, filled by spatial.spatial_structure
         self.spatial_structures: dict = {}
-        self.integrability_order = integrability_order
-        # normalize declared right sides against the full rule set
-        self.rhs = []
-        for head, rhs in zip(heads, raw_rhs):
-            self._cache[head] = rhs  # provisional, so siblings can see it
-        for head, rhs in zip(heads, raw_rhs):
-            normal = self.restrict(rhs, _stack=(head,))
-            self._cache[head] = normal
-            self.rhs.append(normal)
-        self.rhs = tuple(self.rhs)
-        for head, rhs in zip(self.heads, self.rhs):
-            if any(a == head or (a.dep == head.dep and head.mindex.divides(a.mindex))
-                   for a in rhs.jet_atoms()):
-                raise OrientationError(
-                    f"rule for {ctx.atom_name(head)} is not oriented", rule=head)
-        if check_integrability:
-            self.check_integrability(integrability_order)
+        self.rhs = tuple(self.rule_for(head) for head in heads)
 
     # -- rule machinery ------------------------------------------------------
 
     def _dividing_head(self, coord: JetCoord):
-        for head in self.heads:
-            if head.dep == coord.dep and head.mindex.divides(coord.mindex):
+        for head in self._heads_of.get(coord.dep, ()):
+            if head.mindex.divides(coord.mindex):
                 return head
         return None
 
@@ -82,7 +69,12 @@ class SolvedEquation:
         return not self.is_principal(coord)
 
     def rule_for(self, coord: JetCoord, _stack=()) -> Expression:
-        """Normalized right side for a principal-derived coordinate."""
+        """Normal form of a principal coordinate.
+
+        ``_stack`` holds the coordinates whose rules are being derived.  A
+        coordinate divisible by one of them would derive itself again; by
+        Dickson's lemma every endless chain meets one, so refusing it (and
+        chains deeper than 200) guarantees termination."""
         hit = self._cache.get(coord)
         if hit is not None:
             return hit
@@ -97,9 +89,15 @@ class SolvedEquation:
         head = self._dividing_head(coord)
         if head is None:
             raise KeyError(f"{self.ctx.atom_name(coord)} is not a principal coordinate")
-        gamma = coord.mindex - head.mindex
-        raw = total_derivative_multi(self.ctx, gamma, self._cache[head])
-        normal = self.restrict(raw, _stack=_stack + (coord,))
+        stack = _stack + (coord,)
+        if coord == head:
+            normal = self.restrict(self._declared[head], stack)
+        else:
+            # step down in a direction the head uses least, where Dbar
+            # mostly shifts internal coordinates
+            j = min((coord.mindex - head.mindex).indices(), key=head.mindex.get)
+            lower = JetCoord(coord.dep, coord.mindex - MultiIndex.single(j))
+            normal = self._dbar(j, self.rule_for(lower, stack), stack)
         return self._cache.setdefault(coord, normal)
 
     def prolong_rule(self, principal: JetCoord, gamma: MultiIndex):
@@ -109,17 +107,24 @@ class SolvedEquation:
         coord = JetCoord(principal.dep, principal.mindex + gamma)
         return coord, self.rule_for(coord)
 
+    def _dbar(self, i: int, e: Expression, _stack=()) -> Expression:
+        """Dbar_i of an expression in internal coordinates, memoised per atom."""
+        ctx = self.ctx
+
+        def action(atom):
+            if isinstance(atom, BaseVar):
+                return ctx.one() if atom.index == i else ctx.zero()
+            step = JetCoord(atom.dep, atom.mindex + MultiIndex.single(i))
+            return self.rule_for(step, _stack) if self.is_principal(step) else ctx.expr(step)
+
+        return e.derive(action, self._dbar_memo[i])
+
     # -- restriction -----------------------------------------------------------
 
     def restrict(self, e: Expression, _stack=()) -> Expression:
-        """Fixpoint rewriting into internal coordinates."""
-        for _ in range(1000):
-            reducible = [a for a in e.jet_atoms() if self.is_principal(a)]
-            if not reducible:
-                return e
-            subs = {a: self.rule_for(a, _stack=_stack) for a in reducible}
-            e = e.substitute(subs)
-        raise OrientationError("rewriting did not terminate")
+        """Substitute every principal coordinate by its rule, a normal form."""
+        return e.substitute({a: self.rule_for(a, _stack)
+                             for a in e.jet_atoms() if self.is_principal(a)})
 
     def restrict_form(self, omega: DifferentialForm) -> DifferentialForm:
         """Restrict coefficients and rewrite principal Cartan generators via
@@ -143,13 +148,13 @@ class SolvedEquation:
         return DifferentialForm.from_terms(self.ctx, items)
 
     def restricted_total_derivative(self, i: int, e: Expression) -> Expression:
-        return self.restrict(total_derivative(self.ctx, i, self.restrict(e)))
+        return self._dbar(i, self.restrict(e))
 
     def restricted_total_derivative_multi(self, alpha: MultiIndex, e: Expression) -> Expression:
         out = self.restrict(e)
         for i, count in alpha.entries:
             for _ in range(count):
-                out = self.restrict(total_derivative(self.ctx, i, out))
+                out = self._dbar(i, out)
         return out
 
     def restricted_exterior_derivative(self, omega: DifferentialForm) -> DifferentialForm:
@@ -177,17 +182,16 @@ class SolvedEquation:
                     out.append(coord)
         return out
 
-    def check_integrability(self, max_order: int | None = None):
-        """[Dbar_i, Dbar_j] must vanish on every internal coordinate."""
-        order = self.integrability_order if max_order is None else max_order
-        for coord in self.internal_coordinates(order):
+    def check_integrability(self, max_order: int):
+        """[Dbar_i, Dbar_j] must vanish on every internal coordinate up to
+        max_order."""
+        for coord in self.internal_coordinates(max_order):
             e = self.ctx.expr(coord)
             for i in range(self.ctx.n):
-                di = self.restricted_total_derivative(i, e)
+                di = self._dbar(i, e)
                 for j in range(i + 1, self.ctx.n):
-                    dij = self.restricted_total_derivative(j, di)
-                    dji = self.restricted_total_derivative(
-                        i, self.restricted_total_derivative(j, e))
+                    dij = self._dbar(j, di)
+                    dji = self._dbar(i, self._dbar(j, e))
                     if not (dij - dji).is_zero():
                         raise ConsistencyError(
                             "restricted total derivatives do not commute on "

@@ -132,9 +132,6 @@ class DifferentialForm:
             return self.ctx.zero()
         return c if sign == 1 else -c
 
-    def map_coefficients(self, fn) -> "DifferentialForm":
-        return DifferentialForm(self.ctx, {g: fn(c) for g, c in self.terms.items()})
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other):

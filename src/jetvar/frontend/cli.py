@@ -93,9 +93,8 @@ def _add_global_flags(parser, suppress=False):
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--out", default=d,
                         help="write the machine-readable report here")
-    parser.add_argument("--max-order", type=int,
-                        default=argparse.SUPPRESS if suppress else 3,
-                        help="integrability / consistency check depth")
+    parser.add_argument("--max-order", type=int, default=d,
+                        help="integrability / consistency check depth (default 3)")
     parser.add_argument("--verbose", action="store_true",
                         default=argparse.SUPPRESS if suppress else False)
 
@@ -119,13 +118,18 @@ def main(argv=None) -> int:
     _add_global_flags(p, suppress=True)
 
     args = parser.parse_args(argv)
-    if args.max_order < 0:
-        print(f"refused: --max-order must be at least 0, not {args.max_order}",
-              file=sys.stderr)
-        return 2
-
     if args.command == "prolong":
+        for flag, value in (("--out", args.out), ("--max-order", args.max_order)):
+            if value is not None:
+                print(f"refused: prolong writes no report and runs no consistency "
+                      f"check, so it does not take {flag}", file=sys.stderr)
+                return 2
         return _cmd_prolong(args)
+
+    max_order = 3 if args.max_order is None else args.max_order
+    if max_order < 0:
+        print(f"refused: --max-order must be at least 0, not {max_order}", file=sys.stderr)
+        return 2
 
     if args.command == "reproduce":
         try:
@@ -133,7 +137,7 @@ def main(argv=None) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        report = reproduce(args.name, max_order=args.max_order)
+        report = reproduce(args.name, max_order=max_order)
         return _emit(report, args)
 
     try:
@@ -141,7 +145,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_check(text, name=Path(args.file).stem, max_order=args.max_order)
+    report = run_check(text, name=Path(args.file).stem, max_order=max_order)
     if args.command != "check":
         report = _restrict_report(report, _SECTIONS[args.command])
     return _emit(report, args)

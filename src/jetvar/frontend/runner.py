@@ -160,7 +160,7 @@ def build(problem: ProblemFile) -> BuiltProblem:
                 raise SemanticError(
                     f"rule for {ctx.atom_name(head)} mentions its own head", decl.line, 1)
             rules.append((head, rhs))
-        eq = SolvedEquation(ctx, rules, check_integrability=False)
+        eq = SolvedEquation(ctx, rules)
 
     evaluator = Evaluator(ctx, eq)
 
@@ -256,15 +256,6 @@ class _Checker:
             matches = diff.is_zero()
         self.report.add(name, PASS if matches else FAIL,
                         computed=str(computed), expected=str(expected), line=decl.line)
-
-    def flag(self, name, computed_flag, key, subject, truthy, falsy):
-        decl = self.expect_for(key, subject)
-        computed = truthy if computed_flag else falsy
-        if decl is None:
-            self.report.add(name, PASS, computed=computed)
-            return
-        self.report.add(name, PASS if decl.value == computed else FAIL,
-                        computed=computed, expected=_expected_str(decl), line=decl.line)
 
 
 def run_check(problem: ProblemFile | str, name: str = "problem",

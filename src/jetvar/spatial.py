@@ -174,7 +174,7 @@ class SpatialStructure:
                 continue
             sign = -1 if sigma.order % 2 else 1
             out = out + sign * eq.restricted_total_derivative_multi(sigma, piece)
-        return eq.restrict(out)
+        return out
 
     def is_spatial_divergence(self, f: Expression) -> bool:
         """Euler-vanishing criterion for membership in the image of the
@@ -259,17 +259,13 @@ class ExtendedSSymmetry:
         return value
 
     def apply(self, e: Expression) -> Expression:
-        """Derivation action on an internal-coordinate expression."""
-        eq = self.eq
+        """Derivation action on an expression, restricted first; the result
+        is a normal form because every component is."""
 
         def action(atom):
-            if isinstance(atom, JetCoord):
-                if not eq.is_internal(atom):
-                    return self.apply(eq.rule_for(atom))
-                return self.apply_coord(atom)
-            return self.ctx.zero()
+            return self.apply_coord(atom) if isinstance(atom, JetCoord) else self.ctx.zero()
 
-        return eq.restrict(eq.restrict(e).derive(action))
+        return self.eq.restrict(e).derive(action)
 
     def contract(self, omega: DifferentialForm) -> DifferentialForm:
         """Interior product: dx -> 0, theta of an internal coordinate -> its
@@ -280,8 +276,7 @@ class ExtendedSSymmetry:
         """Commutation with spatial derivatives must be consistent across the
         rewrite relations (e.g. divergence-type constraints)."""
         for coord, j, rhs in self.structure.constraint_points(EXTENSION_CHECK_ORDER):
-            left = self.eq.restrict(
-                self.eq.restricted_total_derivative(j, self.apply_coord(coord)))
+            left = self.eq.restricted_total_derivative(j, self.apply_coord(coord))
             right = self.apply(rhs)
             if not (left - right).is_zero():
                 step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))

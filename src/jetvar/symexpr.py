@@ -539,16 +539,6 @@ class Expression:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.den and all(m == _ONE for m in self.terms)
-
-    def constant_value(self) -> Rat:
-        if not self.terms:
-            return Rat(0)
-        if not self.is_constant():
-            raise UnsupportedExpression("expression is not a constant")
-        return self.terms[_ONE]
-
     def as_atom(self) -> Atom | None:
         """The atom, when the expression is exactly one atom with coefficient 1."""
         if self.den or len(self.terms) != 1:
@@ -580,9 +570,6 @@ class Expression:
         if dep is not None:
             found = {a for a in found if a.dep == dep}
         return found
-
-    def has_function_atoms(self) -> bool:
-        return any(isinstance(a, (OpaqueFn, FnPartial)) for a in self.atoms())
 
     def max_order(self) -> int:
         orders = [a.mindex.order for a in self.jet_atoms()]

@@ -383,6 +383,36 @@ def test_cli_prolong_negative_order_exit_2(tmp_path, capsys):
     assert "rules to order" not in captured.out
 
 
+@pytest.mark.parametrize("flag, value", [("--max-order", "4"), ("--out", "rules.json")])
+def test_cli_prolong_refuses_flag_after_subcommand(tmp_path, capsys, flag, value):
+    target = tmp_path / "prob.jv"
+    target.write_text(fixture_text("pkdv"), encoding="utf-8")
+    code = cli_main(["prolong", str(target), "--order", "2", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err and "rules to order" not in captured.out
+
+
+@pytest.mark.parametrize("flag, value", [("--max-order", "4"), ("--out", "rules.json")])
+def test_cli_prolong_refuses_flag_before_subcommand(tmp_path, capsys, flag, value):
+    target = tmp_path / "prob.jv"
+    target.write_text(fixture_text("pkdv"), encoding="utf-8")
+    code = cli_main([flag, value, "prolong", str(target), "--order", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err and "rules to order" not in captured.out
+
+
+def test_cli_prolong_deep_order_exits_cleanly(tmp_path, capsys):
+    target = tmp_path / "shift.jv"
+    target.write_text("independents x y\ndependents u\nequation u[y] = u[x]\n",
+                      encoding="utf-8")
+    code = cli_main(["prolong", str(target), "--order", "250"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+
+
 _REFERENCE_REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 

@@ -301,7 +301,7 @@ def test_gauge_trivial_rejects_resolution_of_other_equation_or_frame(maxwell_bui
     omega = F("theta(F02)*d(x1)*d(x2)*d(x3)", ctx) * ctx.var("A1")
     with pytest.raises(ValueError, match="different equation or frame"):
         is_gauge_trivial(SpatialFrame(1), eq, omega, res)
-    twin = SolvedEquation(ctx, list(zip(eq.heads, eq.rhs)), check_integrability=False)
+    twin = SolvedEquation(ctx, list(zip(eq.heads, eq.rhs)))
     with pytest.raises(ValueError, match="different equation or frame"):
         is_gauge_trivial(frame, twin, omega, res)
 
