@@ -123,15 +123,6 @@ class DifferentialForm:
     def is_horizontal(self) -> bool:
         return all(all(g.is_dx() for g in gens) for gens in self.terms)
 
-    def coefficient(self, gens) -> Expression:
-        sign, sgens = _sort_generators(gens)
-        if sign == 0:
-            return self.ctx.zero()
-        c = self.terms.get(sgens)
-        if c is None:
-            return self.ctx.zero()
-        return c if sign == 1 else -c
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other):

@@ -21,6 +21,7 @@ from pathlib import Path
 from ..errors import JetvarError
 from .parser import parse
 from .runner import (
+    REFUSED,
     Report,
     build,
     bundled_fixture_names,
@@ -41,8 +42,10 @@ _SECTIONS = {
 
 
 def _restrict_report(report: Report, prefixes) -> Report:
+    # a refused stage (a name without "[") ended the run, so it always shows
     kept = [c for c in report.checks
-            if any(c.name == p or (p.endswith("[") and c.name.startswith(p))
+            if (c.status == REFUSED and "[" not in c.name)
+            or any(c.name == p or (p.endswith("[") and c.name.startswith(p))
                    for p in prefixes)]
     out = Report(problem=report.problem, checks=kept, error=report.error,
                  elapsed=report.elapsed)

@@ -1,7 +1,7 @@
 """Differential operators on free infinite jets.
 
-Total derivatives span the Cartan distribution; the Euler operator and
-evolutionary vector fields are built on top of them.
+Total derivatives span the Cartan distribution; integration by parts, the
+Euler operator and evolutionary vector fields are built on top of them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "EvolutionaryField",
     "total_derivative",
     "total_derivative_multi",
+    "integrate_by_parts",
     "euler_derivative",
     "apply_evolutionary",
     "linearization",
@@ -55,23 +56,55 @@ def total_derivative_multi(ctx: JetContext, alpha: MultiIndex, e: Expression) ->
     return out
 
 
+def integrate_by_parts(coeffs: dict, directions, derivative) -> tuple[dict, list]:
+    """Integrate the pairing sum b theta^k_alpha by parts in ``directions``,
+    one derivative at a time: b theta^k_alpha = D_j(b theta^k_beta) -
+    D_j(b) theta^k_beta for alpha = beta + x^j.
+
+    ``coeffs`` maps u^k_alpha to b, and ``derivative(j, b)`` is D_j.  Each
+    step takes the largest coordinate (by ``key()``) with a derivative in
+    ``directions`` and its highest such j, records the boundary term
+    (b, u^k_beta, j) and moves -derivative(j, b) onto u^k_beta.  Returns
+    (residues, boundary): the coefficients left on coordinates with no
+    derivative in ``directions``, and the boundary terms in peeling order.
+    Largest first peels each coordinate once; any order would send every
+    coefficient down the same path, so only the choice of j shapes the
+    result: the residues do not depend on it when the derivatives commute,
+    the boundary terms do.
+    """
+    coeffs = dict(coeffs)
+    boundary = []
+
+    def steps(coord):
+        return [i for i in coord.mindex.indices() if i in directions]
+
+    while pending := [coord for coord in coeffs if steps(coord)]:
+        coord = max(pending, key=JetCoord.key)
+        b = coeffs.pop(coord)
+        if b.is_zero():
+            continue
+        j = max(steps(coord))
+        lower = JetCoord(coord.dep, coord.mindex - MultiIndex.single(j))
+        boundary.append((b, lower, j))
+        moved = derivative(j, b)
+        coeffs[lower] = coeffs[lower] - moved if lower in coeffs else -moved
+    return coeffs, boundary
+
+
 def euler_derivative(ctx: JetContext, lam: Expression, k: int) -> Expression:
     """Variational derivative of a density with respect to dependent k:
-    sum over alpha of (-1)^|alpha| D_alpha(d lam / d u^k_alpha)."""
+    sum over alpha of (-1)^|alpha| D_alpha(d lam / d u^k_alpha), the residue
+    on u^k of integrating d lam by parts."""
     for a in lam.atoms():
         if hasattr(a, "args"):
             if any(isinstance(arg, JetCoord) and arg.dep == k for arg in a.args):
                 raise UnsupportedExpression(
                     "euler_derivative: opaque symbol depends on jet coordinates "
                     f"of {ctx.dependents[k]!r}; the variational sum is not guaranteed finite")
-    out = ctx.zero()
-    for atom in lam.jet_atoms(dep=k):
-        piece = partial(lam, atom)
-        if piece.is_zero():
-            continue
-        sign = -1 if atom.mindex.order % 2 else 1
-        out = out + sign * total_derivative_multi(ctx, atom.mindex, piece)
-    return out
+    coeffs = {atom: partial(lam, atom) for atom in lam.jet_atoms(dep=k)}
+    residues, _ = integrate_by_parts(
+        coeffs, range(ctx.n), lambda j, b: total_derivative(ctx, j, b))
+    return residues.get(JetCoord(k), ctx.zero())
 
 
 @dataclass(frozen=True)

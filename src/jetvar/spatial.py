@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
 from .forms import DX, DifferentialForm, interior_product, theta_image
+from .jetcalc import integrate_by_parts
 from .symexpr import Expression, JetCoord, MultiIndex, atom_key, partial
 
 FREE = "free"
@@ -160,21 +161,15 @@ class SpatialStructure:
     # -- spatial variational calculus ---------------------------------------
 
     def spatial_euler(self, f: Expression, family) -> Expression:
-        """Variational derivative of f in the spatial directions with respect
-        to one generator family; temporal-pure coordinates act as parameters."""
-        eq, ctx = self.eq, self.ctx
-        k, tau = family
-        out = ctx.zero()
-        for atom in f.jet_atoms(dep=k):
-            if self.family_of(atom) != family:
-                continue
-            sigma = self.spatial_part(atom)
-            piece = partial(f, atom)
-            if piece.is_zero():
-                continue
-            sign = -1 if sigma.order % 2 else 1
-            out = out + sign * eq.restricted_total_derivative_multi(sigma, piece)
-        return out
+        """Variational derivative of a normal form f in the spatial directions
+        with respect to one generator family: the residue on its generator of
+        integrating by parts with Dbar.  Temporal-pure coordinates act as
+        parameters."""
+        coeffs = {atom: partial(f, atom) for atom in f.jet_atoms(dep=family[0])
+                  if self.family_of(atom) == family}
+        residues, _ = integrate_by_parts(coeffs, self.frame.spatial_indices(self.ctx),
+                                         self.eq.restricted_total_derivative)
+        return residues.get(self.generator_coord(family), self.ctx.zero())
 
     def is_spatial_divergence(self, f: Expression) -> bool:
         """Euler-vanishing criterion for membership in the image of the
@@ -426,26 +421,11 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
         thetas = new_thetas
 
     # spatial integration by parts down to generating coordinates
-    spatial = frame.spatial_indices(ctx)
-    while True:
-        target = None
-        for coord in sorted(thetas, key=atom_key):
-            if structure.spatial_part(coord).order >= 1:
-                target = coord
-                break
-        if target is None:
-            break
-        b = thetas.pop(target)
-        if b.is_zero():
-            continue
-        j = max(i for i in spatial if target.mindex.get(i) > 0)
-        lower = JetCoord(target.dep, target.mindex - MultiIndex.single(j))
-        moved = -eq.restricted_total_derivative(j, b)
-        thetas[lower] = thetas.get(lower, ctx.zero()) + moved
-
+    residues, _ = integrate_by_parts(thetas, frame.spatial_indices(ctx),
+                                     eq.restricted_total_derivative)
     unresolved = []
-    for coord in sorted(thetas, key=atom_key):
-        b = eq.restrict(thetas[coord])
+    for coord in sorted(residues, key=atom_key):
+        b = eq.restrict(residues[coord])
         if b.is_zero():
             continue
         fam = structure.family_of(coord)

@@ -571,10 +571,6 @@ class Expression:
             found = {a for a in found if a.dep == dep}
         return found
 
-    def max_order(self) -> int:
-        orders = [a.mindex.order for a in self.jet_atoms()]
-        return max(orders, default=0)
-
     # -- derivations -----------------------------------------------------------
 
     def derive(self, action, memo: dict | None = None) -> "Expression":

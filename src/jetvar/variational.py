@@ -1,5 +1,5 @@
-"""Integration by parts, presymplectic potential currents and internal
-Lagrangian representatives.
+"""Lagrangians, presymplectic potential currents and internal Lagrangian
+representatives.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .jetcalc import (
     EvolutionaryField,
     JetContext,
     euler_derivative,
+    integrate_by_parts,
     total_derivative,
 )
-from .symexpr import Expression, JetCoord, MultiIndex, partial
+from .symexpr import Expression, partial
 
 
 @dataclass(frozen=True)
@@ -58,34 +59,18 @@ def presymplectic_potential(L: Lagrangian) -> DifferentialForm:
     """Boundary current omega_L with
     L_{E_phi} L = <E(L), phi> + d_h(E_phi _| omega_L) for every phi.
 
-    Deterministic integration by parts: repeatedly peel one derivative off
-    the largest jet atom in the variational pairing, accumulating boundary
-    coefficients as theta^k_beta ^ (d/dx^j _| vol).
+    Each boundary term (c, u^k_beta, j) of integrating the variational
+    pairing by parts contributes c theta^k_beta ^ (d/dx^j _| vol).
     """
     ctx = L.ctx
-    coeffs: dict[JetCoord, Expression] = {}
-    for atom in L.density.jet_atoms():
-        c = partial(L.density, atom)
-        if not c.is_zero():
-            coeffs[atom] = c
+    coeffs = {atom: partial(L.density, atom) for atom in L.density.jet_atoms()}
+    _, boundary = integrate_by_parts(
+        coeffs, range(ctx.n), lambda j, c: total_derivative(ctx, j, c))
     omega = DifferentialForm.zero(ctx)
-    while True:
-        pending = [a for a in coeffs if a.mindex.order >= 1]
-        if not pending:
-            break
-        atom = max(pending, key=lambda a: a.key())
-        c = coeffs.pop(atom)
-        if c.is_zero():
-            continue
-        j = max(atom.mindex.indices())
-        beta = atom.mindex - MultiIndex.single(j)
-        boundary = DifferentialForm.scalar(c).wedge(
-            DifferentialForm.generator(ctx, THETA(atom.dep, beta))).wedge(
+    for c, lower, j in boundary:
+        omega = omega + DifferentialForm.scalar(c).wedge(
+            DifferentialForm.generator(ctx, THETA(lower.dep, lower.mindex))).wedge(
             volume_contraction(ctx, j))
-        omega = omega + boundary
-        lower = JetCoord(atom.dep, beta)
-        update = total_derivative(ctx, j, c)
-        coeffs[lower] = coeffs.get(lower, ctx.zero()) - update
     return omega
 
 

@@ -207,12 +207,9 @@ def test_restrict_interchanges_with_total_derivative(maxwell_built):
         (eq, default_pool(ctx) + [ctx.jet_atom("u", "yy")], 100),
         (pkdv, default_pool(pkdv_ctx) + [pkdv_ctx.jet_atom("u", spec) for spec in ("t", "tx")],
          100),
-        # the shared Maxwell context may carry opaques other tests declared
-        (maxwell, [mctx.base_atom(name) for name in mctx.independents] + [mctx.atom("eps")]
-         + [mctx.jet_atom(dep) for dep in mctx.dependents]
-         + [mctx.jet_atom(dep, spec) for dep, spec in (
-             ("A1", "t"), ("A2", ["x1", "x2"]), ("F01", "t"), ("F01", ["x1"]),
-             ("F02", ["x2"]), ("F03", ["t", "x3"]))], 25),
+        (maxwell, default_pool(mctx) + [mctx.jet_atom(dep, spec) for dep, spec in (
+            ("A1", "t"), ("A2", ["x1", "x2"]), ("F01", "t"), ("F01", ["x1"]),
+            ("F02", ["x2"]), ("F03", ["t", "x3"]))], 25),
     ]
     rng = random.Random(99)
     for eq, pool, count in cases:

@@ -312,6 +312,19 @@ def test_cli_presymplectic_section(tmp_path, capsys):
     assert "s_presymplectic" in out
 
 
+@pytest.mark.parametrize("command", ["euler", "internal-lagrangian", "presymplectic",
+                                     "gauge-check"])
+def test_cli_subcommand_shows_stage_refusal(tmp_path, capsys, command):
+    target = tmp_path / "opaque.jv"
+    target.write_text("independents x y\ndependents u\nequation u[yy] = -u[xx]\n"
+                      "opaque f(u[x])\nlagrangian f(u[x])\n", encoding="utf-8")
+    code = cli_main([command, str(target)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "[REFUSED] euler: euler_derivative: opaque symbol" in out
+    assert "-- 1 passed, 0 failed, 1 refused" in out
+
+
 @pytest.mark.parametrize("rhs", ["1/0", "u[x]*0^-1"])
 @pytest.mark.parametrize("command", ["check", "prolong"])
 def test_cli_division_by_zero_exit_2(tmp_path, capsys, command, rhs):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,9 @@ from jetvar import (
     total_derivative_multi,
 )
 from jetvar.errors import UnsupportedExpression
-from jetvar.symexpr import FnPartial, MultiIndex
+from jetvar.symexpr import FnPartial, MultiIndex, partial
 
-from helpers import E, context2, default_pool
+from helpers import E, context2, default_pool, random_expression
 
 
 @pytest.fixture
@@ -76,6 +78,27 @@ def test_euler_pkdv():
     # oracle: -D_x applied to the solved pKdV residual u_t - 3 u_x^2 - u_xxx
     residual = E("u[t] - 3*u[x]^2 - u[xxx]", ctx)
     assert got == -total_derivative(ctx, 1, residual)
+
+
+def _euler_oracle(ctx, lam, k):
+    """The direct sum (-1)^|alpha| D_alpha(d lam / d u^k_alpha)."""
+    out = ctx.zero()
+    for atom in lam.jet_atoms(dep=k):
+        sign = -1 if atom.mindex.order % 2 else 1
+        out = out + sign * total_derivative_multi(ctx, atom.mindex, partial(lam, atom))
+    return out
+
+
+def test_euler_matches_direct_sum_on_random_densities():
+    from jetvar import JetContext
+    ctx = JetContext(["x", "y"], ["u", "v"])
+    pool = default_pool(ctx) + [ctx.jet_atom(dep, spec) for dep, spec in (
+        ("u", "yy"), ("u", "xxy"), ("v", "yyy"), ("v", "xxyy"))]
+    rng = random.Random(20260809)
+    for _ in range(100):
+        lam = random_expression(rng, ctx, pool, max_terms=4, max_factors=3)
+        for k in range(ctx.m):
+            assert euler_derivative(ctx, lam, k) == _euler_oracle(ctx, lam, k)
 
 
 def test_euler_rejects_opaque_of_varied(ctx):

@@ -19,16 +19,19 @@ from jetvar import (
 )
 from jetvar.errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
 from jetvar.forms import DifferentialForm
-from jetvar.frontend import reproduce
+from jetvar import spatial
+from jetvar.frontend import parse, reproduce
+from jetvar.frontend.runner import build, bundled_fixture_names, fixture_text
+from jetvar.jetcalc import integrate_by_parts
 from jetvar.spatial import (
     ExtendedSSymmetry,
     SpatialStructure,
     s_degree,
     spatial_structure,
 )
-from jetvar.symexpr import JetCoord, MultiIndex
+from jetvar.symexpr import JetCoord, MultiIndex, partial
 
-from helpers import E, F, laplace_equation, pkdv_equation, wave_equation
+from helpers import E, F, laplace_equation, pkdv_equation, random_expression, wave_equation
 
 
 @pytest.fixture
@@ -153,6 +156,53 @@ def test_constraint_points_match_direct_loop(all_built):
         with pytest.raises(ValueError):
             structure.constraint_points(structure.scan_order + 1)
     assert seen > 0
+
+
+def _spatial_euler_oracle(structure, f, family):
+    """The direct sum (-1)^|sigma| Dbar_sigma(d f / d a) over the coordinates
+    a of the family, sigma the spatial part of a."""
+    eq = structure.eq
+    out = eq.ctx.zero()
+    for atom in f.jet_atoms(dep=family[0]):
+        if structure.family_of(atom) == family:
+            sigma = structure.spatial_part(atom)
+            sign = -1 if sigma.order % 2 else 1
+            out = out + sign * eq.restricted_total_derivative_multi(sigma, partial(f, atom))
+    return out
+
+
+def test_spatial_euler_matches_direct_sum_on_gauge_families(monkeypatch):
+    touched = []
+
+    def recording(coeffs, directions, derivative):
+        touched.append((derivative.__self__, set(coeffs)))
+        return integrate_by_parts(coeffs, directions, derivative)
+
+    monkeypatch.setattr(spatial, "integrate_by_parts", recording)
+    rng = random.Random(20260809)
+    checked = 0
+    for name in bundled_fixture_names():
+        touched.clear()
+        assert reproduce(name).exit_code == 0
+        frame = build(parse(fixture_text(name))).frame
+        families = {}
+        for eq, coords in touched:
+            structure = spatial_structure(eq, frame)
+            for coord in coords:
+                families[structure.family_of(coord)] = structure
+        assert families, name
+        for family, structure in sorted(families.items(), key=lambda kv: repr(kv[0])):
+            eq, ctx = structure.eq, structure.ctx
+            order = family[1].order + 3
+            pool = [c for c in eq.internal_coordinates(order)
+                    if structure.family_of(c) == family]
+            pool += [ctx.base_atom(x) for x in ctx.independents] + eq.internal_coordinates(1)
+            for _ in range(10):
+                f = random_expression(rng, ctx, pool)
+                assert structure.spatial_euler(f, family) == \
+                    _spatial_euler_oracle(structure, f, family), (name, family, f)
+                checked += 1
+    assert checked >= 40
 
 
 def test_extension_matches_display_laplace(laplace):
