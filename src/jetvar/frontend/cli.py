@@ -9,7 +9,10 @@
     jetvar reproduce <name>           laplace | wave | maxwell | pkdv
 
 Global flags: --out <path> (machine-readable report), --max-order <K>,
---verbose.  Exit codes: 0 all pass, 1 any fail, 2 refused/unsupported.
+--verbose.  Integrability is decided from the head overlaps under a ranking
+found when the equation is built; --max-order K adds a bounded commutator
+scan to order K as a cross-check.  Exit codes: 0 all pass, 1 any fail,
+2 refused/unsupported.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def _add_global_flags(parser, suppress=False):
     parser.add_argument("--out", default=d,
                         help="write the machine-readable report here")
     parser.add_argument("--max-order", type=int, default=d,
-                        help="integrability / consistency check depth (default 3)")
+                        help="also scan [D_i,D_j] = 0 on internal coordinates to "
+                             "order K, a cross-check of the head-overlap decision")
     parser.add_argument("--verbose", action="store_true",
                         default=argparse.SUPPRESS if suppress else False)
 
@@ -129,8 +133,8 @@ def main(argv=None) -> int:
                 return 2
         return _cmd_prolong(args)
 
-    max_order = 3 if args.max_order is None else args.max_order
-    if max_order < 0:
+    max_order = args.max_order
+    if max_order is not None and max_order < 0:
         print(f"refused: --max-order must be at least 0, not {max_order}", file=sys.stderr)
         return 2
 

@@ -184,6 +184,68 @@ def test_commutators_vanish_to_order_4(all_built):
         built.eq.check_integrability(4)
 
 
+def _scan_commutes(eq, max_order):
+    """Reference: [Dbar_x, Dbar_y] = 0 on every internal coordinate to max_order."""
+    dbar = eq.restricted_total_derivative
+    for coord in eq.internal_coordinates(max_order):
+        e = eq.ctx.expr(coord)
+        if not (dbar(1, dbar(0, e)) - dbar(0, dbar(1, e))).is_zero():
+            return False
+    return True
+
+
+def _random_orthonomic_system(rng):
+    """1-3 minimal heads of order <= 2 over x, y and 1-2 dependents; each
+    right side uses coordinates below its head in the fixed ranking
+    (order, then y before x, then dependent)."""
+    ctx = JetContext(["x", "y"], ["u", "v"][:rng.randint(1, 2)])
+    coords = [JetCoord(k, a) for k in range(ctx.m) for a in iter_multi_indices(2, 2)]
+
+    def rank(c):
+        return (c.mindex.order, c.mindex.get(1), c.mindex.get(0), c.dep)
+
+    heads = []
+    for _ in range(rng.randint(1, 3)):
+        h = rng.choice(coords)
+        if all(g.dep != h.dep or not (g.mindex.divides(h.mindex) or h.mindex.divides(g.mindex))
+               for g in heads):
+            heads.append(h)
+    rules = []
+    for h in heads:
+        pool = [ctx.base_atom("x"), ctx.base_atom("y")] + [c for c in coords if rank(c) < rank(h)]
+        rules.append((h, random_expression(rng, ctx, pool, max_terms=2, max_power=1)))
+    return SolvedEquation(ctx, rules)
+
+
+def test_overlap_decision_matches_scan_on_random_systems():
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(150):
+        eq = _random_orthonomic_system(rng)
+        scanned = _scan_commutes(eq, 4)
+        try:
+            eq.check_integrability()
+            decided = True
+        except ConsistencyError:
+            decided = False
+        assert decided == scanned, [(eq.ctx.atom_name(h), str(r))
+                                    for h, r in zip(eq.heads, eq.rhs)]
+        verdicts.append(decided)
+    assert True in verdicts and False in verdicts
+
+
+def test_scan_runs_only_with_max_order(monkeypatch):
+    calls = []
+    scan = SolvedEquation.internal_coordinates
+    monkeypatch.setattr(SolvedEquation, "internal_coordinates",
+                        lambda self, k: calls.append(k) or scan(self, k))
+    _, eq = laplace_equation()
+    eq.check_integrability()
+    assert calls == []
+    eq.check_integrability(2)
+    assert calls == [2]
+
+
 def test_restrict_idempotent_and_homomorphism():
     ctx = context2()
     eq = SolvedEquation(ctx, [(ctx.jet_atom("u", "yy"), E("-u[xx]", ctx))])

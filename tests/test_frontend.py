@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jetvar.errors import ParseError, SemanticError
 from jetvar.frontend import parse, parse_expression, parse_form, reproduce, run_check
@@ -364,6 +365,73 @@ def test_cli_negative_max_order_exit_2(capsys):
     assert "--max-order" in captured.err and "[PASS]" not in captured.out
 
 
+@pytest.mark.parametrize("extra", ["", "equation u[yy] = 0\n"])
+def test_cli_unorientable_rule_set_names_rule(tmp_path, capsys, extra):
+    target = tmp_path / "loop.jv"
+    target.write_text("independents x y\ndependents u v\n"
+                      "equation u[x] = v[y]\nequation v[y] = u[x]\n" + extra,
+                      encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    out = capsys.readouterr().out
+    assert "[REFUSED]" in out and "rule v[y] = u[x]" in out
+    assert "u[y,y]" not in out
+
+
+@pytest.mark.parametrize("independents, rule", [
+    ("t x", "u[t] = u[xxxxx]"), ("x y", "u[yyyyyyyyyy] = u[xxxxxxxxxxx]")])
+def test_cli_high_order_rules_accepted(tmp_path, capsys, independents, rule):
+    target = tmp_path / "evolution.jv"
+    target.write_text(f"independents {independents}\ndependents u\nequation {rule}\n",
+                      encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 0
+    assert "[PASS] integrability" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--max-order", "2"]])
+def test_cli_inconsistency_names_overlap(tmp_path, capsys, flags):
+    target = tmp_path / "inconsistent.jv"
+    target.write_text("independents x y\ndependents u\n"
+                      "equation u[x] = u\nequation u[y] = y\n", encoding="utf-8")
+    assert cli_main(["check", str(target), *flags]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] integrability: heads u[x] and u[y] overlap at u[x,y], where " \
+           "their cross-derivatives differ by y\n" in out
+
+
+@st.composite
+def _equation_blocks(draw):
+    """Equation blocks over x, y: random heads and polynomial right sides,
+    sometimes with a mutual pair of rules or a duplicated rule."""
+    deps = draw(st.sampled_from(["u", "u v"])).split()
+    head = st.builds("{}[{}]".format, st.sampled_from(deps),
+                     st.sampled_from(["x", "y", "xx", "xy", "yy", "xxy"]))
+    low = st.builds("{}[{}]".format, st.sampled_from(deps), st.sampled_from(["x", "y", "xx"]))
+    factor = st.one_of(low, st.sampled_from(deps + ["x", "y", "2", "3"]))
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    rhs = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    rules = draw(st.lists(st.tuples(head, rhs), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        a, b = draw(head), draw(head)
+        rules += [(a, b), (b, a)]
+    if draw(st.booleans()):
+        rules.append(rules[0])
+    rules = draw(st.permutations(rules))
+    lines = [f"equation {head} = {value}" for head, value in rules]
+    return "independents x y\ndependents " + " ".join(deps) + "\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_equation_blocks())
+def test_cli_check_exit_code_contract_fuzz(tmp_path, capsys, text):
+    target = tmp_path / "fuzz.jv"
+    target.write_text(text, encoding="utf-8")
+    code = cli_main(["check", str(target)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in captured.out + captured.err, text
+
+
 def test_division_by_zero_semantic_error():
     with pytest.raises(SemanticError) as err:
         parse_expression("u/(x - x)", context2())
@@ -377,7 +445,7 @@ def test_cli_prolong_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_cli_prolong_rule_loop_exit_2(tmp_path, capsys):
-    # u_xy -> v_xy -> u_xy: the declared rules are oriented, their prolongation loops
+    # u_xy -> v_xy -> u_xy: no ranking puts v[x] below u[x] and u[y] below v[y]
     target = tmp_path / "loop.jv"
     target.write_text("independents x y\ndependents u v\n"
                       "equation u[x] = v[x]\nequation v[y] = u[y]\n", encoding="utf-8")
