@@ -1,11 +1,13 @@
 """Canonical exact expressions over jet coordinates.
 
-An Expression is a sum of monomials with Fraction coefficients over four
-kinds of atoms: base variables x^i, jet coordinates u^k_alpha, opaque
+An Expression is a sum of monomials with exact rational coefficients over
+four kinds of atoms: base variables x^i, jet coordinates u^k_alpha, opaque
 function symbols, and formal partials of opaque symbols.  An optional
 single-monomial denominator gives limited rational-function support.
 Canonical forms are unique, so ``a == b`` decides mathematical equality
-on this fragment.
+on this fragment.  A coefficient is stored as an ``int`` whenever it is
+integral and as a ``Fraction`` otherwise, so each value has one
+representation and the common integer case skips ``Fraction`` arithmetic.
 
 Atoms are interned per JetContext: the context numbers each atom the first
 time an expression uses it, and a monomial is a tuple of (atom id, power)
@@ -22,9 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContextMismatch, UnsupportedExpression
-
-Rat = Fraction
-_Q1 = Rat(1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +295,8 @@ class JetContext:
         return JetCoord(self.dependent_index(dep), self.multi_index(mindex))
 
     def const(self, value) -> "Expression":
-        c = Rat(value)
-        if c == 0:
-            return Expression(self, {}, ())
-        return Expression(self, {(): c}, ())
+        c = value if type(value) is int else Fraction(value)
+        return Expression(self, {(): c} if c else {}, ())
 
     def zero(self) -> "Expression":
         return self.const(0)
@@ -309,7 +306,7 @@ class JetContext:
 
     def expr(self, spec) -> "Expression":
         """Expression consisting of a single atom."""
-        return Expression(self, {((self.atom_id(self.atom(spec)), 1),): _Q1}, ())
+        return Expression(self, {((self.atom_id(self.atom(spec)), 1),): 1}, ())
 
     def var(self, name: str) -> "Expression":
         return self.expr(name)
@@ -408,7 +405,8 @@ class Expression:
 
     def __init__(self, ctx: JetContext, terms: dict, den: Monomial = _ONE):
         self.ctx = ctx
-        terms = {m: c for m, c in terms.items() if c != 0}
+        terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+                 for m, c in terms.items() if c}
         if terms and den:
             g = den
             for m in terms:
@@ -507,8 +505,7 @@ class Expression:
             raise UnsupportedExpression(
                 "only division by a single monomial is supported")
         (mono, coeff), = other.terms.items()
-        inv_terms = {other.den: 1 / coeff}
-        inverse = Expression(self.ctx, inv_terms, mono)
+        inverse = Expression(self.ctx, {other.den: Fraction(1, coeff)}, mono)
         return self * inverse
 
     def __rtruediv__(self, other):
@@ -621,8 +618,8 @@ class Expression:
                          for piece in mono_derivative(m, c)])
         if not self.den:
             return num
-        den_expr = Expression(ctx, {self.den: _Q1})
-        dden = _sum(ctx, mono_derivative(self.den, _Q1))
+        den_expr = Expression(ctx, {self.den: 1})
+        dden = _sum(ctx, mono_derivative(self.den, 1))
         numer = Expression(ctx, dict(self.terms))
         # quotient rule: d(n/d) = (dn*d - n*dd) / d^2
         top = num * den_expr - numer * dden
@@ -686,48 +683,44 @@ class Expression:
 
         total = _sum(ctx, [subst_mono(m, c) for m, c in self.terms.items()])
         if self.den:
-            total = total / subst_mono(self.den, _Q1)
+            total = total / subst_mono(self.den, 1)
         return total
 
     # -- printing ----------------------------------------------------------------
 
-    def _factors(self, m: Monomial) -> list:
-        """The (atom, power) factors of a monomial in atom_key order."""
-        atoms = self.ctx._atoms
-        return sorted(((atoms[i], p) for i, p in m), key=lambda ap: atom_key(ap[0]))
-
-    def _monomial_str(self, m: Monomial) -> str:
-        name = self.ctx.atom_name
-        return "*".join(name(a) if p == 1 else f"{name(a)}^{p}" for a, p in self._factors(m))
-
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for m in sorted(self.terms,
-                        key=lambda m: tuple((atom_key(a), p) for a, p in self._factors(m))):
-            c = self.terms[m]
-            body = self._monomial_str(m)
-            if not body:
-                piece = _coeff_str(abs(c))
-            elif abs(c) == 1:
-                piece = body
-            else:
-                piece = f"{_coeff_str(abs(c))}*{body}"
-            parts.append((piece, c < 0))
+        atoms, name = self.ctx._atoms, self.ctx.atom_name
+        labels: dict = {}  # atom id -> (atom_key, atom_name), once per call
+
+        def factors(m: Monomial) -> tuple:
+            """(atom_key, power, atom_name) per factor, in atom_key order."""
+            out = []
+            for i, p in m:
+                label = labels.get(i)
+                if label is None:
+                    a = atoms[i]
+                    label = labels[i] = (atom_key(a), name(a))
+                out.append((label[0], p, label[1]))
+            out.sort()
+            return tuple(out)
+
+        def body(fs: tuple) -> str:
+            return "*".join(n if p == 1 else f"{n}^{p}" for _, p, n in fs)
+
         out = ""
-        for i, (piece, negative) in enumerate(parts):
-            if i == 0:
-                out = ("-" if negative else "") + piece
+        # atom keys are unique, so the factor tuples order the terms alone
+        for fs, c in sorted((factors(m), c) for m, c in self.terms.items()):
+            text, size = body(fs), abs(c)
+            piece = str(size) if not text else text if size == 1 else f"{size}*{text}"
+            if out:
+                out += (" - " if c < 0 else " + ") + piece
             else:
-                out += (" - " if negative else " + ") + piece
+                out = ("-" if c < 0 else "") + piece
         if self.den:
-            out = f"({out})/({self._monomial_str(self.den)})"
+            out = f"({out})/({body(factors(self.den))})"
         return out
-
-
-def _coeff_str(c: Rat) -> str:
-    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -503,3 +504,11 @@ def test_reproduce_report_bytes_match_reference(tmp_path, capsys, name):
     assert cli_main(["reproduce", name, "--out", str(out_path)]) == 0
     capsys.readouterr()
     assert out_path.read_bytes() == (_REFERENCE_REPORTS / f"{name}.report.json").read_bytes()
+
+
+def test_prolong_pkdv_order_8_bytes(tmp_path, capsys):
+    target = tmp_path / "pkdv.jv"
+    target.write_text(fixture_text("pkdv"), encoding="utf-8")
+    assert cli_main(["prolong", str(target), "--order", "8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == "44e3d54252d9217dd8cf859008196841"

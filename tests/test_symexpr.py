@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from jetvar import JetContext, partial, substitute, total_derivative
 from jetvar.errors import ContextMismatch, UnsupportedExpression
+from jetvar.frontend import parse
+from jetvar.frontend.runner import build, fixture_text
 from jetvar.symexpr import FnPartial, MultiIndex
 
-from helpers import E, context2, default_pool, random_expression
+from helpers import E, context2, default_pool, random_expression, reference_str
 
 import random
 
@@ -145,31 +147,42 @@ def test_fraction_coefficients(ctx):
 # -- randomized properties ---------------------------------------------------
 
 
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _term(ctx, coeff, factors):
+    t = ctx.const(coeff)
+    for atom, p in factors:
+        t = t * ctx.expr(atom) ** p
+    return t
+
+
 def _expr_strategy(ctx, pool):
+    """Polynomials with small rational coefficients, and their quotients
+    by a single nonzero monomial."""
     mono = st.lists(
         st.tuples(st.sampled_from(pool), st.integers(1, 2)), min_size=0, max_size=2)
-    term = st.tuples(st.integers(-3, 3), mono)
 
     def assemble(terms):
         e = ctx.zero()
         for coeff, factors in terms:
-            t = ctx.const(coeff)
-            for atom, p in factors:
-                t = t * ctx.expr(atom) ** p
-            e = e + t
+            e = e + _term(ctx, coeff, factors)
         return e
 
-    return st.lists(term, min_size=0, max_size=3).map(assemble)
+    polys = st.lists(st.tuples(_COEFFS, mono), min_size=0, max_size=3).map(assemble)
+    monos = st.tuples(_COEFFS.filter(bool), mono).map(lambda cf: _term(ctx, *cf))
+    return polys, monos, st.builds(lambda p, m: p / m, polys, monos)
 
 
 _CTX = context2()
 _POOL = default_pool(_CTX)
 _COORDS = [a for a in _POOL if not hasattr(a, "args")]
-_EXPRS = _expr_strategy(_CTX, _POOL)
+_EXPRS, _MONOS, _QUOTIENTS = _expr_strategy(_CTX, _POOL)
+_RATIONAL_FNS = st.one_of(_EXPRS, _QUOTIENTS)
 
 
 @settings(max_examples=100, derandomize=True)
-@given(_EXPRS, _EXPRS, _EXPRS)
+@given(_RATIONAL_FNS, _RATIONAL_FNS, _RATIONAL_FNS)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
@@ -178,7 +191,7 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=100, derandomize=True)
-@given(_EXPRS, st.sampled_from(_COORDS), st.sampled_from(_COORDS))
+@given(_RATIONAL_FNS, st.sampled_from(_COORDS), st.sampled_from(_COORDS))
 def test_partials_commute(e, a1, a2):
     assert partial(partial(e, a1), a2) == partial(partial(e, a2), a1)
 
@@ -198,3 +211,77 @@ def test_canonicalization_idempotent_randomized():
         rebuilt = e + _CTX.zero()
         assert rebuilt == e
         assert (e - e).is_zero()
+
+
+# -- coefficient representation ------------------------------------------------
+
+
+def _assert_int_first(e):
+    for c in e.terms.values():
+        if c.denominator == 1:
+            assert type(c) is int, (e, c)
+        else:
+            assert type(c) is Fraction, (e, c)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_RATIONAL_FNS, _RATIONAL_FNS, _EXPRS, _MONOS, st.sampled_from(_COORDS),
+       st.integers(0, 3), st.integers(0, 1))
+def test_coefficient_int_exactly_when_integral(a, b, p, m, coord, k, i):
+    v = _CTX.jet_atom("v")
+    for e in (a, b, p, m, a + b, a - b, a * b, a / m, b / m, a ** k, m ** -k,
+              partial(a, coord), substitute(a, {v: m}), substitute(p, {v: a}),
+              total_derivative(_CTX, i, a)):
+        _assert_int_first(e)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.lists(
+    st.tuples(st.sampled_from(_POOL), st.integers(1, 2)), max_size=2)), max_size=3),
+    _RATIONAL_FNS)
+def test_integral_fraction_constants_match_ints(terms, other):
+    as_int, as_fraction = _CTX.zero(), _CTX.zero()
+    for n, factors in terms:
+        as_int = as_int + _term(_CTX, n, factors)
+        as_fraction = as_fraction + _term(_CTX, Fraction(n), factors)
+    for x, y in ((as_int, as_fraction), (as_int * other, as_fraction * other),
+                 (as_int + other, as_fraction + other)):
+        assert x == y
+        assert hash(x) == hash(y)
+        assert str(x) == str(y)
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("u/2", "1/2*u"),
+    ("u/(3*x)", "(1/3*u)/(x)"),
+    ("x^-2", "(1)/(x^2)"),
+    ("(u/2)*2", "u"),
+    ("-3/4*u*v + 5", "5 - 3/4*u*v"),
+])
+def test_rational_printing(ctx, text, printed):
+    assert str(E(text, ctx)) == printed
+
+
+def _printer_pool(ctx):
+    """default_pool plus derivatives in the context's own directions and
+    formal partials of each opaque symbol."""
+    pool = default_pool(ctx)
+    first, last = ctx.independents[0], ctx.independents[-1]
+    for dep in ctx.dependents:
+        pool += [ctx.jet_atom(dep, [first]), ctx.jet_atom(dep, [first, last])]
+    for name in ctx.opaque_names():
+        sig = ctx.opaque_signature(name)
+        pool += [FnPartial(name, sig, d) for d in ((1,), (len(sig),), (1, len(sig)))]
+    return pool
+
+
+@pytest.mark.parametrize("make_ctx", [
+    context2, lambda: build(parse(fixture_text("maxwell"))).ctx], ids=["context2", "maxwell"])
+def test_printer_matches_reference(make_ctx):
+    ctx = make_ctx()
+    pool = _printer_pool(ctx)
+    rng = random.Random(20261018)
+    for _ in range(200):
+        e = random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
+                              allow_den=True, rational=True)
+        assert str(e) == reference_str(e)
