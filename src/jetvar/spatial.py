@@ -7,11 +7,15 @@ total derivatives.  Contact forms of any order together with the temporal
 covector annihilate that distribution, which grades every form by spatial
 degree.  Triviality of a degree-n form modulo that grading and exact terms
 is decided by spatial integration by parts plus a spatial-divergence test.
+Generator families are classified, and S-symmetries and constraint
+resolutions checked, at the minimal constraint points read off the rule
+heads (SpatialStructure); that this decides assumes formal integrability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
@@ -22,14 +26,6 @@ from .symexpr import Expression, JetCoord, MultiIndex, atom_key, partial
 FREE = "free"
 NULL = "null"
 CONSTRAINED = "constrained"
-
-# Depth of the constraint-point scan that classifies generator families
-# (raised to one past the highest rule head).
-SCAN_ORDER = 6
-# Depth to which an S-symmetry's commutation with the spatial total
-# derivatives, and a constraint resolution, are checked.
-EXTENSION_CHECK_ORDER = 3
-RESOLUTION_CHECK_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -44,11 +40,7 @@ class SpatialFrame:
 
 def s_degree(frame: SpatialFrame, gens) -> int:
     """Number of annihilating factors: every theta, plus dx^temporal."""
-    count = 0
-    for g in gens:
-        if g.is_theta() or g.index == frame.temporal:
-            count += 1
-    return count
+    return sum(1 for g in gens if g.is_theta() or g.index == frame.temporal)
 
 
 def s_degree_filter(frame: SpatialFrame, omega: DifferentialForm, p: int) -> DifferentialForm:
@@ -77,19 +69,40 @@ def s_presymplectic_representative(frame: SpatialFrame, d_rep: DifferentialForm)
 class SpatialStructure:
     """How the internal coordinates organize over a frame.
 
-    Every internal coordinate splits uniquely as spatial derivatives of a
-    generator (an internal coordinate with a purely temporal multi-index).
-    Generators are classified free (all spatial derivatives stay internal),
-    null (spatial derivatives rewrite to zero: spatial constants), or
-    constrained (tied to other coordinates by a spatial relation).
+    Every internal coordinate is spatial derivatives of a generator (an
+    internal coordinate with a purely temporal multi-index): its family
+    (d, tau).  A constraint point (c, j) is an internal c with c+e_j
+    principal.  The spatial parts of the heads of d with temporal count at
+    most tau's generate the ideal of principal steps; a minimal generator g
+    and j in supp g give the minimal point (d, tau+g-e_j), right side
+    rule(d, tau+g).  A family is free without minimal points, null when
+    their right sides are all zero, else constrained, as it is when another
+    family's minimal right side names it.
+
+    They decide.  At a non-minimal point (c, j), p = c+e_j has spatial part
+    g+rho, rho != 0; k in supp rho has k != j, c-e_k is internal, and with
+    r = rule(p-e_k), for X an extended S-symmetry or a substitution (then
+    dr/da is substituted too):
+
+        [Dbar_j, X](c) = Dbar_k([Dbar_j, X](c-e_k)) + sum_a dr/da [Dbar_k, X](a)
+
+    where [Dbar_j, X](c) = Dbar_j X(c) - X(rule(c+e_j)).  Each nonzero term
+    is a constraint point with target below p in the build-time ranking, so
+    induction carries a check from the minimal points to all.  The step
+    X(c) = Dbar_k X(c-e_k) needs [Dbar_i, Dbar_j] = 0: the runner checks
+    integrability first.  Families are looked at up to the highest temporal
+    count touched plus the reach, the sum over dependents of their heads'
+    highest temporal count: a right side may fall through each dependent's
+    temporal heads once.  Beyond that the bound is not a proof.
     """
 
     def __init__(self, eq: SolvedEquation, frame: SpatialFrame):
         self.eq = eq
         self.frame = frame
         self.ctx = eq.ctx
-        self._status: dict[tuple[int, MultiIndex], str] = {}
-        self._scan()
+        self._reach = sum(max((h.mindex.get(frame.temporal) for h in eq.heads if h.dep == k),
+                              default=0) for k in range(self.ctx.m))
+        self._minimal: dict[tuple[int, MultiIndex], tuple] = {}
 
     # family = (dependent, temporal part of the multi-index)
 
@@ -98,65 +111,64 @@ class SpatialStructure:
         return (coord.dep, tau)
 
     def spatial_part(self, coord: JetCoord) -> MultiIndex:
-        counts = coord.mindex.counts()
-        counts.pop(self.frame.temporal, None)
-        return MultiIndex.of(counts)
+        return MultiIndex(tuple(e for e in coord.mindex.entries if e[0] != self.frame.temporal))
 
     def generator_coord(self, family) -> JetCoord:
         return JetCoord(family[0], family[1])
 
     def decompose(self, coord: JetCoord):
         """Internal coordinate as (generator coordinate, spatial multi-index)."""
-        fam = self.family_of(coord)
-        return self.generator_coord(fam), self.spatial_part(coord)
+        return self.generator_coord(self.family_of(coord)), self.spatial_part(coord)
 
     def is_generator(self, coord: JetCoord) -> bool:
         return self.eq.is_internal(coord) and self.spatial_part(coord).order == 0
 
-    def _rewritten_steps(self, coord: JetCoord):
-        """(direction, rewritten value) for each spatial step of coord that
-        leaves the internal coordinates."""
-        for j in self.frame.spatial_indices(self.ctx):
-            step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
-            if not self.eq.is_internal(step):
-                yield j, self.eq.rule_for(step)
+    def _minimal_points(self, family):
+        """The family's minimal points (coordinate, direction, right side)
+        and the families their right sides name."""
+        hit = self._minimal.get(family)
+        if hit is None:
+            (dep, tau), t = family, self.frame.temporal
+            ideal = {self.spatial_part(h) for h in self.eq.heads
+                     if h.dep == dep and h.mindex.get(t) <= tau.get(t)}
+            points, names = [], set()
+            for g in sorted(ideal, key=MultiIndex.key):
+                if not any(o != g and o.divides(g) for o in ideal):
+                    rhs = self.eq.rule_for(JetCoord(dep, tau + g))
+                    names.update(self.family_of(a) for a in rhs.jet_atoms())
+                    points += [(JetCoord(dep, tau + g - MultiIndex.single(j)), j, rhs)
+                               for j in g.indices()]
+            hit = self._minimal[family] = (points, names)
+        return hit
 
-    def _scan(self):
-        """Classify families by scanning constraint points: internal c whose
-        spatial derivative rewrites; constraint_points reads them back."""
-        eq = self.eq
-        max_head = max((h.mindex.order for h in eq.heads), default=0)
-        self.scan_order = max(SCAN_ORDER, max_head + 1)
-        self._points = []
-        for coord in eq.internal_coordinates(self.scan_order):
-            fam = self.family_of(coord)
-            self._status.setdefault(fam, FREE)
-            for j, rhs in self._rewritten_steps(coord):
-                self._points.append((coord, j, rhs))
-                if rhs.is_zero():
-                    if self._status[fam] == FREE:
-                        self._status[fam] = NULL
-                else:
-                    self._status[fam] = CONSTRAINED
-                    for atom in rhs.jet_atoms():
-                        other = self.family_of(atom)
-                        self._status[other] = CONSTRAINED
+    def _families(self, top: int):
+        """Families with temporal count at most top plus the reach."""
+        for dep in range(self.ctx.m):
+            for k in range(top + self._reach + 1):
+                tau = MultiIndex.single(self.frame.temporal, k)
+                if self.eq.is_internal(JetCoord(dep, tau)):
+                    yield dep, tau
 
     def status(self, family) -> str:
-        if family in self._status:
-            return self._status[family]
-        # outside the scanned range: fall back to a direct probe
-        for _, rhs in self._rewritten_steps(self.generator_coord(family)):
-            return NULL if rhs.is_zero() else CONSTRAINED
-        return FREE
+        points, _ = self._minimal_points(family)
+        if any(not rhs.is_zero() for _, _, rhs in points) or any(
+                family in self._minimal_points(other)[1]
+                for other in self._families(family[1].order)):
+            return CONSTRAINED
+        return NULL if points else FREE
 
-    def constraint_points(self, max_order: int):
-        """(coordinate, spatial direction, rewritten value) triples for the
-        internal coordinates up to max_order, in internal_coordinates order."""
-        if max_order > self.scan_order:
-            raise ValueError(f"constraint points were scanned to order "
-                             f"{self.scan_order}, not {max_order}")
-        return [p for p in self._points if p[0].mindex.order <= max_order]
+    def _first_defect(self, touched, top: int, value, image):
+        """(c+e_j, residual) at the first minimal point where Dbar_j value(c)
+        and image(rule(c+e_j)) differ, or None.  An untouched family is
+        checked only where a right side names a touched one."""
+        for fam in self._families(top):
+            points, names = self._minimal_points(fam)
+            if touched(fam) or any(map(touched, names)):
+                for coord, j, rhs in points:
+                    residual = self.eq.restricted_total_derivative(j, value(coord)) - image(rhs)
+                    if not residual.is_zero():
+                        return JetCoord(coord.dep, coord.mindex + MultiIndex.single(j)), residual
+        return None
 
     # -- spatial variational calculus ---------------------------------------
 
@@ -174,8 +186,7 @@ class SpatialStructure:
     def is_spatial_divergence(self, f: Expression) -> bool:
         """Euler-vanishing criterion for membership in the image of the
         spatial total derivatives (contractible base)."""
-        families = {self.family_of(a) for a in f.jet_atoms()}
-        for fam in families:
+        for fam in {self.family_of(a) for a in f.jet_atoms()}:
             st = self.status(fam)
             if st == CONSTRAINED:
                 raise UnresolvedConstraint(
@@ -238,20 +249,17 @@ class ExtendedSSymmetry:
                 raise SSymmetryError(
                     f"candidate component target {self.ctx.atom_name(coord)} "
                     "is not a generating coordinate", coordinate=coord)
-            value = eq.restrict(value)
-            self._components[coord] = value
+            self._components[coord] = eq.restrict(value)
         self._verify()
 
     def apply_coord(self, coord: JetCoord) -> Expression:
         """Component on one internal coordinate."""
         hit = self._cache.get(coord)
-        if hit is not None:
-            return hit
-        gen, sigma = self.structure.decompose(coord)
-        base = self._components.get(gen, self.ctx.zero())
-        value = self.eq.restricted_total_derivative_multi(sigma, base)
-        self._cache[coord] = value
-        return value
+        if hit is None:
+            gen, sigma = self.structure.decompose(coord)
+            base = self._components.get(gen, self.ctx.zero())
+            hit = self._cache[coord] = self.eq.restricted_total_derivative_multi(sigma, base)
+        return hit
 
     def apply(self, e: Expression) -> Expression:
         """Derivation action on an expression, restricted first; the result
@@ -268,18 +276,19 @@ class ExtendedSSymmetry:
         return interior_product(omega, self.apply_coord)
 
     def _verify(self):
-        """Commutation with spatial derivatives must be consistent across the
-        rewrite relations (e.g. divergence-type constraints)."""
-        for coord, j, rhs in self.structure.constraint_points(EXTENSION_CHECK_ORDER):
-            left = self.eq.restricted_total_derivative(j, self.apply_coord(coord))
-            right = self.apply(rhs)
-            if not (left - right).is_zero():
-                step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
-                raise SSymmetryError(
-                    "candidate does not commute with the spatial total "
-                    f"derivatives at {self.ctx.atom_name(step)}: residual "
-                    f"{left - right}",
-                    coordinate=step, residual=left - right)
+        """Commutation with the spatial total derivatives must hold across
+        the rewrite relations (e.g. divergence-type constraints); it is
+        checked at the minimal constraint points (see SpatialStructure)."""
+        touched = {self.structure.family_of(c) for c in self._components}
+        defect = self.structure._first_defect(
+            touched.__contains__, max((fam[1].order for fam in touched), default=0),
+            self.apply_coord, self.apply)
+        if defect is not None:
+            step, residual = defect
+            raise SSymmetryError(
+                "candidate does not commute with the spatial total "
+                f"derivatives at {self.ctx.atom_name(step)}: residual {residual}",
+                coordinate=step, residual=residual)
 
 
 def extend_S_symmetry(eq: SolvedEquation, frame: SpatialFrame,
@@ -306,7 +315,10 @@ class ConstraintResolution:
         self.verify()
 
     def coordinate_value(self, coord: JetCoord) -> Expression:
-        base = self.substitutions[coord.dep]
+        """A coordinate after substitution: itself when not resolved."""
+        base = self.substitutions.get(coord.dep)
+        if base is None:
+            return self.eq.ctx.expr(coord)
         return self.eq.restricted_total_derivative_multi(coord.mindex, base)
 
     def apply_to_expression(self, e: Expression) -> Expression:
@@ -317,18 +329,16 @@ class ConstraintResolution:
         return e.substitute(rules) if rules else e
 
     def verify(self):
-        """Substituted expressions must satisfy the constraint identically."""
-        eq = self.eq
-        structure = spatial_structure(eq, self.frame)
-        for coord, j, rhs in structure.constraint_points(RESOLUTION_CHECK_ORDER):
-            if coord.dep not in self.substitutions:
-                continue
-            left = eq.restricted_total_derivative(j, self.coordinate_value(coord))
-            right = self.apply_to_expression(rhs)
-            if not (left - right).is_zero():
-                raise UnsupportedExpression(
-                    "resolution violates the constraint at "
-                    f"{eq.ctx.atom_name(JetCoord(coord.dep, coord.mindex + MultiIndex.single(j)))}")
+        """Substituted expressions must satisfy the constraint identically,
+        checked at the minimal constraint points (see SpatialStructure)."""
+        eq, subs = self.eq, self.substitutions
+        top = max((a.mindex.get(self.frame.temporal)
+                   for e in subs.values() for a in e.jet_atoms()), default=0)
+        defect = spatial_structure(eq, self.frame)._first_defect(
+            lambda fam: fam[0] in subs, top, self.coordinate_value, self.apply_to_expression)
+        if defect is not None:
+            raise UnsupportedExpression(
+                f"resolution violates the constraint at {eq.ctx.atom_name(defect[0])}")
 
 
 def antisymmetric_potential_resolution(eq: SolvedEquation, frame: SpatialFrame,
@@ -343,14 +353,11 @@ def antisymmetric_potential_resolution(eq: SolvedEquation, frame: SpatialFrame,
     for pos, dep in enumerate(resolved, start=1):
         total = ctx.zero()
         for other in range(1, len(spatial) + 1):
-            if other == pos:
-                continue
-            i, j = min(pos, other), max(pos, other)
-            r = potentials[(i, j)]
-            sign = 1 if pos < other else -1
-            term = ctx.jet(ctx.dependents[r] if isinstance(r, int) else r,
-                           MultiIndex.single(spatial[other - 1]))
-            total = total + sign * term
+            if other != pos:
+                r = potentials[(min(pos, other), max(pos, other))]
+                term = ctx.jet(ctx.dependents[r] if isinstance(r, int) else r,
+                               MultiIndex.single(spatial[other - 1]))
+                total = total + (1 if pos < other else -1) * term
         subs[dep] = total
     return ConstraintResolution(eq, frame, subs)
 
@@ -383,9 +390,7 @@ def _normal_form_parts(frame: SpatialFrame, omega: DifferentialForm):
             coord = JetCoord(theta_gens[0].index, theta_gens[0].mindex)
             thetas[coord] = thetas.get(coord, ctx.zero()) + sign * coeff
         else:
-            raise ValueError(
-                "unexpected term of spatial degree >= 2 in a normal form: "
-                f"{gens}")
+            raise ValueError(f"unexpected term of spatial degree >= 2 in a normal form: {gens}")
     return horizontal, thetas
 
 
@@ -413,11 +418,8 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
         new_thetas: dict[JetCoord, Expression] = {}
         for coord, b in thetas.items():
             b = resolution.apply_to_expression(b)
-            if coord.dep in resolution.substitutions:
-                for atom, d in theta_image(resolution.coordinate_value(coord)):
-                    new_thetas[atom] = new_thetas.get(atom, ctx.zero()) + b * d
-            else:
-                new_thetas[coord] = new_thetas.get(coord, ctx.zero()) + b
+            for atom, d in theta_image(resolution.coordinate_value(coord)):
+                new_thetas[atom] = new_thetas.get(atom, ctx.zero()) + b * d
         thetas = new_thetas
 
     # spatial integration by parts down to generating coordinates
@@ -463,12 +465,9 @@ def is_spatial_gradient(frame: SpatialFrame, eq: SolvedEquation, chi: dict) -> b
     chi_i dx^i is spatially closed (hence locally exact)."""
     spatial = frame.spatial_indices(eq.ctx)
     comps = {i: eq.restrict(chi.get(i, eq.ctx.zero())) for i in spatial}
-    for a in spatial:
-        for b in spatial:
-            if a >= b:
-                continue
-            curl = eq.restricted_total_derivative(a, comps[b]) - \
-                eq.restricted_total_derivative(b, comps[a])
-            if not curl.is_zero():
-                return False
+    for a, b in combinations(spatial, 2):
+        curl = eq.restricted_total_derivative(a, comps[b]) - \
+            eq.restricted_total_derivative(b, comps[a])
+        if not curl.is_zero():
+            return False
     return True

@@ -6,7 +6,8 @@ from fractions import Fraction
 from jetvar import DifferentialForm, JetContext, SolvedEquation
 from jetvar.forms import DX, THETA
 from jetvar.frontend import parse_expression, parse_form
-from jetvar.symexpr import MultiIndex, atom_key
+from jetvar.spatial import CONSTRAINED, FREE, NULL
+from jetvar.symexpr import JetCoord, MultiIndex, atom_key
 
 
 def context2() -> JetContext:
@@ -134,3 +135,79 @@ def reference_str(e) -> str:
     if e.den:
         out = f"({out})/({monomial_str(e.den)})"
     return out
+
+
+# -- sampled spatial checks ------------------------------------------------------
+# The spatial layer once decided everything by probing every spatial step of
+# every internal coordinate up to a fixed order.  Those probes stay here as
+# oracles for the decisions made at the minimal constraint points.
+
+
+def direct_constraint_points(structure, max_order):
+    """(coordinate, direction, right side) for every spatial step of every
+    internal coordinate up to max_order that leaves the internal
+    coordinates, in internal_coordinates order."""
+    eq = structure.eq
+    out = []
+    for coord in eq.internal_coordinates(max_order):
+        for j in structure.frame.spatial_indices(structure.ctx):
+            step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
+            if not eq.is_internal(step):
+                out.append((coord, j, eq.rule_for(step)))
+    return out
+
+
+def scan_statuses(structure, max_order):
+    """Family classification from the constraint points up to max_order:
+    a family is constrained when one of its right sides is nonzero or a
+    nonzero right side names it, null when it has only zero right sides."""
+    statuses = {structure.family_of(c): FREE
+                for c in structure.eq.internal_coordinates(max_order)}
+    for coord, _, rhs in direct_constraint_points(structure, max_order):
+        fam = structure.family_of(coord)
+        if rhs.is_zero():
+            if statuses[fam] == FREE:
+                statuses[fam] = NULL
+        else:
+            statuses[fam] = CONSTRAINED
+            for atom in rhs.jet_atoms():
+                statuses[structure.family_of(atom)] = CONSTRAINED
+    return statuses
+
+
+def _commutes_at(structure, points, value, image):
+    eq = structure.eq
+    return all((eq.restricted_total_derivative(j, value(coord)) - image(rhs)).is_zero()
+               for coord, j, rhs in points)
+
+
+def sampled_extension_commutes(structure, candidate, points):
+    """Whether a candidate's extension commutes with the spatial total
+    derivatives at each of the given constraint points."""
+    eq, ctx = structure.eq, structure.ctx
+    comps = {c: eq.restrict(v) for c, v in candidate.normalized(ctx).items()}
+
+    def value(coord):
+        gen, sigma = structure.decompose(coord)
+        return eq.restricted_total_derivative_multi(sigma, comps.get(gen, ctx.zero()))
+
+    def image(e):
+        return eq.restrict(e).derive(
+            lambda a: value(a) if isinstance(a, JetCoord) else ctx.zero())
+
+    return _commutes_at(structure, points, value, image)
+
+
+def sampled_resolution_holds(structure, substitutions, points):
+    """Whether substituting the resolved dependents satisfies the
+    constraint at each given point of a resolved dependent."""
+    eq = structure.eq
+
+    def value(coord):
+        return eq.restricted_total_derivative_multi(coord.mindex, substitutions[coord.dep])
+
+    def image(e):
+        return e.substitute({a: value(a) for a in e.jet_atoms() if a.dep in substitutions})
+
+    return _commutes_at(structure, [p for p in points if p[0].dep in substitutions],
+                        value, image)

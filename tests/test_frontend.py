@@ -399,31 +399,69 @@ def test_cli_inconsistency_names_overlap(tmp_path, capsys, flags):
            "their cross-derivatives differ by y\n" in out
 
 
-@st.composite
-def _equation_blocks(draw):
-    """Equation blocks over x, y: random heads and polynomial right sides,
-    sometimes with a mutual pair of rules or a duplicated rule."""
-    deps = draw(st.sampled_from(["u", "u v"])).split()
-    head = st.builds("{}[{}]".format, st.sampled_from(deps),
-                     st.sampled_from(["x", "y", "xx", "xy", "yy", "xxy"]))
+def _polynomials(deps):
+    """Polynomial expressions in x, y, the dependents and their low derivatives."""
     low = st.builds("{}[{}]".format, st.sampled_from(deps), st.sampled_from(["x", "y", "xx"]))
     factor = st.one_of(low, st.sampled_from(deps + ["x", "y", "2", "3"]))
     term = st.lists(factor, min_size=1, max_size=3).map("*".join)
-    rhs = st.lists(term, min_size=1, max_size=3).map(" + ".join)
-    rules = draw(st.lists(st.tuples(head, rhs), min_size=1, max_size=3))
-    if draw(st.booleans()):
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+@st.composite
+def _equation_blocks(draw, clashes=True):
+    """Equation blocks over x, y: random heads and polynomial right sides,
+    with ``clashes`` sometimes a mutual pair of rules or a duplicated rule."""
+    deps = draw(st.sampled_from(["u", "u v"])).split()
+    head = st.builds("{}[{}]".format, st.sampled_from(deps),
+                     st.sampled_from(["x", "y", "xx", "xy", "yy", "xxy"]))
+    rules = draw(st.lists(st.tuples(head, _polynomials(deps)), min_size=1, max_size=3,
+                          unique_by=None if clashes else (lambda rule: rule[0])))
+    if not clashes:  # no rule mentions its own head
+        rules = [(h, v) for h, v in rules if h not in v.replace(" + ", "*").split("*")] \
+            or [(rules[0][0], "0")]
+    if clashes and draw(st.booleans()):
         a, b = draw(head), draw(head)
         rules += [(a, b), (b, a)]
-    if draw(st.booleans()):
+    if clashes and draw(st.booleans()):
         rules.append(rules[0])
     rules = draw(st.permutations(rules))
     lines = [f"equation {head} = {value}" for head, value in rules]
     return "independents x y\ndependents " + " ".join(deps) + "\n" + "\n".join(lines) + "\n"
 
 
-@settings(max_examples=60, deadline=None,
+@st.composite
+def _problem_files(draw):
+    """An equation block without clashing rules and, each at random: an
+    opaque, a spatial frame, a Lagrangian, and one candidate on random
+    targets (generators or not) with s_symmetry and gauge expectations."""
+    text = draw(_equation_blocks(clashes=False))
+    deps = text.splitlines()[1].split()[1:]
+    values = _polynomials(deps)
+    lines = []
+    if draw(st.booleans()):
+        args = draw(st.sampled_from(["y", "x, y", "y, u[y]", "x, u, u[x]"]))
+        lines.append(f"opaque h({args})")
+        values = st.one_of(values, st.just(f"h({args})"))
+    if draw(st.booleans()):
+        lines.append("spatial " + draw(st.sampled_from(["x", "y"])))
+    if draw(st.booleans()):
+        lines.append("lagrangian " + draw(_polynomials(deps)))
+    if draw(st.booleans()):
+        target = st.builds("{}{}".format, st.sampled_from(deps),
+                           st.sampled_from(["", "[x]", "[y]", "[yy]", "[yyy]", "[xx]"]))
+        entries = draw(st.lists(st.tuples(target, values), min_size=1, max_size=3,
+                                unique_by=lambda entry: entry[0]))
+        lines.append("candidate C { " + "; ".join(f"{t} -> {v}" for t, v in entries) + " }")
+        if draw(st.booleans()):
+            lines.append("expect s_symmetry[C] = " + draw(st.sampled_from(["true", "false"])))
+        if draw(st.booleans()):
+            lines.append("expect gauge[C] = " + draw(st.sampled_from(["trivial", "nontrivial"])))
+    return text + "".join(line + "\n" for line in draw(st.permutations(lines)))
+
+
+@settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_equation_blocks())
+@given(text=st.one_of(_equation_blocks(), _problem_files()))
 def test_cli_check_exit_code_contract_fuzz(tmp_path, capsys, text):
     target = tmp_path / "fuzz.jv"
     target.write_text(text, encoding="utf-8")

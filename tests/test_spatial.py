@@ -4,6 +4,7 @@ import random
 
 from jetvar import (
     ConstraintResolution,
+    JetContext,
     Lagrangian,
     SolvedEquation,
     SpatialFrame,
@@ -17,7 +18,13 @@ from jetvar import (
     s_degree_filter,
     s_presymplectic_representative,
 )
-from jetvar.errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
+from jetvar.eqmanifold import iter_multi_indices
+from jetvar.errors import (
+    ConsistencyError,
+    SSymmetryError,
+    UnresolvedConstraint,
+    UnsupportedExpression,
+)
 from jetvar.forms import DifferentialForm
 from jetvar import spatial
 from jetvar.frontend import parse, reproduce
@@ -31,7 +38,18 @@ from jetvar.spatial import (
 )
 from jetvar.symexpr import JetCoord, MultiIndex, partial
 
-from helpers import E, F, laplace_equation, pkdv_equation, random_expression, wave_equation
+from helpers import (
+    E,
+    F,
+    direct_constraint_points,
+    laplace_equation,
+    pkdv_equation,
+    random_expression,
+    sampled_extension_commutes,
+    sampled_resolution_holds,
+    scan_statuses,
+    wave_equation,
+)
 
 
 @pytest.fixture
@@ -133,29 +151,217 @@ def test_reproduce_verifies_each_candidate_and_resolution_once(
     assert calls == {"extension": extensions, "resolution": resolutions}
 
 
-def _direct_constraint_points(structure, max_order):
-    """Reference: probe every spatial step of every internal coordinate."""
-    eq = structure.eq
-    out = []
-    for coord in eq.internal_coordinates(max_order):
-        for j in structure.frame.spatial_indices(structure.ctx):
-            step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
-            if not eq.is_internal(step):
-                out.append((coord, j, eq.rule_for(step)))
-    return out
+def _families(structure, top):
+    """Families with an internal generator and temporal count at most top."""
+    t = structure.frame.temporal
+    return [fam for dep in range(structure.ctx.m) for k in range(top + 1)
+            if structure.eq.is_internal(
+                structure.generator_coord(fam := (dep, MultiIndex.single(t, k))))]
+
+
+def _highest_head_order(eq):
+    return max(h.mindex.order for h in eq.heads)
+
+
+def _minimal_direct_points(structure, direct, family):
+    """The points of ``direct`` in the family whose target is minimal there."""
+
+    def target(point):
+        coord, j, _ = point
+        return structure.spatial_part(coord) + MultiIndex.single(j)
+
+    points = [p for p in direct if structure.family_of(p[0]) == family]
+    targets = {target(p) for p in points}
+    return [p for p in points
+            if not any(o != target(p) and o.divides(target(p)) for o in targets)]
+
+
+def _point_keys(points):
+    return sorted((c.key(), j, str(rhs)) for c, j, rhs in points)
 
 
 def test_constraint_points_match_direct_loop(all_built):
+    """The minimal points read off the heads are the points, among those a
+    probe of every spatial step finds, whose target is minimal in its
+    family."""
     seen = 0
     for name, built in all_built.items():
         structure = spatial_structure(built.eq, built.frame)
-        for k in range(structure.scan_order + 1):
-            points = structure.constraint_points(k)
-            assert points == _direct_constraint_points(structure, k), (name, k)
-            seen += len(points)
-        with pytest.raises(ValueError):
-            structure.constraint_points(structure.scan_order + 1)
+        direct = direct_constraint_points(structure, 4 + _highest_head_order(built.eq) + 1)
+        for fam in _families(structure, 4):
+            got = structure._minimal_points(fam)[0]
+            assert _point_keys(got) == _point_keys(
+                _minimal_direct_points(structure, direct, fam)), (name, fam)
+            seen += len(got)
     assert seen > 0
+
+
+_U_XX_EQ_U = "independents t x\ndependents u\nequation u[xx] = u\nspatial t\n"
+
+
+def test_classification_matches_scan():
+    """Every family with temporal count <= 4 is classified as the old scan,
+    run to that count plus the highest head order plus one, classifies it."""
+    seen = set()
+    for text in [fixture_text(name) for name in bundled_fixture_names()] + [_U_XX_EQ_U]:
+        built = build(parse(text))
+        structure = SpatialStructure(built.eq, built.frame)
+        scans = {}
+        for fam in _families(structure, 4):
+            order = fam[1].order + _highest_head_order(built.eq) + 1
+            if order not in scans:
+                scans[order] = scan_statuses(structure, order)
+            assert structure.status(fam) == scans[order][fam], (text, fam)
+            seen.add(structure.status(fam))
+    assert seen == {"free", "null", "constrained"}
+
+
+def test_tower_of_u_xx_eq_u_constrained_at_every_height():
+    built = build(parse(_U_XX_EQ_U))
+    structure = spatial_structure(built.eq, built.frame)
+    for k in range(9):
+        assert structure.status((0, MultiIndex.single(0, k))) == "constrained", k
+
+
+@pytest.mark.parametrize("target, step", [("yyyy", "u[x,y,y,y,y]"), ("yy", "u[x,y,y]")])
+def test_extension_refused_where_commutation_breaks_on_wave_tower(target, step):
+    # the family of u[y^k] is null: its component may not see x
+    ctx, eq = wave_equation()
+    cand = SSymmetryCandidate({ctx.jet_atom("u", target): ctx.var("u")})
+    with pytest.raises(SSymmetryError) as err:
+        extend_S_symmetry(eq, SpatialFrame(1), cand)
+    assert ctx.atom_name(err.value.coordinate) == step
+
+
+def _extends(eq, frame, candidate):
+    try:
+        extend_S_symmetry(eq, frame, candidate)
+    except SSymmetryError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def oracle_points(all_built):
+    """Every constraint point to order 6 of each fixture's structure."""
+    return {name: direct_constraint_points(spatial_structure(b.eq, b.frame), 6)
+            for name, b in all_built.items()}
+
+
+def test_extension_verdicts_match_sampled_check_on_fixture_candidates(all_built, oracle_points):
+    for name, built in all_built.items():
+        structure = spatial_structure(built.eq, built.frame)
+        for cname, cand in built.candidates.items():
+            assert _extends(built.eq, built.frame, cand) == sampled_extension_commutes(
+                structure, cand, oracle_points[name]), (name, cname)
+
+
+def _random_candidate(rng, structure, max_targets, **shape):
+    """Components on up to max_targets generators of order <= 2, valued in
+    the independents and the internal coordinates of order <= 2."""
+    ctx = structure.ctx
+    generators = [structure.generator_coord(fam) for fam in _families(structure, 2)]
+    pool = [ctx.base_atom(x) for x in ctx.independents] + structure.eq.internal_coordinates(2)
+    targets = rng.sample(generators, rng.randint(1, min(max_targets, len(generators))))
+    return SSymmetryCandidate({g: random_expression(rng, ctx, pool, **shape) for g in targets})
+
+
+def test_extension_verdicts_match_sampled_check_on_random_candidates(all_built, oracle_points):
+    rng = random.Random(20261018)
+    for name, built in all_built.items():
+        structure = spatial_structure(built.eq, built.frame)
+        verdicts = []
+        for _ in range(100):
+            cand = _random_candidate(rng, structure, 3)
+            verdict = _extends(built.eq, built.frame, cand)
+            assert verdict == sampled_extension_commutes(
+                structure, cand, oracle_points[name]), (name, cand)
+            verdicts.append(verdict)
+        if oracle_points[name]:
+            assert len(set(verdicts)) == 2, name
+
+
+def _random_integrable_system(rng):
+    """1-3 minimal heads of order <= 2 over t, x, y and 1-2 dependents with
+    linear right sides below their heads in the fixed ranking (order, then
+    t, y, x, then dependent); None when the system is not integrable."""
+    ctx = JetContext(["t", "x", "y"], ["u", "v"][:rng.randint(1, 2)])
+    coords = [JetCoord(k, a) for k in range(ctx.m) for a in iter_multi_indices(3, 2)]
+
+    def rank(c):
+        return (c.mindex.order, c.mindex.get(0), c.mindex.get(2), c.mindex.get(1), c.dep)
+
+    heads = []
+    for _ in range(rng.randint(1, 3)):
+        h = rng.choice(coords[1:])
+        if all(g.dep != h.dep or not (g.mindex.divides(h.mindex) or h.mindex.divides(g.mindex))
+               for g in heads):
+            heads.append(h)
+    rules = []
+    for h in heads:
+        pool = [ctx.base_atom("x")] + [c for c in coords if rank(c) < rank(h)]
+        rules.append((h, random_expression(rng, ctx, pool, max_terms=2, max_factors=1,
+                                           max_power=1)))
+    eq = SolvedEquation(ctx, rules)
+    try:
+        eq.check_integrability()
+    except ConsistencyError:
+        return None
+    return eq
+
+
+def test_spatial_decisions_match_oracles_on_random_systems():
+    rng = random.Random(20261018)
+    systems = 0
+    statuses, verdicts = set(), set()
+    while systems < 40:
+        eq = _random_integrable_system(rng)
+        if eq is None:
+            continue
+        systems += 1
+        frame = SpatialFrame(0)
+        structure = SpatialStructure(eq, frame)
+        top = 2 + _highest_head_order(eq) + 1
+        direct = direct_constraint_points(structure, top)
+        for fam in _families(structure, 2):
+            assert _point_keys(structure._minimal_points(fam)[0]) == _point_keys(
+                _minimal_direct_points(structure, direct, fam))
+            order = fam[1].order + _highest_head_order(eq) + 1
+            assert structure.status(fam) == scan_statuses(structure, order)[fam]
+            statuses.add(structure.status(fam))
+        for _ in range(5):
+            cand = _random_candidate(rng, structure, 2, max_terms=2)
+            verdict = _extends(eq, frame, cand)
+            assert verdict == sampled_extension_commutes(structure, cand, direct)
+            verdicts.add(verdict)
+    assert statuses == {"free", "null", "constrained"} and verdicts == {True, False}
+
+
+def test_resolution_verdicts_match_sampled_check(maxwell_built, oracle_points):
+    ctx, eq, frame = maxwell_built.ctx, maxwell_built.eq, maxwell_built.frame
+    structure = spatial_structure(eq, frame)
+    points = oracle_points["maxwell"]
+    bundled = maxwell_built.resolution.substitutions
+    assert sampled_resolution_holds(structure, bundled, points)
+    rng = random.Random(20261018)
+    terms = [E(f"{r}[{x}]", ctx) for r in ("r12", "r13", "r23") for x in ("x1", "x2", "x3")]
+    verdicts = set()
+    for trial in range(40):
+        subs = {dep: sum((rng.choice((-1, 1)) * rng.choice(terms)
+                          for _ in range(rng.randint(0, 2))), ctx.zero())
+                for dep in bundled}
+        if trial % 4 == 0:  # perturb the bundled resolution in one place
+            subs = dict(bundled)
+            dep = rng.choice(sorted(subs))
+            subs[dep] = subs[dep] + rng.choice((-1, 1)) * rng.choice(terms)
+        try:
+            ConstraintResolution(eq, frame, subs)
+            verdict = True
+        except UnsupportedExpression:
+            verdict = False
+        assert verdict == sampled_resolution_holds(structure, subs, points), subs
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _spatial_euler_oracle(structure, f, family):
