@@ -13,6 +13,10 @@ Global flags: --out <path> (machine-readable report), --max-order <K>,
 found when the equation is built; --max-order K adds a bounded commutator
 scan to order K as a cross-check.  Exit codes: 0 all pass, 1 any fail,
 2 refused/unsupported.
+
+Each report subcommand runs the pipeline's stages in order up to the last
+stage it reports (runner.REPORTED_STAGES) and prints those stages' checks and
+any stage refusal, which ends the run; check and reproduce report every stage.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from pathlib import Path
 from ..errors import JetvarError
 from .parser import parse
 from .runner import (
-    REFUSED,
+    REPORTED_STAGES,
     Report,
     build,
     bundled_fixture_names,
@@ -32,27 +36,6 @@ from .runner import (
     reproduce,
     run_check,
 )
-
-_SECTIONS = {
-    "euler": ("integrability", "euler[", "on_shell_euler["),
-    "internal-lagrangian": ("integrability", "euler[", "on_shell_euler[",
-                            "omega_identity", "internal_lagrangian"),
-    "presymplectic": ("integrability", "omega_identity", "internal_lagrangian",
-                      "presymplectic", "s_presymplectic"),
-    "gauge-check": ("integrability", "s_symmetry[", "eq_symmetry[", "gauge[",
-                    "candidate["),
-}
-
-
-def _restrict_report(report: Report, prefixes) -> Report:
-    # a refused stage (a name without "[") ended the run, so it always shows
-    kept = [c for c in report.checks
-            if (c.status == REFUSED and "[" not in c.name)
-            or any(c.name == p or (p.endswith("[") and c.name.startswith(p))
-                   for p in prefixes)]
-    out = Report(problem=report.problem, checks=kept, error=report.error,
-                 elapsed=report.elapsed)
-    return out
 
 
 def _emit(report: Report, args) -> int:
@@ -112,7 +95,7 @@ def main(argv=None) -> int:
     _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("check", "euler", "internal-lagrangian", "presymplectic", "gauge-check"):
+    for name in REPORTED_STAGES:
         p = sub.add_parser(name)
         p.add_argument("file")
         _add_global_flags(p, suppress=True)
@@ -152,9 +135,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_check(text, name=Path(args.file).stem, max_order=max_order)
-    if args.command != "check":
-        report = _restrict_report(report, _SECTIONS[args.command])
+    report = run_check(text, name=Path(args.file).stem, max_order=max_order,
+                       stages=REPORTED_STAGES[args.command])
     return _emit(report, args)
 
 

@@ -18,8 +18,8 @@ Jet coordinates are written u[xy] (single-letter variables may be run
 together) or u[x1,x2].  In expression position, d(x) is the horizontal
 covector, theta(u[x]) the contact covector, D[x](e) the (restricted) total
 derivative, and f{1,2}(args) a formal partial of an opaque symbol; products
-of form factors are wedge products.  The names d, D, theta, vol are
-reserved.
+of form factors are wedge products.  The names d, D and theta are reserved:
+no independent, dependent or opaque symbol may take them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..forms import DifferentialForm, dx as dx_form, theta as theta_form
 from ..jetcalc import JetContext, total_derivative
 from ..symexpr import Expression, FnPartial, JetCoord, OpaqueFn
 
-RESERVED = {"d", "D", "theta", "vol"}
+RESERVED = {"d", "D", "theta"}
 
 KEYWORDS = {
     "independents", "dependents", "opaque", "equation", "lagrangian",
@@ -378,17 +378,22 @@ class _Parser:
             candidates=tuple(candidates), resolves=tuple(resolves),
             expects=tuple(expects))
 
+    def declared_name(self, tok: Token) -> str:
+        if tok.value in RESERVED:
+            raise SemanticError(f"{tok.value!r} is a reserved name", tok.line, tok.column)
+        return tok.value
+
     def parse_names(self) -> tuple:
         names = []
         while self.peek().kind == "NAME" and self.peek().value not in KEYWORDS:
-            names.append(self.advance().value)
+            names.append(self.declared_name(self.advance()))
         if not names:
             tok = self.peek()
             raise ParseError("expected at least one name", tok.line, tok.column, ["name"])
         return tuple(names)
 
     def parse_opaque(self, line: int) -> OpaqueDecl:
-        name = self.expect("NAME", expected=["opaque symbol name"]).value
+        name = self.declared_name(self.expect("NAME", expected=["opaque symbol name"]))
         self.expect("PUNCT", "(")
         args = []
         if not self.accept("PUNCT", ")"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from ..errors import (
@@ -20,6 +20,7 @@ from ..errors import (
     SSymmetryError,
 )
 from ..eqmanifold import SolvedEquation
+from ..forms import DifferentialForm
 from ..jetcalc import EvolutionaryField, JetContext
 from ..spatial import (
     SpatialFrame,
@@ -39,12 +40,7 @@ from ..variational import (
 from .parser import Evaluator, ProblemFile, parse, serialize_node
 
 
-def _expected_str(decl):
-    return decl.value if isinstance(decl.value, str) else serialize_node(decl.value)
-
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
-
-_TEST_PHI_PREFIX = "_testphi_"
 
 
 @dataclass
@@ -76,31 +72,15 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        if self.error is not None:
-            return 2
-        counts = self.counts
-        if counts[FAIL]:
-            return 1
-        if counts[REFUSED]:
-            return 2
-        return 0
+        counts = self.counts  # an error ends a run before any check
+        return 1 if counts[FAIL] else 2 if counts[REFUSED] else 0
 
     def to_document(self) -> dict:
         # deliberately excludes timing so identical inputs give identical bytes
         return {
             "problem": self.problem,
             "error": self.error,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "computed": c.computed,
-                    "expected": c.expected,
-                    "message": c.message,
-                    "line": c.line,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "summary": self.counts,
             "exit_code": self.exit_code,
         }
@@ -164,21 +144,15 @@ def build(problem: ProblemFile) -> BuiltProblem:
 
     evaluator = Evaluator(ctx, eq)
 
-    frame = None
+    frame = lagrangian = None
     if problem.spatial is not None:
         frame = SpatialFrame(ctx.independent_index(problem.spatial))
-
-    lagrangian = None
     if problem.lagrangian is not None:
         lagrangian = Lagrangian(ctx, free_eval.expression(problem.lagrangian))
-
-    candidates = {}
-    for decl in problem.candidates:
-        comps = {}
-        for target, value in decl.entries:
-            coord = evaluator.coordinate_atom(target)
-            comps[coord] = evaluator.expression(value)
-        candidates[decl.name] = SSymmetryCandidate(comps)
+    candidates = {
+        decl.name: SSymmetryCandidate({evaluator.coordinate_atom(t): evaluator.expression(v)
+                                       for t, v in decl.entries})
+        for decl in problem.candidates}
 
     resolution = None
     if problem.resolves:
@@ -214,26 +188,22 @@ def _declare_test_characteristic(built: BuiltProblem) -> EvolutionaryField:
     args += [ctx.jet_atom(name) for name in ctx.dependents]
     if built.lagrangian is not None:
         args += sorted(built.lagrangian.density.jet_atoms(), key=lambda a: a.key())
-    seen, unique = set(), []
-    for a in args:
-        if a not in seen:
-            seen.add(a)
-            unique.append(a)
+    unique = list(dict.fromkeys(args))
     comps = []
     for dep in ctx.dependents:
-        name = f"{_TEST_PHI_PREFIX}{dep}"
+        name = f"_testphi_{dep}"
         ctx.declare_opaque(name, unique)
         comps.append(ctx.expr(ctx.atom(name)))
     return EvolutionaryField(ctx, tuple(comps))
 
 
-class _Checker:
-    def __init__(self, built: BuiltProblem, report: Report):
-        self.built = built
-        self.report = report
-        self.expects = {}
-        for decl in built.problem.expects:
-            self.expects[(decl.key, decl.subject)] = decl
+class _Run:
+    """What one run carries from stage to stage."""
+
+    def __init__(self, built: BuiltProblem, report: Report, max_order: int | None):
+        self.built, self.report, self.max_order = built, report, max_order
+        self.expects = {(decl.key, decl.subject): decl for decl in built.problem.expects}
+        self.omega_L = self.rep = None
 
     def expect_for(self, key, subject=None):
         return self.expects.pop((key, subject), None)
@@ -249,146 +219,126 @@ class _Checker:
                             expected=decl.value, line=decl.line,
                             message=f"{key} expects a serialized value, not a flag")
             return
-        expected = self.built.evaluator.value(decl.value)
-        matches = expected == computed
-        if not matches and hasattr(computed, "is_zero") and hasattr(expected, "is_zero"):
-            diff = computed - expected
-            matches = diff.is_zero()
+        # a golden of the other kind (form or scalar) is refused where it is written
+        evaluator = self.built.evaluator
+        expected = (evaluator.form if isinstance(computed, DifferentialForm)
+                    else evaluator.expression)(decl.value)
+        matches = expected == computed or (computed - expected).is_zero()
         self.report.add(name, PASS if matches else FAIL,
                         computed=str(computed), expected=str(expected), line=decl.line)
 
+    def verdict(self, name, decl, computed, shown=None):
+        """Record a flag verdict against the expectation decl."""
+        expected = decl.value if isinstance(decl.value, str) else serialize_node(decl.value)
+        self.report.add(name, PASS if decl.value == computed else FAIL,
+                        computed=shown or computed, expected=expected, line=decl.line)
 
-def run_check(problem: ProblemFile | str, name: str = "problem",
-              max_order: int | None = None) -> Report:
-    started = time.perf_counter()
-    report = Report(problem=name)
+
+def _integrability(run: _Run):
+    eq = run.built.eq
+    if eq is None:
+        return
     try:
-        if isinstance(problem, str):
-            problem = parse(problem)
-        built = build(problem)
-        _run_pipeline(built, report, max_order)
-    except JetvarError as exc:
-        report.error = str(exc)
-    report.elapsed = time.perf_counter() - started
-    return report
+        eq.check_integrability(run.max_order)
+    except ConsistencyError as exc:
+        run.report.add("integrability", FAIL, message=str(exc))
+        return True
+    # the overlap decision implies every order; order 3 keeps the default bytes
+    shown = 3 if run.max_order is None else run.max_order
+    run.report.add("integrability", PASS,
+                   computed=f"[D_i,D_j] = 0 on internal coordinates to order {shown}")
 
 
-def _run_pipeline(built: BuiltProblem, report: Report, max_order: int | None):
-    checker = _Checker(built, report)
-    ctx, eq, frame = built.ctx, built.eq, built.frame
+def _euler(run: _Run):
+    lag, eq = run.built.lagrangian, run.built.eq
+    if lag is None:
+        return
+    run.omega_L = presymplectic_potential(lag)
+    for k, dep in enumerate(run.built.ctx.dependents):
+        e = lag.euler(k)
+        run.golden(f"euler[{dep}]", e, "euler", dep)
+        if eq is not None:
+            run.golden(f"on_shell_euler[{dep}]", eq.restrict(e), "on_shell_euler", dep)
 
-    if eq is not None:
-        try:
-            eq.check_integrability(max_order)
-            # the overlap decision implies commutation at every order; the
-            # default report names order 3 so that its bytes stay fixed
-            shown = 3 if max_order is None else max_order
-            report.add("integrability", PASS,
-                       computed=f"[D_i,D_j] = 0 on internal coordinates to order {shown}")
-        except ConsistencyError as exc:
-            report.add("integrability", FAIL, message=str(exc))
-            return
 
-    rep = None
-    if built.lagrangian is not None:
-        lag = built.lagrangian
-        stage = "euler"
-        try:
-            omega_L = presymplectic_potential(lag)
-            for k, dep in enumerate(ctx.dependents):
-                e = lag.euler(k)
-                checker.golden(f"euler[{dep}]", e, "euler", dep)
-                if eq is not None:
-                    checker.golden(f"on_shell_euler[{dep}]", eq.restrict(e),
-                                   "on_shell_euler", dep)
-            stage = "omega_identity"
-            phi = _declare_test_characteristic(built)
-            ok = verify_omega_identity(lag, omega_L, phi)
-            report.add("omega_identity", PASS if ok else FAIL,
+def _omega_identity(run: _Run):
+    lag = run.built.lagrangian
+    if lag is not None:
+        ok = verify_omega_identity(lag, run.omega_L, _declare_test_characteristic(run.built))
+        run.report.add("omega_identity", PASS if ok else FAIL,
                        computed="L_phi L - <E(L),phi> - d_h(phi _| omega_L) == 0"
                        if ok else "identity residual is nonzero")
+
+
+def _internal_lagrangian(run: _Run):
+    lag, eq = run.built.lagrangian, run.built.eq
+    if lag is None or eq is None:
+        return
+    try:
+        run.rep = internal_lagrangian(lag, eq)
+    except LagrangianError as exc:
+        run.report.add("internal_lagrangian", FAIL, message=str(exc))
+        return
+    run.golden("internal_lagrangian", run.rep.form, "lagrangian_form")
+
+
+def _presymplectic(run: _Run):
+    if run.rep is not None:
+        run.golden("presymplectic", run.rep.presymplectic, "presymplectic")
+
+
+def _s_presymplectic(run: _Run):
+    if run.rep is not None and run.built.frame is not None:
+        omega = s_presymplectic_representative(run.built.frame, run.rep.presymplectic)
+        run.golden("s_presymplectic", omega, "s_presymplectic")
+
+
+def _candidates(run: _Run):
+    for cname, candidate in run.built.candidates.items():
+        try:
+            _check_candidate(run, cname, candidate)
         except JetvarError as exc:
-            report.add(stage, REFUSED, message=str(exc))
-            return
-        if eq is not None:
-            try:
-                rep = internal_lagrangian(lag, eq)
-            except LagrangianError as exc:
-                report.add("internal_lagrangian", FAIL, message=str(exc))
-                rep = None
-            if rep is not None:
-                stage = "internal_lagrangian"
-                try:
-                    checker.golden("internal_lagrangian", rep.form, "lagrangian_form")
-                    stage = "presymplectic"
-                    d_rep = rep.presymplectic
-                    checker.golden("presymplectic", d_rep, "presymplectic")
-                    if frame is not None:
-                        stage = "s_presymplectic"
-                        omega = s_presymplectic_representative(frame, d_rep)
-                        checker.golden("s_presymplectic", omega, "s_presymplectic")
-                except JetvarError as exc:
-                    report.add(stage, REFUSED, message=str(exc))
-                    return
-
-    for cname, candidate in built.candidates.items():
-        _check_candidate(checker, cname, candidate, rep)
-
-    for (key, subject), decl in sorted(checker.expects.items(),
-                                       key=lambda kv: kv[1].line):
-        label = key if subject is None else f"{key}[{subject}]"
-        report.add(label, FAIL, message="expectation was never exercised",
-                   line=decl.line)
+            run.report.add(f"candidate[{cname}]", REFUSED, message=str(exc))
+            for key in ("s_symmetry", "eq_symmetry", "gauge"):
+                run.expect_for(key, cname)
 
 
-def _check_candidate(checker: _Checker, cname: str, candidate, rep):
-    built, report = checker.built, checker.report
+def _check_candidate(run: _Run, cname: str, candidate):
+    built, report, rep = run.built, run.report, run.rep
     eq, frame = built.eq, built.frame
     if eq is None or frame is None:
         report.add(f"candidate[{cname}]", REFUSED,
                    message="candidates need an equation and a spatial frame")
         return
 
+    extended = detail = None
     try:
         extended = extend_S_symmetry(eq, frame, candidate)
-        detail = None
     except SSymmetryError as exc:
-        extended = None
         detail = str(exc)
 
-    decl = checker.expect_for("s_symmetry", cname)
+    decl = run.expect_for("s_symmetry", cname)
     if decl is not None:
-        computed = "false" if extended is None else "true"
-        report.add(f"s_symmetry[{cname}]",
-                   PASS if decl.value == computed else FAIL,
-                   computed=f"false ({detail})" if extended is None else computed,
-                   expected=_expected_str(decl), line=decl.line)
+        run.verdict(f"s_symmetry[{cname}]", decl, "false" if extended is None else "true",
+                    shown=f"false ({detail})" if extended is None else None)
     elif extended is None:
         report.add(f"s_symmetry[{cname}]", REFUSED, message=detail)
-        checker.expect_for("gauge", cname)  # cannot be decided
+        run.expect_for("gauge", cname)  # cannot be decided
         return
 
-    decl = checker.expect_for("eq_symmetry", cname)
+    decl = run.expect_for("eq_symmetry", cname)
     if decl is not None:
-        comps = candidate.normalized(built.ctx)
-        field_comps = []
-        for k in range(built.ctx.m):
-            field_comps.append(comps.get(JetCoord(k), built.ctx.zero()))
-        flag = eq.is_symmetry(EvolutionaryField(built.ctx, tuple(field_comps)))
-        computed = "true" if flag else "false"
-        report.add(f"eq_symmetry[{cname}]",
-                   PASS if decl.value == computed else FAIL,
-                   computed=computed, expected=_expected_str(decl), line=decl.line)
+        ctx, comps = built.ctx, candidate.normalized(built.ctx)
+        field = EvolutionaryField(
+            ctx, tuple(comps.get(JetCoord(k), ctx.zero()) for k in range(ctx.m)))
+        flag = "true" if eq.is_symmetry(field) else "false"
+        run.verdict(f"eq_symmetry[{cname}]", decl, flag)
 
-    decl = checker.expect_for("gauge", cname)
-    if extended is None:
+    decl = run.expect_for("gauge", cname)
+    if extended is None or rep is None:
         if decl is not None:
-            report.add(f"gauge[{cname}]", REFUSED, message=detail, line=decl.line)
-        return
-    if rep is None:
-        if decl is not None:
-            report.add(f"gauge[{cname}]", REFUSED,
-                       message="no internal Lagrangian available", line=decl.line)
+            report.add(f"gauge[{cname}]", REFUSED, line=decl.line, message=detail
+                       if extended is None else "no internal Lagrangian available")
         return
     try:
         trivial = is_gauge_symmetry(rep, extended, built.resolution)
@@ -400,8 +350,76 @@ def _check_candidate(checker: _Checker, cname: str, candidate, rep):
     if decl is None:
         report.add(f"gauge[{cname}]", PASS, computed=computed)
     else:
-        report.add(f"gauge[{cname}]", PASS if decl.value == computed else FAIL,
-                   computed=computed, expected=_expected_str(decl), line=decl.line)
+        run.verdict(f"gauge[{cname}]", decl, computed)
+
+
+# The pipeline, in order: (stage, function, expectation keys it exercises).  A
+# stage reads what earlier ones left in the run and returns True when its failure
+# ends the run; a JetvarError it raises refuses the stage and ends the run too.
+STAGES = (
+    ("integrability", _integrability, ()),
+    ("euler", _euler, ("euler", "on_shell_euler")),
+    ("omega_identity", _omega_identity, ()),
+    ("internal_lagrangian", _internal_lagrangian, ("lagrangian_form",)),
+    ("presymplectic", _presymplectic, ("presymplectic",)),
+    ("s_presymplectic", _s_presymplectic, ("s_presymplectic",)),
+    ("candidates", _candidates, ("s_symmetry", "eq_symmetry", "gauge")),
+)
+ALL_STAGES = tuple(name for name, _, _ in STAGES)
+
+# The stages each subcommand reports; it runs the table up to the last of them.
+REPORTED_STAGES = {
+    "check": ALL_STAGES,
+    "euler": ("integrability", "euler"),
+    "internal-lagrangian": ("integrability", "euler", "omega_identity",
+                            "internal_lagrangian"),
+    "presymplectic": ("integrability", "omega_identity", "internal_lagrangian",
+                      "presymplectic", "s_presymplectic"),
+    "gauge-check": ("integrability", "candidates"),
+}
+
+
+def run_check(problem: ProblemFile | str, name: str = "problem",
+              max_order: int | None = None, stages=ALL_STAGES) -> Report:
+    """Run STAGES up to the last of ``stages`` and report those stages; a stage
+    refusal always shows, since it ends the run."""
+    started = time.perf_counter()
+    report = Report(problem=name)
+    try:
+        if isinstance(problem, str):
+            problem = parse(problem)
+        run = _Run(build(problem), report, max_order)
+    except JetvarError as exc:
+        report.error = str(exc)
+    else:
+        _run_stages(run, stages)
+    report.elapsed = time.perf_counter() - started
+    return report
+
+
+def _run_stages(run: _Run, stages):
+    report = run.report
+    last = max(ALL_STAGES.index(s) for s in stages)
+    for stage, function, _ in STAGES[:last + 1]:
+        mark, refusal = len(report.checks), None
+        try:
+            ended = function(run)
+        except JetvarError as exc:
+            ended, refusal = True, str(exc)
+        if stage not in stages:
+            del report.checks[mark:]
+        if refusal is not None:
+            report.add(stage, REFUSED, message=refusal)
+        if ended:
+            return
+
+    # keys of no stage count only when every stage is reported
+    keys = {key for stage, _, ks in STAGES if stage in stages for key in ks}
+    for (key, subject), decl in sorted(run.expects.items(), key=lambda kv: kv[1].line):
+        if key in keys or set(stages) == set(ALL_STAGES):
+            label = key if subject is None else f"{key}[{subject}]"
+            report.add(label, FAIL, message="expectation was never exercised",
+                       line=decl.line)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 from jetvar import DifferentialForm, JetContext, SolvedEquation
 from jetvar.forms import DX, THETA
 from jetvar.frontend import parse_expression, parse_form
+from jetvar.frontend.runner import REFUSED, Report
 from jetvar.spatial import CONSTRAINED, FREE, NULL
 from jetvar.symexpr import JetCoord, MultiIndex, atom_key
 
@@ -211,3 +212,29 @@ def sampled_resolution_holds(structure, substitutions, points):
 
     return _commutes_at(structure, [p for p in points if p[0].dep in substitutions],
                         value, image)
+
+
+# -- report sections by check name ------------------------------------------------
+# The CLI once ran every stage for every subcommand and then kept the checks
+# whose names matched the subcommand's prefixes.  That filter stays here as
+# the oracle for running only the stages a subcommand reports.
+
+_SECTIONS = {
+    "euler": ("integrability", "euler[", "on_shell_euler["),
+    "internal-lagrangian": ("integrability", "euler[", "on_shell_euler[",
+                            "omega_identity", "internal_lagrangian"),
+    "presymplectic": ("integrability", "omega_identity", "internal_lagrangian",
+                      "presymplectic", "s_presymplectic"),
+    "gauge-check": ("integrability", "s_symmetry[", "eq_symmetry[", "gauge[",
+                    "candidate["),
+}
+
+
+def _restrict_report(report, prefixes):
+    # a refused stage (a name without "[") ended the run, so it always shows
+    kept = [c for c in report.checks
+            if (c.status == REFUSED and "[" not in c.name)
+            or any(c.name == p or (p.endswith("[") and c.name.startswith(p))
+                   for p in prefixes)]
+    return Report(problem=report.problem, checks=kept, error=report.error,
+                  elapsed=report.elapsed)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jetvar.errors import ParseError, SemanticError
-from jetvar.frontend import parse, parse_expression, parse_form, reproduce, run_check
+from jetvar.frontend import parse, parse_expression, parse_form, reproduce, run_check, runner
 from jetvar.frontend.cli import main as cli_main
 from jetvar.frontend.parser import (
     Bin,
@@ -27,7 +27,7 @@ from jetvar.frontend.parser import (
 )
 from jetvar.frontend.runner import bundled_fixture_names, fixture_text
 
-from helpers import context2
+from helpers import _SECTIONS, _restrict_report, context2
 
 import random
 
@@ -432,12 +432,22 @@ def _equation_blocks(draw, clashes=True):
 @st.composite
 def _problem_files(draw):
     """An equation block without clashing rules and, each at random: an
-    opaque, a spatial frame, a Lagrangian, and one candidate on random
-    targets (generators or not) with s_symmetry and gauge expectations."""
+    opaque, a spatial frame, a Lagrangian, a resolve line, one candidate on
+    random targets (generators or not) with s_symmetry, eq_symmetry and gauge
+    expectations, and an euler, lagrangian_form or presymplectic expectation
+    whose value is a polynomial, a form or a flag."""
     text = draw(_equation_blocks(clashes=False))
     deps = text.splitlines()[1].split()[1:]
     values = _polynomials(deps)
     lines = []
+    if draw(st.integers(0, 3)) == 3:  # most resolve lines refuse the whole file
+        targets = draw(st.lists(st.sampled_from(deps), min_size=1, max_size=2))
+        lines.append("resolve " + " ".join(targets) + " = antisym_potential(r)")
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([f"euler[{deps[-1]}]", "lagrangian_form", "presymplectic"]))
+        value = draw(st.one_of(_polynomials(deps), st.sampled_from(
+            ["theta(u)*d(x)", "d(x)*d(y)", "theta(u[y])*theta(u)*d(x)", "0", "true"])))
+        lines.append(f"expect {key} = {value}")
     if draw(st.booleans()):
         args = draw(st.sampled_from(["y", "x, y", "y, u[y]", "x, u, u[x]"]))
         lines.append(f"opaque h({args})")
@@ -455,20 +465,137 @@ def _problem_files(draw):
         if draw(st.booleans()):
             lines.append("expect s_symmetry[C] = " + draw(st.sampled_from(["true", "false"])))
         if draw(st.booleans()):
+            lines.append("expect eq_symmetry[C] = " + draw(st.sampled_from(["true", "false"])))
+        if draw(st.booleans()):
             lines.append("expect gauge[C] = " + draw(st.sampled_from(["trivial", "nontrivial"])))
     return text + "".join(line + "\n" for line in draw(st.permutations(lines)))
 
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.one_of(_equation_blocks(), _problem_files()))
-def test_cli_check_exit_code_contract_fuzz(tmp_path, capsys, text):
+@given(text=st.one_of(_equation_blocks(), _problem_files()),
+       command=st.sampled_from(["check", "euler", "internal-lagrangian", "presymplectic",
+                                "gauge-check"]))
+def test_cli_check_exit_code_contract_fuzz(tmp_path, capsys, text, command):
     target = tmp_path / "fuzz.jv"
     target.write_text(text, encoding="utf-8")
-    code = cli_main(["check", str(target)])
+    code = cli_main([command, str(target)])
     captured = capsys.readouterr()
     assert code in (0, 1, 2), text
     assert "Traceback" not in captured.out + captured.err, text
+
+
+_SUBCOMMANDS = ("euler", "internal-lagrangian", "presymplectic", "gauge-check")
+
+
+@pytest.mark.parametrize("name", ["laplace", "wave", "pkdv", "maxwell"])
+def test_subcommand_report_is_check_filtered_by_name(tmp_path, capsys, name):
+    target = tmp_path / f"{name}.jv"
+    target.write_text(fixture_text(name), encoding="utf-8")
+    full = run_check(fixture_text(name), name=name)
+    for command in _SUBCOMMANDS:
+        out_path = tmp_path / f"{command}.json"
+        cli_main([command, str(target), "--out", str(out_path)])
+        expected = _restrict_report(full, _SECTIONS[command]).to_document()
+        assert json.loads(out_path.read_text(encoding="utf-8")) == expected, command
+    capsys.readouterr()
+
+
+_SPIED = ("verify_omega_identity", "internal_lagrangian", "s_presymplectic_representative",
+          "extend_S_symmetry")
+
+
+@pytest.mark.parametrize("command, counts", [
+    ("euler", (0, 0, 0, 0)), ("internal-lagrangian", (1, 1, 0, 0)),
+    ("presymplectic", (1, 1, 1, 0)), ("gauge-check", (1, 1, 1, 9)),
+    ("check", (1, 1, 1, 9))])
+def test_subcommand_runs_only_the_stages_it_needs(tmp_path, capsys, monkeypatch,
+                                                  command, counts):
+    calls = dict.fromkeys(_SPIED, 0)
+    for name in _SPIED:
+        def spy(*args, _name=name, _original=getattr(runner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(runner, name, spy)
+    target = tmp_path / "maxwell.jv"
+    target.write_text(fixture_text("maxwell"), encoding="utf-8")
+    assert cli_main([command, str(target)]) == 0
+    capsys.readouterr()
+    assert tuple(calls[name] for name in _SPIED) == counts
+
+
+@pytest.mark.parametrize("command, labels", [
+    ("check", ["euler[u]", "lagrangian_form", "gauge[Nope]", "mystery"]),
+    ("euler", ["euler[u]"]),
+    ("internal-lagrangian", ["euler[u]", "lagrangian_form"]),
+    ("presymplectic", ["lagrangian_form"]),
+    ("gauge-check", ["gauge[Nope]"])])
+def test_unexercised_expectation_fails_under_its_stage(tmp_path, capsys, command, labels):
+    target = tmp_path / "dangling.jv"
+    target.write_text("independents x y\ndependents u\nequation u[yy] = -u[xx]\n"
+                      "expect euler[u] = 0\nexpect lagrangian_form = 0\n"
+                      "expect gauge[Nope] = trivial\nexpect mystery = 1\n", encoding="utf-8")
+    assert cli_main([command, str(target)]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[1].rstrip(":") for line in out.splitlines()
+            if line.endswith("expectation was never exercised")] == labels
+
+
+_UNRESTRICTABLE_CANDIDATE = """independents x y
+dependents u
+opaque h(y, u[y])
+equation u[y] = u[x]^2
+spatial x
+candidate C { u -> h(y, u[y]) }
+candidate V { u -> 1 }
+expect s_symmetry[C] = true
+expect gauge[C] = trivial
+expect s_symmetry[V] = true
+"""
+
+
+def test_candidate_refusal_leaves_later_candidates_decided(tmp_path, capsys):
+    target = tmp_path / "opaque_candidate.jv"
+    target.write_text(_UNRESTRICTABLE_CANDIDATE, encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    assert cli_main(["check", str(target), "--out", str(out_path)]) == 2
+    out = capsys.readouterr().out
+    assert "[REFUSED] candidate[C]: substitution inside an opaque argument must " \
+           "yield a coordinate\n[PASS] s_symmetry[V]\n" in out
+    assert "never exercised" not in out
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["error"] is None and doc["exit_code"] == 2
+    assert cli_main(["euler", str(target)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("independents x theta\ndependents u\n", (1, 16)),
+    ("independents x y\ndependents u D\n", (2, 14)),
+    ("independents x y\ndependents u\nopaque theta(x, u)\n", (3, 8)),
+    ("independents x y\ndependents u\nopaque d(x)\n", (3, 8))])
+def test_reserved_name_declaration_refused(tmp_path, capsys, text, where):
+    with pytest.raises(SemanticError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == where
+    assert "reserved" in str(err.value)
+    target = tmp_path / "reserved.jv"
+    target.write_text(text, encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("golden, code, line", [
+    ("expect euler[u] = theta(u)*d(x)",
+     2, "[REFUSED] euler: 4:27: expected a scalar expression, found a form"),
+    ("expect lagrangian_form = u[x]", 1, "[FAIL] internal_lagrangian"),
+    ("expect presymplectic = 0", 0, "[PASS] presymplectic")])
+def test_golden_of_the_other_kind_exits_cleanly(tmp_path, capsys, golden, code, line):
+    target = tmp_path / "kinds.jv"
+    target.write_text("independents x y\ndependents u\nequation u[x] = 0\n"
+                      f"{golden}\nlagrangian u[x]\n", encoding="utf-8")
+    assert cli_main(["check", str(target)]) == code
+    assert line in capsys.readouterr().out
 
 
 def test_division_by_zero_semantic_error():
