@@ -10,8 +10,10 @@ of the rule one derivative lower, and restriction substitutes rules once.
 
 Orientation is a Riquier ranking found when the equation is built: every
 right-side coordinate lies below its head, so rewriting terminates, and
-formal integrability is decided at the overlaps of same-dependent heads
-(Riquier-Janet; Seiler, *Involution*, ch. 2-4).
+formal integrability is decided only at the overlaps of same-dependent heads
+(Riquier-Janet; Seiler, *Involution*, ch. 2-4).  The order-by-order
+commutator scan over internal coordinates lives on in tests/helpers.py as an
+oracle for that decision.
 """
 
 from __future__ import annotations
@@ -196,23 +198,12 @@ class SolvedEquation:
         lin = linearization(self.residuals(), phi)
         return all(self.restrict(component).is_zero() for component in lin)
 
-    def internal_coordinates(self, max_order: int):
-        """All internal jet coordinates up to the given order."""
-        out = []
-        for k in range(self.ctx.m):
-            for alpha in iter_multi_indices(self.ctx.n, max_order):
-                coord = JetCoord(k, alpha)
-                if self.is_internal(coord):
-                    out.append(coord)
-        return out
-
-    def check_integrability(self, max_order: int | None = None):
+    def check_integrability(self):
         """Decide formal integrability: at the lcm L of every pair of
         same-dependent heads a, b, Dbar^(L-a) of a's rule must equal
         Dbar^(L-b) of b's.  Under the ranking checked at build this is
-        equivalent to [Dbar_i, Dbar_j] = 0 at every order (Riquier-Janet).
-        An explicit max_order also checks that commutator on every internal
-        coordinate up to that order, as a bounded cross-check."""
+        equivalent to [Dbar_i, Dbar_j] = 0 on every internal coordinate at
+        every order (Riquier-Janet), so no order-by-order scan is needed."""
         name = self.ctx.atom_name
         for k, a in enumerate(self.heads):
             for b in self.heads[k + 1:]:
@@ -228,20 +219,6 @@ class SolvedEquation:
                     raise ConsistencyError(
                         f"heads {name(a)} and {name(b)} overlap at {name(lcm)}, where "
                         f"their cross-derivatives differ by {residual}")
-        if max_order is None:
-            return
-        for coord in self.internal_coordinates(max_order):
-            e = self.ctx.expr(coord)
-            for i in range(self.ctx.n):
-                di = self._dbar(i, e)
-                for j in range(i + 1, self.ctx.n):
-                    dij = self._dbar(j, di)
-                    dji = self._dbar(i, self._dbar(j, e))
-                    if not (dij - dji).is_zero():
-                        raise ConsistencyError(
-                            "restricted total derivatives do not commute on "
-                            f"{self.ctx.atom_name(coord)} (directions "
-                            f"{self.ctx.independents[i]}, {self.ctx.independents[j]})")
 
 
 def _ranked(pairs, n: int, top: int) -> bool:
@@ -286,8 +263,8 @@ def _lex_order_exists(steps, n: int) -> bool:
     return True
 
 
-def iter_multi_indices(n: int, max_order: int):
-    """All multi-indices in n variables of order <= max_order."""
+def iter_multi_indices(n: int, top: int):
+    """All multi-indices in n variables of order <= top."""
 
     def rec(i, remaining):
         if i == n - 1:
@@ -297,6 +274,6 @@ def iter_multi_indices(n: int, max_order: int):
             for tail in rec(i + 1, remaining - c):
                 yield (c,) + tail
 
-    for total in range(max_order + 1):
+    for total in range(top + 1):
         for counts in rec(0, total):
             yield MultiIndex.of({i: c for i, c in enumerate(counts) if c})

@@ -8,10 +8,10 @@
     jetvar gauge-check <file>
     jetvar reproduce <name>           laplace | wave | maxwell | pkdv
 
-Global flags: --out <path> (machine-readable report), --max-order <K>,
---verbose.  Integrability is decided from the head overlaps under a ranking
-found when the equation is built; --max-order K adds a bounded commutator
-scan to order K as a cross-check.  Exit codes: 0 all pass, 1 any fail,
+Global flags: --out <path> (machine-readable report), --verbose.
+Integrability is decided only from the head overlaps under a ranking found
+when the equation is built; no order-by-order commutator scan runs (it lives
+on in tests/helpers.py as an oracle).  Exit codes: 0 all pass, 1 any fail,
 2 refused/unsupported.
 
 Each report subcommand runs the pipeline's stages in order up to the last
@@ -82,9 +82,6 @@ def _add_global_flags(parser, suppress=False):
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--out", default=d,
                         help="write the machine-readable report here")
-    parser.add_argument("--max-order", type=int, default=d,
-                        help="also scan [D_i,D_j] = 0 on internal coordinates to "
-                             "order K, a cross-check of the head-overlap decision")
     parser.add_argument("--verbose", action="store_true",
                         default=argparse.SUPPRESS if suppress else False)
 
@@ -109,17 +106,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "prolong":
-        for flag, value in (("--out", args.out), ("--max-order", args.max_order)):
-            if value is not None:
-                print(f"refused: prolong writes no report and runs no consistency "
-                      f"check, so it does not take {flag}", file=sys.stderr)
-                return 2
+        if args.out is not None:
+            print("refused: prolong writes no report, so it does not take --out",
+                  file=sys.stderr)
+            return 2
         return _cmd_prolong(args)
-
-    max_order = args.max_order
-    if max_order is not None and max_order < 0:
-        print(f"refused: --max-order must be at least 0, not {max_order}", file=sys.stderr)
-        return 2
 
     if args.command == "reproduce":
         try:
@@ -127,7 +118,7 @@ def main(argv=None) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        report = reproduce(args.name, max_order=max_order)
+        report = reproduce(args.name)
         return _emit(report, args)
 
     try:
@@ -135,8 +126,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_check(text, name=Path(args.file).stem, max_order=max_order,
-                       stages=REPORTED_STAGES[args.command])
+    report = run_check(text, name=Path(args.file).stem, stages=REPORTED_STAGES[args.command])
     return _emit(report, args)
 
 

@@ -595,6 +595,14 @@ def parse_expression_node(text: str) -> Node:
 # evaluation
 
 
+def _start(node: Node) -> tuple:
+    """Where an expression's text starts: the position of the leftmost node on
+    its left spine (a Bin's own position is its operator's)."""
+    while isinstance(node, Bin):
+        node = node.left
+    return getattr(node, "pos", (0, 0))
+
+
 class Evaluator:
     """Turns expression ASTs into Expressions / DifferentialForms over a
     context, optionally restricted to an equation."""
@@ -615,7 +623,7 @@ class Evaluator:
             return atom
         if isinstance(node, Jet):
             return JetCoord(self._dep(node), self._mindex(node))
-        raise SemanticError("expected a coordinate", *getattr(node, "pos", (0, 0)))
+        raise SemanticError("expected a coordinate", *_start(node))
 
     def base_or_jet_atom(self, node: Node):
         if isinstance(node, Name):
@@ -647,8 +655,7 @@ class Evaluator:
     def expression(self, node: Node) -> Expression:
         value = self.value(node)
         if not isinstance(value, Expression):
-            raise SemanticError("expected a scalar expression, found a form",
-                                *getattr(node, "pos", (0, 0)))
+            raise SemanticError("expected a scalar expression, found a form", *_start(node))
         return value
 
     def form(self, node: Node) -> DifferentialForm:

@@ -346,9 +346,14 @@ def antisymmetric_potential_resolution(eq: SolvedEquation, frame: SpatialFrame,
     """Resolve a divergence-free family g^i by g^i = sum_j d r^{ij}/dx^j with
     antisymmetric r.  ``resolved`` lists the dependents g^1..g^{n-1} in
     spatial order; ``potentials[(i, j)]`` (i < j, spatial positions 1-based)
-    names the dependent holding r^{ij}."""
+    names the dependent holding r^{ij}.  A frame with fewer than two spatial
+    directions has no antisymmetric potentials, so it is refused."""
     ctx = eq.ctx
     spatial = frame.spatial_indices(ctx)
+    if len(spatial) < 2:
+        raise UnresolvedConstraint(
+            "antisymmetric potentials need a frame with at least two spatial "
+            f"directions; this frame has {len(spatial)}")
     subs = {}
     for pos, dep in enumerate(resolved, start=1):
         total = ctx.zero()

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 from jetvar import DifferentialForm, JetContext, SolvedEquation
+from jetvar.eqmanifold import iter_multi_indices
+from jetvar.errors import ConsistencyError
 from jetvar.forms import DX, THETA
 from jetvar.frontend import parse_expression, parse_form
 from jetvar.frontend.runner import REFUSED, Report
@@ -138,6 +140,41 @@ def reference_str(e) -> str:
     return out
 
 
+# -- integrability scan -----------------------------------------------------------
+# Integrability was once also checked by scanning [Dbar_i, Dbar_j] on every
+# internal coordinate up to a fixed order.  The scan stays here as the oracle
+# for the decision made at the overlaps of rule heads.
+
+
+def internal_coordinates(eq, max_order):
+    """All internal jet coordinates up to the given order."""
+    out = []
+    for k in range(eq.ctx.m):
+        for alpha in iter_multi_indices(eq.ctx.n, max_order):
+            coord = JetCoord(k, alpha)
+            if eq.is_internal(coord):
+                out.append(coord)
+    return out
+
+
+def commutator_scan(eq, max_order):
+    """Raise ConsistencyError unless [Dbar_i, Dbar_j] = 0 for every pair of
+    directions i < j on every internal coordinate up to max_order."""
+    dbar = eq.restricted_total_derivative
+    for coord in internal_coordinates(eq, max_order):
+        e = eq.ctx.expr(coord)
+        for i in range(eq.ctx.n):
+            di = dbar(i, e)
+            for j in range(i + 1, eq.ctx.n):
+                dij = dbar(j, di)
+                dji = dbar(i, dbar(j, e))
+                if not (dij - dji).is_zero():
+                    raise ConsistencyError(
+                        "restricted total derivatives do not commute on "
+                        f"{eq.ctx.atom_name(coord)} (directions "
+                        f"{eq.ctx.independents[i]}, {eq.ctx.independents[j]})")
+
+
 # -- sampled spatial checks ------------------------------------------------------
 # The spatial layer once decided everything by probing every spatial step of
 # every internal coordinate up to a fixed order.  Those probes stay here as
@@ -150,7 +187,7 @@ def direct_constraint_points(structure, max_order):
     coordinates, in internal_coordinates order."""
     eq = structure.eq
     out = []
-    for coord in eq.internal_coordinates(max_order):
+    for coord in internal_coordinates(eq, max_order):
         for j in structure.frame.spatial_indices(structure.ctx):
             step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
             if not eq.is_internal(step):
@@ -163,7 +200,7 @@ def scan_statuses(structure, max_order):
     a family is constrained when one of its right sides is nonzero or a
     nonzero right side names it, null when it has only zero right sides."""
     statuses = {structure.family_of(c): FREE
-                for c in structure.eq.internal_coordinates(max_order)}
+                for c in internal_coordinates(structure.eq, max_order)}
     for coord, _, rhs in direct_constraint_points(structure, max_order):
         fam = structure.family_of(coord)
         if rhs.is_zero():

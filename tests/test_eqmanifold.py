@@ -22,8 +22,10 @@ from jetvar.symexpr import JetCoord, MultiIndex
 from helpers import (
     E,
     F,
+    commutator_scan,
     context2,
     default_pool,
+    internal_coordinates,
     laplace_equation,
     pkdv_equation,
     random_expression,
@@ -176,21 +178,22 @@ def test_inconsistent_rules_caught():
         (ctx.jet_atom("u", "y"), ctx.var("y")),
     ])
     with pytest.raises(ConsistencyError):
-        eq.check_integrability(2)
+        eq.check_integrability()
+    with pytest.raises(ConsistencyError):
+        commutator_scan(eq, 2)
 
 
 def test_commutators_vanish_to_order_4(all_built):
     for built in all_built.values():
-        built.eq.check_integrability(4)
+        built.eq.check_integrability()
+        commutator_scan(built.eq, 4)
 
 
-def _scan_commutes(eq, max_order):
-    """Reference: [Dbar_x, Dbar_y] = 0 on every internal coordinate to max_order."""
-    dbar = eq.restricted_total_derivative
-    for coord in eq.internal_coordinates(max_order):
-        e = eq.ctx.expr(coord)
-        if not (dbar(1, dbar(0, e)) - dbar(0, dbar(1, e))).is_zero():
-            return False
+def _consistent(check, *args):
+    try:
+        check(*args)
+    except ConsistencyError:
+        return False
     return True
 
 
@@ -222,28 +225,12 @@ def test_overlap_decision_matches_scan_on_random_systems():
     verdicts = []
     for _ in range(150):
         eq = _random_orthonomic_system(rng)
-        scanned = _scan_commutes(eq, 4)
-        try:
-            eq.check_integrability()
-            decided = True
-        except ConsistencyError:
-            decided = False
+        scanned = _consistent(commutator_scan, eq, 4)
+        decided = _consistent(eq.check_integrability)
         assert decided == scanned, [(eq.ctx.atom_name(h), str(r))
                                     for h, r in zip(eq.heads, eq.rhs)]
         verdicts.append(decided)
     assert True in verdicts and False in verdicts
-
-
-def test_scan_runs_only_with_max_order(monkeypatch):
-    calls = []
-    scan = SolvedEquation.internal_coordinates
-    monkeypatch.setattr(SolvedEquation, "internal_coordinates",
-                        lambda self, k: calls.append(k) or scan(self, k))
-    _, eq = laplace_equation()
-    eq.check_integrability()
-    assert calls == []
-    eq.check_integrability(2)
-    assert calls == [2]
 
 
 def test_restrict_idempotent_and_homomorphism():
@@ -381,7 +368,7 @@ def test_iter_multi_indices_counts():
 
 def test_internal_coordinates_laplace():
     ctx, eq = laplace_equation()
-    coords = eq.internal_coordinates(2)
+    coords = internal_coordinates(eq, 2)
     names = {ctx.atom_name(c) for c in coords}
     assert "u[y,y]" not in names
     assert {"u", "u[x]", "u[y]", "u[x,x]", "u[x,y]"} <= names

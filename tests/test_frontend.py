@@ -14,6 +14,7 @@ from jetvar.frontend.parser import (
     CandidateDecl,
     DxAtom,
     EquationDecl,
+    Evaluator,
     ExpectDecl,
     Jet,
     Name,
@@ -23,6 +24,7 @@ from jetvar.frontend.parser import (
     PartialCall,
     ProblemFile,
     ThetaAtom,
+    parse_expression_node,
     serialize_node,
 )
 from jetvar.frontend.runner import bundled_fixture_names, fixture_text
@@ -353,17 +355,15 @@ def test_build_refusal_counted_in_summary(tmp_path, capsys):
     assert doc["summary"] == {"pass": 0, "fail": 0, "refused": 1}
 
 
-@pytest.mark.parametrize("flags, order", [
-    (["--max-order", "2"], 2), (["--max-order", "4"], 4), ([], 3)])
-def test_cli_max_order_honoured(capsys, flags, order):
-    assert cli_main(["reproduce", "laplace", "--verbose", *flags]) == 0
-    assert f"internal coordinates to order {order}\n" in capsys.readouterr().out
-
-
-def test_cli_negative_max_order_exit_2(capsys):
-    assert cli_main(["reproduce", "laplace", "--max-order", "-1"]) == 2
+def test_cli_max_order_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["reproduce", "laplace", "--max-order", "4"])
+    assert exit_.value.code == 2
     captured = capsys.readouterr()
-    assert "--max-order" in captured.err and "[PASS]" not in captured.out
+    assert "unrecognized arguments: --max-order 4" in captured.err
+    assert "Traceback" not in captured.err and "[PASS]" not in captured.out
+    assert cli_main(["reproduce", "laplace", "--verbose"]) == 0
+    assert "internal coordinates to order 3\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("extra", ["", "equation u[yy] = 0\n"])
@@ -388,12 +388,11 @@ def test_cli_high_order_rules_accepted(tmp_path, capsys, independents, rule):
     assert "[PASS] integrability" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [[], ["--max-order", "2"]])
-def test_cli_inconsistency_names_overlap(tmp_path, capsys, flags):
+def test_cli_inconsistency_names_overlap(tmp_path, capsys):
     target = tmp_path / "inconsistent.jv"
     target.write_text("independents x y\ndependents u\n"
                       "equation u[x] = u\nequation u[y] = y\n", encoding="utf-8")
-    assert cli_main(["check", str(target), *flags]) == 1
+    assert cli_main(["check", str(target)]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] integrability: heads u[x] and u[y] overlap at u[x,y], where " \
            "their cross-derivatives differ by y\n" in out
@@ -432,10 +431,11 @@ def _equation_blocks(draw, clashes=True):
 @st.composite
 def _problem_files(draw):
     """An equation block without clashing rules and, each at random: an
-    opaque, a spatial frame, a Lagrangian, a resolve line, one candidate on
-    random targets (generators or not) with s_symmetry, eq_symmetry and gauge
-    expectations, and an euler, lagrangian_form or presymplectic expectation
-    whose value is a polynomial, a form or a flag."""
+    opaque, a spatial frame, a Lagrangian, a resolve line, up to three
+    candidates on random targets (generators or not) with s_symmetry,
+    eq_symmetry and gauge expectations, and an euler, on_shell_euler,
+    lagrangian_form, presymplectic or s_presymplectic expectation whose value
+    is a polynomial, a form or a flag."""
     text = draw(_equation_blocks(clashes=False))
     deps = text.splitlines()[1].split()[1:]
     values = _polynomials(deps)
@@ -444,7 +444,9 @@ def _problem_files(draw):
         targets = draw(st.lists(st.sampled_from(deps), min_size=1, max_size=2))
         lines.append("resolve " + " ".join(targets) + " = antisym_potential(r)")
     if draw(st.booleans()):
-        key = draw(st.sampled_from([f"euler[{deps[-1]}]", "lagrangian_form", "presymplectic"]))
+        dep = draw(st.sampled_from(deps))
+        key = draw(st.sampled_from([f"euler[{dep}]", f"on_shell_euler[{dep}]", "lagrangian_form",
+                                    "presymplectic", "s_presymplectic"]))
         value = draw(st.one_of(_polynomials(deps), st.sampled_from(
             ["theta(u)*d(x)", "d(x)*d(y)", "theta(u[y])*theta(u)*d(x)", "0", "true"])))
         lines.append(f"expect {key} = {value}")
@@ -456,18 +458,22 @@ def _problem_files(draw):
         lines.append("spatial " + draw(st.sampled_from(["x", "y"])))
     if draw(st.booleans()):
         lines.append("lagrangian " + draw(_polynomials(deps)))
-    if draw(st.booleans()):
-        target = st.builds("{}{}".format, st.sampled_from(deps),
-                           st.sampled_from(["", "[x]", "[y]", "[yy]", "[yyy]", "[xx]"]))
+    target = st.builds("{}{}".format, st.sampled_from(deps),
+                       st.sampled_from(["", "[x]", "[y]", "[yy]", "[yyy]", "[xx]"]))
+    for cname in ["C", "K", "P"][:draw(st.integers(0, 3))]:
         entries = draw(st.lists(st.tuples(target, values), min_size=1, max_size=3,
                                 unique_by=lambda entry: entry[0]))
-        lines.append("candidate C { " + "; ".join(f"{t} -> {v}" for t, v in entries) + " }")
+        lines.append(f"candidate {cname} {{ "
+                     + "; ".join(f"{t} -> {v}" for t, v in entries) + " }")
         if draw(st.booleans()):
-            lines.append("expect s_symmetry[C] = " + draw(st.sampled_from(["true", "false"])))
+            lines.append(f"expect s_symmetry[{cname}] = "
+                         + draw(st.sampled_from(["true", "false"])))
         if draw(st.booleans()):
-            lines.append("expect eq_symmetry[C] = " + draw(st.sampled_from(["true", "false"])))
+            lines.append(f"expect eq_symmetry[{cname}] = "
+                         + draw(st.sampled_from(["true", "false"])))
         if draw(st.booleans()):
-            lines.append("expect gauge[C] = " + draw(st.sampled_from(["trivial", "nontrivial"])))
+            lines.append(f"expect gauge[{cname}] = "
+                         + draw(st.sampled_from(["trivial", "nontrivial"])))
     return text + "".join(line + "\n" for line in draw(st.permutations(lines)))
 
 
@@ -587,7 +593,7 @@ def test_reserved_name_declaration_refused(tmp_path, capsys, text, where):
 
 @pytest.mark.parametrize("golden, code, line", [
     ("expect euler[u] = theta(u)*d(x)",
-     2, "[REFUSED] euler: 4:27: expected a scalar expression, found a form"),
+     2, "[REFUSED] euler: 4:19: expected a scalar expression, found a form"),
     ("expect lagrangian_form = u[x]", 1, "[FAIL] internal_lagrangian"),
     ("expect presymplectic = 0", 0, "[PASS] presymplectic")])
 def test_golden_of_the_other_kind_exits_cleanly(tmp_path, capsys, golden, code, line):
@@ -596,6 +602,34 @@ def test_golden_of_the_other_kind_exits_cleanly(tmp_path, capsys, golden, code, 
                       f"{golden}\nlagrangian u[x]\n", encoding="utf-8")
     assert cli_main(["check", str(target)]) == code
     assert line in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, evaluate, where, message", [
+    ("theta(u)*d(x)", "expression", (1, 1), "expected a scalar expression"),
+    ("x*theta(u) - theta(u)", "expression", (1, 1), "expected a scalar expression"),
+    ("-(u[x]^2 + u[y]^2)/2*d(x)", "expression", (1, 1), "expected a scalar expression"),
+    ("(u[x] + u)*2", "coordinate_atom", (1, 2), "expected a coordinate"),
+    ("u*theta(u) + u", "expression", (1, 12), "cannot add a scalar and a form")])
+def test_whole_expression_error_points_at_its_start(text, evaluate, where, message):
+    node = parse_expression_node(text)
+    with pytest.raises(SemanticError, match=message) as err:
+        getattr(Evaluator(context2()), evaluate)(node)
+    assert (err.value.line, err.value.column) == where
+
+
+@pytest.mark.parametrize("text", [
+    "independents x y\ndependents u\nequation u[yy] = -u[xx]\n",
+    "independents x y\ndependents u\nspatial y\n"], ids=["no-frame", "no-equation"])
+def test_candidate_without_equation_or_frame_exits_2(tmp_path, capsys, text):
+    target = tmp_path / "bare_candidate.jv"
+    target.write_text(text + "candidate C { u -> 1 }\nexpect s_symmetry[C] = true\n"
+                      "expect gauge[C] = trivial\n", encoding="utf-8")
+    for command in ("check", "gauge-check"):
+        assert cli_main([command, str(target)]) == 2
+        out = capsys.readouterr().out
+        assert "[REFUSED] candidate[C]: candidates need an equation and a spatial " \
+               "frame\n" in out
+        assert "never exercised" not in out and "[FAIL]" not in out
 
 
 def test_division_by_zero_semantic_error():
@@ -630,7 +664,7 @@ def test_cli_prolong_negative_order_exit_2(tmp_path, capsys):
     assert "rules to order" not in captured.out
 
 
-@pytest.mark.parametrize("flag, value", [("--max-order", "4"), ("--out", "rules.json")])
+@pytest.mark.parametrize("flag, value", [("--out", "rules.json")])
 def test_cli_prolong_refuses_flag_after_subcommand(tmp_path, capsys, flag, value):
     target = tmp_path / "prob.jv"
     target.write_text(fixture_text("pkdv"), encoding="utf-8")
@@ -640,7 +674,7 @@ def test_cli_prolong_refuses_flag_after_subcommand(tmp_path, capsys, flag, value
     assert flag in captured.err and "rules to order" not in captured.out
 
 
-@pytest.mark.parametrize("flag, value", [("--max-order", "4"), ("--out", "rules.json")])
+@pytest.mark.parametrize("flag, value", [("--out", "rules.json")])
 def test_cli_prolong_refuses_flag_before_subcommand(tmp_path, capsys, flag, value):
     target = tmp_path / "prob.jv"
     target.write_text(fixture_text("pkdv"), encoding="utf-8")

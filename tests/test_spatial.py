@@ -28,6 +28,7 @@ from jetvar.errors import (
 from jetvar.forms import DifferentialForm
 from jetvar import spatial
 from jetvar.frontend import parse, reproduce
+from jetvar.frontend.cli import main as cli_main
 from jetvar.frontend.runner import build, bundled_fixture_names, fixture_text
 from jetvar.jetcalc import integrate_by_parts
 from jetvar.spatial import (
@@ -42,6 +43,7 @@ from helpers import (
     E,
     F,
     direct_constraint_points,
+    internal_coordinates,
     laplace_equation,
     pkdv_equation,
     random_expression,
@@ -261,7 +263,7 @@ def _random_candidate(rng, structure, max_targets, **shape):
     the independents and the internal coordinates of order <= 2."""
     ctx = structure.ctx
     generators = [structure.generator_coord(fam) for fam in _families(structure, 2)]
-    pool = [ctx.base_atom(x) for x in ctx.independents] + structure.eq.internal_coordinates(2)
+    pool = [ctx.base_atom(x) for x in ctx.independents] + internal_coordinates(structure.eq, 2)
     targets = rng.sample(generators, rng.randint(1, min(max_targets, len(generators))))
     return SSymmetryCandidate({g: random_expression(rng, ctx, pool, **shape) for g in targets})
 
@@ -400,9 +402,9 @@ def test_spatial_euler_matches_direct_sum_on_gauge_families(monkeypatch):
         for family, structure in sorted(families.items(), key=lambda kv: repr(kv[0])):
             eq, ctx = structure.eq, structure.ctx
             order = family[1].order + 3
-            pool = [c for c in eq.internal_coordinates(order)
+            pool = [c for c in internal_coordinates(eq, order)
                     if structure.family_of(c) == family]
-            pool += [ctx.base_atom(x) for x in ctx.independents] + eq.internal_coordinates(1)
+            pool += [ctx.base_atom(x) for x in ctx.independents] + internal_coordinates(eq, 1)
             for _ in range(10):
                 f = random_expression(rng, ctx, pool)
                 assert structure.spatial_euler(f, family) == \
@@ -470,7 +472,7 @@ def test_extension_commutes_with_spatial_derivatives(laplace):
     cand = SSymmetryCandidate({ctx.jet_atom("u"): E("u^2", ctx),
                                ctx.jet_atom("u", "y"): E("x*u[y]", ctx)})
     ext = extend_S_symmetry(eq, frame, cand)
-    for coord in eq.internal_coordinates(3):
+    for coord in internal_coordinates(eq, 3):
         e = ctx.expr(coord)
         lhs = ext.apply(eq.restricted_total_derivative(0, e))
         rhs = eq.restricted_total_derivative(0, ext.apply(e))
@@ -624,3 +626,18 @@ def test_resolution_violation_detected(maxwell_built):
     }
     with pytest.raises(UnsupportedExpression):
         ConstraintResolution(eq, frame, bogus)
+
+
+def test_resolve_on_one_spatial_direction_refused(wave_built, tmp_path, capsys):
+    # one spatial direction has no antisymmetric potentials: the resolve
+    # would substitute 0 for u and make every gauge verdict trivial
+    with pytest.raises(UnresolvedConstraint, match="at least two spatial directions"):
+        spatial.antisymmetric_potential_resolution(wave_built.eq, wave_built.frame, [0], {})
+    target = tmp_path / "wave_resolve.jv"
+    target.write_text(fixture_text("wave") + "resolve u = antisym_potential(r)\n",
+                      encoding="utf-8")
+    assert cli_main(["gauge-check", str(target)]) == 2
+    out = capsys.readouterr().out
+    assert "[REFUSED] antisymmetric potentials need a frame with at least two " \
+           "spatial directions; this frame has 1\n" in out
+    assert "gauge[Ybad]" not in out
