@@ -362,6 +362,17 @@ def test_cli_max_order_flag_rejected(capsys):
     captured = capsys.readouterr()
     assert "unrecognized arguments: --max-order 4" in captured.err
     assert "Traceback" not in captured.err and "[PASS]" not in captured.out
+
+
+def test_cli_negative_max_order_exit_2(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["reproduce", "laplace", "--max-order", "-1"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "--max-order" in captured.err and "[PASS]" not in captured.out
+
+
+def test_cli_verbose_reports_order_3(capsys):
     assert cli_main(["reproduce", "laplace", "--verbose"]) == 0
     assert "internal coordinates to order 3\n" in capsys.readouterr().out
 
