@@ -182,19 +182,14 @@ def build(problem: ProblemFile) -> BuiltProblem:
 
 
 def _declare_test_characteristic(built: BuiltProblem) -> EvolutionaryField:
-    """Fully opaque characteristic for the omega_L identity check."""
+    """Characteristic phi^k = f_k(x) of the independents alone, which decides
+    the omega_L identity (see ``verify_omega_identity``).  Its names hold a
+    '#', which the tokenizer never puts in a name, so no declaration in the
+    problem file can take or shadow them."""
     ctx = built.ctx
     args = [ctx.base_atom(name) for name in ctx.independents]
-    args += [ctx.jet_atom(name) for name in ctx.dependents]
-    if built.lagrangian is not None:
-        args += sorted(built.lagrangian.density.jet_atoms(), key=lambda a: a.key())
-    unique = list(dict.fromkeys(args))
-    comps = []
-    for dep in ctx.dependents:
-        name = f"_testphi_{dep}"
-        ctx.declare_opaque(name, unique)
-        comps.append(ctx.expr(ctx.atom(name)))
-    return EvolutionaryField(ctx, tuple(comps))
+    return EvolutionaryField(ctx, tuple(
+        ctx.expr(ctx.declare_opaque(f"phi#{dep}", args)) for dep in ctx.dependents))
 
 
 class _Run:

@@ -9,21 +9,22 @@ from dataclasses import dataclass
 from .eqmanifold import SolvedEquation
 from .errors import LagrangianError
 from .forms import (
+    DX,
     DifferentialForm,
     THETA,
+    _sort_generators,
     cartan_degree_filter,
-    contract_evolutionary,
-    horizontal_differential,
-    lie_derivative_evolutionary,
     volume_contraction,
     volume_form,
 )
 from .jetcalc import (
     EvolutionaryField,
     JetContext,
+    apply_evolutionary,
     euler_derivative,
     integrate_by_parts,
     total_derivative,
+    total_derivative_multi,
 )
 from .symexpr import Expression, partial
 
@@ -121,8 +122,46 @@ def presymplectic_structure(rep: InternalLagrangianRep) -> PresymplecticStructur
 
 def verify_omega_identity(L: Lagrangian, omega_L: DifferentialForm,
                           phi: EvolutionaryField) -> bool:
-    """Symbolic check of L_{E_phi} L - <E(L), phi> - d_h(E_phi _| omega_L) = 0."""
-    lhs = lie_derivative_evolutionary(phi, L.form())
-    pairing = contract_evolutionary(phi, L.euler_form())
-    boundary = horizontal_differential(contract_evolutionary(phi, omega_L))
-    return (lhs - pairing - boundary).is_zero()
+    """Decide L_{E_phi} L = <E(L), phi> + d_h(E_phi _| omega_L) on densities.
+
+    Both sides are top forms, so the check is that the density
+
+        pr phi(lam) - sum_k E_k(lam) phi^k - sum_j D_j(sum c D_beta phi^k)
+
+    vanishes, with each (c, u^k_beta, j) read off a term of omega_L: a term
+    c' dx^J ^ theta^k_beta, J all directions but j, has c = +-c', the sign of
+    its generator order with theta^k_beta replaced by dx^j.  A term with no
+    theta contracts to zero and contributes nothing; any other term that is
+    not n-1 dx's and one theta makes the check return False.
+
+    The density is linear in phi: sum A_{k beta} D_beta phi^k with
+    coefficients A on the jet space, and it vanishes for every phi exactly
+    when every A_{k beta} does (a total differential operator is zero only
+    when all its coefficients are; Olver, Applications of Lie Groups to
+    Differential Equations, 5.1).  So phi^k = f_k(x), opaque functions of
+    the independents alone, decide it: each D_beta f_k is its own formal
+    partial, algebraically independent of the jet coordinates and of the
+    other partials, and the sum is zero only when every A_{k beta} is.  A
+    phi depending on jet coordinates gives the same verdict at the cost of
+    the chain rule through every argument.
+    """
+    ctx = L.ctx
+    residual = apply_evolutionary(phi, L.density)
+    for k in range(ctx.m):
+        residual = residual - L.euler(k) * phi.component(k)
+    fluxes = [ctx.zero() for _ in range(ctx.n)]
+    for gens, coeff in omega_L.terms.items():
+        thetas = [pos for pos, g in enumerate(gens) if g.is_theta()]
+        if not thetas:
+            continue
+        missing = set(range(ctx.n)).difference(g.index for g in gens if g.is_dx())
+        if len(thetas) != 1 or len(gens) != ctx.n or len(missing) != 1:
+            return False
+        (pos,), (j,) = thetas, missing
+        theta = gens[pos]
+        sign, _ = _sort_generators(gens[:pos] + (DX(j),) + gens[pos + 1:])
+        flux = coeff * total_derivative_multi(ctx, theta.mindex, phi.component(theta.index))
+        fluxes[j] = fluxes[j] + flux if sign == 1 else fluxes[j] - flux
+    for j, flux in enumerate(fluxes):
+        residual = residual - total_derivative(ctx, j, flux)
+    return residual.is_zero()

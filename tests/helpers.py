@@ -6,7 +6,13 @@ from fractions import Fraction
 from jetvar import DifferentialForm, JetContext, SolvedEquation
 from jetvar.eqmanifold import iter_multi_indices
 from jetvar.errors import ConsistencyError
-from jetvar.forms import DX, THETA
+from jetvar.forms import (
+    DX,
+    THETA,
+    contract_evolutionary,
+    horizontal_differential,
+    lie_derivative_evolutionary,
+)
 from jetvar.frontend import parse_expression, parse_form
 from jetvar.frontend.runner import REFUSED, Report
 from jetvar.spatial import CONSTRAINED, FREE, NULL
@@ -249,6 +255,41 @@ def sampled_resolution_holds(structure, substitutions, points):
 
     return _commutes_at(structure, [p for p in points if p[0].dep in substitutions],
                         value, image)
+
+
+# -- omega_L identity on forms ------------------------------------------------------
+# The omega_L identity was once checked between top forms, through the Cartan
+# formula for the Lie derivative.  That check stays here as the oracle for
+# the density check of variational.verify_omega_identity.
+
+
+def form_omega_identity(L, omega, phi) -> bool:
+    """L_{E_phi} L - <E(L), phi> - d_h(E_phi _| omega) == 0 as forms."""
+    lhs = lie_derivative_evolutionary(phi, L.form())
+    pairing = contract_evolutionary(phi, L.euler_form())
+    boundary = horizontal_differential(contract_evolutionary(phi, omega))
+    return (lhs - pairing - boundary).is_zero()
+
+
+def omega_mutations(omega):
+    """(label, mutated form) for every single-term mutation of an omega_L
+    whose terms are n-1 dx's and one theta: the coefficient doubled, the
+    term dropped, its theta multi-index raised by x^0, and its missing
+    direction j moved to the next one."""
+    ctx = omega.ctx
+    for gens, coeff in omega.terms.items():
+        others = [(c, g) for g, c in omega.terms.items() if g != gens]
+        theta, = (g for g in gens if g.is_theta())
+        j, = set(range(ctx.n)).difference(g.index for g in gens if g.is_dx())
+        raised = THETA(theta.index, theta.mindex + MultiIndex.single(0))
+        swapped = tuple(DX(i) for i in range(ctx.n) if i != (j + 1) % ctx.n)
+        for label, items in (
+                ("doubled", [(coeff * 2, gens)]),
+                ("dropped", []),
+                ("raised", [(coeff, tuple(raised if g == theta else g for g in gens))]),
+                ("j swapped", [(coeff, swapped + (theta,))])):
+            yield (f"{label} {ctx.atom_name(JetCoord(theta.index, theta.mindex))} "
+                   f"j={j}"), DifferentialForm.from_terms(ctx, others + items)
 
 
 # -- report sections by check name ------------------------------------------------

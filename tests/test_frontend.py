@@ -26,6 +26,7 @@ from jetvar.frontend.parser import (
     ThetaAtom,
     parse_expression_node,
     serialize_node,
+    tokenize,
 )
 from jetvar.frontend.runner import bundled_fixture_names, fixture_text
 
@@ -353,6 +354,31 @@ def test_build_refusal_counted_in_summary(tmp_path, capsys):
     assert "[REFUSED]" in out and "-- 0 passed, 0 failed, 1 refused" in out
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["summary"] == {"pass": 0, "fail": 0, "refused": 1}
+
+
+@pytest.mark.parametrize("declaration", [
+    "dependents u\nopaque _testphi_u(x)",
+    "dependents u _testphi_u",
+    "dependents u\nopaque _testphi_u(x, y)",
+])
+def test_omega_characteristic_names_cannot_collide(tmp_path, capsys, declaration):
+    # a problem file may declare any name the tokenizer produces, so the
+    # omega_identity characteristic must take names it cannot produce
+    target = tmp_path / "phi.jv"
+    target.write_text(f"independents x y\n{declaration}\n"
+                      "lagrangian u[x]^2 + u[y]^2\n", encoding="utf-8")
+    code = cli_main(["check", str(target)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "[PASS] omega_identity" in out
+    built = runner.build(parse(target.read_text(encoding="utf-8")))
+    phi = runner._declare_test_characteristic(built)
+    for component in phi.components:
+        name = component.as_atom().name
+        assert name not in {t.value for t in tokenize(name)}, name
+        assert name not in built.problem.dependents
+        assert built.ctx.opaque_signature(name) == tuple(
+            built.ctx.base_atom(x) for x in built.ctx.independents)
 
 
 def test_cli_max_order_flag_rejected(capsys):

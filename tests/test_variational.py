@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from jetvar import (
     DifferentialForm,
     EvolutionaryField,
+    JetContext,
     Lagrangian,
     cartan_degree_filter,
     internal_lagrangian,
@@ -11,13 +14,22 @@ from jetvar import (
     total_derivative,
     verify_omega_identity,
 )
-from jetvar.errors import LagrangianError
-from jetvar.forms import THETA, volume_contraction
+from jetvar.errors import DegreeError, LagrangianError
+from jetvar.forms import THETA, volume_contraction, volume_form
 from jetvar.spatial import SpatialFrame, is_gauge_trivial, reduce_mod_S2
 from jetvar.symexpr import JetCoord, MultiIndex, partial
 from jetvar.variational import InternalLagrangianRep
 
-from helpers import E, F, laplace_equation, pkdv_equation, wave_equation
+from helpers import (
+    E,
+    F,
+    form_omega_identity,
+    laplace_equation,
+    omega_mutations,
+    pkdv_equation,
+    random_expression,
+    wave_equation,
+)
 
 
 def _test_phi(ctx, order=1):
@@ -35,6 +47,13 @@ def _test_phi(ctx, order=1):
     return EvolutionaryField(ctx, tuple(comps))
 
 
+def _x_phi(ctx):
+    """Characteristic of opaque functions of the independents alone."""
+    args = [ctx.base_atom(n) for n in ctx.independents]
+    return EvolutionaryField(ctx, tuple(
+        ctx.expr(ctx.declare_opaque(f"xph_{dep}", args)) for dep in ctx.dependents))
+
+
 def test_omega_L_laplace():
     ctx, eq = laplace_equation()
     lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
@@ -44,7 +63,6 @@ def test_omega_L_laplace():
 
 def test_omega_L_first_order_generic():
     # single integration-by-parts step: coefficients d(lam)/d(u_k)
-    from jetvar import JetContext
     ctx = JetContext(["x", "y"], ["u"])
     lam = E("u*u[x]^2 + u[y]*u[x]", ctx)
     got = presymplectic_potential(lag := Lagrangian(ctx, lam))
@@ -158,6 +176,71 @@ def test_omega_identity_fails_without_boundary_term():
     lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
     phi = _test_phi(ctx)
     assert not verify_omega_identity(lag, DifferentialForm.zero(ctx), phi)
+
+
+def test_omega_identity_matches_form_oracle(all_built):
+    # the density check and the form-level identity agree for a characteristic
+    # of the independents and for a jet-dependent one, on omega_L and on every
+    # single-term mutation of it, and every mutation is refused
+    for name, built in all_built.items():
+        lag = built.lagrangian
+        omega = presymplectic_potential(lag)
+        for phi in (_x_phi(lag.ctx), _test_phi(lag.ctx)):
+            assert verify_omega_identity(lag, omega, phi), name
+            assert form_omega_identity(lag, omega, phi), name
+            for label, mutated in omega_mutations(omega):
+                assert not verify_omega_identity(lag, mutated, phi), (name, label)
+                assert not form_omega_identity(lag, mutated, phi), (name, label)
+
+
+def test_omega_identity_characteristic_of_independents_decides_random():
+    # random second-order polynomial densities on two independents: the
+    # verdict for phi = f(x, y) is the verdict for a jet-dependent phi
+    rng = random.Random(20261018)
+    mutations = 0
+    for _ in range(30):
+        ctx = JetContext(["x", "y"], ["u", "v"][:rng.randint(1, 2)])
+        pool = [ctx.base_atom("x"), ctx.base_atom("y")] + [
+            ctx.jet_atom(dep, spec) for dep in ctx.dependents
+            for spec in ("", "x", "y", "xx", "xy", "yy")]
+        lag = Lagrangian(ctx, random_expression(rng, ctx, pool, max_terms=4,
+                                                  max_factors=3))
+        omega = presymplectic_potential(lag)
+        x_phi, jet_phi = _x_phi(ctx), _test_phi(ctx)
+        assert verify_omega_identity(lag, omega, x_phi)
+        assert verify_omega_identity(lag, omega, jet_phi)
+        for label, mutated in omega_mutations(omega):
+            mutations += 1
+            assert verify_omega_identity(lag, mutated, x_phi) == \
+                verify_omega_identity(lag, mutated, jet_phi), (str(lag.density), label)
+    assert mutations > 0
+
+
+def test_omega_identity_term_shapes():
+    # a term without theta contracts to zero; a term with theta that is not
+    # n-1 dx's and one theta makes the check refuse, never raise
+    ctx, _ = laplace_equation()
+    lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
+    omega = presymplectic_potential(lag)
+    phi = _x_phi(ctx)
+    u = E("u", ctx)
+    for horizontal in (F("u*d(x)", ctx), DifferentialForm.scalar(u),
+                       u * volume_form(ctx)):
+        assert verify_omega_identity(lag, omega + horizontal, phi)
+        assert form_omega_identity(lag, omega + horizontal, phi)
+    theta_u = DifferentialForm.generator(ctx, THETA(0))
+    theta_ux = DifferentialForm.generator(ctx, THETA(0, MultiIndex.single(0)))
+    for shape in (theta_u, u * theta_u.wedge(volume_form(ctx)),
+                  theta_u.wedge(theta_ux), F("d(x)", ctx).wedge(theta_u).wedge(theta_ux)):
+        assert not verify_omega_identity(lag, omega + shape, phi), str(shape)
+    # the sign of a term comes from its generator order, canonical or not
+    flipped = DifferentialForm(ctx, {
+        gens[::-1]: -coeff for gens, coeff in omega.terms.items()})
+    assert flipped.terms.keys() != omega.terms.keys()
+    assert verify_omega_identity(lag, flipped, phi)
+    assert form_omega_identity(lag, flipped, phi)
+    with pytest.raises(DegreeError):
+        form_omega_identity(lag, omega + F("d(x)", ctx).wedge(theta_u).wedge(theta_ux), phi)
 
 
 def _alternative_potential(lag):
