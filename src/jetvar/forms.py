@@ -241,11 +241,11 @@ def theta_image(f: Expression):
             yield atom, d
 
 
-def vertical_split(coeff: Expression):
-    """d f = D_i(f) dx^i + (df/du^k_alpha) theta^k_alpha, yielded as
-    (generator, Expression) pairs."""
+def vertical_split(coeff: Expression, directions):
+    """d f = D_i(f) dx^i + (df/du^k_alpha) theta^k_alpha with i running over
+    ``directions`` only, yielded as (generator, Expression) pairs."""
     ctx = coeff.ctx
-    for i in range(ctx.n):
+    for i in directions:
         d = total_derivative(ctx, i, coeff)
         if not d.is_zero():
             yield DX(i), d
@@ -254,20 +254,24 @@ def vertical_split(coeff: Expression):
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
-    """de Rham differential; d(theta^k_alpha) = dx^i ^ theta^k_{alpha+x^i}."""
+    """de Rham differential; d(theta^k_alpha) = dx^i ^ theta^k_{alpha+x^i}.
+    dx^i wedged onto a term that already holds dx^i vanishes, so only the
+    directions a term lacks are built."""
     ctx = omega.ctx
     items = []
     for gens, coeff in omega.terms.items():
-        for gen, dcoeff in vertical_split(coeff):
+        held = {g.index for g in gens if g.is_dx()}
+        free = [i for i in range(ctx.n) if i not in held]
+        for gen, dcoeff in vertical_split(coeff, free):
             items.append((dcoeff, (gen,) + gens))
         for pos, g in enumerate(gens):
-            if not g.is_theta():
+            if not g.is_theta() or not free:
                 continue
-            sign = -1 if pos % 2 else 1
-            for i in range(ctx.n):
-                struct = (DX(i), THETA(g.index, g.mindex + MultiIndex.single(i)))
-                rest = gens[:pos] + gens[pos + 1:]
-                items.append((coeff if sign == 1 else -coeff, struct + rest))
+            signed = -coeff if pos % 2 else coeff
+            rest = gens[:pos] + gens[pos + 1:]
+            for i in free:
+                shifted = THETA(g.index, g.mindex + MultiIndex.single(i))
+                items.append((signed, (DX(i), shifted) + rest))
     return DifferentialForm.from_terms(ctx, items)
 
 

@@ -22,6 +22,7 @@ any stage refusal, which ends the run; check and reproduce report every stage.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -38,10 +39,26 @@ from .runner import (
 )
 
 
+def _say(text: str) -> None:
+    """Print to stdout.  Once its reader has gone, point stdout at os.devnull,
+    so the run goes on to its own exit code and neither later prints nor the
+    flush at exit raise BrokenPipeError."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report: Report, args) -> int:
-    print(report.human(verbose=args.verbose))
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    _say(report.human(verbose=args.verbose))
     return report.exit_code
 
 
@@ -69,12 +86,12 @@ def _cmd_prolong(args) -> int:
                 if eq.is_internal(coord):
                     continue
                 rhs = eq.rule_for(coord)
-                print(f"{built.ctx.atom_name(coord)} -> {rhs}")
+                _say(f"{built.ctx.atom_name(coord)} -> {rhs}")
                 count += 1
     except JetvarError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    print(f"-- {count} rules to order {args.order}")
+    _say(f"-- {count} rules to order {args.order}")
     return 0
 
 

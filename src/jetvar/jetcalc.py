@@ -24,6 +24,7 @@ __all__ = [
     "total_derivative",
     "total_derivative_multi",
     "integrate_by_parts",
+    "first_variation",
     "euler_derivative",
     "apply_evolutionary",
     "linearization",
@@ -91,19 +92,34 @@ def integrate_by_parts(coeffs: dict, directions, derivative) -> tuple[dict, list
     return coeffs, boundary
 
 
-def euler_derivative(ctx: JetContext, lam: Expression, k: int) -> Expression:
-    """Variational derivative of a density with respect to dependent k:
-    sum over alpha of (-1)^|alpha| D_alpha(d lam / d u^k_alpha), the residue
-    on u^k of integrating d lam by parts."""
+def first_variation(ctx: JetContext, lam: Expression) -> tuple[dict, list]:
+    """Integrate d lam = sum (d lam / d u^k_alpha) theta^k_alpha by parts in
+    every direction, once over every jet atom of lam: returns (residues,
+    boundary) as ``integrate_by_parts`` does.  The residue on u^k is the
+    Euler-Lagrange expression E_k (dependents never mix while peeling), and
+    the boundary terms give omega_L: dL = E(L) + d_h omega_L."""
+    coeffs = {atom: partial(lam, atom) for atom in lam.jet_atoms()}
+    return integrate_by_parts(
+        coeffs, range(ctx.n), lambda j, b: total_derivative(ctx, j, b))
+
+
+def refuse_opaque_of(ctx: JetContext, lam: Expression, k: int) -> None:
+    """Refuse a density with an opaque symbol depending on jet coordinates
+    of dependent k: its variational sum in u^k is not guaranteed finite."""
     for a in lam.atoms():
         if hasattr(a, "args"):
             if any(isinstance(arg, JetCoord) and arg.dep == k for arg in a.args):
                 raise UnsupportedExpression(
                     "euler_derivative: opaque symbol depends on jet coordinates "
                     f"of {ctx.dependents[k]!r}; the variational sum is not guaranteed finite")
-    coeffs = {atom: partial(lam, atom) for atom in lam.jet_atoms(dep=k)}
-    residues, _ = integrate_by_parts(
-        coeffs, range(ctx.n), lambda j, b: total_derivative(ctx, j, b))
+
+
+def euler_derivative(ctx: JetContext, lam: Expression, k: int) -> Expression:
+    """Variational derivative of a density with respect to dependent k:
+    sum over alpha of (-1)^|alpha| D_alpha(d lam / d u^k_alpha), the residue
+    on u^k of the first variation."""
+    refuse_opaque_of(ctx, lam, k)
+    residues, _ = first_variation(ctx, lam)
     return residues.get(JetCoord(k), ctx.zero())
 
 

@@ -48,18 +48,25 @@ def s_degree_filter(frame: SpatialFrame, omega: DifferentialForm, p: int) -> Dif
     return DifferentialForm(omega.ctx, kept)
 
 
+def _s_degree_below(frame: SpatialFrame, omega: DifferentialForm, p: int) -> DifferentialForm:
+    """Sub-sum of terms of spatial degree below p: omega minus
+    s_degree_filter(frame, omega, p), with no arithmetic."""
+    kept = {g: c for g, c in omega.terms.items() if s_degree(frame, g) < p}
+    return DifferentialForm(omega.ctx, kept)
+
+
 def reduce_mod_S2(frame: SpatialFrame, omega: DifferentialForm) -> DifferentialForm:
     """Normal form of a degree-n form modulo the square of the spatial ideal:
     a * vol plus first-order theta terms over the spatial volume."""
     if not omega.is_zero() and omega.degree != omega.ctx.n:
         raise ValueError("reduce_mod_S2 expects a form of degree n")
-    return omega - s_degree_filter(frame, omega, 2)
+    return _s_degree_below(frame, omega, 2)
 
 
 def s_presymplectic_representative(frame: SpatialFrame, d_rep: DifferentialForm) -> DifferentialForm:
     """Representative of the spatial presymplectic class of a degree-(n+1)
     form: drop everything of spatial degree >= 3."""
-    return d_rep - s_degree_filter(frame, d_rep, 3)
+    return _s_degree_below(frame, d_rep, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +465,14 @@ def is_gauge_symmetry(rep, extended: ExtendedSSymmetry,
                       resolution: ConstraintResolution | None = None) -> bool:
     """Substitute an extended S-symmetry into the spatial presymplectic
     structure and test the resulting spatial variational 1-form for
-    triviality."""
+    triviality.  A vertical contraction removes exactly one theta, so a
+    term of spatial degree >= 3 contracts to spatial degree >= 2, which
+    reduce_mod_S2 drops: only the s_presymplectic_representative is
+    contracted."""
     if rep.equation is not extended.eq:
         raise ValueError("internal Lagrangian was built over a different equation")
-    return is_gauge_trivial(extended.frame, extended.eq,
-                            extended.contract(rep.presymplectic), resolution)
+    sigma = s_presymplectic_representative(extended.frame, rep.presymplectic)
+    return is_gauge_trivial(extended.frame, extended.eq, extended.contract(sigma), resolution)
 
 
 def is_spatial_gradient(frame: SpatialFrame, eq: SolvedEquation, chi: dict) -> bool:

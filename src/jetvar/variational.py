@@ -5,6 +5,7 @@ representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .eqmanifold import SolvedEquation
 from .errors import LagrangianError
@@ -14,19 +15,18 @@ from .forms import (
     THETA,
     _sort_generators,
     cartan_degree_filter,
-    volume_contraction,
     volume_form,
 )
 from .jetcalc import (
     EvolutionaryField,
     JetContext,
     apply_evolutionary,
-    euler_derivative,
-    integrate_by_parts,
+    first_variation,
+    refuse_opaque_of,
     total_derivative,
     total_derivative_multi,
 )
-from .symexpr import Expression, partial
+from .symexpr import Expression, JetCoord
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,18 @@ class Lagrangian:
     ctx: JetContext
     density: Expression
 
+    @cached_property
+    def variation(self) -> tuple[dict, list]:
+        """The first variation of the density, integrated by parts once:
+        E(L) is read off its residues, omega_L off its boundary terms."""
+        return first_variation(self.ctx, self.density)
+
     def form(self) -> DifferentialForm:
         return DifferentialForm.scalar(self.density).wedge(volume_form(self.ctx))
 
     def euler(self, k: int) -> Expression:
-        return euler_derivative(self.ctx, self.density, k)
+        refuse_opaque_of(self.ctx, self.density, k)
+        return self.variation[0].get(JetCoord(k), self.ctx.zero())
 
     def euler_form(self) -> DifferentialForm:
         """E(L) as the source form  (delta lam / delta u^k) theta^k_0 ^ vol."""
@@ -60,19 +67,16 @@ def presymplectic_potential(L: Lagrangian) -> DifferentialForm:
     """Boundary current omega_L with
     L_{E_phi} L = <E(L), phi> + d_h(E_phi _| omega_L) for every phi.
 
-    Each boundary term (c, u^k_beta, j) of integrating the variational
-    pairing by parts contributes c theta^k_beta ^ (d/dx^j _| vol).
+    Each boundary term (c, u^k_beta, j) of the first variation contributes
+    c theta^k_beta ^ (d/dx^j _| vol), and d/dx^j _| vol is (-1)^j times the
+    wedge of every dx but dx^j.
     """
     ctx = L.ctx
-    coeffs = {atom: partial(L.density, atom) for atom in L.density.jet_atoms()}
-    _, boundary = integrate_by_parts(
-        coeffs, range(ctx.n), lambda j, c: total_derivative(ctx, j, c))
-    omega = DifferentialForm.zero(ctx)
-    for c, lower, j in boundary:
-        omega = omega + DifferentialForm.scalar(c).wedge(
-            DifferentialForm.generator(ctx, THETA(lower.dep, lower.mindex))).wedge(
-            volume_contraction(ctx, j))
-    return omega
+    _, boundary = L.variation
+    return DifferentialForm.from_terms(ctx, (
+        (c if j % 2 == 0 else -c,
+         (THETA(lower.dep, lower.mindex),) + tuple(DX(i) for i in range(ctx.n) if i != j))
+        for c, lower, j in boundary))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,14 @@ from jetvar.forms import (
     contract_evolutionary,
     horizontal_differential,
     lie_derivative_evolutionary,
+    vertical_split,
+    volume_contraction,
 )
 from jetvar.frontend import parse_expression, parse_form
 from jetvar.frontend.runner import REFUSED, Report
-from jetvar.spatial import CONSTRAINED, FREE, NULL
-from jetvar.symexpr import JetCoord, MultiIndex, atom_key
+from jetvar.jetcalc import integrate_by_parts, total_derivative
+from jetvar.spatial import CONSTRAINED, FREE, NULL, s_degree_filter
+from jetvar.symexpr import JetCoord, MultiIndex, atom_key, partial
 
 
 def context2() -> JetContext:
@@ -290,6 +293,62 @@ def omega_mutations(omega):
                 ("j swapped", [(coeff, swapped + (theta,))])):
             yield (f"{label} {ctx.atom_name(JetCoord(theta.index, theta.mindex))} "
                    f"j={j}"), DifferentialForm.from_terms(ctx, others + items)
+
+
+# -- variational objects built the long way ------------------------------------------
+# E(L) was once peeled per dependent and omega_L in a second pass of its own,
+# the S-degree truncations were built by subtracting the dropped terms, and d
+# was built in every direction before the vanishing dx-wedges were dropped.
+# Those constructions stay here as the oracles for the single first-variation
+# pass, the filter truncations and the d that skips vanishing dx-wedges.
+
+
+def per_dependent_euler(ctx, lam, k):
+    """E_k(lam): integrate by parts only the jet atoms of dependent k."""
+    coeffs = {atom: partial(lam, atom) for atom in lam.jet_atoms(dep=k)}
+    residues, _ = integrate_by_parts(
+        coeffs, range(ctx.n), lambda j, b: total_derivative(ctx, j, b))
+    return residues.get(JetCoord(k), ctx.zero())
+
+
+def boundary_loop_omega(L):
+    """omega_L from its own integration by parts, one wedge per boundary term."""
+    ctx = L.ctx
+    coeffs = {atom: partial(L.density, atom) for atom in L.density.jet_atoms()}
+    _, boundary = integrate_by_parts(
+        coeffs, range(ctx.n), lambda j, c: total_derivative(ctx, j, c))
+    omega = DifferentialForm.zero(ctx)
+    for c, lower, j in boundary:
+        omega = omega + DifferentialForm.scalar(c).wedge(
+            DifferentialForm.generator(ctx, THETA(lower.dep, lower.mindex))).wedge(
+            volume_contraction(ctx, j))
+    return omega
+
+
+def subtracted_reduce_mod_S2(frame, omega):
+    return omega - s_degree_filter(frame, omega, 2)
+
+
+def subtracted_s_presymplectic_representative(frame, d_rep):
+    return d_rep - s_degree_filter(frame, d_rep, 3)
+
+
+def all_directions_exterior_derivative(omega):
+    """d with D_i(c) dx^i and dx^i ^ theta^k_{alpha+x^i} built for every i."""
+    ctx = omega.ctx
+    items = []
+    for gens, coeff in omega.terms.items():
+        for gen, dcoeff in vertical_split(coeff, range(ctx.n)):
+            items.append((dcoeff, (gen,) + gens))
+        for pos, g in enumerate(gens):
+            if not g.is_theta():
+                continue
+            sign = -1 if pos % 2 else 1
+            for i in range(ctx.n):
+                struct = (DX(i), THETA(g.index, g.mindex + MultiIndex.single(i)))
+                rest = gens[:pos] + gens[pos + 1:]
+                items.append((coeff if sign == 1 else -coeff, struct + rest))
+    return DifferentialForm.from_terms(ctx, items)
 
 
 # -- report sections by check name ------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from jetvar import (
     DifferentialForm,
     EvolutionaryField,
+    JetContext,
     cartan_degree_filter,
     contract_evolutionary,
     exterior_derivative,
@@ -15,7 +16,14 @@ from jetvar import (
 from jetvar.errors import DegreeError
 from jetvar.forms import cartan_degree
 
-from helpers import E, F, context2, default_pool, random_form
+from helpers import (
+    E,
+    F,
+    all_directions_exterior_derivative,
+    context2,
+    default_pool,
+    random_form,
+)
 
 import random
 
@@ -156,6 +164,19 @@ def test_dd_zero_randomized():
         degree = rng.randint(0, 3)
         form = random_form(rng, _CTX, _POOL, degree)
         assert exterior_derivative(exterior_derivative(form)).is_zero()
+
+
+def test_exterior_derivative_matches_all_directions_randomized():
+    # d builds only the directions a term lacks; building every direction and
+    # letting the wedge drop the repeats must give the same form
+    rng = random.Random(12)
+    ctx3 = JetContext(["t", "x", "y"], ["u"])
+    for ctx, pool in ((_CTX, _POOL), (ctx3, default_pool(ctx3))):
+        for _ in range(80):
+            form = random_form(rng, ctx, pool, rng.randint(0, ctx.n + 1), max_terms=3)
+            d = exterior_derivative(form)
+            assert d == all_directions_exterior_derivative(form)
+            assert exterior_derivative(d).is_zero()
 
 
 def test_graded_leibniz_randomized():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -748,3 +751,49 @@ def test_prolong_pkdv_order_8_bytes(tmp_path, capsys):
     assert cli_main(["prolong", str(target), "--order", "8"]) == 0
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == "44e3d54252d9217dd8cf859008196841"
+
+
+_CORRUPT_LAPLACE = fixture_text("laplace").replace(
+    "expect euler[u] = u[xx] + u[yy]", "expect euler[u] = u[xx] - u[yy]")
+
+
+@pytest.mark.parametrize("argv, text, code", [
+    (["reproduce", "laplace"], None, 0),
+    (["check", "{file}"], _CORRUPT_LAPLACE, 1),
+    (["check", "{file}"], "independents x y\ndependents u\nopaque h(y, u[y])\n"
+                          "lagrangian h(y, u[y])*u[x]\n", 2),
+    (["prolong", "{file}", "--order", "6"], fixture_text("pkdv"), 0)],
+    ids=["reproduce", "check-fail", "check-refused", "prolong"])
+def test_closed_stdout_keeps_exit_code_and_report(tmp_path, argv, text, code):
+    # a reader that has gone away must not turn the run into a traceback, and
+    # the --out report is written whatever happens to stdout
+    target = tmp_path / "problem.jv"
+    if text is not None:
+        target.write_text(text, encoding="utf-8")
+    argv = [a.replace("{file}", str(target)) for a in argv]
+    out_path = tmp_path / "report.json"
+    if argv[0] != "prolong":
+        argv += ["--out", str(out_path)]
+    src = str(Path(runner.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "jetvar.frontend.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == code, done.stderr
+    assert b"Traceback" not in done.stderr and b"BrokenPipeError" not in done.stderr
+    if argv[0] == "reproduce":
+        assert out_path.read_text(encoding="utf-8") == reproduce("laplace").to_json()
+    elif argv[0] == "check":
+        assert json.loads(out_path.read_text(encoding="utf-8"))["exit_code"] == code
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.json"
+    assert cli_main(["reproduce", "laplace", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err

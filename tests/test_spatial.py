@@ -25,7 +25,7 @@ from jetvar.errors import (
     UnresolvedConstraint,
     UnsupportedExpression,
 )
-from jetvar.forms import DifferentialForm
+from jetvar.forms import DifferentialForm, interior_product
 from jetvar import spatial
 from jetvar.frontend import parse, reproduce
 from jetvar.frontend.cli import main as cli_main
@@ -42,14 +42,18 @@ from jetvar.symexpr import JetCoord, MultiIndex, partial
 from helpers import (
     E,
     F,
+    default_pool,
     direct_constraint_points,
     internal_coordinates,
     laplace_equation,
     pkdv_equation,
     random_expression,
+    random_form,
     sampled_extension_commutes,
     sampled_resolution_holds,
     scan_statuses,
+    subtracted_reduce_mod_S2,
+    subtracted_s_presymplectic_representative,
     wave_equation,
 )
 
@@ -82,6 +86,32 @@ def test_reduce_mod_s2(laplace):
     ctx2, eq2 = pkdv_equation()
     f2 = SpatialFrame(0)
     assert reduce_mod_S2(f2, F("theta(u)*theta(u[x])", ctx2)).is_zero()
+
+
+def test_filter_truncations_match_subtraction():
+    # keeping the terms below an S-degree bound equals subtracting the terms
+    # at or above it; and a vertical contraction of the terms of S-degree >= 3
+    # vanishes modulo S^2, so contracting the representative suffices
+    rng = random.Random(20261018)
+    for names in (["x", "y"], ["t", "x", "y"]):
+        ctx = JetContext(names, ["u", "v"])
+        pool = default_pool(ctx)
+        for _ in range(40):
+            frame = SpatialFrame(rng.randrange(ctx.n))
+            omega = random_form(rng, ctx, pool, ctx.n, max_terms=4)
+            assert reduce_mod_S2(frame, omega) == subtracted_reduce_mod_S2(frame, omega)
+            d_rep = random_form(rng, ctx, pool, ctx.n + 1, max_terms=4)
+            sigma = s_presymplectic_representative(frame, d_rep)
+            assert sigma == subtracted_s_presymplectic_representative(frame, d_rep)
+            values = {}
+
+            def value(coord):
+                if coord not in values:
+                    values[coord] = random_expression(rng, ctx, pool)
+                return values[coord]
+
+            assert reduce_mod_S2(frame, interior_product(d_rep, value)) == \
+                reduce_mod_S2(frame, interior_product(sigma, value))
 
 
 def test_s_presymplectic_wave():

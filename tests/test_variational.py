@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -8,13 +9,15 @@ from jetvar import (
     JetContext,
     Lagrangian,
     cartan_degree_filter,
+    euler_derivative,
     internal_lagrangian,
     presymplectic_potential,
     presymplectic_structure,
     total_derivative,
     verify_omega_identity,
 )
-from jetvar.errors import DegreeError, LagrangianError
+from jetvar import jetcalc
+from jetvar.errors import DegreeError, LagrangianError, UnsupportedExpression
 from jetvar.forms import THETA, volume_contraction, volume_form
 from jetvar.spatial import SpatialFrame, is_gauge_trivial, reduce_mod_S2
 from jetvar.symexpr import JetCoord, MultiIndex, partial
@@ -23,9 +26,13 @@ from jetvar.variational import InternalLagrangianRep
 from helpers import (
     E,
     F,
+    boundary_loop_omega,
+    context2,
+    default_pool,
     form_omega_identity,
     laplace_equation,
     omega_mutations,
+    per_dependent_euler,
     pkdv_equation,
     random_expression,
     wave_equation,
@@ -95,6 +102,64 @@ def test_omega_L_maxwell_matches_field_strength(maxwell_built):
                 expected = expected + fij[(i, j)] * theta[j].wedge(
                     volume_contraction(ctx, i))
     assert omega == expected
+
+
+def _assert_first_variation_matches_oracles(ctx, lam):
+    lag = Lagrangian(ctx, lam)
+    for k in range(ctx.m):
+        expected = per_dependent_euler(ctx, lam, k)
+        assert lag.euler(k) == expected
+        assert euler_derivative(ctx, lam, k) == expected
+    assert presymplectic_potential(lag) == boundary_loop_omega(lag)
+
+
+def test_first_variation_matches_per_dependent_oracles_on_fixtures(all_built):
+    for name, built in all_built.items():
+        _assert_first_variation_matches_oracles(built.ctx, built.lagrangian.density)
+
+
+def test_first_variation_matches_per_dependent_oracles_on_random_densities():
+    rng = random.Random(20261018)
+    for m in (1, 2, 3):
+        ctx = JetContext(["x", "y"], ["u", "v", "w"][:m])
+        pool = default_pool(ctx) + [ctx.jet_atom("u", "xxy"),
+                                    ctx.jet_atom(ctx.dependents[-1], "yy")]
+        for _ in range(10):
+            lam = random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
+                                    allow_den=True, rational=True)
+            _assert_first_variation_matches_oracles(ctx, lam)
+
+
+def test_first_variation_keeps_the_opaque_refusal_per_dependent():
+    # h(y, u[y]) refuses E_u, not E_v nor omega_L, whichever is asked first
+    ctx = context2()
+    lag = Lagrangian(ctx, E("h(y, u[y])*u[x] + v[x]^2", ctx))
+    assert lag.euler(1) == per_dependent_euler(ctx, lag.density, 1)
+    assert presymplectic_potential(lag) == boundary_loop_omega(lag)
+    for ask in (lambda: lag.euler(0), lambda: euler_derivative(ctx, lag.density, 0)):
+        with pytest.raises(UnsupportedExpression, match="^euler_derivative: opaque symbol "
+                           "depends on jet coordinates of 'u'"):
+            ask()
+
+
+def test_warm_reproduce_integrates_the_density_by_parts_once(monkeypatch):
+    from jetvar.frontend import reproduce
+    reproduce("maxwell")
+    original, peels = jetcalc.integrate_by_parts, []
+
+    def spy(coeffs, directions, derivative):
+        directions = tuple(directions)
+        if len(directions) == 4:  # every direction: the density, not a spatial pass
+            peels.append(directions)
+        return original(coeffs, directions, derivative)
+
+    for name, module in list(sys.modules.items()):
+        if name == "jetvar" or name.startswith("jetvar."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    assert reproduce("maxwell").exit_code == 0
+    assert len(peels) == 1
 
 
 def test_internal_lagrangian_laplace_golden():
