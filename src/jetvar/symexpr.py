@@ -347,6 +347,12 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if len(b) == 1:  # splice the one factor into a
+        j, q = b[0]
+        for k, (i, p) in enumerate(a):
+            if i >= j:
+                return a[:k] + ((j, p + q),) + a[k + 1:] if i == j else a[:k] + b + a[k:]
+        return a + b
     powers = dict(a)
     for i, p in b:
         powers[i] = powers.get(i, 0) + p
@@ -378,9 +384,9 @@ def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(powers.items()))
 
 
-def _sum(ctx: JetContext, pieces) -> "Expression":
-    """Sum of expressions, collecting the undivided ones in one pass."""
-    acc: dict = {}
+def _sum(ctx: JetContext, pieces, acc: dict | None = None) -> "Expression":
+    """Sum of expressions, collecting the undivided ones into ``acc`` in one pass."""
+    acc = {} if acc is None else acc
     divided = []
     for e in pieces:
         if e.den:
@@ -603,23 +609,29 @@ class Expression:
             memo[i] = d
             return d
 
-        def mono_derivative(m: Monomial, c) -> list:
-            """The terms of c * d(m), one per factor of m."""
-            pieces = []
-            for k, (i, p) in enumerate(m):
-                da = atom_derivative(i)
-                if da.is_zero():
-                    continue
-                rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p > 1 else m[:k] + m[k + 1:]
-                pieces.append(Expression(ctx, {rest: c * p}) * da)
-            return pieces
+        def derivative(terms) -> Expression:
+            """Sum of c * d(m) over terms (m, c), accumulated into one dict; an
+            atom derivative with a denominator is multiplied out and added."""
+            acc, divided = {}, []
+            for m, c in terms:
+                for k, (i, p) in enumerate(m):
+                    da = atom_derivative(i)
+                    if not da.terms:
+                        continue
+                    rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p > 1 else m[:k] + m[k + 1:]
+                    if da.den:
+                        divided.append(Expression(ctx, {rest: c * p}) * da)
+                        continue
+                    for mb, cb in da.terms.items():
+                        key = _mono_mul(rest, mb)
+                        acc[key] = acc.get(key, 0) + c * p * cb
+            return _sum(ctx, divided, acc)
 
-        num = _sum(ctx, [piece for m, c in self.terms.items()
-                         for piece in mono_derivative(m, c)])
+        num = derivative(self.terms.items())
         if not self.den:
             return num
         den_expr = Expression(ctx, {self.den: 1})
-        dden = _sum(ctx, mono_derivative(self.den, 1))
+        dden = derivative(((self.den, 1),))
         numer = Expression(ctx, dict(self.terms))
         # quotient rule: d(n/d) = (dn*d - n*dd) / d^2
         top = num * den_expr - numer * dden

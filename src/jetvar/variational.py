@@ -42,6 +42,18 @@ class Lagrangian:
         E(L) is read off its residues, omega_L off its boundary terms."""
         return first_variation(self.ctx, self.density)
 
+    @cached_property
+    def omega(self) -> DifferentialForm:
+        """omega_L: each boundary term (c, u^k_beta, j) of the first variation
+        contributes c theta^k_beta ^ (d/dx^j _| vol), and d/dx^j _| vol is
+        (-1)^j times the wedge of every dx but dx^j."""
+        ctx = self.ctx
+        _, boundary = self.variation
+        return DifferentialForm.from_terms(ctx, (
+            (c if j % 2 == 0 else -c,
+             (THETA(lower.dep, lower.mindex),) + tuple(DX(i) for i in range(ctx.n) if i != j))
+            for c, lower, j in boundary))
+
     def form(self) -> DifferentialForm:
         return DifferentialForm.scalar(self.density).wedge(volume_form(self.ctx))
 
@@ -65,18 +77,9 @@ class Lagrangian:
 
 def presymplectic_potential(L: Lagrangian) -> DifferentialForm:
     """Boundary current omega_L with
-    L_{E_phi} L = <E(L), phi> + d_h(E_phi _| omega_L) for every phi.
-
-    Each boundary term (c, u^k_beta, j) of the first variation contributes
-    c theta^k_beta ^ (d/dx^j _| vol), and d/dx^j _| vol is (-1)^j times the
-    wedge of every dx but dx^j.
-    """
-    ctx = L.ctx
-    _, boundary = L.variation
-    return DifferentialForm.from_terms(ctx, (
-        (c if j % 2 == 0 else -c,
-         (THETA(lower.dep, lower.mindex),) + tuple(DX(i) for i in range(ctx.n) if i != j))
-        for c, lower, j in boundary))
+    L_{E_phi} L = <E(L), phi> + d_h(E_phi _| omega_L) for every phi
+    (``Lagrangian.omega``, built once per Lagrangian)."""
+    return L.omega
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,16 @@ from jetvar.frontend import parse_expression, parse_form
 from jetvar.frontend.runner import REFUSED, Report
 from jetvar.jetcalc import integrate_by_parts, total_derivative
 from jetvar.spatial import CONSTRAINED, FREE, NULL, s_degree_filter
-from jetvar.symexpr import JetCoord, MultiIndex, atom_key, partial
+from jetvar.symexpr import (
+    Expression,
+    FnPartial,
+    JetCoord,
+    MultiIndex,
+    OpaqueFn,
+    _sum,
+    atom_key,
+    partial,
+)
 
 
 def context2() -> JetContext:
@@ -147,6 +156,52 @@ def reference_str(e) -> str:
     if e.den:
         out = f"({out})/({monomial_str(e.den)})"
     return out
+
+
+# -- derivations built per factor ------------------------------------------------
+# Expression.derive once built one Expression per (term, factor), multiplied
+# it by the atom's derivative and summed the pieces.  That route stays here as
+# the oracle for the single accumulator.
+
+
+def merged_monomial(a, b):
+    """The product of two monomials by merging their power dicts."""
+    powers = dict(a)
+    for i, p in b:
+        powers[i] = powers.get(i, 0) + p
+    return tuple(sorted(powers.items()))
+
+
+def per_factor_derive(e, action):
+    """e.derive(action) by the product rule, one product per factor."""
+    ctx, memo = e.ctx, {}
+
+    def atom_derivative(i):
+        if i not in memo:
+            a = ctx._atoms[i]
+            if isinstance(a, (OpaqueFn, FnPartial)):
+                base_derivs = a.derivs if isinstance(a, FnPartial) else ()
+                memo[i] = _sum(ctx, [
+                    ctx.expr(FnPartial(a.name, a.args, tuple(sorted(base_derivs + (slot,)))))
+                    * atom_derivative(ctx.atom_id(arg))
+                    for slot, arg in enumerate(a.args, start=1)])
+            else:
+                memo[i] = action(a)
+        return memo[i]
+
+    def mono_derivative(m, c):
+        pieces = []
+        for k, (i, p) in enumerate(m):
+            rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p > 1 else m[:k] + m[k + 1:]
+            pieces.append(Expression(ctx, {rest: c * p}) * atom_derivative(i))
+        return pieces
+
+    num = _sum(ctx, [piece for m, c in e.terms.items() for piece in mono_derivative(m, c)])
+    if not e.den:
+        return num
+    den = Expression(ctx, {e.den: 1})
+    top = num * den - Expression(ctx, dict(e.terms)) * _sum(ctx, mono_derivative(e.den, 1))
+    return Expression(ctx, dict(top.terms), merged_monomial(merged_monomial(e.den, e.den), top.den))
 
 
 # -- integrability scan -----------------------------------------------------------

@@ -1,15 +1,24 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetvar import JetContext, partial, substitute, total_derivative
+from jetvar.eqmanifold import iter_multi_indices
 from jetvar.errors import ContextMismatch, UnsupportedExpression
 from jetvar.frontend import parse
 from jetvar.frontend.runner import build, fixture_text
-from jetvar.symexpr import FnPartial, MultiIndex
+from jetvar.symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, _mono_mul
 
-from helpers import E, context2, default_pool, random_expression, reference_str
+from helpers import (
+    E,
+    context2,
+    default_pool,
+    merged_monomial,
+    per_factor_derive,
+    random_expression,
+    reference_str,
+)
 
 import random
 
@@ -285,3 +294,99 @@ def test_printer_matches_reference(make_ctx):
         e = random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
                               allow_den=True, rational=True)
         assert str(e) == reference_str(e)
+
+
+# -- derive against the per-factor route ------------------------------------------
+
+
+def test_derive_matches_per_factor_oracle_randomized():
+    """Random rational polynomials and monomial quotients, with formal
+    partials of opaque symbols among the atoms, under partials and under
+    random atom actions whose values are often quotients themselves."""
+    ctx = context2()
+    pool = _printer_pool(ctx)
+    coords = [a for a in pool if isinstance(a, (BaseVar, JetCoord))]
+    rng = random.Random(20261019)
+    divided = 0
+    for _ in range(150):
+        e = random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
+                              allow_den=True, rational=True)
+        values = {a: random_expression(rng, ctx, coords, max_terms=2, allow_den=True,
+                                       rational=True) for a in coords}
+        divided += sum(1 for v in values.values() if v.den)
+
+        def action(atom):
+            return values[atom]
+
+        memo = {}
+        assert e.derive(action, memo) == per_factor_derive(e, action)
+        assert (e * e).derive(action, memo) == per_factor_derive(e * e, action)
+        a = rng.choice(coords)
+        assert partial(e, a) == per_factor_derive(
+            e, lambda atom: ctx.one() if atom == a else ctx.zero())
+    assert divided > 0
+
+
+def _spied_derivations(monkeypatch):
+    """Record (expression, action, result) for every Expression.derive call."""
+    calls, original = [], Expression.derive
+
+    def spy(self, action, memo=None):
+        out = original(self, action, memo)
+        calls.append((self, action, out))
+        return out
+
+    monkeypatch.setattr(Expression, "derive", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["laplace", "wave", "pkdv", "maxwell"])
+def test_derive_matches_per_factor_oracle_on_fixtures(name, monkeypatch):
+    """partial, total_derivative and SolvedEquation._dbar, each with the
+    atom action it passes to derive, on random restricted expressions."""
+    built = build(parse(fixture_text(name)))
+    ctx, eq = built.ctx, built.eq
+    pool = [BaseVar(i) for i in range(ctx.n)]
+    pool += [JetCoord(k, alpha) for k in range(ctx.m)
+             for alpha in iter_multi_indices(ctx.n, 2) if eq.is_internal(JetCoord(k, alpha))]
+    pool += [ctx.atom(o) for o in ctx.opaque_names()]
+    rng = random.Random(20261020)
+    calls = _spied_derivations(monkeypatch)
+    for _ in range(8 if name == "maxwell" else 25):
+        e = eq.restrict(random_expression(rng, ctx, pool, max_terms=3, max_factors=3,
+                                          allow_den=True, rational=True))
+        i = rng.randrange(ctx.n)
+        partial(e, rng.choice([a for a in pool if isinstance(a, (BaseVar, JetCoord))]))
+        total_derivative(ctx, i, e)
+        eq._dbar(i, e)
+    monkeypatch.undo()
+    assert len(calls) >= 3 * (8 if name == "maxwell" else 25)
+    for e, action, out in calls:
+        assert per_factor_derive(e, action) == out
+
+
+# -- monomial product -------------------------------------------------------------
+
+
+_IDS = st.integers(0, 12)
+_MONOMIAL = st.dictionaries(_IDS, st.integers(1, 3), max_size=5).map(
+    lambda d: tuple(sorted(d.items())))
+_SINGLE = st.tuples(_IDS, st.integers(1, 3)).map(lambda f: (f,))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_MONOMIAL, st.one_of(_SINGLE, _MONOMIAL))
+@example((), ())
+@example((), ((4, 1),))
+@example(((4, 1),), ())
+@example(((3, 1), (7, 2)), ((3, 2),))  # equal to the first id
+@example(((3, 1), (7, 2)), ((7, 1),))  # equal to the last id
+@example(((3, 1), (7, 2)), ((1, 1),))  # below
+@example(((3, 1), (7, 2)), ((5, 3),))  # between
+@example(((3, 1), (7, 2)), ((9, 1),))  # above
+def test_mono_mul_matches_dict_merge(a, b):
+    out = _mono_mul(a, b)
+    assert out == merged_monomial(a, b)
+    assert out == _mono_mul(b, a)
+    assert all(x[0] < y[0] for x, y in zip(out, out[1:]))
+    assert all(p > 0 for _, p in out)

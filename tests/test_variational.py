@@ -162,6 +162,26 @@ def test_warm_reproduce_integrates_the_density_by_parts_once(monkeypatch):
     assert len(peels) == 1
 
 
+def test_warm_reproduce_builds_omega_once(monkeypatch):
+    from jetvar import variational
+    from jetvar.frontend import reproduce
+    reproduce("maxwell")
+    original, forms = variational.presymplectic_potential, []
+
+    def spy(L):
+        forms.append(original(L))
+        return forms[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name == "jetvar" or name.startswith("jetvar."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+    assert reproduce("maxwell").exit_code == 0
+    assert len(forms) == 2  # the euler stage and internal_lagrangian
+    assert forms[0] is forms[1]
+
+
 def test_internal_lagrangian_laplace_golden():
     ctx, eq = laplace_equation()
     lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
