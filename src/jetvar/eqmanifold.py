@@ -35,7 +35,7 @@ class SolvedEquation:
         raw_rhs: list[Expression] = []
         for head, rhs in rules:
             if not isinstance(head, JetCoord):
-                head = ctx.jet_atom(*head) if isinstance(head, tuple) else ctx.atom(head)
+                head = ctx.jet_atom(*head) if type(head) is tuple else ctx.atom(head)
             if not isinstance(head, JetCoord):
                 raise ValueError("rule head must be a jet coordinate")
             heads.append(head)
@@ -90,8 +90,9 @@ class SolvedEquation:
                     "coordinate below its head", rule=head)
 
     def _dividing_head(self, coord: JetCoord):
-        for head in self._heads_of.get(coord.dep, ()):
-            if head.mindex.divides(coord.mindex):
+        _, dep, mindex = coord
+        for head in self._heads_of.get(dep, ()):
+            if head[2].divides(mindex):
                 return head
         return None
 
@@ -139,8 +140,9 @@ class SolvedEquation:
 
         def action(atom):
             if isinstance(atom, BaseVar):
-                return ctx.one() if atom.index == i else ctx.zero()
-            step = JetCoord(atom.dep, atom.mindex + MultiIndex.single(i))
+                return ctx.one() if atom[1] == i else ctx.zero()
+            _, dep, mindex = atom
+            step = JetCoord(dep, mindex + MultiIndex.single(i))
             return self.rule_for(step, _depth) if self.is_principal(step) else ctx.expr(step)
 
         return e.derive(action, self._dbar_memo[i])

@@ -7,32 +7,38 @@ forms unique, so equality of forms is decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ContextMismatch, DegreeError
 from .jetcalc import EvolutionaryField, JetContext, total_derivative, total_derivative_multi
 from .symexpr import Expression, JetCoord, MultiIndex, atom_key, partial
 
-_DX, _THETA = 0, 1
+# string tags, so no generator equals an atom or a MultiIndex (int tags);
+# "dx" < "theta" puts every dx before every theta in the canonical order
+_DX, _THETA = "dx", "theta"
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(tuple):
     """Basis 1-form: DX(i) is dx^i, THETA(k, alpha) is the Cartan form of
-    u^k_alpha."""
+    u^k_alpha.  The tuple (kind, index, mindex), led by its kind."""
 
-    kind: int
-    index: int
-    mindex: MultiIndex = MultiIndex()
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int, mindex: MultiIndex = MultiIndex()):
+        return tuple.__new__(cls, (kind, index, mindex))
+
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
+    mindex = property(itemgetter(2))
 
     def key(self):
-        return (self.kind, self.index, self.mindex.key())
+        return (self[0], self[1], self[2].key())
 
     def is_dx(self) -> bool:
-        return self.kind == _DX
+        return self[0] == _DX
 
     def is_theta(self) -> bool:
-        return self.kind == _THETA
+        return self[0] == _THETA
 
 
 def DX(i: int) -> Generator:

@@ -62,15 +62,7 @@ def _emit(report: Report, args) -> int:
     return report.exit_code
 
 
-def _cmd_prolong(args) -> int:
-    if args.order < 0:
-        print(f"refused: --order must be at least 0, not {args.order}", file=sys.stderr)
-        return 2
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_prolong(text: str, order: int) -> int:
     from ..eqmanifold import iter_multi_indices
     from ..symexpr import JetCoord
     try:
@@ -81,7 +73,7 @@ def _cmd_prolong(args) -> int:
         eq = built.eq
         count = 0
         for k in range(built.ctx.m):
-            for alpha in iter_multi_indices(built.ctx.n, args.order):
+            for alpha in iter_multi_indices(built.ctx.n, order):
                 coord = JetCoord(k, alpha)
                 if eq.is_internal(coord):
                     continue
@@ -91,7 +83,7 @@ def _cmd_prolong(args) -> int:
     except JetvarError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    _say(f"-- {count} rules to order {args.order}")
+    _say(f"-- {count} rules to order {order}")
     return 0
 
 
@@ -127,7 +119,9 @@ def main(argv=None) -> int:
             print("refused: prolong writes no report, so it does not take --out",
                   file=sys.stderr)
             return 2
-        return _cmd_prolong(args)
+        if args.order < 0:
+            print(f"refused: --order must be at least 0, not {args.order}", file=sys.stderr)
+            return 2
 
     if args.command == "reproduce":
         try:
@@ -141,10 +135,16 @@ def main(argv=None) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_check(text, name=Path(args.file).stem, stages=REPORTED_STAGES[args.command])
-    return _emit(report, args)
+        message = str(exc)
+    except UnicodeDecodeError as exc:
+        message = f"{args.file} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+    else:
+        if args.command == "prolong":
+            return _cmd_prolong(text, args.order)
+        report = run_check(text, name=Path(args.file).stem, stages=REPORTED_STAGES[args.command])
+        return _emit(report, args)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

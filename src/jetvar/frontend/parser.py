@@ -24,8 +24,6 @@ no independent, dependent or opaque symbol may take them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from ..errors import ParseError, SemanticError, UnsupportedExpression
 from ..forms import DifferentialForm, dx as dx_form, theta as theta_form
 from ..jetcalc import JetContext, total_derivative
@@ -43,12 +41,12 @@ KEYWORDS = {
 # tokens
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str          # NAME INT PUNCT END
-    value: str
-    line: int
-    column: int
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str, value: str, line: int, column: int):
+        self.kind = kind  # NAME INT PUNCT END
+        self.value, self.line, self.column = value, line, column
 
 
 _PUNCT2 = ("->",)
@@ -107,154 +105,97 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# expression AST
+# syntax tree
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
+class Node:
+    """A syntax tree node: ``kind`` names the construct and ``args`` holds its
+    fields.  ``pos`` is where its text starts, (line, column); it takes no
+    part in equality or hashing, so trees parsed from differently laid out
+    text compare equal.
+
+        kind        args
+        num         value
+        name        ident
+        jet         name, indices (tuple of index names)
+        call        name, args (tuple of nodes)
+        partial     name, derivs (sorted slots), args
+        D           direction, arg
+        dx          name
+        theta       coord (a name or jet node)
+        neg         arg
+        bin         op, left, right   (op one of + - * / ^)
+        opaque      name, args (tuple of coordinate nodes)
+        equation    head (a jet node), rhs
+        candidate   name, entries ((target node, value node), ...)
+        resolve     targets (tuple of names), resolution, prefix
+        expect      key, subject (a name or None), value (a node or a flag)
+    """
+
+    __slots__ = ("kind", "args", "pos")
+
+    def __init__(self, kind: str, *args, pos: tuple = (0, 0)):
+        self.kind, self.args, self.pos = kind, args, pos
+
+    @property
+    def line(self) -> int:
+        return self.pos[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self.kind == other.kind and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.kind, self.args))
+
+    def __repr__(self):
+        return f"Node{(self.kind,) + self.args!r}"
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Jet:
-    name: str
-    indices: tuple
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class PartialCall:
-    name: str
-    derivs: tuple
-    args: tuple
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class DOp:
-    direction: str
-    arg: "Node"
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class DxAtom:
-    name: str
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class ThetaAtom:
-    coord: "Node"
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Node"
-    right: "Node"
-    pos: tuple = dataclass_field(default=(0, 0), compare=False)
-
-
-Node = Num | Name | Jet | Call | PartialCall | DOp | DxAtom | ThetaAtom | Neg | Bin
-
-
-# ---------------------------------------------------------------------------
-# declaration AST
-
-
-@dataclass(frozen=True)
-class OpaqueDecl:
-    name: str
-    args: tuple
-    line: int = dataclass_field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class EquationDecl:
-    head: Jet
-    rhs: Node
-    line: int = dataclass_field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class CandidateDecl:
-    name: str
-    entries: tuple  # ((target Node, value Node), ...)
-    line: int = dataclass_field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ResolveDecl:
-    targets: tuple
-    kind: str
-    prefix: str
-    line: int = dataclass_field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ExpectDecl:
-    key: str
-    subject: str | None
-    value: object  # Node or str flag
-    line: int = dataclass_field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class ProblemFile:
-    independents: tuple
-    dependents: tuple
-    opaques: tuple = ()
-    equations: tuple = ()
-    lagrangian: Node | None = None
-    spatial: str | None = None
-    candidates: tuple = ()
-    resolves: tuple = ()
-    expects: tuple = ()
+    """A parsed problem file: its declarations by keyword, in file order."""
+
+    def __init__(self, independents: tuple, dependents: tuple, opaques: tuple = (),
+                 equations: tuple = (), lagrangian: Node | None = None,
+                 spatial: str | None = None, candidates: tuple = (),
+                 resolves: tuple = (), expects: tuple = ()):
+        self.independents, self.dependents = independents, dependents
+        self.opaques, self.equations, self.lagrangian = opaques, equations, lagrangian
+        self.spatial, self.candidates = spatial, candidates
+        self.resolves, self.expects = resolves, expects
+
+    def __eq__(self, other):
+        if not isinstance(other, ProblemFile):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def serialize(self) -> str:
         out = ["independents " + " ".join(self.independents)]
         out.append("dependents " + " ".join(self.dependents))
         for o in self.opaques:
-            args = ", ".join(serialize_node(a) for a in o.args)
-            out.append(f"opaque {o.name}({args})")
+            name, args = o.args
+            out.append(f"opaque {name}({', '.join(serialize_node(a) for a in args)})")
         for e in self.equations:
-            out.append(f"equation {serialize_node(e.head)} = {serialize_node(e.rhs)}")
+            head, rhs = e.args
+            out.append(f"equation {serialize_node(head)} = {serialize_node(rhs)}")
         if self.lagrangian is not None:
             out.append(f"lagrangian {serialize_node(self.lagrangian)}")
         if self.spatial is not None:
             out.append(f"spatial {self.spatial}")
         for r in self.resolves:
-            out.append(f"resolve {' '.join(r.targets)} = {r.kind}({r.prefix})")
+            targets, resolution, prefix = r.args
+            out.append(f"resolve {' '.join(targets)} = {resolution}({prefix})")
         for c in self.candidates:
+            name, entries = c.args
             entries = "; ".join(
-                f"{serialize_node(t)} -> {serialize_node(v)}" for t, v in c.entries)
-            out.append(f"candidate {c.name} {{ {entries} }}")
+                f"{serialize_node(t)} -> {serialize_node(v)}" for t, v in entries)
+            out.append(f"candidate {name} {{ {entries} }}")
         for x in self.expects:
-            subject = f"[{x.subject}]" if x.subject is not None else ""
-            value = x.value if isinstance(x.value, str) else serialize_node(x.value)
-            out.append(f"expect {x.key}{subject} = {value}")
+            key, subject, value = x.args
+            subject = f"[{subject}]" if subject is not None else ""
+            value = value if isinstance(value, str) else serialize_node(value)
+            out.append(f"expect {key}{subject} = {value}")
         return "\n".join(out) + "\n"
 
 
@@ -262,47 +203,69 @@ def serialize_node(node: Node) -> str:
     return _serialize(node, 0)
 
 
+_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+
+
 def _serialize(node: Node, parent_prec: int) -> str:
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Jet):
-        return f"{node.name}[{','.join(node.indices)}]"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(_serialize(a, 0) for a in node.args)})"
-    if isinstance(node, PartialCall):
-        slots = ",".join(str(d) for d in node.derivs)
-        args = ", ".join(_serialize(a, 0) for a in node.args)
-        return f"{node.name}{{{slots}}}({args})"
-    if isinstance(node, DOp):
-        return f"D[{node.direction}]({_serialize(node.arg, 0)})"
-    if isinstance(node, DxAtom):
-        return f"d({node.name})"
-    if isinstance(node, ThetaAtom):
-        return f"theta({_serialize(node.coord, 0)})"
-    if isinstance(node, Neg):
-        inner = _serialize(node.arg, 25)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > 20 else text
-    if isinstance(node, Bin):
-        prec = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}[node.op]
+    # the binary operators down the left spine are written in a loop, so a
+    # long left-associative chain takes no Python frame per operand
+    spine = []  # (precedence of the parent, node), outermost first
+    while node.kind == "bin":
+        spine.append((parent_prec, node))
+        op = node.args[0]
         # '^' is non-associative: parenthesize any compound base
-        left = _serialize(node.left, prec + 1 if node.op == "^" else prec)
-        right = _serialize(node.right, prec + 1)
-        text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(node)
+        parent_prec = _PRECEDENCE[op] + 1 if op == "^" else _PRECEDENCE[op]
+        node = node.args[1]
+    kind, args = node.kind, node.args
+    if kind == "num":
+        text = str(args[0])
+    elif kind == "name":
+        text = args[0]
+    elif kind == "jet":
+        text = f"{args[0]}[{','.join(args[1])}]"
+    elif kind == "call":
+        text = f"{args[0]}({', '.join(_serialize(a, 0) for a in args[1])})"
+    elif kind == "partial":
+        name, derivs, call_args = args
+        slots = ",".join(str(d) for d in derivs)
+        text = f"{name}{{{slots}}}({', '.join(_serialize(a, 0) for a in call_args)})"
+    elif kind == "D":
+        text = f"D[{args[0]}]({_serialize(args[1], 0)})"
+    elif kind == "dx":
+        text = f"d({args[0]})"
+    elif kind == "theta":
+        text = f"theta({_serialize(args[0], 0)})"
+    elif kind == "neg":
+        text = f"-{_serialize(args[0], 25)}"
+        if parent_prec > 20:
+            text = f"({text})"
+    else:
+        raise TypeError(node)
+    for parent, b in reversed(spine):
+        op, _, right = b.args
+        prec = _PRECEDENCE[op]
+        right = _serialize(right, prec + 1)
+        text = f"{text} {op} {right}" if op in "+-" else f"{text}{op}{right}"
+        if parent > prec:
+            text = f"({text})"
+    return text
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+# How deeply parentheses, unary signs and bracketed arguments may nest around
+# an operand.  Each level costs the recursive-descent parser a few Python
+# frames, so the bound keeps a deep expression a ParseError, not a
+# RecursionError.
+MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # nesting levels around the operand being parsed
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -345,24 +308,25 @@ class _Parser:
                 raise ParseError(f"found {tok.value!r}", tok.line, tok.column,
                                  sorted(KEYWORDS))
             keyword = self.advance().value
+            pos = (tok.line, tok.column)
             if keyword == "independents":
                 independents = self.parse_names()
             elif keyword == "dependents":
                 dependents = self.parse_names()
             elif keyword == "opaque":
-                opaques.append(self.parse_opaque(tok.line))
+                opaques.append(self.parse_opaque(pos))
             elif keyword == "equation":
-                equations.append(self.parse_equation(tok.line))
+                equations.append(self.parse_equation(pos))
             elif keyword == "lagrangian":
                 lagrangian = self.parse_expr()
             elif keyword == "spatial":
                 spatial = self.expect("NAME", expected=["independent name"]).value
             elif keyword == "candidate":
-                candidates.append(self.parse_candidate(tok.line))
+                candidates.append(self.parse_candidate(pos))
             elif keyword == "resolve":
-                resolves.append(self.parse_resolve(tok.line))
+                resolves.append(self.parse_resolve(pos))
             elif keyword == "expect":
-                expects.append(self.parse_expect(tok.line))
+                expects.append(self.parse_expect(pos))
         if independents is None:
             tok = self.peek()
             raise ParseError("missing independents declaration", tok.line, tok.column,
@@ -392,7 +356,7 @@ class _Parser:
             raise ParseError("expected at least one name", tok.line, tok.column, ["name"])
         return tuple(names)
 
-    def parse_opaque(self, line: int) -> OpaqueDecl:
+    def parse_opaque(self, pos: tuple) -> Node:
         name = self.declared_name(self.expect("NAME", expected=["opaque symbol name"]))
         self.expect("PUNCT", "(")
         args = []
@@ -402,14 +366,14 @@ class _Parser:
                 if self.accept("PUNCT", ")"):
                     break
                 self.expect("PUNCT", ",", expected=[",", ")"])
-        return OpaqueDecl(name, tuple(args), line)
+        return Node("opaque", name, tuple(args), pos=pos)
 
     def parse_coordinate(self) -> Node:
         tok = self.expect("NAME", expected=["coordinate"])
         if self.accept("PUNCT", "["):
             indices = self.parse_indices()
-            return Jet(tok.value, indices, (tok.line, tok.column))
-        return Name(tok.value, (tok.line, tok.column))
+            return Node("jet", tok.value, indices, pos=(tok.line, tok.column))
+        return Node("name", tok.value, pos=(tok.line, tok.column))
 
     def parse_indices(self) -> tuple:
         parts = []
@@ -420,16 +384,16 @@ class _Parser:
                 return tuple(parts)
             self.expect("PUNCT", ",", expected=[",", "]"])
 
-    def parse_equation(self, line: int) -> EquationDecl:
+    def parse_equation(self, pos: tuple) -> Node:
         head = self.parse_coordinate()
-        if not isinstance(head, Jet):
+        if head.kind != "jet":
             raise SemanticError("equation head must be a jet coordinate like u[yy]",
                                 head.pos[0], head.pos[1])
         self.expect("PUNCT", "=")
         rhs = self.parse_expr()
-        return EquationDecl(head, rhs, line)
+        return Node("equation", head, rhs, pos=pos)
 
-    def parse_candidate(self, line: int) -> CandidateDecl:
+    def parse_candidate(self, pos: tuple) -> Node:
         name = self.expect("NAME", expected=["candidate name"]).value
         self.expect("PUNCT", "{")
         entries = []
@@ -441,22 +405,22 @@ class _Parser:
             if not self.accept("PUNCT", ";"):
                 self.expect("PUNCT", "}", expected=[";", "}"])
                 break
-        return CandidateDecl(name, tuple(entries), line)
+        return Node("candidate", name, tuple(entries), pos=pos)
 
-    def parse_resolve(self, line: int) -> ResolveDecl:
+    def parse_resolve(self, pos: tuple) -> Node:
         targets = self.parse_names()
         self.expect("PUNCT", "=")
-        kind = self.expect("NAME", expected=["antisym_potential"]).value
-        if kind != "antisym_potential":
+        resolution = self.expect("NAME", expected=["antisym_potential"]).value
+        if resolution != "antisym_potential":
             tok = self.tokens[self.pos - 1]
-            raise ParseError(f"unknown resolution {kind!r}", tok.line, tok.column,
+            raise ParseError(f"unknown resolution {resolution!r}", tok.line, tok.column,
                              ["antisym_potential"])
         self.expect("PUNCT", "(")
         prefix = self.expect("NAME", expected=["potential prefix"]).value
         self.expect("PUNCT", ")")
-        return ResolveDecl(targets, kind, prefix, line)
+        return Node("resolve", targets, resolution, prefix, pos=pos)
 
-    def parse_expect(self, line: int) -> ExpectDecl:
+    def parse_expect(self, pos: tuple) -> Node:
         key = self.expect("NAME", expected=["expectation key"]).value
         subject = None
         if self.accept("PUNCT", "["):
@@ -466,8 +430,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NAME" and tok.value in ("trivial", "nontrivial", "true", "false", "refused"):
             self.advance()
-            return ExpectDecl(key, subject, tok.value, line)
-        return ExpectDecl(key, subject, self.parse_expr(), line)
+            return Node("expect", key, subject, tok.value, pos=pos)
+        return Node("expect", key, subject, self.parse_expr(), pos=pos)
 
     # -- expressions ----------------------------------------------------------
 
@@ -478,7 +442,7 @@ class _Parser:
             if tok.kind == "PUNCT" and tok.value in "+-":
                 self.advance()
                 right = self.parse_term()
-                node = Bin(tok.value, node, right, (tok.line, tok.column))
+                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
             else:
                 return node
 
@@ -489,19 +453,27 @@ class _Parser:
             if tok.kind == "PUNCT" and tok.value in "*/":
                 self.advance()
                 right = self.parse_unary()
-                node = Bin(tok.value, node, right, (tok.line, tok.column))
+                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
             else:
                 return node
 
     def parse_unary(self) -> Node:
+        # every level of nesting (a sign, parentheses, a call's or D's
+        # argument) passes here once, so the bound is kept here
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == "-":
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} levels deep",
+                             tok.line, tok.column)
+        self.depth += 1
+        if tok.kind == "PUNCT" and tok.value in "+-":
             self.advance()
-            return Neg(self.parse_unary(), (tok.line, tok.column))
-        if tok.kind == "PUNCT" and tok.value == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+            node = self.parse_unary()
+            if tok.value == "-":
+                node = Node("neg", node, pos=(tok.line, tok.column))
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> Node:
         base = self.parse_atom()
@@ -511,14 +483,15 @@ class _Parser:
             neg = self.accept("PUNCT", "-") is not None
             exp = self.expect("INT", expected=["integer exponent"])
             value = int(exp.value) * (-1 if neg else 1)
-            return Bin("^", base, Num(value, (exp.line, exp.column)), (tok.line, tok.column))
+            return Node("bin", "^", base, Node("num", value, pos=(exp.line, exp.column)),
+                        pos=(tok.line, tok.column))
         return base
 
     def parse_atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return Num(int(tok.value), (tok.line, tok.column))
+            return Node("num", int(tok.value), pos=(tok.line, tok.column))
         if tok.kind == "PUNCT" and tok.value == "(":
             self.advance()
             inner = self.parse_expr()
@@ -536,21 +509,21 @@ class _Parser:
         if name == "d" and self.accept("PUNCT", "("):
             var = self.expect("NAME", expected=["independent name"]).value
             self.expect("PUNCT", ")")
-            return DxAtom(var, pos)
+            return Node("dx", var, pos=pos)
         if name == "theta" and self.accept("PUNCT", "("):
             coord = self.parse_coordinate()
             self.expect("PUNCT", ")")
-            return ThetaAtom(coord, pos)
+            return Node("theta", coord, pos=pos)
         if name == "D" and self.accept("PUNCT", "["):
             var = self.expect("NAME", expected=["independent name"]).value
             self.expect("PUNCT", "]")
             self.expect("PUNCT", "(")
             arg = self.parse_expr()
             self.expect("PUNCT", ")")
-            return DOp(var, arg, pos)
+            return Node("D", var, arg, pos=pos)
         if self.accept("PUNCT", "["):
             indices = self.parse_indices()
-            return Jet(name, indices, pos)
+            return Node("jet", name, indices, pos=pos)
         if self.accept("PUNCT", "{"):
             derivs = []
             while True:
@@ -561,11 +534,11 @@ class _Parser:
                 self.expect("PUNCT", ",", expected=[",", "}"])
             self.expect("PUNCT", "(")
             args = self.parse_call_args()
-            return PartialCall(name, tuple(sorted(derivs)), args, pos)
+            return Node("partial", name, tuple(sorted(derivs)), args, pos=pos)
         if self.accept("PUNCT", "("):
             args = self.parse_call_args()
-            return Call(name, args, pos)
-        return Name(name, pos)
+            return Node("call", name, args, pos=pos)
+        return Node("name", name, pos=pos)
 
     def parse_call_args(self) -> tuple:
         args = []
@@ -597,10 +570,10 @@ def parse_expression_node(text: str) -> Node:
 
 def _start(node: Node) -> tuple:
     """Where an expression's text starts: the position of the leftmost node on
-    its left spine (a Bin's own position is its operator's)."""
-    while isinstance(node, Bin):
-        node = node.left
-    return getattr(node, "pos", (0, 0))
+    its left spine (a binary node's own position is its operator's)."""
+    while node.kind == "bin":
+        node = node.args[1]
+    return node.pos
 
 
 class Evaluator:
@@ -612,36 +585,33 @@ class Evaluator:
         self.eq = eq
 
     def coordinate_atom(self, node: Node) -> JetCoord:
-        if isinstance(node, Name):
-            try:
-                atom = self.ctx.atom(node.ident)
-            except KeyError as exc:
-                raise SemanticError(str(exc), *node.pos) from None
-            if not isinstance(atom, JetCoord):
-                raise SemanticError(f"{node.ident!r} is not a dependent coordinate",
-                                    *node.pos)
-            return atom
-        if isinstance(node, Jet):
+        if node.kind == "jet":
             return JetCoord(self._dep(node), self._mindex(node))
-        raise SemanticError("expected a coordinate", *_start(node))
+        if node.kind != "name":
+            raise SemanticError("expected a coordinate", *_start(node))
+        atom = self.base_or_jet_atom(node)
+        if not isinstance(atom, JetCoord):
+            raise SemanticError(f"{node.args[0]!r} is not a dependent coordinate", *node.pos)
+        return atom
 
     def base_or_jet_atom(self, node: Node):
-        if isinstance(node, Name):
-            try:
-                return self.ctx.atom(node.ident)
-            except KeyError as exc:
-                raise SemanticError(str(exc), *node.pos) from None
-        return self.coordinate_atom(node)
-
-    def _dep(self, node: Jet) -> int:
+        if node.kind != "name":
+            return self.coordinate_atom(node)
         try:
-            return self.ctx.dependent_index(node.name)
-        except KeyError:
-            raise SemanticError(f"unknown dependent variable {node.name!r}", *node.pos) from None
+            return self.ctx.atom(node.args[0])
+        except KeyError as exc:
+            raise SemanticError(str(exc), *node.pos) from None
 
-    def _mindex(self, node: Jet):
+    def _dep(self, node: Node) -> int:
+        name = node.args[0]
+        try:
+            return self.ctx.dependent_index(name)
+        except KeyError:
+            raise SemanticError(f"unknown dependent variable {name!r}", *node.pos) from None
+
+    def _mindex(self, node: Node):
         names = []
-        for part in node.indices:
+        for part in node.args[1]:
             if part in self.ctx.independents:
                 names.append(part)
             else:
@@ -665,47 +635,58 @@ class Evaluator:
         return value
 
     def value(self, node: Node):
-        ctx = self.ctx
-        if isinstance(node, Num):
-            return ctx.const(node.value)
-        if isinstance(node, Name):
+        # the binary operators down the left spine are applied in a loop, so a
+        # long left-associative chain takes no Python frame per operand
+        spine = []
+        while node.kind == "bin":
+            spine.append(node)
+            node = node.args[1]
+        value = self._operand(node)
+        for b in reversed(spine):
+            value = self._binary(b, value, self.value(b.args[2]))
+        return value
+
+    def _operand(self, node: Node):
+        ctx, kind, args = self.ctx, node.kind, node.args
+        if kind == "num":
+            return ctx.const(args[0])
+        if kind == "name":
+            ident, = args
             try:
-                return ctx.var(node.ident)
+                return ctx.var(ident)
             except KeyError:
-                if node.ident in ctx.opaque_names():
+                if ident in ctx.opaque_names():
                     raise SemanticError(
-                        f"opaque symbol {node.ident!r} used without arguments",
-                        *node.pos) from None
-                raise SemanticError(f"unknown name {node.ident!r}", *node.pos) from None
-        if isinstance(node, Jet):
+                        f"opaque symbol {ident!r} used without arguments", *node.pos) from None
+                raise SemanticError(f"unknown name {ident!r}", *node.pos) from None
+        if kind == "jet":
             return ctx.jet(ctx.dependents[self._dep(node)], self._mindex(node))
-        if isinstance(node, Call):
-            return self._opaque(node.name, node.args, (), node.pos)
-        if isinstance(node, PartialCall):
-            return self._opaque(node.name, node.args, node.derivs, node.pos)
-        if isinstance(node, DOp):
+        if kind == "call":
+            return self._opaque(args[0], args[1], (), node.pos)
+        if kind == "partial":
+            return self._opaque(args[0], args[2], args[1], node.pos)
+        if kind == "D":
+            direction, arg = args
             try:
-                i = ctx.independent_index(node.direction)
+                i = ctx.independent_index(direction)
             except KeyError:
-                raise SemanticError(f"unknown independent variable {node.direction!r}",
+                raise SemanticError(f"unknown independent variable {direction!r}",
                                     *node.pos) from None
-            inner = self.expression(node.arg)
+            inner = self.expression(arg)
             if self.eq is not None:
                 return self.eq.restricted_total_derivative(i, inner)
             return total_derivative(ctx, i, inner)
-        if isinstance(node, DxAtom):
+        if kind == "dx":
             try:
-                return dx_form(ctx, node.name)
+                return dx_form(ctx, args[0])
             except KeyError:
-                raise SemanticError(f"unknown independent variable {node.name!r}",
+                raise SemanticError(f"unknown independent variable {args[0]!r}",
                                     *node.pos) from None
-        if isinstance(node, ThetaAtom):
-            atom = self.coordinate_atom(node.coord)
+        if kind == "theta":
+            atom = self.coordinate_atom(args[0])
             return theta_form(ctx, atom.dep, atom.mindex)
-        if isinstance(node, Neg):
-            return -self.value(node.arg)
-        if isinstance(node, Bin):
-            return self._binary(node)
+        if kind == "neg":
+            return -self.value(args[0])
         raise TypeError(node)
 
     def _opaque(self, name: str, args, derivs, pos) -> Expression:
@@ -714,11 +695,7 @@ class Evaluator:
             signature = ctx.opaque_signature(name)
         except KeyError:
             raise SemanticError(f"unknown opaque symbol {name!r}", *pos) from None
-        atoms = []
-        for a in args:
-            atom = self.base_or_jet_atom(a)
-            atoms.append(atom)
-        if tuple(atoms) != signature:
+        if tuple(self.base_or_jet_atom(a) for a in args) != signature:
             declared = ", ".join(ctx.atom_name(a) for a in signature)
             raise SemanticError(
                 f"opaque symbol {name!r} is declared with arguments ({declared})", *pos)
@@ -728,10 +705,8 @@ class Evaluator:
             return ctx.expr(FnPartial(name, signature, tuple(sorted(derivs))))
         return ctx.expr(OpaqueFn(name, signature))
 
-    def _binary(self, node: Bin):
-        op = node.op
-        left = self.value(node.left)
-        right = self.value(node.right)
+    def _binary(self, node: Node, left, right):
+        op, _, right_node = node.args
         lform = isinstance(left, DifferentialForm)
         rform = isinstance(right, DifferentialForm)
         try:
@@ -755,9 +730,9 @@ class Evaluator:
                     return left * inv
                 return left / right
             if op == "^":
-                if not isinstance(node.right, Num):
+                if right_node.kind != "num":
                     raise SemanticError("exponent must be an integer literal", *node.pos)
-                k = node.right.value
+                k, = right_node.args
                 if lform:
                     if k < 0:
                         raise SemanticError("negative power of a form", *node.pos)

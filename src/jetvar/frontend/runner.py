@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from importlib import resources
 
 from ..errors import (
     ConsistencyError,
@@ -43,22 +41,21 @@ from .parser import Evaluator, ProblemFile, parse, serialize_node
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    computed: str | None = None
-    expected: str | None = None
-    message: str | None = None
-    line: int | None = None
+    """One check of a report; its slots are the keys of its --out entry."""
+
+    __slots__ = ("name", "status", "computed", "expected", "message", "line")
+
+    def __init__(self, name, status, computed=None, expected=None, message=None, line=None):
+        self.name, self.status, self.computed = name, status, computed
+        self.expected, self.message, self.line = expected, message, line
 
 
-@dataclass
 class Report:
-    problem: str
-    checks: list = field(default_factory=list)
-    error: str | None = None
-    elapsed: float = 0.0
+    def __init__(self, problem: str, checks: list | None = None, error: str | None = None,
+                 elapsed: float = 0.0):
+        self.problem, self.error, self.elapsed = problem, error, elapsed
+        self.checks = [] if checks is None else checks
 
     def add(self, name, status, computed=None, expected=None, message=None, line=None):
         self.checks.append(CheckResult(name, status, computed, expected, message, line))
@@ -80,7 +77,8 @@ class Report:
         return {
             "problem": self.problem,
             "error": self.error,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{key: getattr(c, key) for key in CheckResult.__slots__}
+                       for c in self.checks],
             "summary": self.counts,
             "exit_code": self.exit_code,
         }
@@ -111,31 +109,30 @@ class Report:
         return "\n".join(lines)
 
 
-@dataclass
 class BuiltProblem:
-    problem: ProblemFile
-    ctx: JetContext
-    eq: SolvedEquation | None
-    frame: SpatialFrame | None
-    lagrangian: Lagrangian | None
-    candidates: dict
-    resolution: object | None
-    evaluator: Evaluator
+    """A parsed problem made into the objects its stages work on."""
+
+    def __init__(self, problem: ProblemFile, ctx: JetContext, eq: SolvedEquation | None,
+                 frame: SpatialFrame | None, lagrangian: Lagrangian | None,
+                 candidates: dict, resolution, evaluator: Evaluator):
+        self.problem, self.ctx, self.eq, self.frame = problem, ctx, eq, frame
+        self.lagrangian, self.candidates = lagrangian, candidates
+        self.resolution, self.evaluator = resolution, evaluator
 
 
 def build(problem: ProblemFile) -> BuiltProblem:
     ctx = JetContext(problem.independents, problem.dependents)
     free_eval = Evaluator(ctx, None)
     for decl in problem.opaques:
-        atoms = tuple(free_eval.base_or_jet_atom(a) for a in decl.args)
-        ctx.declare_opaque(decl.name, atoms)
+        name, args = decl.args
+        ctx.declare_opaque(name, tuple(free_eval.base_or_jet_atom(a) for a in args))
 
     eq = None
     if problem.equations:
         rules = []
         for decl in problem.equations:
-            head = free_eval.coordinate_atom(decl.head)
-            rhs = free_eval.expression(decl.rhs)
+            head, rhs = decl.args
+            head, rhs = free_eval.coordinate_atom(head), free_eval.expression(rhs)
             if head in {a for a in rhs.jet_atoms()}:
                 raise SemanticError(
                     f"rule for {ctx.atom_name(head)} mentions its own head", decl.line, 1)
@@ -150,24 +147,25 @@ def build(problem: ProblemFile) -> BuiltProblem:
     if problem.lagrangian is not None:
         lagrangian = Lagrangian(ctx, free_eval.expression(problem.lagrangian))
     candidates = {
-        decl.name: SSymmetryCandidate({evaluator.coordinate_atom(t): evaluator.expression(v)
-                                       for t, v in decl.entries})
-        for decl in problem.candidates}
+        name: SSymmetryCandidate({evaluator.coordinate_atom(t): evaluator.expression(v)
+                                  for t, v in entries})
+        for name, entries in (decl.args for decl in problem.candidates)}
 
     resolution = None
     if problem.resolves:
         if frame is None or eq is None:
             raise SemanticError("resolve requires an equation and a spatial frame")
         decl = problem.resolves[0]
+        names, _, prefix = decl.args
         spatial = frame.spatial_indices(ctx)
-        if len(decl.targets) != len(spatial):
+        if len(names) != len(spatial):
             raise SemanticError(
                 "resolve needs one target per spatial direction", decl.line, 1)
-        targets = [ctx.dependent_index(name) for name in decl.targets]
+        targets = [ctx.dependent_index(name) for name in names]
         potentials = {}
         for i in range(1, len(spatial) + 1):
             for j in range(i + 1, len(spatial) + 1):
-                name = f"{decl.prefix}{i}{j}"
+                name = f"{prefix}{i}{j}"
                 try:
                     ctx.dependent_index(name)
                 except KeyError:
@@ -197,7 +195,8 @@ class _Run:
 
     def __init__(self, built: BuiltProblem, report: Report):
         self.built, self.report = built, report
-        self.expects = {(decl.key, decl.subject): decl for decl in built.problem.expects}
+        # (key, subject) -> its expect declaration, whose args are (key, subject, value)
+        self.expects = {decl.args[:2]: decl for decl in built.problem.expects}
         self.omega_L = self.rep = None
 
     def expect_for(self, key, subject=None):
@@ -209,23 +208,25 @@ class _Run:
         if decl is None:
             self.report.add(name, PASS, computed=str(computed))
             return
-        if isinstance(decl.value, str):
+        value = decl.args[2]
+        if isinstance(value, str):
             self.report.add(name, FAIL, computed=str(computed),
-                            expected=decl.value, line=decl.line,
+                            expected=value, line=decl.line,
                             message=f"{key} expects a serialized value, not a flag")
             return
         # a golden of the other kind (form or scalar) is refused where it is written
         evaluator = self.built.evaluator
         expected = (evaluator.form if isinstance(computed, DifferentialForm)
-                    else evaluator.expression)(decl.value)
+                    else evaluator.expression)(value)
         matches = expected == computed or (computed - expected).is_zero()
         self.report.add(name, PASS if matches else FAIL,
                         computed=str(computed), expected=str(expected), line=decl.line)
 
     def verdict(self, name, decl, computed, shown=None):
         """Record a flag verdict against the expectation decl."""
-        expected = decl.value if isinstance(decl.value, str) else serialize_node(decl.value)
-        self.report.add(name, PASS if decl.value == computed else FAIL,
+        value = decl.args[2]
+        expected = value if isinstance(value, str) else serialize_node(value)
+        self.report.add(name, PASS if value == computed else FAIL,
                         computed=shown or computed, expected=expected, line=decl.line)
 
 
@@ -427,6 +428,9 @@ def fixture_text(name: str) -> str:
         raise KeyError(
             f"unknown example {name!r}; valid names: "
             + ", ".join(bundled_fixture_names()))
+    # imported here, not at start-up: importlib.resources pulls in inspect,
+    # typing and tempfile on some Pythons, and only reproduce reads fixtures
+    from importlib import resources
     ref = resources.files(__package__).joinpath("fixtures", f"{name}.jv")
     return ref.read_text(encoding="utf-8")
 

@@ -6,8 +6,6 @@ Euler operator and evolutionary vector fields are built on top of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ContextMismatch, UnsupportedExpression
 from .symexpr import (
     BaseVar,
@@ -123,20 +121,17 @@ def euler_derivative(ctx: JetContext, lam: Expression, k: int) -> Expression:
     return residues.get(JetCoord(k), ctx.zero())
 
 
-@dataclass(frozen=True)
 class EvolutionaryField:
     """Characteristic of an evolutionary vector field: one component per
     dependent variable."""
 
-    ctx: JetContext
-    components: tuple
-
-    def __post_init__(self):
-        if len(self.components) != self.ctx.m:
+    def __init__(self, ctx: JetContext, components: tuple):
+        if len(components) != ctx.m:
             raise ValueError("one component per dependent variable required")
-        for c in self.components:
-            if c.ctx is not self.ctx:
+        for c in components:
+            if c.ctx is not ctx:
                 raise ValueError("component context mismatch")
+        self.ctx, self.components = ctx, components
 
     def component(self, k: int) -> Expression:
         return self.components[k]

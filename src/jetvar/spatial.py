@@ -14,7 +14,6 @@ heads (SpatialStructure); that this decides assumes formal integrability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .eqmanifold import SolvedEquation
@@ -28,11 +27,20 @@ NULL = "null"
 CONSTRAINED = "constrained"
 
 
-@dataclass(frozen=True)
 class SpatialFrame:
-    """ker dx^a lifted to the equation manifold; a is the temporal index."""
+    """ker dx^a lifted to the equation manifold; a is the temporal index.
+    Frames with one temporal index are equal: they key SpatialStructures."""
 
-    temporal: int
+    def __init__(self, temporal: int):
+        self.temporal = temporal
+
+    def __eq__(self, other):
+        if not isinstance(other, SpatialFrame):
+            return NotImplemented
+        return self.temporal == other.temporal
+
+    def __hash__(self):
+        return hash((SpatialFrame, self.temporal))
 
     def spatial_indices(self, ctx) -> tuple[int, ...]:
         return tuple(i for i in range(ctx.n) if i != self.temporal)
@@ -218,13 +226,13 @@ def spatial_structure(eq: SolvedEquation, frame: SpatialFrame) -> SpatialStructu
 # spatial symmetries
 
 
-@dataclass(frozen=True)
 class SSymmetryCandidate:
     """Vertical field on the equation manifold given by its components on
     generating internal coordinates; everything else follows by commuting
     with the spatial total derivatives."""
 
-    components: dict
+    def __init__(self, components: dict):
+        self.components = components
 
     def normalized(self, ctx) -> dict:
         out = {}
@@ -307,18 +315,14 @@ def extend_S_symmetry(eq: SolvedEquation, frame: SpatialFrame,
 # constraint resolutions
 
 
-@dataclass(frozen=True)
 class ConstraintResolution:
     """Substitution resolving an under-determined spatial constraint of
     (eq, frame) by potentials, e.g. divergence-free fields as curls of
     antisymmetric potentials.  Maps resolved dependent indices to expressions
     in the potential coordinates; verified when constructed."""
 
-    eq: SolvedEquation
-    frame: SpatialFrame
-    substitutions: dict
-
-    def __post_init__(self):
+    def __init__(self, eq: SolvedEquation, frame: SpatialFrame, substitutions: dict):
+        self.eq, self.frame, self.substitutions = eq, frame, substitutions
         self.verify()
 
     def coordinate_value(self, coord: JetCoord) -> Expression:

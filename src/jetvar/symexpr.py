@@ -20,21 +20,33 @@ by ``atom_key``, and callers that need a stable atom order sort by it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ContextMismatch, UnsupportedExpression
 
 
 # ---------------------------------------------------------------------------
-# multi-indices
+# value types
+#
+# A multi-index and each kind of atom is a tuple led by a tag that no other
+# value type uses, so two values are equal only when they have one type and
+# equal fields, and hashing and equality run in C.  Fields are properties;
+# loops that run per atom read them by index or by unpacking.
+
+_BASE, _JET, _FN, _FNPARTIAL, _MINDEX = range(5)
 
 
-@dataclass(frozen=True, slots=True)
-class MultiIndex:
-    """Formal sum a_1 x^1 + ... + a_n x^n; zero entries are not stored."""
+class MultiIndex(tuple):
+    """Formal sum a_1 x^1 + ... + a_n x^n: the tuple (tag, entries), where
+    entries holds the pairs (i, a_i) with a_i != 0 in increasing i."""
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[int, int], ...] = ()):
+        return tuple.__new__(cls, (_MINDEX, entries))
+
+    entries = property(itemgetter(1))
 
     @staticmethod
     def zero() -> "MultiIndex":
@@ -57,108 +69,107 @@ class MultiIndex:
 
     @property
     def order(self) -> int:
-        return sum(c for _, c in self.entries)
+        return sum(c for _, c in self[1])
 
     def get(self, i: int) -> int:
-        for j, c in self.entries:
+        for j, c in self[1]:
             if j == i:
                 return c
         return 0
 
-    def counts(self) -> dict[int, int]:
-        return dict(self.entries)
-
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        counts = self.counts()
-        for i, c in other.entries:
+        counts = dict(self[1])
+        for i, c in other[1]:
             counts[i] = counts.get(i, 0) + c
         return MultiIndex.of(counts)
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        counts = self.counts()
-        for i, c in other.entries:
+        counts = dict(self[1])
+        for i, c in other[1]:
             counts[i] = counts.get(i, 0) - c
         return MultiIndex.of(counts)
 
     def divides(self, other: "MultiIndex") -> bool:
-        return all(other.get(i) >= c for i, c in self.entries)
+        return all(other.get(i) >= c for i, c in self[1])
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
+        return tuple(i for i, _ in self[1])
 
     def expand(self) -> tuple[int, ...]:
         """Index i repeated entries[i] times, ascending."""
         out: list[int] = []
-        for i, c in self.entries:
+        for i, c in self[1]:
             out.extend([i] * c)
         return tuple(out)
 
     def key(self) -> tuple:
         # graded, then lexicographic on the sparse entry list
-        return (self.order, self.entries)
+        return (self.order, self[1])
 
 
 # ---------------------------------------------------------------------------
 # atoms
 
-_BASE, _JET, _FN, _FNPARTIAL = 0, 1, 2, 3
 
+class BaseVar(tuple):
+    """x^index: the tuple (tag, index)."""
 
-def _atom_hash(self) -> int:
-    # The value the generated dataclass __hash__ gives, computed once per
-    # instance: opaque symbols carry about 26 jet-coordinate arguments.
-    h = self._hash
-    if h is None:
-        h = hash(tuple(getattr(self, name) for name in self.__match_args__))
-        object.__setattr__(self, "_hash", h)
-    return h
+    __slots__ = ()
 
+    def __new__(cls, index: int):
+        return tuple.__new__(cls, (_BASE, index))
 
-@dataclass(frozen=True, slots=True)
-class BaseVar:
-    index: int
+    index = property(itemgetter(1))
 
     def key(self) -> tuple:
-        return (_BASE, self.index)
+        return (_BASE, self[1])
 
 
-@dataclass(frozen=True, slots=True)
-class JetCoord:
-    dep: int
-    mindex: MultiIndex = MultiIndex()
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+class JetCoord(tuple):
+    """u^dep_mindex: the tuple (tag, dep, mindex)."""
 
-    __hash__ = _atom_hash
+    __slots__ = ()
 
-    def key(self) -> tuple:
-        return (_JET, self.dep, self.mindex.key())
+    def __new__(cls, dep: int, mindex: MultiIndex = MultiIndex()):
+        return tuple.__new__(cls, (_JET, dep, mindex))
 
-
-@dataclass(frozen=True, slots=True)
-class OpaqueFn:
-    name: str
-    args: tuple = ()
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    __hash__ = _atom_hash
+    dep = property(itemgetter(1))
+    mindex = property(itemgetter(2))
 
     def key(self) -> tuple:
-        return (_FN, self.name, tuple(a.key() for a in self.args))
+        return (_JET, self[1], self[2].key())
 
 
-@dataclass(frozen=True, slots=True)
-class FnPartial:
-    """Formal partial of an opaque symbol; derivs are 1-based argument slots."""
+class OpaqueFn(tuple):
+    """An opaque function symbol of coordinate atoms: the tuple (tag, name, args)."""
 
-    name: str
-    args: tuple = ()
-    derivs: tuple[int, ...] = ()
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    __hash__ = _atom_hash
+    def __new__(cls, name: str, args: tuple = ()):
+        return tuple.__new__(cls, (_FN, name, args))
+
+    name = property(itemgetter(1))
+    args = property(itemgetter(2))
 
     def key(self) -> tuple:
-        return (_FNPARTIAL, self.name, tuple(a.key() for a in self.args), self.derivs)
+        return (_FN, self[1], tuple(a.key() for a in self[2]))
+
+
+class FnPartial(tuple):
+    """Formal partial of an opaque symbol, the tuple (tag, name, args,
+    derivs); derivs are 1-based argument slots."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, args: tuple = (), derivs: tuple[int, ...] = ()):
+        return tuple.__new__(cls, (_FNPARTIAL, name, args, derivs))
+
+    name = property(itemgetter(1))
+    args = property(itemgetter(2))
+    derivs = property(itemgetter(3))
+
+    def key(self) -> tuple:
+        return (_FNPARTIAL, self[1], tuple(a.key() for a in self[2]), self[3])
 
 
 Atom = BaseVar | JetCoord | OpaqueFn | FnPartial

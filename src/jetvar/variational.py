@@ -4,7 +4,6 @@ representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .eqmanifold import SolvedEquation
@@ -29,12 +28,11 @@ from .jetcalc import (
 from .symexpr import Expression, JetCoord
 
 
-@dataclass(frozen=True)
 class Lagrangian:
     """Horizontal top form L = density * dx^1 ^ ... ^ dx^n."""
 
-    ctx: JetContext
-    density: Expression
+    def __init__(self, ctx: JetContext, density: Expression):
+        self.ctx, self.density = ctx, density
 
     @cached_property
     def variation(self) -> tuple[dict, list]:
@@ -82,14 +80,13 @@ def presymplectic_potential(L: Lagrangian) -> DifferentialForm:
     return L.omega
 
 
-@dataclass(frozen=True)
 class InternalLagrangianRep:
     """(L + omega_L) restricted to the equation manifold, with its restricted
     d, the presymplectic form."""
 
-    equation: SolvedEquation
-    form: DifferentialForm
-    presymplectic: DifferentialForm
+    def __init__(self, equation: SolvedEquation, form: DifferentialForm,
+                 presymplectic: DifferentialForm):
+        self.equation, self.form, self.presymplectic = equation, form, presymplectic
 
 
 def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangianRep:
@@ -112,11 +109,11 @@ def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangian
     return InternalLagrangianRep(eq, rep, d_rep)
 
 
-@dataclass(frozen=True)
 class PresymplecticStructure:
     """d of an internal Lagrangian representative, on the equation manifold."""
 
-    form: DifferentialForm
+    def __init__(self, form: DifferentialForm):
+        self.form = form
 
     @property
     def cartan2_part(self) -> DifferentialForm:

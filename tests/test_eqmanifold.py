@@ -303,8 +303,8 @@ def test_rule_for_matches_fixpoint_oracle_to_order_4(all_built, name):
     built = all_built[name]
     problem = parse(fixture_text(name))
     free = Evaluator(built.ctx, None)
-    declared = {free.coordinate_atom(d.head): free.expression(d.rhs)
-                for d in problem.equations}
+    declared = {free.coordinate_atom(head): free.expression(rhs)
+                for head, rhs in (d.args for d in problem.equations)}
     assert tuple(declared) == built.eq.heads
     head_of, rule = _fixpoint_rules(built.ctx, declared)
     checked = 0

@@ -12,21 +12,10 @@ from jetvar.errors import ParseError, SemanticError
 from jetvar.frontend import parse, parse_expression, parse_form, reproduce, run_check, runner
 from jetvar.frontend.cli import main as cli_main
 from jetvar.frontend.parser import (
-    Bin,
-    Call,
-    CandidateDecl,
-    DxAtom,
-    EquationDecl,
+    MAX_NESTING,
     Evaluator,
-    ExpectDecl,
-    Jet,
-    Name,
-    Neg,
-    Num,
-    OpaqueDecl,
-    PartialCall,
+    Node,
     ProblemFile,
-    ThetaAtom,
     parse_expression_node,
     serialize_node,
     tokenize,
@@ -43,8 +32,8 @@ def test_parse_laplace_fixture():
     assert problem.independents == ("x", "y")
     assert problem.dependents == ("u",)
     assert len(problem.equations) == 1
-    head = problem.equations[0].head
-    assert head == Jet("u", ("yy",))
+    head, _ = problem.equations[0].args
+    assert head == Node("jet", "u", ("yy",))
     assert problem.spatial == "y"
 
 
@@ -95,31 +84,49 @@ def test_roundtrip_fixtures():
         assert again.serialize() == problem.serialize()
 
 
+# every expression kind the parser builds; "pow" is a "bin" node with op "^"
+_EXPRESSION_KINDS = ("num", "name", "jet", "neg", "bin", "call", "partial", "D", "dx",
+                     "theta", "pow")
+
+
 def _random_node(rng, depth=0):
-    choices = ["num", "name", "jet", "neg", "bin", "call", "partial", "dx",
-               "theta", "pow"]
-    kind = rng.choice(choices if depth < 3 else ["num", "name", "jet"])
+    kind = rng.choice(_EXPRESSION_KINDS if depth < 3 else ["num", "name", "jet"])
     if kind == "num":
-        return Num(rng.randint(0, 9))
+        return Node("num", rng.randint(0, 9))
     if kind == "name":
-        return Name(rng.choice(["x", "y", "u", "v"]))
+        return Node("name", rng.choice(["x", "y", "u", "v"]))
     if kind == "jet":
-        return Jet("u", tuple(rng.choice(["x", "y", "xy"])
-                              for _ in range(rng.randint(1, 2))))
+        return Node("jet", "u", tuple(rng.choice(["x", "y", "xy"])
+                                      for _ in range(rng.randint(1, 2))))
     if kind == "neg":
-        return Neg(_random_node(rng, depth + 1))
+        return Node("neg", _random_node(rng, depth + 1))
     if kind == "bin":
         op = rng.choice("+-*/")
-        return Bin(op, _random_node(rng, depth + 1), _random_node(rng, depth + 1))
+        return Node("bin", op, _random_node(rng, depth + 1), _random_node(rng, depth + 1))
     if kind == "pow":
-        return Bin("^", _random_node(rng, depth + 1), Num(rng.randint(0, 3)))
+        return Node("bin", "^", _random_node(rng, depth + 1), Node("num", rng.randint(0, 3)))
+    coordinates = (Node("name", "y"), Node("jet", "u", ("y",)))
     if kind == "call":
-        return Call("h", (Name("y"), Jet("u", ("y",))))
+        return Node("call", "h", coordinates)
     if kind == "partial":
-        return PartialCall("h", (1,), (Name("y"), Jet("u", ("y",))))
+        return Node("partial", "h", (1,), coordinates)
+    if kind == "D":
+        return Node("D", rng.choice(["x", "y"]), _random_node(rng, depth + 1))
     if kind == "dx":
-        return DxAtom(rng.choice(["x", "y"]))
-    return ThetaAtom(Jet("u", ("x",)))
+        return Node("dx", rng.choice(["x", "y"]))
+    return Node("theta", Node("jet", "u", ("x",)))
+
+
+def test_random_asts_draw_every_kind_the_parser_builds():
+    parsed, stack = set(), [parse_expression_node(
+        "-u + 2*v - x/y + u[xy]^2 + h(y, u[y]) + h{1}(y, u[y]) + D[x](u)*d(y)*theta(u[x])")]
+    while stack:
+        node = stack.pop()
+        parsed.add(node.kind)
+        stack.extend(a for a in node.args if isinstance(a, Node))
+    rng = random.Random(3)
+    drawn = {_random_node(rng).kind for _ in range(500)}
+    assert parsed == drawn == set(_EXPRESSION_KINDS) - {"pow"}
 
 
 def test_roundtrip_random_asts():
@@ -137,16 +144,70 @@ def test_roundtrip_random_problem_asts():
         problem = ProblemFile(
             independents=("x", "y"),
             dependents=("u", "v"),
-            opaques=(OpaqueDecl("h", (Name("y"), Jet("u", ("y",)))),),
-            equations=(EquationDecl(Jet("u", ("yy",)), _random_node(rng)),),
+            opaques=(Node("opaque", "h", (Node("name", "y"), Node("jet", "u", ("y",)))),),
+            equations=(Node("equation", Node("jet", "u", ("yy",)), _random_node(rng)),),
             lagrangian=_random_node(rng),
             spatial=rng.choice(["x", "y", None]),
-            candidates=(CandidateDecl(
-                "X", ((Name("u"), _random_node(rng)),)),),
-            expects=(ExpectDecl("gauge", "X", rng.choice(["trivial", "nontrivial"])),
-                     ExpectDecl("euler", "u", _random_node(rng))),
+            candidates=(Node("candidate", "X", ((Node("name", "u"), _random_node(rng)),)),),
+            resolves=rng.choice([(), (Node("resolve", ("u", "v"), "antisym_potential", "r"),)]),
+            expects=(Node("expect", "gauge", "X", rng.choice(["trivial", "nontrivial"])),
+                     Node("expect", "euler", "u", _random_node(rng))),
         )
         assert parse(problem.serialize()) == problem
+
+
+def test_nodes_compare_by_kind_and_fields_not_position():
+    a = parse_expression_node("u + h(y, u[y])")
+    b = parse_expression_node("\n   u +\n h( y,u[ y ] )")
+    assert a == b and hash(a) == hash(b) and a.pos != b.pos
+    assert Node("name", "u", pos=(3, 4)) == Node("name", "u")
+    # the kind is part of the value: equal fields of two kinds differ
+    assert Node("name", "x") != Node("dx", "x")
+    assert Node("call", "h", ()) != Node("opaque", "h", ())
+    assert len({Node("name", "x"), Node("dx", "x"), Node("name", "x", pos=(2, 1))}) == 2
+
+
+def _long_chain(count):
+    """A left-associative chain of count operands, written as serialize_node
+    writes it, and the operands' texts with their signs."""
+    pieces = ["u[x]", "x*u", "y^2", "3*u[y]/x", "-u"]
+    signs = [+1] + [(-1) ** k for k in range(1, count)]
+    terms = [pieces[k % len(pieces)] for k in range(count)]
+    text = terms[0] + "".join(f" {'+' if sign > 0 else '-'} {t}"
+                              for sign, t in zip(signs[1:], terms[1:]))
+    return text, list(zip(signs, terms))
+
+
+def test_long_sum_evaluates_and_serializes_without_recursion():
+    ctx = context2()
+    text, terms = _long_chain(2000)
+    expected = ctx.zero()
+    for sign, term in terms:
+        expected = expected + sign * parse_expression(term, ctx)
+    assert parse_expression(text, ctx) == expected
+    assert serialize_node(parse_expression_node(text)) == text
+    report = run_check(f"independents x y\ndependents u\nequation u[yy] = {text}\n")
+    assert report.exit_code == 0, report.human()
+
+
+@pytest.mark.parametrize("wrap", [lambda s: f"({s})", lambda s: f"-{s}"],
+                         ids=["parentheses", "minus"])
+def test_nesting_bounded_with_located_parse_error(tmp_path, capsys, wrap):
+    ctx = context2()
+    text = "u"
+    for _ in range(MAX_NESTING):
+        text = wrap(text)
+    at_limit = parse_expression(text, ctx)
+    assert at_limit in (ctx.var("u"), -ctx.var("u"))
+    with pytest.raises(ParseError, match="nested more than") as err:
+        parse_expression(wrap(text), ctx)
+    assert (err.value.line, err.value.column) == (1, text.index("u") + 2)
+    target = tmp_path / "deep.jv"
+    target.write_text(f"independents x y\ndependents u\nlagrangian {wrap(text)}\n",
+                      encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    assert f"[REFUSED] 3:{text.index('u') + 13}: expression nested more than" \
+        in capsys.readouterr().out
 
 
 def test_reports_deterministic():
@@ -682,6 +743,29 @@ def test_cli_prolong_missing_file_exit_2(tmp_path, capsys):
     code = cli_main(["prolong", str(tmp_path / "nosuch.jv")])
     assert code == 2
     assert "nosuch.jv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "prolong"])
+def test_cli_problem_not_utf8_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "bad.jv"
+    target.write_bytes(b"\xff\xfe")
+    assert cli_main([command, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {target} is not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses, and importlib.resources on some Pythons, import inspect, ast,
+    # dis and tokenize, which cost more than the rest of jetvar's start-up;
+    # -S keeps out whatever site-packages hooks would load
+    src = str(Path(runner.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, jetvar.frontend.cli; print(sorted("
+         "{'dataclasses', 'importlib.resources', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_cli_prolong_rule_loop_exit_2(tmp_path, capsys):

@@ -156,6 +156,10 @@ def test_structure_built_once_per_equation_and_frame(laplace):
     shared = extend_S_symmetry(eq, frame, a).structure
     assert extend_S_symmetry(eq, frame, b).structure is shared
     assert spatial_structure(eq, frame) is shared
+    # frames are values: an equal frame built anew finds the same structure
+    assert SpatialFrame(1) == frame and hash(SpatialFrame(1)) == hash(frame)
+    assert spatial_structure(eq, SpatialFrame(1)) is shared
+    assert SpatialFrame(0) != frame
     assert spatial_structure(eq, SpatialFrame(0)) is not shared
     _, other_eq = laplace_equation(ctx)
     assert spatial_structure(other_eq, frame) is not shared

@@ -8,7 +8,16 @@ from jetvar.eqmanifold import iter_multi_indices
 from jetvar.errors import ContextMismatch, UnsupportedExpression
 from jetvar.frontend import parse
 from jetvar.frontend.runner import build, fixture_text
-from jetvar.symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, _mono_mul
+from jetvar.forms import DX, THETA
+from jetvar.symexpr import (
+    BaseVar,
+    Expression,
+    FnPartial,
+    JetCoord,
+    MultiIndex,
+    OpaqueFn,
+    _mono_mul,
+)
 
 from helpers import (
     E,
@@ -40,6 +49,29 @@ def test_multi_index_basics():
     assert not a.divides(b)
     with pytest.raises(ValueError):
         b - a
+
+
+def test_value_types_equal_only_within_one_type():
+    # atoms, multi-indices and form generators are tuples led by a type tag:
+    # equal fields of two types, as in JetCoord(0, a) and THETA(0, a), differ
+    a = MultiIndex.single(0)
+    args = (JetCoord(0, a),)
+    values = [BaseVar(0), JetCoord(0), JetCoord(0, a), OpaqueFn("f", args),
+              FnPartial("f", args), FnPartial("f", args, (1,)), MultiIndex(), a,
+              DX(0), THETA(0), THETA(0, a)]
+    again = [BaseVar(0), JetCoord(0), JetCoord(0, MultiIndex.of({0: 1})),
+             OpaqueFn("f", (JetCoord(0, a),)), FnPartial("f", args, ()),
+             FnPartial("f", args, (1,)), MultiIndex.zero(), MultiIndex.single(0, 1),
+             DX(0), THETA(0, MultiIndex()), THETA(0, a)]
+    for k, v in enumerate(values):
+        assert v == again[k] and hash(v) == hash(again[k])
+        assert type(v) is type(again[k])
+        assert all(v != w for w in values[:k] + values[k + 1:]), v
+    assert len(set(values)) == len(values)
+    # the empty multi-index is a value like any other, never false
+    assert MultiIndex() and MultiIndex.zero().order == 0
+    assert (JetCoord(0, a).dep, JetCoord(0, a).mindex) == (0, a)
+    assert (FnPartial("f", args, (1,)).name, FnPartial("f", args, (1,)).args) == ("f", args)
 
 
 def test_additive_identity(ctx):
