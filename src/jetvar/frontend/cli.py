@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from ..errors import JetvarError
 from .parser import parse
@@ -54,7 +53,8 @@ def _say(text: str) -> None:
 def _emit(report: Report, args) -> int:
     if args.out:
         try:
-            Path(args.out).write_text(report.to_json(), encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(report.to_json())
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -133,7 +133,8 @@ def main(argv=None) -> int:
         return _emit(report, args)
 
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        with open(args.file, encoding="utf-8") as source:
+            text = source.read()
     except OSError as exc:
         message = str(exc)
     except UnicodeDecodeError as exc:
@@ -141,7 +142,8 @@ def main(argv=None) -> int:
     else:
         if args.command == "prolong":
             return _cmd_prolong(text, args.order)
-        report = run_check(text, name=Path(args.file).stem, stages=REPORTED_STAGES[args.command])
+        name = os.path.splitext(os.path.basename(args.file))[0]
+        report = run_check(text, name=name, stages=REPORTED_STAGES[args.command])
         return _emit(report, args)
     print(f"error: {message}", file=sys.stderr)
     return 2

@@ -141,13 +141,24 @@ class Node:
     def line(self) -> int:
         return self.pos[0]
 
+    # equality and hashing walk the binary operators down the left spine in
+    # a loop, so a long left-associative chain takes no Python frame per operand
     def __eq__(self, other):
         if not isinstance(other, Node):
             return NotImplemented
-        return self.kind == other.kind and self.args == other.args
+        a, b = self, other
+        while a.kind == b.kind == "bin":
+            if a.args[0] != b.args[0] or a.args[2] != b.args[2]:
+                return False
+            a, b = a.args[1], b.args[1]
+        return a.kind == b.kind and a.args == b.args
 
     def __hash__(self):
-        return hash((self.kind, self.args))
+        node, spine = self, []
+        while node.kind == "bin":
+            spine.append((node.args[0], node.args[2]))
+            node = node.args[1]
+        return hash((node.kind, node.args, tuple(spine)))
 
     def __repr__(self):
         return f"Node{(self.kind,) + self.args!r}"

@@ -7,7 +7,6 @@ construct, unresolved constraint, bad syntax).
 
 from __future__ import annotations
 
-import json
 import time
 
 from ..errors import (
@@ -84,6 +83,7 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json  # only --out writes JSON; start-up skips the import
         return json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
 
     def human(self, verbose: bool = False) -> str:

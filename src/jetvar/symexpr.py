@@ -242,12 +242,8 @@ class JetContext:
         """
         if isinstance(spec, MultiIndex):
             return spec
-        if isinstance(spec, str):
-            letters = list(spec)
-        else:
-            letters = list(spec)
         counts: dict[int, int] = {}
-        for name in letters:
+        for name in spec:
             i = self.independent_index(name)
             counts[i] = counts.get(i, 0) + 1
         return MultiIndex.of(counts)
@@ -414,6 +410,11 @@ def _sum(ctx: JetContext, pieces, acc: dict | None = None) -> "Expression":
 # ---------------------------------------------------------------------------
 # expressions
 
+# A product of expressions with more term pairs than this is refused, not
+# expanded, so a polynomial blow-up such as a high power of a sum ends in a
+# clean refusal; the bundled fixtures multiply at most 18 pairs at once.
+MAX_PRODUCT_PAIRS = 100_000
+
 
 class Expression:
     """Canonical rational combination of atoms.  Immutable."""
@@ -503,6 +504,10 @@ class Expression:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
+            raise UnsupportedExpression(
+                f"product of a {len(self.terms)}-term and a {len(other.terms)}-term expression "
+                f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
         terms: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():

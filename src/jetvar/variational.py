@@ -14,6 +14,7 @@ from .forms import (
     THETA,
     _sort_generators,
     cartan_degree_filter,
+    theta_image,
     volume_form,
 )
 from .jetcalc import (
@@ -81,8 +82,8 @@ def presymplectic_potential(L: Lagrangian) -> DifferentialForm:
 
 
 class InternalLagrangianRep:
-    """(L + omega_L) restricted to the equation manifold, with its restricted
-    d, the presymplectic form."""
+    """(L + omega_L) restricted to the equation manifold, with the presymplectic
+    form d(L + omega_L)|_E = (d_V omega_L)|_E, which holds once E(L)|_E = 0."""
 
     def __init__(self, equation: SolvedEquation, form: DifferentialForm,
                  presymplectic: DifferentialForm):
@@ -90,8 +91,17 @@ class InternalLagrangianRep:
 
 
 def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangianRep:
-    """Restrict L + omega_L to the equation; requires the Euler-Lagrange
-    expressions of L to vanish on the equation manifold."""
+    """Restrict L + omega_L to the equation, with its d there.
+
+    Requires, and first checks, that every Euler-Lagrange expression E_k(L)
+    vanishes on the equation manifold.  The first variation gives
+    dL = E(L) - d_h omega_L (Anderson, The Variational Bicomplex, ch. 1-2),
+    so d(L + omega_L) = E(L) + d_V omega_L, and with E(L)|_E = 0 the
+    presymplectic form is (d_V omega_L)|_E.  d_V vanishes on every dx and
+    theta, so d_V (c gens) = sum (dc/du^k_alpha) theta^k_alpha ^ gens: two
+    theta factors per term, in the square of the Cartan ideal by
+    construction, and no total derivative is taken.
+    """
     ctx = L.ctx
     if ctx is not eq.ctx:
         raise LagrangianError("Lagrangian and equation contexts differ")
@@ -101,12 +111,12 @@ def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangian
             raise LagrangianError(
                 f"Euler expression for {ctx.dependents[k]!r} does not vanish "
                 f"on the equation: {residual}")
-    rep = eq.restrict_form(L.form() + presymplectic_potential(L))
-    d_rep = eq.restricted_exterior_derivative(rep)
-    if cartan_degree_filter(d_rep, 2) != d_rep:
-        raise LagrangianError(
-            "d(L + omega_L) restricted is not in the square of the Cartan ideal")
-    return InternalLagrangianRep(eq, rep, d_rep)
+    omega_L = presymplectic_potential(L)
+    d_v_omega = DifferentialForm.from_terms(ctx, ((d, (THETA(a.dep, a.mindex),) + gens)
+                                                  for gens, c in omega_L.terms.items()
+                                                  for a, d in theta_image(c)))
+    return InternalLagrangianRep(eq, eq.restrict_form(L.form() + omega_L),
+                                 eq.restrict_form(d_v_omega))
 
 
 class PresymplecticStructure:

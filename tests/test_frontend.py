@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,9 +186,27 @@ def test_long_sum_evaluates_and_serializes_without_recursion():
     for sign, term in terms:
         expected = expected + sign * parse_expression(term, ctx)
     assert parse_expression(text, ctx) == expected
-    assert serialize_node(parse_expression_node(text)) == text
+    node = parse_expression_node(text)
+    assert serialize_node(node) == text
+    # nodes compare and hash down the left spine in a loop too
+    again = parse_expression_node(text.replace(" + ", "  +  "))
+    assert again == node and hash(again) == hash(node)
+    changed = parse_expression_node(text[:-1] + "v")
+    assert changed != node and {node: 1}.get(changed) is None
     report = run_check(f"independents x y\ndependents u\nequation u[yy] = {text}\n")
     assert report.exit_code == 0, report.human()
+
+
+def test_polynomial_blow_up_refused_at_its_position(tmp_path, capsys):
+    # expanding the 90th power of a four-term sum would run for minutes; a
+    # product past the term-pair budget is refused where the power is written
+    target = tmp_path / "power.jv"
+    target.write_text("independents x y\ndependents u\n"
+                      "equation u[yy] = (u[x]+u[xx]+u+1)^90\n", encoding="utf-8")
+    started = time.process_time()
+    assert cli_main(["check", str(target)]) == 2
+    assert time.process_time() - started < 5
+    assert "[REFUSED] 3:34: product of a " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("wrap", [lambda s: f"({s})", lambda s: f"-{s}"],
@@ -757,12 +776,14 @@ def test_cli_problem_not_utf8_exits_2(tmp_path, capsys, command):
 def test_import_loads_no_dataclasses():
     # dataclasses, and importlib.resources on some Pythons, import inspect, ast,
     # dis and tokenize, which cost more than the rest of jetvar's start-up;
-    # -S keeps out whatever site-packages hooks would load
+    # json and pathlib serve only --out and reading a file; -S keeps out
+    # whatever site-packages hooks would load
     src = str(Path(runner.__file__).resolve().parents[2])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, jetvar.frontend.cli; print(sorted("
-         "{'dataclasses', 'importlib.resources', 'inspect'} & set(sys.modules)))"],
+         "{'dataclasses', 'importlib.resources', 'inspect', 'json', 'pathlib'}"
+         " & set(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

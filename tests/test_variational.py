@@ -8,8 +8,10 @@ from jetvar import (
     EvolutionaryField,
     JetContext,
     Lagrangian,
+    SolvedEquation,
     cartan_degree_filter,
     euler_derivative,
+    exterior_derivative,
     internal_lagrangian,
     presymplectic_potential,
     presymplectic_structure,
@@ -18,7 +20,7 @@ from jetvar import (
 )
 from jetvar import jetcalc
 from jetvar.errors import DegreeError, LagrangianError, UnsupportedExpression
-from jetvar.forms import THETA, volume_contraction, volume_form
+from jetvar.forms import THETA, theta_image, volume_contraction, volume_form
 from jetvar.spatial import SpatialFrame, is_gauge_trivial, reduce_mod_S2
 from jetvar.symexpr import JetCoord, MultiIndex, partial
 from jetvar.variational import InternalLagrangianRep
@@ -182,6 +184,34 @@ def test_warm_reproduce_builds_omega_once(monkeypatch):
     assert forms[0] is forms[1]
 
 
+@pytest.mark.parametrize("fixture", ["laplace", "wave", "pkdv", "maxwell"])
+def test_reproduce_takes_no_exterior_derivative(monkeypatch, fixture):
+    # the presymplectic form is the restriction of d_V omega_L: no run builds
+    # the full d, restricts it, or filters it by Cartan degree
+    from jetvar import forms
+    from jetvar.frontend import reproduce
+    calls = []
+
+    def spying(original):
+        def spy(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return spy
+
+    for original in (forms.exterior_derivative, forms.vertical_split,
+                     forms.cartan_degree_filter):
+        spy = spying(original)
+        for name, module in list(sys.modules.items()):
+            if name == "jetvar" or name.startswith("jetvar."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, spy)
+    monkeypatch.setattr(SolvedEquation, "restricted_exterior_derivative",
+                        spying(SolvedEquation.restricted_exterior_derivative))
+    assert reproduce(fixture).exit_code == 0
+    assert calls == []
+
+
 def test_internal_lagrangian_laplace_golden():
     ctx, eq = laplace_equation()
     lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
@@ -238,14 +268,62 @@ def test_presymplectic_wave_s_reduction():
         F("(theta(u[x])*theta(u)*d(x))/2", ctx)
 
 
+def _assert_presymplectic_is_restricted_d(lag, eq, label):
+    # internal_lagrangian restricts d_V omega_L; the oracle restricts the full
+    # d of the representative, which lies in the square of the Cartan ideal
+    rep = internal_lagrangian(lag, eq)
+    d_rep = eq.restricted_exterior_derivative(rep.form)
+    assert rep.presymplectic == d_rep, label
+    assert cartan_degree_filter(d_rep, 2) == d_rep, label
+
+
 def test_presymplectic_pure_cartan_degree_two(all_built):
     for name, built in all_built.items():
         if built.lagrangian is None:
             continue
-        rep = internal_lagrangian(built.lagrangian, built.eq)
-        d_rep = built.eq.restricted_exterior_derivative(rep.form)
-        assert rep.presymplectic == d_rep, name
-        assert cartan_degree_filter(d_rep, 2) == d_rep, name
+        _assert_presymplectic_is_restricted_d(built.lagrangian, built.eq, name)
+
+
+def test_presymplectic_matches_restricted_d_on_random_null_lagrangians():
+    # a fixture Lagrangian plus a random total divergence has the same Euler
+    # expressions, so it is accepted, while omega_L and the representative
+    # change with the divergence; Laplace in three independents gives omega_L
+    # odd degree, so the side theta is wedged on matters
+    rng = random.Random(20261018)
+    ctx3 = JetContext(["x", "y", "z"], ["u"])
+    laplace3 = SolvedEquation(ctx3, [(ctx3.jet_atom("u", "zz"), E("-u[xx] - u[yy]", ctx3))])
+    for (ctx, eq), density in ((laplace_equation(), "-(u[x]^2 + u[y]^2)/2"),
+                               (wave_equation(), "-(u[x]*u[y])/2"),
+                               (pkdv_equation(), "u[x]*u[t]/2 - u[x]^3 + u[xx]^2/2"),
+                               ((ctx3, laplace3), "-(u[x]^2 + u[y]^2 + u[z]^2)/2")):
+        pool = [ctx.base_atom(name) for name in ctx.independents] + [
+            ctx.jet_atom("u", spec) for spec in ("", *ctx.independents, "xx")]
+        for _ in range(8):
+            lam = E(density, ctx)
+            for i in range(ctx.n):
+                lam = lam + total_derivative(ctx, i, random_expression(
+                    rng, ctx, pool, max_terms=3, max_factors=2, rational=True))
+            _assert_presymplectic_is_restricted_d(Lagrangian(ctx, lam), eq, str(lam))
+
+
+def test_first_variation_gives_d_of_lagrangian_plus_omega_on_random_densities():
+    # off shell, on the free jet space: d(L + omega_L) = E(L) + d_V omega_L,
+    # with d_V omega_L the theta part of d of each coefficient
+    rng = random.Random(20261018)
+    for m in (1, 2, 3):
+        ctx = JetContext(["x", "y"], ["u", "v", "w"][:m])
+        pool = default_pool(ctx) + [ctx.jet_atom("u", "xxy"),
+                                    ctx.jet_atom(ctx.dependents[-1], "yy")]
+        for _ in range(10):
+            lag = Lagrangian(ctx, random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
+                                                    allow_den=True, rational=True))
+            d_v_omega = DifferentialForm.from_terms(ctx, (
+                (d, (THETA(a.dep, a.mindex),) + gens)
+                for gens, c in lag.omega.terms.items() for a, d in theta_image(c)))
+            d_omega = exterior_derivative(lag.omega)
+            assert d_v_omega == cartan_degree_filter(d_omega, 2), str(lag.density)
+            assert exterior_derivative(lag.form() + lag.omega) - d_v_omega == \
+                lag.euler_form(), str(lag.density)
 
 
 def test_omega_identity_all_fixtures(all_built):
