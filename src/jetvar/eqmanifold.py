@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import ConsistencyError, OrientationError
+from .errors import ConsistencyError, ContextMismatch, OrientationError
 from .forms import DifferentialForm, THETA, exterior_derivative, theta_image
 from .jetcalc import EvolutionaryField, JetContext, linearization
-from .symexpr import BaseVar, Expression, JetCoord, MultiIndex
+from .symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, OpaqueFn
 
 
 class SolvedEquation:
@@ -60,6 +60,9 @@ class SolvedEquation:
         # Dbar_i of each atom by atom id, one dict per direction; the values
         # for principal steps are the cached rules themselves
         self._dbar_memo = tuple({} for _ in range(ctx.n))
+        # whether restriction changes each atom, by atom id, filled as
+        # restrict meets the atoms; the heads are fixed, so an entry never changes
+        self._changes: dict[int, bool] = {}
         # one SpatialStructure per frame, filled by spatial.spatial_structure
         self.spatial_structures: dict = {}
         self.rhs = tuple(self.rule_for(head) for head in heads)
@@ -150,9 +153,29 @@ class SolvedEquation:
     # -- restriction -----------------------------------------------------------
 
     def restrict(self, e: Expression, _depth=0) -> Expression:
-        """Substitute every principal coordinate by its rule, a normal form."""
-        return e.substitute({a: self.rule_for(a, _depth)
-                             for a in e.jet_atoms() if self.is_principal(a)})
+        """Substitute every principal coordinate by its rule, a normal form.
+        An expression with no atom restriction changes is returned itself."""
+        if e.ctx is not self.ctx:
+            raise ContextMismatch("expression and equation belong to different contexts")
+        changes, atoms = self._changes, self.ctx._atoms
+        for m in (*e.terms, e.den):
+            for i, _ in m:
+                hit = changes.get(i)
+                if hit is None:
+                    hit = changes[i] = self._changed_by_restriction(atoms[i])
+                if hit:
+                    return e.substitute({a: self.rule_for(a, _depth)
+                                         for a in e.jet_atoms() if self.is_principal(a)})
+        return e
+
+    def _changed_by_restriction(self, atom) -> bool:
+        """A principal coordinate, or an opaque symbol or partial with one
+        among its arguments."""
+        if isinstance(atom, JetCoord):
+            return self.is_principal(atom)
+        if isinstance(atom, (OpaqueFn, FnPartial)):
+            return any(map(self._changed_by_restriction, atom.args))
+        return False
 
     def restrict_form(self, omega: DifferentialForm) -> DifferentialForm:
         """Restrict coefficients and rewrite principal Cartan generators via

@@ -1,14 +1,16 @@
-"""Command line interface.
+"""Command line interface: one parser, ``jetvar COMMAND TARGET [flags]``.
 
     jetvar check <file>               run every declared check
     jetvar euler <file>               Euler-Lagrange expressions only
-    jetvar prolong <file> --order K   print prolonged rules to order K
+    jetvar prolong <file> --order K   print prolonged rules to order K (default 2)
     jetvar internal-lagrangian <file>
     jetvar presymplectic <file>
     jetvar gauge-check <file>
     jetvar reproduce <name>           laplace | wave | maxwell | pkdv
 
-Global flags: --out <path> (machine-readable report), --verbose.
+Flags go before or after the command: --out <path> (machine-readable
+report; every command but prolong), --verbose, and --order, which only
+prolong takes; any other command refuses it.
 Integrability is decided only from the head overlaps under a ranking found
 when the equation is built; no order-by-order commutator scan runs (it lives
 on in tests/helpers.py as an oracle).  Exit codes: 0 all pass, 1 any fail,
@@ -87,62 +89,50 @@ def _cmd_prolong(text: str, order: int) -> int:
     return 0
 
 
-def _add_global_flags(parser, suppress=False):
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--out", default=d,
-                        help="write the machine-readable report here")
-    parser.add_argument("--verbose", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="jetvar", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_global_flags(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in REPORTED_STAGES:
-        p = sub.add_parser(name)
-        p.add_argument("file")
-        _add_global_flags(p, suppress=True)
-    p = sub.add_parser("prolong")
-    p.add_argument("file")
-    p.add_argument("--order", type=int, default=2)
-    _add_global_flags(p, suppress=True)
-    p = sub.add_parser("reproduce")
-    p.add_argument("name", help="|".join(bundled_fixture_names()))
-    _add_global_flags(p, suppress=True)
+    parser.add_argument("command", choices=(*REPORTED_STAGES, "prolong", "reproduce"))
+    parser.add_argument("target", help="problem file; for reproduce, one of "
+                        + "|".join(bundled_fixture_names()))
+    parser.add_argument("--out", metavar="PATH", help="write the machine-readable report here")
+    parser.add_argument("--verbose", action="store_true", help="print the computed values")
+    parser.add_argument("--order", type=int, metavar="K",
+                        help="prolong only: highest order of the rules printed (default 2)")
 
     args = parser.parse_args(argv)
+    if args.order is not None and args.command != "prolong":
+        parser.error(f"--order applies only to prolong, not to {args.command}")
+    order = 2 if args.order is None else args.order
     if args.command == "prolong":
         if args.out is not None:
             print("refused: prolong writes no report, so it does not take --out",
                   file=sys.stderr)
             return 2
-        if args.order < 0:
-            print(f"refused: --order must be at least 0, not {args.order}", file=sys.stderr)
+        if order < 0:
+            print(f"refused: --order must be at least 0, not {order}", file=sys.stderr)
             return 2
 
     if args.command == "reproduce":
         try:
-            fixture_text(args.name)
+            fixture_text(args.target)
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        report = reproduce(args.name)
+        report = reproduce(args.target)
         return _emit(report, args)
 
     try:
-        with open(args.file, encoding="utf-8") as source:
+        with open(args.target, encoding="utf-8") as source:
             text = source.read()
     except OSError as exc:
         message = str(exc)
     except UnicodeDecodeError as exc:
-        message = f"{args.file} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        message = f"{args.target} is not UTF-8 text ({exc.reason} at byte {exc.start})"
     else:
         if args.command == "prolong":
-            return _cmd_prolong(text, args.order)
-        name = os.path.splitext(os.path.basename(args.file))[0]
+            return _cmd_prolong(text, order)
+        name = os.path.splitext(os.path.basename(args.target))[0]
         report = run_check(text, name=name, stages=REPORTED_STAGES[args.command])
         return _emit(report, args)
     print(f"error: {message}", file=sys.stderr)

@@ -340,12 +340,23 @@ class ConstraintResolution:
         return e.substitute(rules) if rules else e
 
     def verify(self):
-        """Substituted expressions must satisfy the constraint identically,
-        checked at the minimal constraint points (see SpatialStructure)."""
+        """Every target family must be constrained: on a free or null family
+        a substitution passes the check below and still narrows the
+        solutions.  Substituted expressions must then satisfy the constraint
+        identically, checked at the minimal constraint points (see
+        SpatialStructure)."""
         eq, subs = self.eq, self.substitutions
+        structure = spatial_structure(eq, self.frame)
         top = max((a.mindex.get(self.frame.temporal)
                    for e in subs.values() for a in e.jet_atoms()), default=0)
-        defect = spatial_structure(eq, self.frame)._first_defect(
+        for fam in structure._families(top):
+            status = structure.status(fam) if fam[0] in subs else CONSTRAINED
+            if status != CONSTRAINED:
+                raise UnsupportedExpression(
+                    "resolve target family of "
+                    f"{eq.ctx.atom_name(structure.generator_coord(fam))} is {status}, "
+                    "not constrained; only a constrained family can be resolved")
+        defect = structure._first_defect(
             lambda fam: fam[0] in subs, top, self.coordinate_value, self.apply_to_expression)
         if defect is not None:
             raise UnsupportedExpression(

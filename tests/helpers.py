@@ -239,6 +239,16 @@ def commutator_scan(eq, max_order):
                         f"{eq.ctx.independents[i]}, {eq.ctx.independents[j]})")
 
 
+# -- restriction ------------------------------------------------------------------
+
+
+def substituting_restrict(eq, e):
+    """Restriction by substituting every principal jet atom, those inside
+    opaque arguments too, by its rule: the oracle for SolvedEquation.restrict,
+    which first looks up whether any atom of e changes at all."""
+    return e.substitute({a: eq.rule_for(a) for a in e.jet_atoms() if eq.is_principal(a)})
+
+
 # -- sampled spatial checks ------------------------------------------------------
 # The spatial layer once decided everything by probing every spatial step of
 # every internal coordinate up to a fixed order.  Those probes stay here as

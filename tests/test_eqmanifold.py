@@ -13,11 +13,16 @@ from jetvar import (
     total_derivative_multi,
 )
 from jetvar.eqmanifold import iter_multi_indices
-from jetvar.errors import ConsistencyError, OrientationError
+from jetvar.errors import (
+    ConsistencyError,
+    ContextMismatch,
+    OrientationError,
+    UnsupportedExpression,
+)
 from jetvar.frontend import parse
 from jetvar.frontend.parser import Evaluator
-from jetvar.frontend.runner import fixture_text
-from jetvar.symexpr import JetCoord, MultiIndex
+from jetvar.frontend.runner import build, fixture_text
+from jetvar.symexpr import FnPartial, JetCoord, MultiIndex
 
 from helpers import (
     E,
@@ -30,6 +35,7 @@ from helpers import (
     pkdv_equation,
     random_expression,
     random_form,
+    substituting_restrict,
     wave_equation,
 )
 
@@ -245,6 +251,67 @@ def test_restrict_idempotent_and_homomorphism():
         assert eq.restrict(ra) == ra
         assert eq.restrict(a * b) == ra * rb
         assert eq.restrict(a + b) == ra + rb
+
+
+def _restrict_outcome(restrict, eq, e):
+    try:
+        return restrict(eq, e)
+    # a non-coordinate rule inside an opaque, or a denominator that vanishes on E
+    except (UnsupportedExpression, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _restrict_matches_oracle(rng, eq, pool, count):
+    for _ in range(count):
+        e = random_expression(rng, eq.ctx, pool, allow_den=True)
+        got = _restrict_outcome(SolvedEquation.restrict, eq, e)
+        assert got == _restrict_outcome(substituting_restrict, eq, e), e
+        if not any(map(eq.is_principal, e.jet_atoms())):
+            assert got is e
+
+
+def _opaque_pool(ctx, principal):
+    """One opaque symbol per principal coordinate, of it, a base variable and
+    an internal coordinate, with two of its partials."""
+    pool = []
+    for k, arg in enumerate(principal):
+        f = ctx.declare_opaque(f"restrict_oracle_{k}", [ctx.base_atom(ctx.independents[0]),
+                                                        arg, ctx.jet_atom(ctx.dependents[0])])
+        pool += [f, FnPartial(f.name, f.args, (2,)), FnPartial(f.name, f.args, (1, 3))]
+    return pool
+
+
+@pytest.mark.parametrize("name", ["laplace", "wave", "pkdv", "maxwell"])
+def test_restrict_matches_substitution_on_fixtures(name):
+    built = build(parse(fixture_text(name)))  # fresh: the pool declares opaques
+    ctx, eq = built.ctx, built.eq
+    principal = [JetCoord(h.dep, h.mindex + MultiIndex.single(i))
+                 for h in eq.heads for i in range(ctx.n)]
+    pool = default_pool(ctx) + list(eq.heads) + principal + _opaque_pool(ctx, eq.heads[:1])
+    _restrict_matches_oracle(random.Random(f"restrict-{name}"), eq, pool, 100)
+
+
+def test_restrict_matches_substitution_on_random_rules():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        ctx = JetContext(["x", "y"], ["u", "v"])
+        # a coordinate right side renames opaque arguments; a sum refuses them
+        rhs = rng.choice(["v", "v[x]", "u[x]", "-u[xx]", "u[x] + v"])
+        eq = SolvedEquation(ctx, [(ctx.jet_atom("u", "yy"), E(rhs, ctx))])
+        principal = [ctx.jet_atom("u", spec) for spec in ("yy", "xyy", "yyy")]
+        pool = default_pool(ctx) + principal + _opaque_pool(ctx, principal)
+        _restrict_matches_oracle(rng, eq, pool, 30)
+
+
+def test_restrict_returns_normal_form_itself_and_refuses_other_contexts():
+    ctx, eq = laplace_equation()
+    e = E("u[x]^2/u + x*u[xy]", ctx)
+    assert eq.restrict(e) is e
+    other, _ = laplace_equation()
+    with pytest.raises(ContextMismatch):
+        eq.restrict(E("u[x]", other))
+    with pytest.raises(ContextMismatch):
+        eq.restrict(E("u[yy]", other))
 
 
 def test_restrict_interchanges_with_total_derivative(maxwell_built):

@@ -486,6 +486,65 @@ def test_cli_verbose_reports_order_3(capsys):
     assert "internal coordinates to order 3\n" in capsys.readouterr().out
 
 
+# -- one parser: COMMAND TARGET with flags on either side ----------------------
+
+_COMMANDS = ("check", "euler", "internal-lagrangian", "presymplectic", "gauge-check",
+             "prolong", "reproduce")
+
+
+def _cli_target(command, tmp_path):
+    if command == "reproduce":
+        return "laplace"
+    target = tmp_path / "laplace.jv"
+    target.write_text(fixture_text("laplace"), encoding="utf-8")
+    return str(target)
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["flags-first", "flags-last"])
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_cli_flags_before_or_after_command(tmp_path, capsys, command, before):
+    target = _cli_target(command, tmp_path)
+    out_path = tmp_path / "report.json"
+    flags = ["--verbose"] if command == "prolong" else ["--out", str(out_path), "--verbose"]
+    argv = flags + [command, target] if before else [command, target] + flags
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    if command == "prolong":
+        assert out == "u[y,y] -> -u[x,x]\n-- 1 rules to order 2\n"
+        return
+    # --verbose prints the integrability text, --out writes the report
+    assert "[PASS] integrability: [D_i,D_j] = 0 on internal coordinates to order 3\n" in out
+    assert json.loads(out_path.read_text(encoding="utf-8"))["problem"] == "laplace"
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["flag-first", "flag-last"])
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c != "prolong"])
+def test_cli_order_refused_except_for_prolong(tmp_path, capsys, command, before):
+    target = _cli_target(command, tmp_path)
+    argv = ["--order", "3", command, target] if before else [command, target, "--order", "3"]
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--order applies only to prolong, not to {command}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_unknown_command_exit_2(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["simplify", "laplace"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'simplify'" in capsys.readouterr().err
+
+
+def test_cli_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["-h"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out
+    assert "{" + ",".join(_COMMANDS) + "}" in usage
+
+
 @pytest.mark.parametrize("extra", ["", "equation u[yy] = 0\n"])
 def test_cli_unorientable_rule_set_names_rule(tmp_path, capsys, extra):
     target = tmp_path / "loop.jv"

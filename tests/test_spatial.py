@@ -675,3 +675,28 @@ def test_resolve_on_one_spatial_direction_refused(wave_built, tmp_path, capsys):
     assert "[REFUSED] antisymmetric potentials need a frame with at least two " \
            "spatial directions; this frame has 1\n" in out
     assert "gauge[Ybad]" not in out
+
+
+_FREE_FAMILIES = """independents t x y
+dependents a b r12
+equation a[t] = 0
+equation b[t] = 0
+lagrangian a*b[t]
+spatial t
+candidate K { a -> y; b -> x }
+expect gauge[K] = nontrivial
+"""
+
+
+def test_resolve_on_free_families_refused(tmp_path, capsys):
+    # a and b carry no constraint, so substituting potentials for them
+    # narrows their solutions and flips gauge[K] to trivial
+    target = tmp_path / "free.jv"
+    target.write_text(_FREE_FAMILIES, encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 0
+    assert "[PASS] gauge[K]" in capsys.readouterr().out
+    target.write_text(_FREE_FAMILIES + "resolve a b = antisym_potential(r)\n", encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    out = capsys.readouterr().out
+    assert "[REFUSED] resolve target family of a is free, not constrained" in out
+    assert "gauge[K]" not in out
