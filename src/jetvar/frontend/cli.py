@@ -9,8 +9,9 @@
     jetvar reproduce <name>           laplace | wave | maxwell | pkdv
 
 Flags go before or after the command: --out <path> (machine-readable
-report; every command but prolong), --verbose, and --order, which only
-prolong takes; any other command refuses it.
+report) and --verbose (computed values in the printed report), which every
+command but prolong takes, and --order, which only prolong takes; any other
+command refuses it.
 Integrability is decided only from the head overlaps under a ranking found
 when the equation is built; no order-by-order commutator scan runs (it lives
 on in tests/helpers.py as an oracle).  Exit codes: 0 all pass, 1 any fail,
@@ -105,10 +106,11 @@ def main(argv=None) -> int:
         parser.error(f"--order applies only to prolong, not to {args.command}")
     order = 2 if args.order is None else args.order
     if args.command == "prolong":
-        if args.out is not None:
-            print("refused: prolong writes no report, so it does not take --out",
-                  file=sys.stderr)
-            return 2
+        for flag, given in (("--out", args.out is not None), ("--verbose", args.verbose)):
+            if given:
+                print(f"refused: prolong writes no report, so it does not take {flag}",
+                      file=sys.stderr)
+                return 2
         if order < 0:
             print(f"refused: --order must be at least 0, not {order}", file=sys.stderr)
             return 2

@@ -19,10 +19,14 @@ together) or u[x1,x2].  In expression position, d(x) is the horizontal
 covector, theta(u[x]) the contact covector, D[x](e) the (restricted) total
 derivative, and f{1,2}(args) a formal partial of an opaque symbol; products
 of form factors are wedge products.  The names d, D and theta are reserved:
-no independent, dependent or opaque symbol may take them.
+no independent, dependent or opaque symbol may take them.  The declarations
+independents, dependents, lagrangian, spatial and resolve appear at most
+once, and no two candidates share a name nor two expectations a key.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..errors import ParseError, SemanticError, UnsupportedExpression
 from ..forms import DifferentialForm, dx as dx_form, theta as theta_form
@@ -30,11 +34,6 @@ from ..jetcalc import JetContext, total_derivative
 from ..symexpr import Expression, FnPartial, JetCoord, OpaqueFn
 
 RESERVED = {"d", "D", "theta"}
-
-KEYWORDS = {
-    "independents", "dependents", "opaque", "equation", "lagrangian",
-    "spatial", "candidate", "resolve", "expect",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -49,58 +48,39 @@ class Token:
         self.value, self.line, self.column = value, line, column
 
 
-_PUNCT2 = ("->",)
-_PUNCT1 = "()[]{},;=+-*/^"
+# One alternative per token kind, tried in order after the blanks before a
+# token.  INT is a run of decimal digits of any script, which int() reads; a
+# NAME is a letter or '_' and then word characters.  A digit that is not a
+# decimal one, such as the superscript 2, also matches the NAME group, and is
+# refused where it starts a token.
+_TOKEN = re.compile(r"""
+    [ \t\r]*
+    (?: (?P<NEWLINE>\n)
+      | (?P<COMMENT>\#[^\n]*)
+      | (?P<PUNCT>->|[()\[\]{},;=+\-*/^])
+      | (?P<INT>\d+)
+      | (?P<NAME>[^\W\d]\w*)
+      | (?P<BAD>.)
+    )""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, closed by an END token one column past its last
+    character; columns count characters from the start of the line."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("PUNCT", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
+    line, line_start = 1, 0
+    # the scan stops before trailing blanks, so every match ends in a token
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r"))):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind != "COMMENT":
+            value = m[kind]
+            column = m.start(kind) - line_start + 1
+            if kind == "BAD" or kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, column)
+            tokens.append(Token(kind, value, line, column))
+    tokens.append(Token("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -203,10 +183,9 @@ class ProblemFile:
                 f"{serialize_node(t)} -> {serialize_node(v)}" for t, v in entries)
             out.append(f"candidate {name} {{ {entries} }}")
         for x in self.expects:
-            key, subject, value = x.args
-            subject = f"[{subject}]" if subject is not None else ""
+            value = x.args[2]
             value = value if isinstance(value, str) else serialize_node(value)
-            out.append(f"expect {key}{subject} = {value}")
+            out.append(f"expect {_expect_label(x)} = {value}")
         return "\n".join(out) + "\n"
 
 
@@ -215,6 +194,8 @@ def serialize_node(node: Node) -> str:
 
 
 _PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+# the operators parse_expr reads; only a PUNCT token's value is one of them
+_BINARY = {op: prec for op, prec in _PRECEDENCE.items() if op != "^"}
 
 
 def _serialize(node: Node, parent_prec: int) -> str:
@@ -265,6 +246,18 @@ def _serialize(node: Node, parent_prec: int) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
+
+def _once(value) -> None:
+    """The key of a declaration that may appear once: it has none but its
+    keyword."""
+    return None
+
+
+def _expect_label(decl: Node) -> str:
+    key, subject, _ = decl.args
+    return key if subject is None else f"{key}[{subject}]"
+
+
 # How deeply parentheses, unary signs and bracketed arguments may nest around
 # an operand.  Each level costs the recursive-descent parser a few Python
 # frames, so the bound keeps a deep expression a ParseError, not a
@@ -305,53 +298,40 @@ class _Parser:
     # -- top level -------------------------------------------------------
 
     def parse_problem(self) -> ProblemFile:
-        independents = dependents = None
-        opaques, equations, candidates, resolves, expects = [], [], [], [], []
-        lagrangian = None
-        spatial = None
         first = self.peek()
         if first.kind != "NAME" or first.value != "independents":
             raise ParseError("problem must start with the independents declaration",
                              first.line, first.column, ["independents"])
+        found = {keyword: [] for keyword in self.DECLARATIONS}
+        first_line = {}  # (keyword, key) of a declaration -> its line
         while self.peek().kind != "END":
             tok = self.peek()
-            if tok.kind != "NAME" or tok.value not in KEYWORDS:
+            if tok.value not in self.DECLARATIONS:  # no other token's value is a keyword
                 raise ParseError(f"found {tok.value!r}", tok.line, tok.column,
-                                 sorted(KEYWORDS))
+                                 sorted(self.DECLARATIONS))
             keyword = self.advance().value
-            pos = (tok.line, tok.column)
-            if keyword == "independents":
-                independents = self.parse_names()
-            elif keyword == "dependents":
-                dependents = self.parse_names()
-            elif keyword == "opaque":
-                opaques.append(self.parse_opaque(pos))
-            elif keyword == "equation":
-                equations.append(self.parse_equation(pos))
-            elif keyword == "lagrangian":
-                lagrangian = self.parse_expr()
-            elif keyword == "spatial":
-                spatial = self.expect("NAME", expected=["independent name"]).value
-            elif keyword == "candidate":
-                candidates.append(self.parse_candidate(pos))
-            elif keyword == "resolve":
-                resolves.append(self.parse_resolve(pos))
-            elif keyword == "expect":
-                expects.append(self.parse_expect(pos))
-        if independents is None:
-            tok = self.peek()
-            raise ParseError("missing independents declaration", tok.line, tok.column,
-                             ["independents"])
-        if dependents is None:
+            parse_declaration, key_of = self.DECLARATIONS[keyword]
+            value = parse_declaration(self, (tok.line, tok.column))
+            if key_of is not None:
+                key = (keyword, key_of(value))
+                if key in first_line:
+                    label = keyword if key[1] is None else f"{keyword} {key[1]}"
+                    raise SemanticError(f"{label} is already declared on line "
+                                        f"{first_line[key]}", tok.line, tok.column)
+                first_line[key] = tok.line
+            found[keyword].append(value)
+        if not found["dependents"]:
             tok = self.peek()
             raise ParseError("missing dependents declaration", tok.line, tok.column,
                              ["dependents"])
+        [independents], [dependents] = found["independents"], found["dependents"]
         return ProblemFile(
             independents=independents, dependents=dependents,
-            opaques=tuple(opaques), equations=tuple(equations),
-            lagrangian=lagrangian, spatial=spatial,
-            candidates=tuple(candidates), resolves=tuple(resolves),
-            expects=tuple(expects))
+            opaques=tuple(found["opaque"]), equations=tuple(found["equation"]),
+            lagrangian=(found["lagrangian"] or [None])[0],
+            spatial=(found["spatial"] or [None])[0],
+            candidates=tuple(found["candidate"]), resolves=tuple(found["resolve"]),
+            expects=tuple(found["expect"]))
 
     def declared_name(self, tok: Token) -> str:
         if tok.value in RESERVED:
@@ -360,7 +340,7 @@ class _Parser:
 
     def parse_names(self) -> tuple:
         names = []
-        while self.peek().kind == "NAME" and self.peek().value not in KEYWORDS:
+        while self.peek().kind == "NAME" and self.peek().value not in self.DECLARATIONS:
             names.append(self.declared_name(self.advance()))
         if not names:
             tok = self.peek()
@@ -444,29 +424,38 @@ class _Parser:
             return Node("expect", key, subject, tok.value, pos=pos)
         return Node("expect", key, subject, self.parse_expr(), pos=pos)
 
+    # keyword: (its parse method, called with the keyword's position; the key
+    # that a declaration may not share with an earlier one of its keyword, read
+    # off what the method returns, or None where declarations may repeat)
+    DECLARATIONS = {
+        "independents": (lambda p, pos: p.parse_names(), _once),
+        "dependents": (lambda p, pos: p.parse_names(), _once),
+        "opaque": (parse_opaque, None),
+        "equation": (parse_equation, None),
+        "lagrangian": (lambda p, pos: p.parse_expr(), _once),
+        "spatial": (lambda p, pos: p.expect("NAME", expected=["independent name"]).value,
+                    _once),
+        "candidate": (parse_candidate, lambda decl: decl.args[0]),
+        "resolve": (parse_resolve, _once),
+        "expect": (parse_expect, _expect_label),
+    }
+
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value in "+-":
-                self.advance()
-                right = self.parse_term()
-                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
-            else:
-                return node
-
-    def parse_term(self) -> Node:
+    def parse_expr(self, min_prec: int = 0) -> Node:
+        """Precedence climbing over the left-associative operators of
+        _PRECEDENCE: an operator binds the operands around it when its
+        precedence is at least min_prec, and its right operand takes only
+        operators that bind tighter.  '^' binds tighter still, in parse_power."""
         node = self.parse_unary()
         while True:
             tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value in "*/":
-                self.advance()
-                right = self.parse_unary()
-                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
-            else:
+            prec = _BINARY.get(tok.value)
+            if prec is None or prec < min_prec:
                 return node
+            self.advance()
+            right = self.parse_expr(prec + 1)
+            node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
 
     def parse_unary(self) -> Node:
         # every level of nesting (a sign, parentheses, a call's or D's

@@ -125,7 +125,10 @@ def build(problem: ProblemFile) -> BuiltProblem:
     free_eval = Evaluator(ctx, None)
     for decl in problem.opaques:
         name, args = decl.args
-        ctx.declare_opaque(name, tuple(free_eval.base_or_jet_atom(a) for a in args))
+        try:
+            ctx.declare_opaque(name, tuple(free_eval.base_or_jet_atom(a) for a in args))
+        except ValueError as exc:  # a name taken by a variable or another signature
+            raise SemanticError(str(exc), *decl.pos) from None
 
     eq = None
     if problem.equations:

@@ -711,7 +711,11 @@ class Expression:
 
         total = _sum(ctx, [subst_mono(m, c) for m, c in self.terms.items()])
         if self.den:
-            total = total / subst_mono(self.den, 1)
+            den = subst_mono(self.den, 1)
+            if not den.terms:
+                raise UnsupportedExpression(
+                    f"denominator {Expression(ctx, {self.den: 1})} vanishes under the substitution")
+            total = total / den
         return total
 
     # -- printing ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from jetvar import DifferentialForm, JetContext, SolvedEquation
 from jetvar.eqmanifold import iter_multi_indices
-from jetvar.errors import ConsistencyError
+from jetvar.errors import ConsistencyError, ParseError
 from jetvar.forms import (
     DX,
     THETA,
@@ -16,6 +16,7 @@ from jetvar.forms import (
     volume_contraction,
 )
 from jetvar.frontend import parse_expression, parse_form
+from jetvar.frontend.parser import Node, ProblemFile, Token, _Parser
 from jetvar.frontend.runner import REFUSED, Report
 from jetvar.jetcalc import integrate_by_parts, total_derivative
 from jetvar.spatial import CONSTRAINED, FREE, NULL, s_degree_filter
@@ -440,3 +441,166 @@ def _restrict_report(report, prefixes):
                    for p in prefixes)]
     return Report(problem=report.problem, checks=kept, error=report.error,
                   elapsed=report.elapsed)
+
+
+# The front end once scanned with a character loop, parsed the binary
+# operators with one method per precedence level (parse_expr for + and -,
+# parse_term for * and /), and read declarations through a keyword set and an
+# if chain.  Those stay here as the oracle for the regex scanner, precedence
+# climbing and the declaration table.  The loop takes every character for
+# which str.isdigit() holds as a digit, so the superscript 2 made an INT token
+# that int() then failed on; and it left END at the first column of a comment
+# that ends the text.
+
+_REFERENCE_PUNCT2 = ("->",)
+_REFERENCE_PUNCT1 = "()[]{},;=+-*/^"
+REFERENCE_KEYWORDS = {
+    "independents", "dependents", "opaque", "equation", "lagrangian",
+    "spatial", "candidate", "resolve", "expect",
+}
+
+
+def reference_tokenize(text: str) -> list:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        two = text[i:i + 2]
+        if two in _REFERENCE_PUNCT2:
+            tokens.append(Token("PUNCT", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _REFERENCE_PUNCT1:
+            tokens.append(Token("PUNCT", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("END", "", line, col))
+    return tokens
+
+
+class ReferenceParser(_Parser):
+    """The parser over reference_tokenize, with the recursive-descent chain
+    parse_expr -> parse_term -> parse_unary and the declaration if chain;
+    every other method is the parser's own."""
+
+    def __init__(self, text: str):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def parse_problem(self) -> ProblemFile:
+        independents = dependents = None
+        opaques, equations, candidates, resolves, expects = [], [], [], [], []
+        lagrangian = None
+        spatial = None
+        first = self.peek()
+        if first.kind != "NAME" or first.value != "independents":
+            raise ParseError("problem must start with the independents declaration",
+                             first.line, first.column, ["independents"])
+        while self.peek().kind != "END":
+            tok = self.peek()
+            if tok.kind != "NAME" or tok.value not in REFERENCE_KEYWORDS:
+                raise ParseError(f"found {tok.value!r}", tok.line, tok.column,
+                                 sorted(REFERENCE_KEYWORDS))
+            keyword = self.advance().value
+            pos = (tok.line, tok.column)
+            if keyword == "independents":
+                independents = self.parse_names()
+            elif keyword == "dependents":
+                dependents = self.parse_names()
+            elif keyword == "opaque":
+                opaques.append(self.parse_opaque(pos))
+            elif keyword == "equation":
+                equations.append(self.parse_equation(pos))
+            elif keyword == "lagrangian":
+                lagrangian = self.parse_expr()
+            elif keyword == "spatial":
+                spatial = self.expect("NAME", expected=["independent name"]).value
+            elif keyword == "candidate":
+                candidates.append(self.parse_candidate(pos))
+            elif keyword == "resolve":
+                resolves.append(self.parse_resolve(pos))
+            elif keyword == "expect":
+                expects.append(self.parse_expect(pos))
+        if independents is None:
+            tok = self.peek()
+            raise ParseError("missing independents declaration", tok.line, tok.column,
+                             ["independents"])
+        if dependents is None:
+            tok = self.peek()
+            raise ParseError("missing dependents declaration", tok.line, tok.column,
+                             ["dependents"])
+        return ProblemFile(
+            independents=independents, dependents=dependents,
+            opaques=tuple(opaques), equations=tuple(equations),
+            lagrangian=lagrangian, spatial=spatial,
+            candidates=tuple(candidates), resolves=tuple(resolves),
+            expects=tuple(expects))
+
+    def parse_expr(self) -> Node:
+        node = self.parse_term()
+        while True:
+            tok = self.peek()
+            if tok.kind == "PUNCT" and tok.value in "+-":
+                self.advance()
+                right = self.parse_term()
+                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
+            else:
+                return node
+
+    def parse_term(self) -> Node:
+        node = self.parse_unary()
+        while True:
+            tok = self.peek()
+            if tok.kind == "PUNCT" and tok.value in "*/":
+                self.advance()
+                right = self.parse_unary()
+                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
+            else:
+                return node
+
+
+def reference_parse(text: str) -> ProblemFile:
+    return ReferenceParser(text).parse_problem()
+
+
+def reference_parse_expression_node(text: str) -> Node:
+    p = ReferenceParser(text)
+    node = p.parse_expr()
+    tok = p.peek()
+    if tok.kind != "END":
+        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
+    return node

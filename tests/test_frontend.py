@@ -23,7 +23,14 @@ from jetvar.frontend.parser import (
 )
 from jetvar.frontend.runner import bundled_fixture_names, fixture_text
 
-from helpers import _SECTIONS, _restrict_report, context2
+from helpers import (
+    _SECTIONS,
+    _restrict_report,
+    context2,
+    reference_parse,
+    reference_parse_expression_node,
+    reference_tokenize,
+)
 
 import random
 
@@ -227,6 +234,223 @@ def test_nesting_bounded_with_located_parse_error(tmp_path, capsys, wrap):
     assert cli_main(["check", str(target)]) == 2
     assert f"[REFUSED] 3:{text.index('u') + 13}: expression nested more than" \
         in capsys.readouterr().out
+
+
+# -- the scanner, precedence climbing and the declaration table against the
+# reference parser (helpers.ReferenceParser) -----------------------------------
+
+
+def _dump(value):
+    """A parse result with every node's position in it."""
+    if isinstance(value, Node):
+        return (value.kind, value.pos) + tuple(_dump(a) for a in value.args)
+    if isinstance(value, tuple):
+        return tuple(_dump(a) for a in value)
+    if isinstance(value, ProblemFile):
+        return {field: _dump(v) for field, v in vars(value).items()}
+    if isinstance(value, list):  # tokens
+        return [(t.kind, t.value, t.line, t.column) for t in value]
+    return value
+
+
+def _outcome(function, text):
+    try:
+        return "ok", _dump(function(text))
+    except (ParseError, SemanticError) as exc:
+        return type(exc).__name__, str(exc)
+    except Exception as exc:  # the reference's int() on a digit that is not decimal
+        return "crash", type(exc).__name__
+
+
+def _position(message):
+    line, column, _ = message.split(":", 2)
+    return int(line), int(column)
+
+
+def _end(tokenizer, text):
+    try:
+        end = tokenizer(text)[-1]
+    except ParseError:
+        return None
+    return end.line, end.column
+
+
+def _assert_matches_reference(text, function, reference):
+    """function's outcome on text is the reference's, apart from the three
+    differences the front end makes on purpose."""
+    got, want = _outcome(function, text), _outcome(reference, text)
+    if got == want:
+        return
+    # 1. END after a comment that closes the text stands one column past the
+    # comment, not at its first column
+    new_end, old_end = _end(tokenize, text), _end(reference_tokenize, text)
+    if None not in (new_end, old_end) and new_end != old_end:
+        assert text.rsplit("\n", 1)[-1][old_end[1] - 1] == "#", text
+        if want[0] == "ok" and isinstance(want[1], list):
+            want = ("ok", want[1][:-1] + [("END", "", *new_end)])
+        elif want[0] in ("ParseError", "SemanticError") and _position(want[1]) == old_end:
+            want = (want[0], "%d:%d:" % new_end + want[1].split(":", 2)[2])
+        if got == want:
+            return
+    assert want[0] != "ok" or got[0] != "ok", (text, got, want)
+    refusal = got[1] if got[0] != "ok" else ""
+    # 2. a digit that is not a decimal one, such as the superscript 2, is an
+    # unexpected character where it starts a token or follows decimal ones;
+    # the reference made an INT token of it, which int() then failed on, so
+    # it accepted no problem file or expression that holds one
+    if refusal.split(": ", 1)[-1].startswith("unexpected character "):
+        ch = refusal[-2]
+        if ch.isdigit() and not ch.isdecimal():
+            assert want[0] != "ok" or isinstance(want[1], list), (text, got, want)
+            if want[0] == "ok":  # the reference's tokens
+                kind, value, line, column = next(
+                    t for t in want[1] if t[0] == "INT" and not t[1].isdecimal())
+                k = next(i for i, c in enumerate(value) if not c.isdecimal())
+                assert refusal == f"{line}:{column + k}: unexpected character " \
+                                  f"{value[k]!r}", (text, got, want)
+            return
+    # 3. a repeated declaration is refused where it stands; the reference kept
+    # one copy and went on
+    assert got[0] == "SemanticError" and " is already declared on line " in refusal, \
+        (text, got, want)
+    assert want[0] == "ok" or want[0] == "crash" \
+        or _position(want[1]) > _position(refusal), (text, got, want)
+
+
+_FRAGMENTS = (
+    "independents x y\n", "dependents u v\n", "independents", "dependents", "opaque",
+    "equation", "lagrangian", "spatial", "candidate", "resolve", "expect", "x", "y", "u",
+    "u[x]", "u[xy]", "h", "d", "D", "theta", "C", "2", "10", "(", ")", "[", "]", "{", "}",
+    ",", ";", "=", "+", "-", "*", "/", "^", "->", " ", "  ", "\t", "\n", "\r\n", "# note",
+    "# end", "antisym_potential", "trivial", "true", "é", "²", "٣", "ué", "x²", "٣2", "2²",
+    "_a", "?", "$",
+)
+
+
+def _random_problem_text(rng):
+    """A problem file of random declarations, some repeated, whose expressions
+    are random syntax trees written with random spacing and comments."""
+    def expression():
+        text = serialize_node(_random_node(rng))
+        return text.replace(" ", rng.choice([" ", "", "  ", "\t", " # c\n "]))
+    lines = [f"equation u[yy] = {expression()}", f"lagrangian {expression()}",
+             "spatial y", "opaque h(y, u[y])", "resolve u v = antisym_potential(r)",
+             f"candidate {rng.choice('CK')} {{ u -> {expression()}; u[y] -> {expression()} }}",
+             f"expect euler[{rng.choice('uv')}] = {expression()}",
+             f"expect gauge[{rng.choice('CK')}] = trivial"]
+    if rng.random() < 0.5:
+        body = rng.sample(lines, rng.randint(0, len(lines)))
+    else:
+        lines += ["independents x", "dependents v"]
+        body = [rng.choice(lines) for _ in range(rng.randint(0, 6))]
+    return "independents x y\ndependents u v\n" + "\n".join(body) + rng.choice(["\n", ""])
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(text))
+        if rng.random() < 0.3:
+            text = text[:at] + text[at + rng.randint(1, 4):]
+        else:
+            text = text[:at] + rng.choice(_FRAGMENTS) + text[at:]
+    return text
+
+
+def test_scanner_and_parser_match_reference_on_fixtures():
+    for name in bundled_fixture_names():
+        text = fixture_text(name)
+        assert _dump(tokenize(text)) == _dump(reference_tokenize(text)), name
+        assert _dump(parse(text)) == _dump(reference_parse(text)), name
+
+
+def test_scanner_and_parser_match_reference_on_random_text():
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        problem = _mutated(rng, _random_problem_text(rng))
+        soup = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(0, 12)))
+        expression = _mutated(rng, serialize_node(_random_node(rng)))
+        for text in (problem, soup, expression):
+            _assert_matches_reference(text, tokenize, reference_tokenize)
+            _assert_matches_reference(text, parse, reference_parse)
+            _assert_matches_reference(text, parse_expression_node,
+                                      reference_parse_expression_node)
+
+
+def test_end_stands_past_a_closing_comment():
+    assert _dump(tokenize("independents x # none\n"))[-1] == ("END", "", 2, 1)
+    assert _dump(tokenize("independents x # none"))[-1] == ("END", "", 1, 22)
+    assert _dump(reference_tokenize("independents x # none"))[-1] == ("END", "", 1, 16)
+    with pytest.raises(ParseError, match=r"^1:22: missing dependents declaration"):
+        parse("independents x # none")
+
+
+def test_unicode_digits_and_letters():
+    # a decimal digit of any script is an integer, as int() reads it; a
+    # letter of any script may start a name, and a digit of any kind go on one
+    assert parse_expression_node("u^٣") == parse_expression_node("u^3")
+    assert _dump(tokenize("é2 u² x٣")) == [
+        ("NAME", "é2", 1, 1), ("NAME", "u²", 1, 4), ("NAME", "x٣", 1, 7), ("END", "", 1, 9)]
+    for text, column in (("u^²", 3), ("2²", 2), ("½", 1)):
+        with pytest.raises(ParseError, match=f"^1:{column}: unexpected character"):
+            tokenize(text)
+
+
+def test_superscript_exponent_refused_at_its_position(tmp_path, capsys):
+    text = "independents x y\ndependents u\nequation u[yy] = u^²\n"
+    with pytest.raises(ValueError):  # the reference parser's int('²')
+        reference_parse(text)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (3, 20)
+    target = tmp_path / "superscript.jv"
+    target.write_text(text, encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "[REFUSED] 3:20: unexpected character '²'" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+_HEAD = "independents x y\ndependents u\n"
+
+
+@pytest.mark.parametrize("text, where, label, first", [
+    (_HEAD + "lagrangian u[x]^2\nlagrangian u[y]^2\n", "4:1", "lagrangian", 3),
+    (_HEAD + "equation u[yy] = -u[xx]\nspatial y\n spatial x\n", "5:2", "spatial", 4),
+    (_HEAD + "independents x\n", "3:1", "independents", 1),
+    (_HEAD + "dependents v\n", "3:1", "dependents", 2),
+    (fixture_text("maxwell") + "resolve F01 F02 F03 = antisym_potential(q)\n", "74:1",
+     "resolve", 22),
+    (_HEAD + "equation u[yy] = -u[xx]\nspatial y\ncandidate C { u -> 1 }\n"
+     "candidate C { u -> x }\n", "6:1", "candidate C", 5),
+    (_HEAD + "lagrangian u[x]^2\nexpect euler[u] = 5\nexpect euler[u] = -2*u[xx]\n",
+     "5:1", "expect euler[u]", 4)],
+    ids=["lagrangian", "spatial", "independents", "dependents", "resolve", "candidate",
+         "expect"])
+def test_repeated_declaration_refused(tmp_path, capsys, text, where, label, first):
+    # the reference parser kept one of the two and went on
+    reference_parse(text)
+    message = f"{where}: {label} is already declared on line {first}"
+    with pytest.raises(SemanticError) as err:
+        parse(text)
+    assert str(err.value) == message
+    target = tmp_path / "repeated.jv"
+    target.write_text(text, encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"[REFUSED] {message}\n" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("declarations, message", [
+    ("opaque h(y)\n opaque h(x)", "4:2: opaque symbol 'h' redeclared with different arguments"),
+    ("opaque u(x)", "3:1: 'u' already names a variable")], ids=["signature", "variable"])
+def test_opaque_clash_refused_at_its_declaration(tmp_path, capsys, declarations, message):
+    target = tmp_path / "opaque.jv"
+    target.write_text(f"{_HEAD}{declarations}\nlagrangian u[x]^2\n", encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"[REFUSED] {message}\n" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_reports_deterministic():
@@ -505,7 +729,7 @@ def _cli_target(command, tmp_path):
 def test_cli_flags_before_or_after_command(tmp_path, capsys, command, before):
     target = _cli_target(command, tmp_path)
     out_path = tmp_path / "report.json"
-    flags = ["--verbose"] if command == "prolong" else ["--out", str(out_path), "--verbose"]
+    flags = ["--order", "2"] if command == "prolong" else ["--out", str(out_path), "--verbose"]
     argv = flags + [command, target] if before else [command, target] + flags
     assert cli_main(argv) == 0
     out = capsys.readouterr().out
@@ -811,6 +1035,21 @@ def test_candidate_without_equation_or_frame_exits_2(tmp_path, capsys, text):
         assert "never exercised" not in out and "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("declaration, refusal", [
+    ("lagrangian u[x]*u[y] + x/u[xy]", "[REFUSED] euler: denominator u[x,y]^"),
+    ("spatial y\ncandidate C { u -> 1/u[xy] }", "[REFUSED] candidate[C]: denominator u[x,y] ")],
+    ids=["lagrangian", "candidate"])
+def test_denominator_vanishing_on_the_equation_refused(tmp_path, capsys, declaration,
+                                                       refusal):
+    target = tmp_path / "vanishing.jv"
+    target.write_text(f"independents x y\ndependents u\nequation u[xy] = 0\n{declaration}\n",
+                      encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert refusal in captured.out and "vanishes under the substitution" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_division_by_zero_semantic_error():
     with pytest.raises(SemanticError) as err:
         parse_expression("u/(x - x)", context2())
@@ -868,24 +1107,28 @@ def test_cli_prolong_negative_order_exit_2(tmp_path, capsys):
     assert "rules to order" not in captured.out
 
 
-@pytest.mark.parametrize("flag, value", [("--out", "rules.json")])
-def test_cli_prolong_refuses_flag_after_subcommand(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flags", [["--out", "rules.json"], ["--verbose"]],
+                         ids=["--out-rules.json", "--verbose"])
+def test_cli_prolong_refuses_flag_after_subcommand(tmp_path, capsys, flags):
     target = tmp_path / "prob.jv"
     target.write_text(fixture_text("pkdv"), encoding="utf-8")
-    code = cli_main(["prolong", str(target), "--order", "2", flag, value])
+    code = cli_main(["prolong", str(target), "--order", "2", *flags])
     captured = capsys.readouterr()
     assert code == 2
-    assert flag in captured.err and "rules to order" not in captured.out
+    assert captured.err == f"refused: prolong writes no report, so it does not take {flags[0]}\n"
+    assert "rules to order" not in captured.out
 
 
-@pytest.mark.parametrize("flag, value", [("--out", "rules.json")])
-def test_cli_prolong_refuses_flag_before_subcommand(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flags", [["--out", "rules.json"], ["--verbose"]],
+                         ids=["--out-rules.json", "--verbose"])
+def test_cli_prolong_refuses_flag_before_subcommand(tmp_path, capsys, flags):
     target = tmp_path / "prob.jv"
     target.write_text(fixture_text("pkdv"), encoding="utf-8")
-    code = cli_main([flag, value, "prolong", str(target), "--order", "2"])
+    code = cli_main([*flags, "prolong", str(target), "--order", "2"])
     captured = capsys.readouterr()
     assert code == 2
-    assert flag in captured.err and "rules to order" not in captured.out
+    assert captured.err == f"refused: prolong writes no report, so it does not take {flags[0]}\n"
+    assert "rules to order" not in captured.out
 
 
 def test_cli_prolong_deep_order_exits_cleanly(tmp_path, capsys):
