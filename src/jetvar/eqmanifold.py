@@ -46,9 +46,12 @@ class SolvedEquation:
                         and a.mindex != b.mindex:
                     raise OrientationError(
                         f"rule head {ctx.atom_name(b)} is a derivative of head "
-                        f"{ctx.atom_name(a)}; the rule set is not minimal")
-        if len(set(heads)) != len(heads):
-            raise OrientationError("duplicate rule heads")
+                        f"{ctx.atom_name(a)}; the rule set is not minimal", rule=b)
+        for k, head in enumerate(heads):
+            if head in heads[:k]:
+                raise OrientationError(
+                    f"duplicate rule heads: {ctx.atom_name(head)} is already the head "
+                    "of an earlier rule", rule=head)
         self._check_ranking(heads, raw_rhs)
         self.heads = tuple(heads)
         # heads by dependent, in declaration order: the first dividing one wins
@@ -63,6 +66,8 @@ class SolvedEquation:
         # whether restriction changes each atom, by atom id, filled as
         # restrict meets the atoms; the heads are fixed, so an entry never changes
         self._changes: dict[int, bool] = {}
+        # each generator's image under restrict_form, filled as it meets them
+        self._images: dict = {}
         # one SpatialStructure per frame, filled by spatial.spatial_structure
         self.spatial_structures: dict = {}
         self.rhs = tuple(self.rule_for(head) for head in heads)
@@ -178,23 +183,21 @@ class SolvedEquation:
         return False
 
     def restrict_form(self, omega: DifferentialForm) -> DifferentialForm:
-        """Restrict coefficients and rewrite principal Cartan generators via
-        theta^p|_E = sum (d rhs/d u^j_beta) theta^j_beta."""
-        items = []
+        """Restrict coefficients and replace each generator by its image, kept
+        per generator as [(factor or None, generator)]: a principal theta^p
+        maps to sum (d rhs/d u^j_beta) theta^j_beta, any other generator to
+        itself with no factor."""
+        images, items = self._images, []
         for gens, coeff in omega.terms.items():
             pieces = [(self.restrict(coeff), ())]
             for g in gens:
-                expanded = []
-                if g.is_theta():
+                image = images.get(g)
+                if image is None:
                     coord = JetCoord(g.index, g.mindex)
-                    if self.is_principal(coord):
-                        for atom, d in theta_image(self.rule_for(coord)):
-                            expanded.append((d, THETA(atom.dep, atom.mindex)))
-                    else:
-                        expanded.append((self.ctx.one(), g))
-                else:
-                    expanded.append((self.ctx.one(), g))
-                pieces = [(c * fc, gs + (fg,)) for c, gs in pieces for fc, fg in expanded]
+                    image = images[g] = [(None, g)] if g.is_dx() or self.is_internal(coord) else [
+                        (d, THETA(a.dep, a.mindex)) for a, d in theta_image(self.rule_for(coord))]
+                pieces = [(c if f is None else c * f, gs + (fg,))
+                          for c, gs in pieces for f, fg in image]
             items.extend(pieces)
         return DifferentialForm.from_terms(self.ctx, items)
 

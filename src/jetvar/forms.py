@@ -11,10 +11,11 @@ from operator import itemgetter
 
 from .errors import ContextMismatch, DegreeError
 from .jetcalc import EvolutionaryField, JetContext, total_derivative, total_derivative_multi
-from .symexpr import Expression, JetCoord, MultiIndex, atom_key, partial
+from .symexpr import Expression, JetCoord, MultiIndex, partial
 
 # string tags, so no generator equals an atom or a MultiIndex (int tags);
-# "dx" < "theta" puts every dx before every theta in the canonical order
+# "dx" < "theta" puts every dx before every theta in the canonical order,
+# which is the generators' tuple order
 _DX, _THETA = "dx", "theta"
 
 
@@ -30,9 +31,6 @@ class Generator(tuple):
     kind = property(itemgetter(0))
     index = property(itemgetter(1))
     mindex = property(itemgetter(2))
-
-    def key(self):
-        return (self[0], self[1], self[2].key())
 
     def is_dx(self) -> bool:
         return self[0] == _DX
@@ -57,7 +55,7 @@ def _sort_generators(gens):
     # insertion sort; generator lists are tiny
     for i in range(1, len(gens)):
         j = i
-        while j > 0 and gens[j - 1].key() > gens[j].key():
+        while j > 0 and gens[j - 1] > gens[j]:
             gens[j - 1], gens[j] = gens[j], gens[j - 1]
             sign = -sign
             j -= 1
@@ -163,9 +161,7 @@ class DifferentialForm:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        items = tuple(sorted(((tuple(g.key() for g in gens), hash(c))
-                              for gens, c in self.terms.items())))
-        return hash((id(self.ctx), items))
+        return hash((id(self.ctx), frozenset(self.terms.items())))
 
     def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
         self._check(other)
@@ -179,7 +175,7 @@ class DifferentialForm:
         if not self.terms:
             return "0"
         parts = []
-        for gens in sorted(self.terms, key=lambda gs: tuple(g.key() for g in gs)):
+        for gens in sorted(self.terms):
             coeff = self.terms[gens]
             body = "*".join(_generator_name(self.ctx, g) for g in gens)
             cs = str(coeff)
@@ -240,8 +236,8 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 
 def theta_image(f: Expression):
     """Contact part of d f: the nonzero (u^k_alpha, df/du^k_alpha) pairs,
-    so that theta(f) = sum (df/du^k_alpha) theta^k_alpha, in atom_key order."""
-    for atom in sorted(f.jet_atoms(), key=atom_key):
+    so that theta(f) = sum (df/du^k_alpha) theta^k_alpha, in canonical order."""
+    for atom in sorted(f.jet_atoms()):
         d = partial(f, atom)
         if not d.is_zero():
             yield atom, d

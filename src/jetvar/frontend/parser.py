@@ -185,7 +185,7 @@ class ProblemFile:
         for x in self.expects:
             value = x.args[2]
             value = value if isinstance(value, str) else serialize_node(value)
-            out.append(f"expect {_expect_label(x)} = {value}")
+            out.append(f"expect {expect_label(x)} = {value}")
         return "\n".join(out) + "\n"
 
 
@@ -253,9 +253,18 @@ def _once(value) -> None:
     return None
 
 
-def _expect_label(decl: Node) -> str:
+def expect_label(decl: Node) -> str:
     key, subject, _ = decl.args
     return key if subject is None else f"{key}[{subject}]"
+
+
+def refuse_repeat(first_line: dict, keyword: str, key, pos: tuple) -> None:
+    """Refuse at pos a (keyword, key) already in first_line, else record its line."""
+    if (keyword, key) in first_line:
+        label = keyword if key is None else f"{keyword} {key}"
+        raise SemanticError(f"{label} is already declared on line "
+                            f"{first_line[keyword, key]}", *pos)
+    first_line[keyword, key] = pos[0]
 
 
 # How deeply parentheses, unary signs and bracketed arguments may nest around
@@ -313,12 +322,7 @@ class _Parser:
             parse_declaration, key_of = self.DECLARATIONS[keyword]
             value = parse_declaration(self, (tok.line, tok.column))
             if key_of is not None:
-                key = (keyword, key_of(value))
-                if key in first_line:
-                    label = keyword if key[1] is None else f"{keyword} {key[1]}"
-                    raise SemanticError(f"{label} is already declared on line "
-                                        f"{first_line[key]}", tok.line, tok.column)
-                first_line[key] = tok.line
+                refuse_repeat(first_line, keyword, key_of(value), (tok.line, tok.column))
             found[keyword].append(value)
         if not found["dependents"]:
             tok = self.peek()
@@ -437,7 +441,7 @@ class _Parser:
                     _once),
         "candidate": (parse_candidate, lambda decl: decl.args[0]),
         "resolve": (parse_resolve, _once),
-        "expect": (parse_expect, _expect_label),
+        "expect": (parse_expect, expect_label),
     }
 
     # -- expressions ----------------------------------------------------------

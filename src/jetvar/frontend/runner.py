@@ -13,6 +13,7 @@ from ..errors import (
     ConsistencyError,
     JetvarError,
     LagrangianError,
+    OrientationError,
     SemanticError,
     SSymmetryError,
 )
@@ -34,7 +35,7 @@ from ..variational import (
     presymplectic_potential,
     verify_omega_identity,
 )
-from .parser import Evaluator, ProblemFile, parse, serialize_node
+from .parser import Evaluator, ProblemFile, expect_label, parse, refuse_repeat, serialize_node
 
 
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
@@ -121,6 +122,15 @@ class BuiltProblem:
 
 
 def build(problem: ProblemFile) -> BuiltProblem:
+    # a ProblemFile made in code has not met the parser's refusal of repeats
+    first_line: dict = {}
+    for decl in problem.candidates:
+        refuse_repeat(first_line, "candidate", decl.args[0], decl.pos)
+    for decl in problem.resolves:
+        refuse_repeat(first_line, "resolve", None, decl.pos)
+    for decl in problem.expects:
+        refuse_repeat(first_line, "expect", expect_label(decl), decl.pos)
+
     ctx = JetContext(problem.independents, problem.dependents)
     free_eval = Evaluator(ctx, None)
     for decl in problem.opaques:
@@ -132,15 +142,18 @@ def build(problem: ProblemFile) -> BuiltProblem:
 
     eq = None
     if problem.equations:
-        rules = []
+        rules, decl_of = [], {}
         for decl in problem.equations:
             head, rhs = decl.args
             head, rhs = free_eval.coordinate_atom(head), free_eval.expression(rhs)
-            if head in {a for a in rhs.jet_atoms()}:
-                raise SemanticError(
-                    f"rule for {ctx.atom_name(head)} mentions its own head", decl.line, 1)
             rules.append((head, rhs))
-        eq = SolvedEquation(ctx, rules)
+            decl_of[head] = decl  # a repeated head keeps its later declaration
+        try:
+            eq = SolvedEquation(ctx, rules)
+        except OrientationError as exc:  # refused at the rule it names
+            if exc.rule not in decl_of:
+                raise
+            raise SemanticError(str(exc), *decl_of[exc.rule].pos) from None
 
     evaluator = Evaluator(ctx, eq)
 
@@ -156,9 +169,9 @@ def build(problem: ProblemFile) -> BuiltProblem:
 
     resolution = None
     if problem.resolves:
+        [decl] = problem.resolves
         if frame is None or eq is None:
-            raise SemanticError("resolve requires an equation and a spatial frame")
-        decl = problem.resolves[0]
+            raise SemanticError("resolve requires an equation and a spatial frame", *decl.pos)
         names, _, prefix = decl.args
         spatial = frame.spatial_indices(ctx)
         if len(names) != len(spatial):
@@ -411,10 +424,9 @@ def _run_stages(run: _Run, stages):
 
     # keys of no stage count only when every stage is reported
     keys = {key for stage, _, ks in STAGES if stage in stages for key in ks}
-    for (key, subject), decl in sorted(run.expects.items(), key=lambda kv: kv[1].line):
+    for (key, _), decl in sorted(run.expects.items(), key=lambda kv: kv[1].line):
         if key in keys or set(stages) == set(ALL_STAGES):
-            label = key if subject is None else f"{key}[{subject}]"
-            report.add(label, FAIL, message="expectation was never exercised",
+            report.add(expect_label(decl), FAIL, message="expectation was never exercised",
                        line=decl.line)
 
 

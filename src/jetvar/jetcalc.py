@@ -61,7 +61,7 @@ def integrate_by_parts(coeffs: dict, directions, derivative) -> tuple[dict, list
     D_j(b) theta^k_beta for alpha = beta + x^j.
 
     ``coeffs`` maps u^k_alpha to b, and ``derivative(j, b)`` is D_j.  Each
-    step takes the largest coordinate (by ``key()``) with a derivative in
+    step takes the largest coordinate (in canonical order) with a derivative in
     ``directions`` and its highest such j, records the boundary term
     (b, u^k_beta, j) and moves -derivative(j, b) onto u^k_beta.  Returns
     (residues, boundary): the coefficients left on coordinates with no
@@ -78,7 +78,7 @@ def integrate_by_parts(coeffs: dict, directions, derivative) -> tuple[dict, list
         return [i for i in coord.mindex.indices() if i in directions]
 
     while pending := [coord for coord in coeffs if steps(coord)]:
-        coord = max(pending, key=JetCoord.key)
+        coord = max(pending)
         b = coeffs.pop(coord)
         if b.is_zero():
             continue

@@ -20,7 +20,7 @@ from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
 from .forms import DX, DifferentialForm, interior_product, theta_image
 from .jetcalc import integrate_by_parts
-from .symexpr import Expression, JetCoord, MultiIndex, atom_key, partial
+from .symexpr import Expression, JetCoord, MultiIndex, partial
 
 FREE = "free"
 NULL = "null"
@@ -115,9 +115,17 @@ class SpatialStructure:
         self.eq = eq
         self.frame = frame
         self.ctx = eq.ctx
-        self._reach = sum(max((h.mindex.get(frame.temporal) for h in eq.heads if h.dep == k),
-                              default=0) for k in range(self.ctx.m))
+        # per dependent k, the order of its lowest purely temporal head (None
+        # without one): u^k_{t^h} is internal exactly when h is below it
+        t, self._reach, self._temporal_head = frame.temporal, 0, []
+        for k in range(self.ctx.m):
+            alphas = [h.mindex for h in eq.heads if h.dep == k]
+            self._reach += max((a.get(t) for a in alphas), default=0)
+            self._temporal_head.append(min((a.order for a in alphas if a.get(t) == a.order),
+                                           default=None))
+        # the equation fixes each family's minimal points and status
         self._minimal: dict[tuple[int, MultiIndex], tuple] = {}
+        self._status: dict[tuple[int, MultiIndex], str] = {}
 
     # family = (dependent, temporal part of the multi-index)
 
@@ -147,7 +155,7 @@ class SpatialStructure:
             ideal = {self.spatial_part(h) for h in self.eq.heads
                      if h.dep == dep and h.mindex.get(t) <= tau.get(t)}
             points, names = [], set()
-            for g in sorted(ideal, key=MultiIndex.key):
+            for g in sorted(ideal):
                 if not any(o != g and o.divides(g) for o in ideal):
                     rhs = self.eq.rule_for(JetCoord(dep, tau + g))
                     names.update(self.family_of(a) for a in rhs.jet_atoms())
@@ -158,19 +166,20 @@ class SpatialStructure:
 
     def _families(self, top: int):
         """Families with temporal count at most top plus the reach."""
-        for dep in range(self.ctx.m):
-            for k in range(top + self._reach + 1):
-                tau = MultiIndex.single(self.frame.temporal, k)
-                if self.eq.is_internal(JetCoord(dep, tau)):
-                    yield dep, tau
+        t, stop = self.frame.temporal, top + self._reach + 1
+        for dep, head in enumerate(self._temporal_head):
+            for h in range(stop if head is None else min(stop, head)):
+                yield dep, MultiIndex.single(t, h)
 
     def status(self, family) -> str:
-        points, _ = self._minimal_points(family)
-        if any(not rhs.is_zero() for _, _, rhs in points) or any(
+        st = self._status.get(family)
+        if st is None:
+            points, _ = self._minimal_points(family)
+            constrained = any(not rhs.is_zero() for _, _, rhs in points) or any(
                 family in self._minimal_points(other)[1]
-                for other in self._families(family[1].order)):
-            return CONSTRAINED
-        return NULL if points else FREE
+                for other in self._families(family[1].order))
+            st = self._status[family] = CONSTRAINED if constrained else NULL if points else FREE
+        return st
 
     def _first_defect(self, touched, top: int, value, image):
         """(c+e_j, residual) at the first minimal point where Dbar_j value(c)
@@ -200,18 +209,17 @@ class SpatialStructure:
 
     def is_spatial_divergence(self, f: Expression) -> bool:
         """Euler-vanishing criterion for membership in the image of the
-        spatial total derivatives (contractible base)."""
-        for fam in {self.family_of(a) for a in f.jet_atoms()}:
-            st = self.status(fam)
-            if st == CONSTRAINED:
+        spatial total derivatives (contractible base).  A constrained family
+        refuses the test, whatever the Euler tests of the others give."""
+        families = sorted({self.family_of(a) for a in f.jet_atoms()})
+        for fam in families:
+            if self.status(fam) == CONSTRAINED:
                 raise UnresolvedConstraint(
                     "divergence test touches the constrained family of "
                     f"{self.ctx.atom_name(self.generator_coord(fam))}")
-            if st == NULL:
-                continue  # spatial constant: a parameter, not varied
-            if not self.spatial_euler(f, fam).is_zero():
-                return False
-        return True
+        # a null family is spatially constant: a parameter, not varied
+        return all(self.spatial_euler(f, fam).is_zero()
+                   for fam in families if self.status(fam) != NULL)
 
 
 def spatial_structure(eq: SolvedEquation, frame: SpatialFrame) -> SpatialStructure:
@@ -453,7 +461,7 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
     residues, _ = integrate_by_parts(thetas, frame.spatial_indices(ctx),
                                      eq.restricted_total_derivative)
     unresolved = []
-    for coord in sorted(residues, key=atom_key):
+    for coord in sorted(residues):
         b = eq.restrict(residues[coord])
         if b.is_zero():
             continue

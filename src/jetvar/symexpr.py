@@ -15,7 +15,8 @@ pairs sorted by id.  Arithmetic is therefore work on tuples of ints, and
 the id order is the canonical order inside one context.  Ids depend on the
 order in which atoms are first seen, so nothing that is printed or compared
 across contexts reads them: printing sorts terms, factors and denominators
-by ``atom_key``, and callers that need a stable atom order sort by it too.
+by the atoms' own order, and callers that need a stable atom order sort the
+atoms themselves.
 """
 
 from __future__ import annotations
@@ -31,22 +32,26 @@ from .errors import ContextMismatch, UnsupportedExpression
 #
 # A multi-index and each kind of atom is a tuple led by a tag that no other
 # value type uses, so two values are equal only when they have one type and
-# equal fields, and hashing and equality run in C.  Fields are properties;
-# loops that run per atom read them by index or by unpacking.
+# equal fields, and hashing and equality run in C.  Tuple order is the
+# canonical order: graded, then lexicographic on multi-indices; by kind, then
+# field by field on atoms, opaque arguments by their own order.  Fields are
+# properties; loops that run per atom read them by index or by unpacking.
 
 _BASE, _JET, _FN, _FNPARTIAL, _MINDEX = range(5)
 
 
 class MultiIndex(tuple):
-    """Formal sum a_1 x^1 + ... + a_n x^n: the tuple (tag, entries), where
-    entries holds the pairs (i, a_i) with a_i != 0 in increasing i."""
+    """Formal sum a_1 x^1 + ... + a_n x^n: the tuple (tag, order, entries),
+    where entries holds the pairs (i, a_i) with a_i != 0 in increasing i and
+    order is their sum, so tuple order is graded, then lexicographic."""
 
     __slots__ = ()
 
     def __new__(cls, entries: tuple[tuple[int, int], ...] = ()):
-        return tuple.__new__(cls, (_MINDEX, entries))
+        return tuple.__new__(cls, (_MINDEX, sum(c for _, c in entries), entries))
 
-    entries = property(itemgetter(1))
+    order = property(itemgetter(1))
+    entries = property(itemgetter(2))
 
     @staticmethod
     def zero() -> "MultiIndex":
@@ -58,7 +63,7 @@ class MultiIndex(tuple):
             raise ValueError("negative multi-index entry")
         if count == 0:
             return MultiIndex()
-        return MultiIndex(((i, count),))
+        return tuple.__new__(MultiIndex, (_MINDEX, count, ((i, count),)))
 
     @staticmethod
     def of(counts: dict[int, int]) -> "MultiIndex":
@@ -67,44 +72,37 @@ class MultiIndex(tuple):
             raise ValueError("negative multi-index entry")
         return MultiIndex(ent)
 
-    @property
-    def order(self) -> int:
-        return sum(c for _, c in self[1])
-
     def get(self, i: int) -> int:
-        for j, c in self[1]:
+        for j, c in self[2]:
             if j == i:
                 return c
         return 0
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        counts = dict(self[1])
-        for i, c in other[1]:
+        counts = dict(self[2])
+        for i, c in other[2]:
             counts[i] = counts.get(i, 0) + c
-        return MultiIndex.of(counts)
+        return tuple.__new__(MultiIndex, (_MINDEX, self[1] + other[1],
+                                          tuple(sorted(counts.items()))))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        counts = dict(self[1])
-        for i, c in other[1]:
+        counts = dict(self[2])
+        for i, c in other[2]:
             counts[i] = counts.get(i, 0) - c
         return MultiIndex.of(counts)
 
     def divides(self, other: "MultiIndex") -> bool:
-        return all(other.get(i) >= c for i, c in self[1])
+        return all(other.get(i) >= c for i, c in self[2])
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self[1])
+        return tuple(i for i, _ in self[2])
 
     def expand(self) -> tuple[int, ...]:
         """Index i repeated entries[i] times, ascending."""
         out: list[int] = []
-        for i, c in self[1]:
+        for i, c in self[2]:
             out.extend([i] * c)
         return tuple(out)
-
-    def key(self) -> tuple:
-        # graded, then lexicographic on the sparse entry list
-        return (self.order, self[1])
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +119,6 @@ class BaseVar(tuple):
 
     index = property(itemgetter(1))
 
-    def key(self) -> tuple:
-        return (_BASE, self[1])
-
 
 class JetCoord(tuple):
     """u^dep_mindex: the tuple (tag, dep, mindex)."""
@@ -136,9 +131,6 @@ class JetCoord(tuple):
     dep = property(itemgetter(1))
     mindex = property(itemgetter(2))
 
-    def key(self) -> tuple:
-        return (_JET, self[1], self[2].key())
-
 
 class OpaqueFn(tuple):
     """An opaque function symbol of coordinate atoms: the tuple (tag, name, args)."""
@@ -150,9 +142,6 @@ class OpaqueFn(tuple):
 
     name = property(itemgetter(1))
     args = property(itemgetter(2))
-
-    def key(self) -> tuple:
-        return (_FN, self[1], tuple(a.key() for a in self[2]))
 
 
 class FnPartial(tuple):
@@ -168,15 +157,8 @@ class FnPartial(tuple):
     args = property(itemgetter(2))
     derivs = property(itemgetter(3))
 
-    def key(self) -> tuple:
-        return (_FNPARTIAL, self[1], tuple(a.key() for a in self[2]), self[3])
-
 
 Atom = BaseVar | JetCoord | OpaqueFn | FnPartial
-
-
-def atom_key(a: Atom) -> tuple:
-    return a.key()
 
 
 def is_coordinate(a: Atom) -> bool:
@@ -578,9 +560,7 @@ class Expression:
                     visit(arg)
 
         atoms = self.ctx._atoms
-        ids = {i for m in self.terms for i, _ in m}
-        ids.update(i for i, _ in self.den)
-        for i in ids:
+        for i in {i for m in (*self.terms, self.den) for i, _ in m}:
             visit(atoms[i])
         return out
 
@@ -723,26 +703,21 @@ class Expression:
     def __str__(self):
         if not self.terms:
             return "0"
-        atoms, name = self.ctx._atoms, self.ctx.atom_name
-        labels: dict = {}  # atom id -> (atom_key, atom_name), once per call
+        atoms, ids = self.ctx._atoms, {i for m in (*self.terms, self.den) for i, _ in m}
+        # each atom present ranked by the canonical order and named, once per call
+        ranked = sorted((atoms[i], i) for i in ids)
+        rank = {i: r for r, (_, i) in enumerate(ranked)}
+        names = [self.ctx.atom_name(a) for a, _ in ranked]
 
         def factors(m: Monomial) -> tuple:
-            """(atom_key, power, atom_name) per factor, in atom_key order."""
-            out = []
-            for i, p in m:
-                label = labels.get(i)
-                if label is None:
-                    a = atoms[i]
-                    label = labels[i] = (atom_key(a), name(a))
-                out.append((label[0], p, label[1]))
-            out.sort()
-            return tuple(out)
+            """(rank, power) per factor, in rank order."""
+            return tuple(sorted((rank[i], p) for i, p in m))
 
         def body(fs: tuple) -> str:
-            return "*".join(n if p == 1 else f"{n}^{p}" for _, p, n in fs)
+            return "*".join(names[r] if p == 1 else f"{names[r]}^{p}" for r, p in fs)
 
         out = ""
-        # atom keys are unique, so the factor tuples order the terms alone
+        # ranks are unique, so the factor tuples order the terms alone
         for fs, c in sorted((factors(m), c) for m, c in self.terms.items()):
             text, size = body(fs), abs(c)
             piece = str(size) if not text else text if size == 1 else f"{size}*{text}"

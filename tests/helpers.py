@@ -12,6 +12,7 @@ from jetvar.forms import (
     contract_evolutionary,
     horizontal_differential,
     lie_derivative_evolutionary,
+    theta_image,
     vertical_split,
     volume_contraction,
 )
@@ -21,13 +22,13 @@ from jetvar.frontend.runner import REFUSED, Report
 from jetvar.jetcalc import integrate_by_parts, total_derivative
 from jetvar.spatial import CONSTRAINED, FREE, NULL, s_degree_filter
 from jetvar.symexpr import (
+    BaseVar,
     Expression,
     FnPartial,
     JetCoord,
     MultiIndex,
     OpaqueFn,
     _sum,
-    atom_key,
     partial,
 )
 
@@ -113,6 +114,49 @@ def random_form(rng: random.Random, ctx, pool, degree, max_terms=2):
             term = term.wedge(DifferentialForm.generator(ctx, g))
         total = total + term
     return total
+
+
+# -- canonical order written out from the fields -----------------------------------
+# Multi-indices, atoms and generators once carried a key() method giving the
+# canonical order; their tuple order is that order now.  The keys stay here,
+# built from the fields alone, as the oracle for the tuple order.
+
+
+def multi_index_key(mi):
+    """Graded, then lexicographic on the sparse entry list."""
+    return (sum(c for _, c in mi.entries), mi.entries)
+
+
+def atom_key(a):
+    """By kind (base, jet, opaque, partial), then field by field; opaque
+    arguments by their own keys."""
+    if isinstance(a, BaseVar):
+        return (0, a.index)
+    if isinstance(a, JetCoord):
+        return (1, a.dep, multi_index_key(a.mindex))
+    args = tuple(atom_key(x) for x in a.args)
+    if isinstance(a, OpaqueFn):
+        return (2, a.name, args)
+    return (3, a.name, args, a.derivs)
+
+
+def generator_key(g):
+    """Every dx before every theta, then index, then multi-index."""
+    return (0 if g.is_dx() else 1, g.index, multi_index_key(g.mindex))
+
+
+def key_sorted_generators(gens):
+    """(sign, sorted tuple) of a generator tuple, sorted by generator_key
+    with a sign flip per transposition; sign 0 on a repeated generator."""
+    gens, sign = list(gens), 1
+    for i in range(len(gens)):
+        for j in range(len(gens) - 1 - i):
+            if generator_key(gens[j]) > generator_key(gens[j + 1]):
+                gens[j], gens[j + 1] = gens[j + 1], gens[j]
+                sign = -sign
+    if len(set(gens)) != len(gens):
+        return 0, ()
+    return sign, tuple(gens)
 
 
 # -- reference printer ----------------------------------------------------------
@@ -250,6 +294,24 @@ def substituting_restrict(eq, e):
     return e.substitute({a: eq.rule_for(a) for a in e.jet_atoms() if eq.is_principal(a)})
 
 
+def theta_by_theta_restrict_form(eq, omega):
+    """Restriction of a form built generator by generator on every call: a
+    principal theta^p becomes sum (d rhs/d u^j_beta) theta^j_beta, and every
+    other generator is multiplied in with the coefficient 1."""
+    ctx = eq.ctx
+    items = []
+    for gens, coeff in omega.terms.items():
+        pieces = [(eq.restrict(coeff), ())]
+        for g in gens:
+            expanded = [(ctx.one(), g)]
+            if g.is_theta() and eq.is_principal(JetCoord(g.index, g.mindex)):
+                expanded = [(d, THETA(atom.dep, atom.mindex)) for atom, d in
+                            theta_image(eq.rule_for(JetCoord(g.index, g.mindex)))]
+            pieces = [(c * fc, gs + (fg,)) for c, gs in pieces for fc, fg in expanded]
+        items.extend(pieces)
+    return DifferentialForm.from_terms(ctx, items)
+
+
 # -- sampled spatial checks ------------------------------------------------------
 # The spatial layer once decided everything by probing every spatial step of
 # every internal coordinate up to a fixed order.  Those probes stay here as
@@ -286,6 +348,28 @@ def scan_statuses(structure, max_order):
             for atom in rhs.jet_atoms():
                 statuses[structure.family_of(atom)] = CONSTRAINED
     return statuses
+
+
+def scanned_families(structure, top):
+    """Families with temporal count at most top plus the reach, found by
+    asking whether each purely temporal coordinate is internal."""
+    t = structure.frame.temporal
+    for dep in range(structure.ctx.m):
+        for k in range(top + structure._reach + 1):
+            tau = MultiIndex.single(t, k)
+            if structure.eq.is_internal(JetCoord(dep, tau)):
+                yield dep, tau
+
+
+def unmemoised_status(structure, family):
+    """A family's status read afresh from the minimal points, over the
+    scanned families."""
+    points, _ = structure._minimal_points(family)
+    if any(not rhs.is_zero() for _, _, rhs in points) or any(
+            family in structure._minimal_points(other)[1]
+            for other in scanned_families(structure, family[1].order)):
+        return CONSTRAINED
+    return NULL if points else FREE
 
 
 def _commutes_at(structure, points, value, image):

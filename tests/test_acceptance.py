@@ -308,7 +308,7 @@ def test_acceptance_6_omega_identity():
         omega_L = presymplectic_potential(lag)
         args = [ctx.base_atom(n) for n in ctx.independents]
         args += [ctx.jet_atom(d) for d in ctx.dependents]
-        args += sorted(lag.density.jet_atoms(), key=lambda a: a.key())
+        args += sorted(lag.density.jet_atoms())
         seen, unique = set(), []
         for a in args:
             if a not in seen:

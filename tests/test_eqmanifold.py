@@ -19,10 +19,12 @@ from jetvar.errors import (
     OrientationError,
     UnsupportedExpression,
 )
+from jetvar.forms import DX, THETA, DifferentialForm, exterior_derivative
 from jetvar.frontend import parse
 from jetvar.frontend.parser import Evaluator
 from jetvar.frontend.runner import build, fixture_text
 from jetvar.symexpr import FnPartial, JetCoord, MultiIndex
+from jetvar.variational import presymplectic_potential
 
 from helpers import (
     E,
@@ -36,6 +38,7 @@ from helpers import (
     random_expression,
     random_form,
     substituting_restrict,
+    theta_by_theta_restrict_form,
     wave_equation,
 )
 
@@ -86,6 +89,31 @@ def test_restrict_maxwell_constraint(maxwell_built):
 def test_restrict_form_principal_theta():
     ctx, eq = laplace_equation()
     assert eq.restrict_form(F("theta(u[yy])", ctx)) == F("-theta(u[xx])", ctx)
+
+
+@pytest.mark.parametrize("name", ["laplace", "wave", "pkdv", "maxwell"])
+def test_restrict_form_matches_theta_by_theta_oracle(name):
+    """Generator images are kept per equation; each restriction must equal
+    rewriting every generator afresh: on L + omega_L of the fixture, on its
+    d, and on random forms over principal and internal thetas."""
+    built = build(parse(fixture_text(name)))
+    ctx, eq, lag = built.ctx, built.eq, built.lagrangian
+    lagrangian_form = lag.form() + presymplectic_potential(lag)
+    forms = [lagrangian_form, exterior_derivative(lagrangian_form)]
+    gens = [DX(i) for i in range(ctx.n)] + [THETA(k) for k in range(ctx.m)]
+    gens += [THETA(h.dep, h.mindex + MultiIndex.single(i)) for h in eq.heads
+             for i in range(ctx.n)] + [THETA(h.dep, h.mindex) for h in eq.heads]
+    rng, pool = random.Random(f"restrict-form-{name}"), default_pool(ctx)
+    for _ in range(20):
+        forms.append(DifferentialForm.from_terms(ctx, [
+            (random_expression(rng, ctx, pool), rng.sample(gens, rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 3))]))
+    assert any(not eq.is_internal(JetCoord(g.index, g.mindex))
+               for omega in forms for gs in omega.terms for g in gs if g.is_theta())
+    for omega in forms:
+        want = theta_by_theta_restrict_form(eq, omega)
+        assert eq.restrict_form(omega) == want
+        assert eq.restrict_form(omega) == want  # with every image kept
 
 
 def test_restrict_form_horizontal_untouched():

@@ -453,6 +453,52 @@ def test_opaque_clash_refused_at_its_declaration(tmp_path, capsys, declarations,
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("declarations, message", [
+    ("equation u[yy] = u[xx]\nequation u[yy] = -u[xx]",
+     "4:1: duplicate rule heads: u[y,y] is already the head of an earlier rule"),
+    ("equation u[yy] = -u[xx]\n resolve u = antisym_potential(r)",
+     "4:2: resolve requires an equation and a spatial frame"),
+    ("equation u[yy] = u[xx]\nequation u[xx] = u[yy]",
+     "4:1: rule set loops or is not oriented at rule u[x,x] = u[y,y]")],
+    ids=["duplicate-head", "resolve-without-frame", "loop"])
+def test_build_refusal_at_its_declaration(tmp_path, capsys, declarations, message):
+    target = tmp_path / "built.jv"
+    target.write_text(f"{_HEAD}{declarations}\n", encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"[REFUSED] {message}" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _repeat_candidate(problem):
+    """The problem with its second candidate renamed after its first."""
+    first, second, *rest = problem.candidates
+    renamed = Node("candidate", first.args[0], second.args[1], pos=second.pos)
+    problem.candidates = (first, renamed, *rest)
+    return f"{second.line}:1: candidate {first.args[0]} is already declared on line {first.line}"
+
+
+def _repeat_resolve(problem):
+    """The problem with its resolve declared again on a line of its own."""
+    [decl] = problem.resolves
+    problem.resolves = (decl, Node("resolve", *decl.args, pos=(99, 1)))
+    return f"99:1: resolve is already declared on line {decl.line}"
+
+
+@pytest.mark.parametrize("name, repeat", [("laplace", _repeat_candidate),
+                                          ("maxwell", _repeat_resolve)],
+                         ids=["candidate", "resolve"])
+def test_build_refuses_repeat_in_problem_made_in_code(name, repeat):
+    # parse refuses these; a ProblemFile made in code reaches build unchecked
+    problem = parse(fixture_text(name))
+    message = repeat(problem)
+    with pytest.raises(SemanticError) as err:
+        runner.build(problem)
+    assert str(err.value) == message
+    report = run_check(problem, name=name)
+    assert report.error == message and report.exit_code == 2 and not report.checks
+
+
 def test_reports_deterministic():
     a = reproduce("wave")
     b = reproduce("wave")

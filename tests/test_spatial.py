@@ -52,8 +52,10 @@ from helpers import (
     sampled_extension_commutes,
     sampled_resolution_holds,
     scan_statuses,
+    scanned_families,
     subtracted_reduce_mod_S2,
     subtracted_s_presymplectic_representative,
+    unmemoised_status,
     wave_equation,
 )
 
@@ -213,7 +215,7 @@ def _minimal_direct_points(structure, direct, family):
 
 
 def _point_keys(points):
-    return sorted((c.key(), j, str(rhs)) for c, j, rhs in points)
+    return sorted((c, j, str(rhs)) for c, j, rhs in points)
 
 
 def test_constraint_points_match_direct_loop(all_built):
@@ -371,6 +373,41 @@ def test_spatial_decisions_match_oracles_on_random_systems():
             assert verdict == sampled_extension_commutes(structure, cand, direct)
             verdicts.add(verdict)
     assert statuses == {"free", "null", "constrained"} and verdicts == {True, False}
+
+
+def test_families_and_statuses_match_scan_and_unmemoised_status():
+    """The families read off the lowest purely temporal heads are those an
+    is_internal scan finds, and each memoised status is the one read afresh,
+    on the fixtures, u[xx] = u, and seeded random systems in every frame."""
+    structures = [SpatialStructure(b.eq, b.frame) for b in map(build, map(parse, [
+        fixture_text(name) for name in bundled_fixture_names()] + [_U_XX_EQ_U]))]
+    rng = random.Random(20261018)
+    while len(structures) < 5 + 3 * 40:
+        eq = _random_integrable_system(rng)
+        if eq is not None:
+            structures += [SpatialStructure(eq, SpatialFrame(t)) for t in range(3)]
+    statuses = set()
+    for structure in structures:
+        for top in range(4):
+            families = list(structure._families(top))
+            assert families == list(scanned_families(structure, top))
+            for fam in families:
+                assert structure.status(fam) == unmemoised_status(structure, fam)
+                statuses.add(structure.status(fam))
+    assert statuses == {"free", "null", "constrained"}
+
+
+@pytest.mark.parametrize("dependents", ["u v", "v u"])
+def test_divergence_test_refuses_any_constrained_family_whatever_the_order(dependents):
+    """A free family whose Euler test fails and a constrained family: the
+    test refuses, whichever dependent, and so family, comes first."""
+    built = build(parse(_U_XX_EQ_U.replace("dependents u", f"dependents {dependents}")))
+    structure, ctx = spatial_structure(built.eq, built.frame), built.ctx
+    u, v = ctx.dependent_index("u"), ctx.dependent_index("v")
+    assert structure.status((v, MultiIndex())) == "free"
+    assert structure.status((u, MultiIndex())) == "constrained"
+    with pytest.raises(UnresolvedConstraint, match="constrained family of u"):
+        structure.is_spatial_divergence(E("v + u", ctx))
 
 
 def test_resolution_verdicts_match_sampled_check(maxwell_built, oracle_points):

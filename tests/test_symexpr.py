@@ -8,7 +8,7 @@ from jetvar.eqmanifold import iter_multi_indices
 from jetvar.errors import ContextMismatch, UnsupportedExpression
 from jetvar.frontend import parse
 from jetvar.frontend.runner import build, fixture_text
-from jetvar.forms import DX, THETA
+from jetvar.forms import DX, THETA, _sort_generators
 from jetvar.symexpr import (
     BaseVar,
     Expression,
@@ -21,9 +21,13 @@ from jetvar.symexpr import (
 
 from helpers import (
     E,
+    atom_key,
     context2,
     default_pool,
+    generator_key,
+    key_sorted_generators,
     merged_monomial,
+    multi_index_key,
     per_factor_derive,
     random_expression,
     reference_str,
@@ -326,6 +330,48 @@ def test_printer_matches_reference(make_ctx):
         e = random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
                               allow_den=True, rational=True)
         assert str(e) == reference_str(e)
+
+
+# -- canonical order -----------------------------------------------------------------
+
+
+def _random_multi_index(rng):
+    return MultiIndex.of({i: rng.randint(0, 2) for i in rng.sample(range(3), rng.randint(0, 3))})
+
+
+def _random_atom(rng, depth=1):
+    kind = rng.randrange(4 if depth else 2)
+    if kind == 0:
+        return BaseVar(rng.randrange(3))
+    if kind == 1:
+        return JetCoord(rng.randrange(2), _random_multi_index(rng))
+    args = tuple(_random_atom(rng, 0) for _ in range(rng.randint(0, 3)))
+    name = rng.choice("fg")
+    if kind == 2:
+        return OpaqueFn(name, args)
+    return FnPartial(name, args, tuple(sorted(rng.choices(range(1, 4), k=rng.randint(1, 2)))))
+
+
+def _random_generator(rng):
+    return DX(rng.randrange(3)) if rng.random() < 0.3 else \
+        THETA(rng.randrange(2), _random_multi_index(rng))
+
+
+def test_tuple_order_is_the_canonical_order():
+    """sorted on multi-indices, atoms and generators, and _sort_generators'
+    signs, match the keys written out from the fields."""
+    rng = random.Random(20261019)
+    for _ in range(200):
+        mis = [_random_multi_index(rng) for _ in range(6)]
+        assert sorted(mis) == sorted(mis, key=multi_index_key)
+        assert all(m.order == sum(c for _, c in m.entries) for m in mis)
+        a, b = mis[:2]
+        assert a + b == MultiIndex.of({i: a.get(i) + b.get(i) for i in range(3)})
+        atoms = [_random_atom(rng) for _ in range(8)]
+        assert sorted(atoms) == sorted(atoms, key=atom_key)
+        gens = [_random_generator(rng) for _ in range(rng.randint(0, 5))]
+        assert sorted(gens) == sorted(gens, key=generator_key)
+        assert _sort_generators(gens) == key_sorted_generators(gens)
 
 
 # -- derive against the per-factor route ------------------------------------------

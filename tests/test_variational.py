@@ -417,8 +417,7 @@ def _alternative_potential(lag):
             coeffs[atom] = c
     omega = DifferentialForm.zero(ctx)
     while True:
-        pending = sorted((a for a in coeffs if a.mindex.order >= 1),
-                         key=lambda a: a.key())
+        pending = sorted(a for a in coeffs if a.mindex.order >= 1)
         if not pending:
             break
         atom = pending[0]
