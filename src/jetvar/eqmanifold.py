@@ -163,7 +163,7 @@ class SolvedEquation:
         if e.ctx is not self.ctx:
             raise ContextMismatch("expression and equation belong to different contexts")
         changes, atoms = self._changes, self.ctx._atoms
-        for m in (*e.terms, e.den):
+        for m in e.terms:
             for i, _ in m:
                 hit = changes.get(i)
                 if hit is None:

@@ -604,7 +604,7 @@ class Evaluator:
         try:
             return self.ctx.atom(node.args[0])
         except KeyError as exc:
-            raise SemanticError(str(exc), *node.pos) from None
+            raise SemanticError(exc.args[0], *node.pos) from None
 
     def _dep(self, node: Node) -> int:
         name = node.args[0]

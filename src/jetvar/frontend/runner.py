@@ -131,7 +131,10 @@ def build(problem: ProblemFile) -> BuiltProblem:
     for decl in problem.expects:
         refuse_repeat(first_line, "expect", expect_label(decl), decl.pos)
 
-    ctx = JetContext(problem.independents, problem.dependents)
+    try:
+        ctx = JetContext(problem.independents, problem.dependents)
+    except ValueError as exc:  # no variable of a kind, or a name declared twice
+        raise SemanticError(str(exc)) from None
     free_eval = Evaluator(ctx, None)
     for decl in problem.opaques:
         name, args = decl.args
@@ -159,6 +162,8 @@ def build(problem: ProblemFile) -> BuiltProblem:
 
     frame = lagrangian = None
     if problem.spatial is not None:
+        if problem.spatial not in ctx.independents:
+            raise SemanticError(f"spatial direction {problem.spatial!r} is not an independent")
         frame = SpatialFrame(ctx.independent_index(problem.spatial))
     if problem.lagrangian is not None:
         lagrangian = Lagrangian(ctx, free_eval.expression(problem.lagrangian))
@@ -175,20 +180,16 @@ def build(problem: ProblemFile) -> BuiltProblem:
         names, _, prefix = decl.args
         spatial = frame.spatial_indices(ctx)
         if len(names) != len(spatial):
-            raise SemanticError(
-                "resolve needs one target per spatial direction", decl.line, 1)
+            raise SemanticError("resolve needs one target per spatial direction", *decl.pos)
+        n = len(spatial)
+        potentials = {(i, j): f"{prefix}{i}{j}"
+                      for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        for role, declared in (("target", names), ("potential", potentials.values())):
+            for name in declared:
+                if name not in ctx.dependents:
+                    raise SemanticError(f"{role} {name!r} must be declared as a dependent",
+                                        *decl.pos)
         targets = [ctx.dependent_index(name) for name in names]
-        potentials = {}
-        for i in range(1, len(spatial) + 1):
-            for j in range(i + 1, len(spatial) + 1):
-                name = f"{prefix}{i}{j}"
-                try:
-                    ctx.dependent_index(name)
-                except KeyError:
-                    raise SemanticError(
-                        f"potential {name!r} must be declared as a dependent",
-                        decl.line, 1) from None
-                potentials[(i, j)] = name
         resolution = antisymmetric_potential_resolution(eq, frame, targets, potentials)
 
     return BuiltProblem(problem, ctx, eq, frame, lagrangian, candidates,

@@ -2,21 +2,23 @@
 
 An Expression is a sum of monomials with exact rational coefficients over
 four kinds of atoms: base variables x^i, jet coordinates u^k_alpha, opaque
-function symbols, and formal partials of opaque symbols.  An optional
-single-monomial denominator gives limited rational-function support.
-Canonical forms are unique, so ``a == b`` decides mathematical equality
-on this fragment.  A coefficient is stored as an ``int`` whenever it is
-integral and as a ``Fraction`` otherwise, so each value has one
-representation and the common integer case skips ``Fraction`` arithmetic.
+function symbols, and formal partials of opaque symbols.  A power in a
+monomial is any nonzero integer, so a negative power divides: expressions
+are Laurent polynomials, and one prints as its numerator over the least
+common denominator of its terms.  Canonical forms are unique, so
+``a == b`` decides mathematical equality on this fragment.  A coefficient
+is stored as an ``int`` whenever it is integral and as a ``Fraction``
+otherwise, so each value has one representation and the common integer
+case skips ``Fraction`` arithmetic.
 
 Atoms are interned per JetContext: the context numbers each atom the first
 time an expression uses it, and a monomial is a tuple of (atom id, power)
-pairs sorted by id.  Arithmetic is therefore work on tuples of ints, and
-the id order is the canonical order inside one context.  Ids depend on the
-order in which atoms are first seen, so nothing that is printed or compared
-across contexts reads them: printing sorts terms, factors and denominators
-by the atoms' own order, and callers that need a stable atom order sort the
-atoms themselves.
+pairs sorted by id, every power nonzero.  Arithmetic is therefore work on
+tuples of ints, and the id order is the canonical order inside one
+context.  Ids depend on the order in which atoms are first seen, so nothing
+that is printed or compared across contexts reads them: printing sorts
+terms and factors by the atoms' own order, and callers that need a stable
+atom order sort the atoms themselves.
 """
 
 from __future__ import annotations
@@ -185,8 +187,10 @@ class JetContext:
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one independent and one dependent variable")
         names = self.independents + self.dependents
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be pairwise distinct")
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"variable names must be pairwise distinct: {name!r} "
+                                 "is declared twice")
         self._opaque: dict[str, tuple] = {}
         self._ind_pos = {name: i for i, name in enumerate(self.independents)}
         self._dep_pos = {name: k for k, name in enumerate(self.dependents)}
@@ -285,7 +289,7 @@ class JetContext:
 
     def const(self, value) -> "Expression":
         c = value if type(value) is int else Fraction(value)
-        return Expression(self, {(): c} if c else {}, ())
+        return Expression(self, {(): c} if c else {})
 
     def zero(self) -> "Expression":
         return self.const(0)
@@ -295,7 +299,7 @@ class JetContext:
 
     def expr(self, spec) -> "Expression":
         """Expression consisting of a single atom."""
-        return Expression(self, {((self.atom_id(self.atom(spec)), 1),): 1}, ())
+        return Expression(self, {((self.atom_id(self.atom(spec)), 1),): 1})
 
     def var(self, name: str) -> "Expression":
         return self.expr(name)
@@ -324,11 +328,9 @@ class JetContext:
 
 # ---------------------------------------------------------------------------
 # monomial helpers (a monomial is a tuple of (atom id, power) pairs sorted
-# by id, every power positive)
+# by id, every power a nonzero integer; a negative power divides)
 
 Monomial = tuple
-
-_ONE: Monomial = ()
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -340,53 +342,39 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         j, q = b[0]
         for k, (i, p) in enumerate(a):
             if i >= j:
-                return a[:k] + ((j, p + q),) + a[k + 1:] if i == j else a[:k] + b + a[k:]
+                if i > j:
+                    return a[:k] + b + a[k:]
+                p += q
+                return a[:k] + ((j, p),) + a[k + 1:] if p else a[:k] + a[k + 1:]
         return a + b
     powers = dict(a)
-    for i, p in b:
-        powers[i] = powers.get(i, 0) + p
+    for i, q in b:
+        p = powers.get(i, 0) + q
+        if p:
+            powers[i] = p
+        else:
+            del powers[i]
     return tuple(sorted(powers.items()))
 
 
-def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    pb = dict(b)
-    return tuple((i, min(p, pb[i])) for i, p in a if i in pb)
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b assuming b divides a."""
-    pb = dict(b)
-    out = []
-    for i, p in a:
-        q = p - pb.get(i, 0)
-        if q < 0:
-            raise ValueError("monomial does not divide")
-        if q > 0:
-            out.append((i, q))
-    return tuple(out)
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    powers = dict(a)
-    for i, p in b:
-        powers[i] = max(powers.get(i, 0), p)
+def _denominator(monomials) -> Monomial:
+    """The least common denominator of monomials: each atom with a negative
+    power, at the largest such power negated."""
+    powers: dict = {}
+    for m in monomials:
+        for i, p in m:
+            if p < 0 and powers.get(i, 0) < -p:
+                powers[i] = -p
     return tuple(sorted(powers.items()))
 
 
-def _sum(ctx: JetContext, pieces, acc: dict | None = None) -> "Expression":
-    """Sum of expressions, collecting the undivided ones into ``acc`` in one pass."""
-    acc = {} if acc is None else acc
-    divided = []
+def _sum(ctx: JetContext, pieces) -> "Expression":
+    """Sum of expressions, collected into one dict."""
+    acc: dict = {}
     for e in pieces:
-        if e.den:
-            divided.append(e)
-            continue
         for m, c in e.terms.items():
             acc[m] = acc.get(m, 0) + c
-    total = Expression(ctx, acc)
-    for e in divided:
-        total = total + e
-    return total
+    return Expression(ctx, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +389,12 @@ MAX_PRODUCT_PAIRS = 100_000
 class Expression:
     """Canonical rational combination of atoms.  Immutable."""
 
-    __slots__ = ("ctx", "terms", "den", "_hash")
+    __slots__ = ("ctx", "terms", "_hash")
 
-    def __init__(self, ctx: JetContext, terms: dict, den: Monomial = _ONE):
+    def __init__(self, ctx: JetContext, terms: dict):
         self.ctx = ctx
-        terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
-                 for m, c in terms.items() if c}
-        if terms and den:
-            g = den
-            for m in terms:
-                g = _mono_gcd(g, m)
-                if not g:
-                    break
-            if g:
-                den = _mono_div(den, g)
-                terms = {_mono_div(m, g): c for m, c in terms.items()}
-        if not terms:
-            den = _ONE
-        self.terms = terms
-        self.den = den
+        self.terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+                      for m, c in terms.items() if c}
         self._hash = None
 
     # -- basic protocol ------------------------------------------------------
@@ -438,37 +413,26 @@ class Expression:
             other = self.ctx.const(other)
         if not isinstance(other, Expression):
             return NotImplemented
-        return self.ctx is other.ctx and self.den == other.den and self.terms == other.terms
+        return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((id(self.ctx), self.den, frozenset(self.terms.items())))
+            self._hash = hash((id(self.ctx), frozenset(self.terms.items())))
         return self._hash
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            terms = dict(self.terms)
-            for m, c in other.terms.items():
-                terms[m] = terms.get(m, 0) + c
-            return Expression(self.ctx, terms, self.den)
-        den = _mono_lcm(self.den, other.den)
-        fa, fb = _mono_div(den, self.den), _mono_div(den, other.den)
-        terms: dict = {}
-        for m, c in self.terms.items():
-            key = _mono_mul(m, fa)
-            terms[key] = terms.get(key, 0) + c
+        terms = dict(self.terms)
         for m, c in other.terms.items():
-            key = _mono_mul(m, fb)
-            terms[key] = terms.get(key, 0) + c
-        return Expression(self.ctx, terms, den)
+            terms[m] = terms.get(m, 0) + c
+        return Expression(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expression(self.ctx, {m: -c for m, c in self.terms.items()}, self.den)
+        return Expression(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -495,7 +459,7 @@ class Expression:
             for mb, cb in other.terms.items():
                 key = _mono_mul(ma, mb)
                 terms[key] = terms.get(key, 0) + ca * cb
-        return Expression(self.ctx, terms, _mono_mul(self.den, other.den))
+        return Expression(self.ctx, terms)
 
     __rmul__ = __mul__
 
@@ -509,7 +473,7 @@ class Expression:
             raise UnsupportedExpression(
                 "only division by a single monomial is supported")
         (mono, coeff), = other.terms.items()
-        inverse = Expression(self.ctx, {other.den: Fraction(1, coeff)}, mono)
+        inverse = Expression(self.ctx, {tuple((i, -p) for i, p in mono): Fraction(1, coeff)})
         return self * inverse
 
     def __rtruediv__(self, other):
@@ -542,7 +506,7 @@ class Expression:
 
     def as_atom(self) -> Atom | None:
         """The atom, when the expression is exactly one atom with coefficient 1."""
-        if self.den or len(self.terms) != 1:
+        if len(self.terms) != 1:
             return None
         (mono, coeff), = self.terms.items()
         if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
@@ -560,7 +524,7 @@ class Expression:
                     visit(arg)
 
         atoms = self.ctx._atoms
-        for i in {i for m in (*self.terms, self.den) for i, _ in m}:
+        for i in {i for m in self.terms for i, _ in m}:
             visit(atoms[i])
         return out
 
@@ -605,33 +569,19 @@ class Expression:
             memo[i] = d
             return d
 
-        def derivative(terms) -> Expression:
-            """Sum of c * d(m) over terms (m, c), accumulated into one dict; an
-            atom derivative with a denominator is multiplied out and added."""
-            acc, divided = {}, []
-            for m, c in terms:
-                for k, (i, p) in enumerate(m):
-                    da = atom_derivative(i)
-                    if not da.terms:
-                        continue
-                    rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p > 1 else m[:k] + m[k + 1:]
-                    if da.den:
-                        divided.append(Expression(ctx, {rest: c * p}) * da)
-                        continue
-                    for mb, cb in da.terms.items():
-                        key = _mono_mul(rest, mb)
-                        acc[key] = acc.get(key, 0) + c * p * cb
-            return _sum(ctx, divided, acc)
-
-        num = derivative(self.terms.items())
-        if not self.den:
-            return num
-        den_expr = Expression(ctx, {self.den: 1})
-        dden = derivative(((self.den, 1),))
-        numer = Expression(ctx, dict(self.terms))
-        # quotient rule: d(n/d) = (dn*d - n*dd) / d^2
-        top = num * den_expr - numer * dden
-        return Expression(ctx, dict(top.terms), _mono_mul(_mono_mul(self.den, self.den), top.den))
+        # the power rule d(a^p) = p a^(p-1) da holds for every nonzero p, so
+        # every term's derivative is summed into one dict
+        acc: dict = {}
+        for m, c in self.terms.items():
+            for k, (i, p) in enumerate(m):
+                da = atom_derivative(i)
+                if not da.terms:
+                    continue
+                rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p != 1 else m[:k] + m[k + 1:]
+                for mb, cb in da.terms.items():
+                    key = _mono_mul(rest, mb)
+                    acc[key] = acc.get(key, 0) + c * p * cb
+        return Expression(ctx, acc)
 
     def substitute(self, rules: dict) -> "Expression":
         """Simultaneous substitution of atoms followed by canonicalization."""
@@ -675,35 +625,30 @@ class Expression:
             replaced[i] = out
             return out
 
-        def subst_mono(m: Monomial, c) -> Expression:
-            kept = []
-            factors = []
-            for i, p in m:
-                out = image(i)
-                if out is None:
-                    kept.append((i, p))
-                else:
-                    factors.append((out, p))
-            piece = Expression(ctx, {tuple(kept): c})
-            for out, p in factors:
-                piece = piece * out ** p
+        # every image is found before any product is taken, so a vanishing
+        # denominator is reported ahead of a division it would make impossible
+        images = [(c, [(i, p, image(i)) for i, p in m]) for m, c in self.terms.items()]
+        if any(p < 0 and out is not None and not out.terms
+               for _, factors in images for _, p, out in factors):
+            lcd = Expression(ctx, {_denominator(self.terms): 1})
+            raise UnsupportedExpression(f"denominator {lcd} vanishes under the substitution")
+
+        def product(c, factors) -> Expression:
+            piece = Expression(ctx, {tuple((i, p) for i, p, out in factors if out is None): c})
+            for _, p, out in factors:
+                if out is not None:
+                    piece = piece * out ** p
             return piece
 
-        total = _sum(ctx, [subst_mono(m, c) for m, c in self.terms.items()])
-        if self.den:
-            den = subst_mono(self.den, 1)
-            if not den.terms:
-                raise UnsupportedExpression(
-                    f"denominator {Expression(ctx, {self.den: 1})} vanishes under the substitution")
-            total = total / den
-        return total
+        return _sum(ctx, [product(c, factors) for c, factors in images])
 
     # -- printing ----------------------------------------------------------------
 
     def __str__(self):
+        """The terms over their least common denominator, as (numerator)/(denominator)."""
         if not self.terms:
             return "0"
-        atoms, ids = self.ctx._atoms, {i for m in (*self.terms, self.den) for i, _ in m}
+        atoms, ids = self.ctx._atoms, {i for m in self.terms for i, _ in m}
         # each atom present ranked by the canonical order and named, once per call
         ranked = sorted((atoms[i], i) for i in ids)
         rank = {i: r for r, (_, i) in enumerate(ranked)}
@@ -725,8 +670,11 @@ class Expression:
                 out += (" - " if c < 0 else " + ") + piece
             else:
                 out = ("-" if c < 0 else "") + piece
-        if self.den:
-            out = f"({out})/({body(factors(self.den))})"
+        # only a negative power prints "^-": a text without one skips the search
+        lcd = _denominator(self.terms) if "^-" in out else ()
+        if lcd:
+            numerator = Expression(self.ctx, {_mono_mul(m, lcd): c for m, c in self.terms.items()})
+            return f"({numerator})/({Expression(self.ctx, {lcd: 1})})"
         return out
 
 

@@ -162,6 +162,20 @@ def key_sorted_generators(gens):
 # -- reference printer ----------------------------------------------------------
 
 
+def numerator_denominator(e):
+    """(numerator terms, denominator monomial) of e over the least common
+    denominator of its terms, read off the (atom id, power) fields: the
+    denominator holds each atom with a negative power at its largest
+    negated power, and every numerator power is at least 0."""
+    powers = {}
+    for m in e.terms:
+        for i, p in m:
+            if p < 0:
+                powers[i] = max(powers.get(i, 0), -p)
+    den = tuple(sorted(powers.items()))
+    return {merged_monomial(m, den): c for m, c in e.terms.items()}, den
+
+
 def reference_str(e) -> str:
     """``str(e)`` computed the direct way: every factor list is sorted by
     ``atom_key`` and every atom named afresh, for the sort and again for the
@@ -181,9 +195,10 @@ def reference_str(e) -> str:
 
     if not e.terms:
         return "0"
+    num, den = numerator_denominator(e)
     parts = []
-    for m in sorted(e.terms, key=lambda m: tuple((atom_key(a), p) for a, p in factors(m))):
-        c = e.terms[m]
+    for m in sorted(num, key=lambda m: tuple((atom_key(a), p) for a, p in factors(m))):
+        c = num[m]
         body = monomial_str(m)
         if not body:
             piece = coeff_str(abs(c))
@@ -198,8 +213,8 @@ def reference_str(e) -> str:
             out = ("-" if negative else "") + piece
         else:
             out += (" - " if negative else " + ") + piece
-    if e.den:
-        out = f"({out})/({monomial_str(e.den)})"
+    if den:
+        out = f"({out})/({monomial_str(den)})"
     return out
 
 
@@ -214,11 +229,12 @@ def merged_monomial(a, b):
     powers = dict(a)
     for i, p in b:
         powers[i] = powers.get(i, 0) + p
-    return tuple(sorted(powers.items()))
+    return tuple(sorted((i, p) for i, p in powers.items() if p))
 
 
 def per_factor_derive(e, action):
-    """e.derive(action) by the product rule, one product per factor."""
+    """e.derive(action) by the product rule, one product per factor, on the
+    numerator and the denominator of e, joined by the quotient rule."""
     ctx, memo = e.ctx, {}
 
     def atom_derivative(i):
@@ -241,12 +257,14 @@ def per_factor_derive(e, action):
             pieces.append(Expression(ctx, {rest: c * p}) * atom_derivative(i))
         return pieces
 
-    num = _sum(ctx, [piece for m, c in e.terms.items() for piece in mono_derivative(m, c)])
-    if not e.den:
-        return num
-    den = Expression(ctx, {e.den: 1})
-    top = num * den - Expression(ctx, dict(e.terms)) * _sum(ctx, mono_derivative(e.den, 1))
-    return Expression(ctx, dict(top.terms), merged_monomial(merged_monomial(e.den, e.den), top.den))
+    num, den = numerator_denominator(e)
+    dnum = _sum(ctx, [piece for m, c in num.items() for piece in mono_derivative(m, c)])
+    if not den:
+        return dnum
+    # quotient rule: d(n/d) = (dn*d - n*dd) / d^2
+    top = dnum * Expression(ctx, {den: 1}) - Expression(ctx, num) * _sum(ctx, mono_derivative(den, 1))
+    over_den2 = tuple((i, -2 * p) for i, p in den)
+    return Expression(ctx, {merged_monomial(m, over_den2): c for m, c in top.terms.items()})
 
 
 # -- integrability scan -----------------------------------------------------------

@@ -470,6 +470,35 @@ def test_build_refusal_at_its_declaration(tmp_path, capsys, declarations, messag
     assert "Traceback" not in captured.out + captured.err
 
 
+_FRAMED = "independents t x y\ndependents a b r12\nequation a[t] = 0\nspatial t\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("independents x y\ndependents u\nspatial zz\n",
+     "spatial direction 'zz' is not an independent"),
+    (_FRAMED + "resolve a zz = antisym_potential(r)\n",
+     "5:1: target 'zz' must be declared as a dependent"),
+    ("independents x x\ndependents u\n",
+     "variable names must be pairwise distinct: 'x' is declared twice"),
+    ("independents x y\ndependents u x\n",
+     "variable names must be pairwise distinct: 'x' is declared twice"),
+    (_FRAMED + "  resolve a = antisym_potential(r)\n",
+     "5:3: resolve needs one target per spatial direction"),
+    (_FRAMED + "  resolve a b = antisym_potential(q)\n",
+     "5:3: potential 'q12' must be declared as a dependent"),
+    ("independents x y\ndependents u\nopaque f(zz)\n", "3:10: unknown name 'zz'")],
+    ids=["spatial-not-independent", "resolve-target-undeclared", "independent-twice",
+         "dependent-named-as-independent", "resolve-arity-indented",
+         "resolve-potential-indented", "opaque-argument-unknown"])
+def test_build_refusal_exits_2_with_its_message(tmp_path, capsys, text, message):
+    target = tmp_path / "built.jv"
+    target.write_text(text, encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"[REFUSED] {message}\n" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def _repeat_candidate(problem):
     """The problem with its second candidate renamed after its first."""
     first, second, *rest = problem.candidates
