@@ -26,6 +26,7 @@ from .symexpr import (
     JetCoord,
     MultiIndex,
     OpaqueFn,
+    gradient,
     partial,
     substitute,
 )

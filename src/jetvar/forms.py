@@ -11,7 +11,7 @@ from operator import itemgetter
 
 from .errors import ContextMismatch, DegreeError
 from .jetcalc import EvolutionaryField, JetContext, total_derivative, total_derivative_multi
-from .symexpr import Expression, JetCoord, MultiIndex, partial
+from .symexpr import Expression, JetCoord, MultiIndex, gradient
 
 # string tags, so no generator equals an atom or a MultiIndex (int tags);
 # "dx" < "theta" puts every dx before every theta in the canonical order,
@@ -237,10 +237,9 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
 def theta_image(f: Expression):
     """Contact part of d f: the nonzero (u^k_alpha, df/du^k_alpha) pairs,
     so that theta(f) = sum (df/du^k_alpha) theta^k_alpha, in canonical order."""
-    for atom in sorted(f.jet_atoms()):
-        d = partial(f, atom)
-        if not d.is_zero():
-            yield atom, d
+    grad = gradient(f)
+    for atom in sorted(a for a in grad if isinstance(a, JetCoord)):
+        yield atom, grad[atom]
 
 
 def vertical_split(coeff: Expression, directions):

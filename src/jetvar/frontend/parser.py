@@ -145,11 +145,13 @@ class Node:
 
 
 class ProblemFile:
-    """A parsed problem file: its declarations by keyword, in file order."""
+    """A parsed problem file: its declarations by keyword, in file order.
+    The variables and the spatial direction are ``name`` nodes, so a refusal
+    of one of them points at where it is written."""
 
     def __init__(self, independents: tuple, dependents: tuple, opaques: tuple = (),
                  equations: tuple = (), lagrangian: Node | None = None,
-                 spatial: str | None = None, candidates: tuple = (),
+                 spatial: Node | None = None, candidates: tuple = (),
                  resolves: tuple = (), expects: tuple = ()):
         self.independents, self.dependents = independents, dependents
         self.opaques, self.equations, self.lagrangian = opaques, equations, lagrangian
@@ -162,8 +164,8 @@ class ProblemFile:
         return vars(self) == vars(other)
 
     def serialize(self) -> str:
-        out = ["independents " + " ".join(self.independents)]
-        out.append("dependents " + " ".join(self.dependents))
+        out = ["independents " + " ".join(serialize_node(n) for n in self.independents)]
+        out.append("dependents " + " ".join(serialize_node(n) for n in self.dependents))
         for o in self.opaques:
             name, args = o.args
             out.append(f"opaque {name}({', '.join(serialize_node(a) for a in args)})")
@@ -173,7 +175,7 @@ class ProblemFile:
         if self.lagrangian is not None:
             out.append(f"lagrangian {serialize_node(self.lagrangian)}")
         if self.spatial is not None:
-            out.append(f"spatial {self.spatial}")
+            out.append(f"spatial {serialize_node(self.spatial)}")
         for r in self.resolves:
             targets, resolution, prefix = r.args
             out.append(f"resolve {' '.join(targets)} = {resolution}({prefix})")
@@ -343,9 +345,11 @@ class _Parser:
         return tok.value
 
     def parse_names(self) -> tuple:
+        """One or more declared names, each a positioned ``name`` node."""
         names = []
         while self.peek().kind == "NAME" and self.peek().value not in self.DECLARATIONS:
-            names.append(self.declared_name(self.advance()))
+            tok = self.advance()
+            names.append(Node("name", self.declared_name(tok), pos=(tok.line, tok.column)))
         if not names:
             tok = self.peek()
             raise ParseError("expected at least one name", tok.line, tok.column, ["name"])
@@ -379,6 +383,10 @@ class _Parser:
                 return tuple(parts)
             self.expect("PUNCT", ",", expected=[",", "]"])
 
+    def parse_spatial(self, pos: tuple) -> Node:
+        tok = self.expect("NAME", expected=["independent name"])
+        return Node("name", tok.value, pos=(tok.line, tok.column))
+
     def parse_equation(self, pos: tuple) -> Node:
         head = self.parse_coordinate()
         if head.kind != "jet":
@@ -403,7 +411,7 @@ class _Parser:
         return Node("candidate", name, tuple(entries), pos=pos)
 
     def parse_resolve(self, pos: tuple) -> Node:
-        targets = self.parse_names()
+        targets = tuple(n.args[0] for n in self.parse_names())
         self.expect("PUNCT", "=")
         resolution = self.expect("NAME", expected=["antisym_potential"]).value
         if resolution != "antisym_potential":
@@ -437,8 +445,7 @@ class _Parser:
         "opaque": (parse_opaque, None),
         "equation": (parse_equation, None),
         "lagrangian": (lambda p, pos: p.parse_expr(), _once),
-        "spatial": (lambda p, pos: p.expect("NAME", expected=["independent name"]).value,
-                    _once),
+        "spatial": (parse_spatial, _once),
         "candidate": (parse_candidate, lambda decl: decl.args[0]),
         "resolve": (parse_resolve, _once),
         "expect": (parse_expect, expect_label),

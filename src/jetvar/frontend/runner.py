@@ -132,9 +132,12 @@ def build(problem: ProblemFile) -> BuiltProblem:
         refuse_repeat(first_line, "expect", expect_label(decl), decl.pos)
 
     try:
-        ctx = JetContext(problem.independents, problem.dependents)
+        ctx = JetContext([n.args[0] for n in problem.independents],
+                         [n.args[0] for n in problem.dependents])
     except ValueError as exc:  # no variable of a kind, or a name declared twice
-        raise SemanticError(str(exc)) from None
+        declared = problem.independents + problem.dependents
+        repeats = [n for k, n in enumerate(declared) if n in declared[:k]]
+        raise SemanticError(str(exc), *(repeats[0].pos if repeats else ())) from None
     free_eval = Evaluator(ctx, None)
     for decl in problem.opaques:
         name, args = decl.args
@@ -162,9 +165,11 @@ def build(problem: ProblemFile) -> BuiltProblem:
 
     frame = lagrangian = None
     if problem.spatial is not None:
-        if problem.spatial not in ctx.independents:
-            raise SemanticError(f"spatial direction {problem.spatial!r} is not an independent")
-        frame = SpatialFrame(ctx.independent_index(problem.spatial))
+        direction = problem.spatial.args[0]
+        if direction not in ctx.independents:
+            raise SemanticError(f"spatial direction {direction!r} is not an independent",
+                                *problem.spatial.pos)
+        frame = SpatialFrame(ctx.independent_index(direction))
     if problem.lagrangian is not None:
         lagrangian = Lagrangian(ctx, free_eval.expression(problem.lagrangian))
     candidates = {

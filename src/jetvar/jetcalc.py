@@ -13,7 +13,7 @@ from .symexpr import (
     JetContext,
     JetCoord,
     MultiIndex,
-    partial,
+    gradient,
 )
 
 __all__ = [
@@ -96,7 +96,7 @@ def first_variation(ctx: JetContext, lam: Expression) -> tuple[dict, list]:
     boundary) as ``integrate_by_parts`` does.  The residue on u^k is the
     Euler-Lagrange expression E_k (dependents never mix while peeling), and
     the boundary terms give omega_L: dL = E(L) + d_h omega_L."""
-    coeffs = {atom: partial(lam, atom) for atom in lam.jet_atoms()}
+    coeffs = {a: d for a, d in gradient(lam).items() if isinstance(a, JetCoord)}
     return integrate_by_parts(
         coeffs, range(ctx.n), lambda j, b: total_derivative(ctx, j, b))
 

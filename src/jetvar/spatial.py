@@ -20,7 +20,7 @@ from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
 from .forms import DX, DifferentialForm, interior_product, theta_image
 from .jetcalc import integrate_by_parts
-from .symexpr import Expression, JetCoord, MultiIndex, partial
+from .symexpr import Expression, JetCoord, MultiIndex, gradient
 
 FREE = "free"
 NULL = "null"
@@ -201,8 +201,8 @@ class SpatialStructure:
         with respect to one generator family: the residue on its generator of
         integrating by parts with Dbar.  Temporal-pure coordinates act as
         parameters."""
-        coeffs = {atom: partial(f, atom) for atom in f.jet_atoms(dep=family[0])
-                  if self.family_of(atom) == family}
+        coeffs = {a: d for a, d in gradient(f).items()
+                  if isinstance(a, JetCoord) and self.family_of(a) == family}
         residues, _ = integrate_by_parts(coeffs, self.frame.spatial_indices(self.ctx),
                                          self.eq.restricted_total_derivative)
         return residues.get(self.generator_coord(family), self.ctx.zero())

@@ -19,6 +19,18 @@ context.  Ids depend on the order in which atoms are first seen, so nothing
 that is printed or compared across contexts reads them: printing sorts
 terms and factors by the atoms' own order, and callers that need a stable
 atom order sort the atoms themselves.
+
+``Expression(ctx, terms)`` trusts its dict to be canonical: every
+coefficient nonzero, an integral one an ``int``.  ``_clean`` makes a dict
+canonical, and only the producers whose result can cancel or turn a
+``Fraction`` integral call it: sums, differences and general products,
+scaling by a constant (an ``int`` times a ``Fraction`` coefficient can be
+integral), the inverse of a monomial, ``derive``, ``_sum`` and
+``gradient``.  The others (negation, ``const``,
+``expr``, the monomial pieces of ``substitute`` and of printing) hand their
+dict straight in.  Each context builds its zero and its one once, and
+``ctx.zero()``, ``ctx.one()`` and ``ctx.const(0 or 1)`` return those
+objects; an Expression is immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -179,7 +191,7 @@ class JetContext:
     """
 
     __slots__ = ("independents", "dependents", "_opaque", "_ind_pos", "_dep_pos",
-                 "_atom_ids", "_atoms", "total_derivative_memo")
+                 "_atom_ids", "_atoms", "total_derivative_memo", "_zero", "_one")
 
     def __init__(self, independents, dependents):
         self.independents = tuple(independents)
@@ -197,6 +209,8 @@ class JetContext:
         self._atom_ids: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
         self.total_derivative_memo = tuple({} for _ in self.independents)
+        self._zero = Expression(self, {})
+        self._one = Expression(self, {(): 1})
 
     @property
     def n(self) -> int:
@@ -288,14 +302,21 @@ class JetContext:
         return JetCoord(self.dependent_index(dep), self.multi_index(mindex))
 
     def const(self, value) -> "Expression":
-        c = value if type(value) is int else Fraction(value)
-        return Expression(self, {(): c} if c else {})
+        if type(value) is not int:
+            value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
+        if value == 0:
+            return self._zero
+        if value == 1:
+            return self._one
+        return Expression(self, {(): value})
 
     def zero(self) -> "Expression":
-        return self.const(0)
+        return self._zero
 
     def one(self) -> "Expression":
-        return self.const(1)
+        return self._one
 
     def expr(self, spec) -> "Expression":
         """Expression consisting of a single atom."""
@@ -368,13 +389,20 @@ def _denominator(monomials) -> Monomial:
     return tuple(sorted(powers.items()))
 
 
+def _clean(terms: dict) -> dict:
+    """terms without its zero coefficients and with each integral
+    coefficient an ``int``: the canonical dict an Expression holds."""
+    return {m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items() if c}
+
+
 def _sum(ctx: JetContext, pieces) -> "Expression":
     """Sum of expressions, collected into one dict."""
     acc: dict = {}
     for e in pieces:
         for m, c in e.terms.items():
             acc[m] = acc.get(m, 0) + c
-    return Expression(ctx, acc)
+    return Expression(ctx, _clean(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +415,14 @@ MAX_PRODUCT_PAIRS = 100_000
 
 
 class Expression:
-    """Canonical rational combination of atoms.  Immutable."""
+    """Canonical rational combination of atoms.  Immutable.  ``terms`` must
+    already be canonical (see the module docstring)."""
 
     __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx: JetContext, terms: dict):
         self.ctx = ctx
-        self.terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
-                      for m, c in terms.items() if c}
+        self.terms = terms
         self._hash = None
 
     # -- basic protocol ------------------------------------------------------
@@ -424,10 +452,14 @@ class Expression:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return Expression(self.ctx, terms)
+        return Expression(self.ctx, _clean(terms))
 
     __radd__ = __add__
 
@@ -438,30 +470,51 @@ class Expression:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) - c
+        return Expression(self.ctx, _clean(terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
+        a, b = self.terms, other.terms
+        if len(a) * len(b) > MAX_PRODUCT_PAIRS:
             raise UnsupportedExpression(
-                f"product of a {len(self.terms)}-term and a {len(other.terms)}-term expression "
-                f"exceeds {MAX_PRODUCT_PAIRS} term pairs")
+                f"product exceeds the budget of {MAX_PRODUCT_PAIRS} term pairs")
+        # a constant side scales the other's coefficients, monomials untouched
+        if len(b) == 1 and () in b:
+            return self._scaled(b[()])
+        if len(a) == 1 and () in a:
+            return other._scaled(a[()])
+        if not a:
+            return self
+        if not b:
+            return other
         terms: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, ca in a.items():
+            for mb, cb in b.items():
                 key = _mono_mul(ma, mb)
                 terms[key] = terms.get(key, 0) + ca * cb
-        return Expression(self.ctx, terms)
+        return Expression(self.ctx, _clean(terms))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c) -> "Expression":
+        """self times the nonzero constant c."""
+        if c == 1:
+            return self
+        # an int times a Fraction coefficient can be integral, so clean always
+        return Expression(self.ctx, _clean({m: c * x for m, x in self.terms.items()}))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -473,7 +526,8 @@ class Expression:
             raise UnsupportedExpression(
                 "only division by a single monomial is supported")
         (mono, coeff), = other.terms.items()
-        inverse = Expression(self.ctx, {tuple((i, -p) for i, p in mono): Fraction(1, coeff)})
+        inverse = Expression(
+            self.ctx, _clean({tuple((i, -p) for i, p in mono): Fraction(1, coeff)}))
         return self * inverse
 
     def __rtruediv__(self, other):
@@ -581,7 +635,7 @@ class Expression:
                 for mb, cb in da.terms.items():
                     key = _mono_mul(rest, mb)
                     acc[key] = acc.get(key, 0) + c * p * cb
-        return Expression(ctx, acc)
+        return Expression(ctx, _clean(acc))
 
     def substitute(self, rules: dict) -> "Expression":
         """Simultaneous substitution of atoms followed by canonicalization."""
@@ -682,13 +736,54 @@ class Expression:
 # free-function operation surface
 
 
+def gradient(e: Expression) -> dict:
+    """Every nonzero formal partial derivative of e, from one walk over its
+    terms: {coordinate atom: de/d atom}.  Every atom is an independent
+    coordinate; opaque symbols differentiate through their argument lists
+    by the chain rule."""
+    ctx = e.ctx
+    atoms = ctx._atoms
+    chains: dict = {}  # atom id -> ((coordinate, terms of d atom/d coordinate), ...)
+
+    def chain(i: int) -> tuple:
+        out = chains.get(i)
+        if out is None:
+            a = atoms[i]
+            if isinstance(a, (OpaqueFn, FnPartial)):
+                base_derivs = a.derivs if isinstance(a, FnPartial) else ()
+                out = []
+                for slot, arg in enumerate(a.args, start=1):
+                    fp = ((ctx.atom_id(FnPartial(a.name, a.args,
+                                                 tuple(sorted(base_derivs + (slot,))))), 1),)
+                    out += [(x, {_mono_mul(fp, m): c for m, c in d.items()})
+                            for x, d in chain(ctx.atom_id(arg))]
+            else:
+                out = ((a, {(): 1}),)
+            chains[i] = out
+        return out
+
+    acc: dict = {}
+    for m, c in e.terms.items():
+        for k, (i, p) in enumerate(m):
+            rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p != 1 else m[:k] + m[k + 1:]
+            cp = c * p
+            for x, d in chain(i):
+                terms = acc.get(x)
+                if terms is None:
+                    terms = acc[x] = {}
+                for mb, cb in d.items():
+                    key = _mono_mul(rest, mb)
+                    terms[key] = terms.get(key, 0) + cp * cb
+    return {x: Expression(ctx, terms) for x, terms in
+            ((x, _clean(terms)) for x, terms in acc.items()) if terms}
+
+
 def partial(e: Expression, a: Atom) -> Expression:
     """Formal partial derivative treating every atom as an independent
-    coordinate; opaque symbols differentiate through their argument lists."""
+    coordinate: the entry of ``gradient`` at a."""
     if not is_coordinate(a):
         raise UnsupportedExpression("partial derivatives are taken in coordinate atoms")
-    one, zero = e.ctx.one(), e.ctx.zero()
-    return e.derive(lambda atom: one if atom == a else zero)
+    return gradient(e).get(a, e.ctx.zero())
 
 
 def substitute(e: Expression, rules: dict) -> Expression:

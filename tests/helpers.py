@@ -232,6 +232,70 @@ def merged_monomial(a, b):
     return tuple(sorted((i, p) for i, p in powers.items() if p))
 
 
+# -- the normalising construction -------------------------------------------------
+# Expression(ctx, terms) once dropped zero coefficients and turned integral
+# Fractions into ints for every dict it was given; it trusts a canonical dict
+# now.  That construction stays here, with the arithmetic that relied on it,
+# as the oracle for each producer that builds its canonical dict itself.
+
+
+def normalised(ctx, terms):
+    """An Expression from any dict of coefficients, normalised on the way in."""
+    return Expression(ctx, {m: c if type(c) is int or c.denominator != 1 else c.numerator
+                            for m, c in terms.items() if c})
+
+
+def typed_terms(e):
+    """e's terms with each coefficient's type, so 2 and Fraction(2) differ."""
+    return {m: (c, type(c)) for m, c in e.terms.items()}
+
+
+def reference_sum(ctx, pieces, signs=None):
+    """Sum of sign * piece, collected into one dict before normalising."""
+    acc = {}
+    for k, e in enumerate(pieces):
+        sign = 1 if signs is None else signs[k]
+        for m, c in e.terms.items():
+            acc[m] = acc.get(m, 0) + sign * c
+    return normalised(ctx, acc)
+
+
+def reference_product(a, b):
+    """a * b, every pair of terms multiplied by merging power dicts."""
+    acc = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            key = merged_monomial(ma, mb)
+            acc[key] = acc.get(key, 0) + ca * cb
+    return normalised(a.ctx, acc)
+
+
+def reference_power(e, k):
+    """e ** k by repeated reference products; a negative k needs a monomial e."""
+    if k < 0:
+        (m, c), = e.terms.items()
+        e = normalised(e.ctx, {tuple((i, -p) for i, p in m): Fraction(1, c)})
+        k = -k
+    out = normalised(e.ctx, {(): 1})
+    for _ in range(k):
+        out = reference_product(out, e)
+    return out
+
+
+def reference_substitute(e, rules):
+    """e with atoms replaced by monomials, term by term and factor by factor."""
+    ctx = e.ctx
+    pieces = []
+    for m, c in e.terms.items():
+        kept = tuple((i, p) for i, p in m if ctx._atoms[i] not in rules)
+        piece = normalised(ctx, {kept: c})
+        for i, p in m:
+            if ctx._atoms[i] in rules:
+                piece = reference_product(piece, reference_power(rules[ctx._atoms[i]], p))
+        pieces.append(piece)
+    return reference_sum(ctx, pieces)
+
+
 def per_factor_derive(e, action):
     """e.derive(action) by the product rule, one product per factor, on the
     numerator and the denominator of e, joined by the quotient rule."""
@@ -254,7 +318,7 @@ def per_factor_derive(e, action):
         pieces = []
         for k, (i, p) in enumerate(m):
             rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p > 1 else m[:k] + m[k + 1:]
-            pieces.append(Expression(ctx, {rest: c * p}) * atom_derivative(i))
+            pieces.append(normalised(ctx, {rest: c * p}) * atom_derivative(i))
         return pieces
 
     num, den = numerator_denominator(e)
@@ -262,9 +326,15 @@ def per_factor_derive(e, action):
     if not den:
         return dnum
     # quotient rule: d(n/d) = (dn*d - n*dd) / d^2
-    top = dnum * Expression(ctx, {den: 1}) - Expression(ctx, num) * _sum(ctx, mono_derivative(den, 1))
+    top = dnum * normalised(ctx, {den: 1}) - normalised(ctx, num) * _sum(ctx, mono_derivative(den, 1))
     over_den2 = tuple((i, -2 * p) for i, p in den)
-    return Expression(ctx, {merged_monomial(m, over_den2): c for m, c in top.terms.items()})
+    return normalised(ctx, {merged_monomial(m, over_den2): c for m, c in top.terms.items()})
+
+
+def coordinate_partial(e, a):
+    """de/da by the per-factor route, with the action that sends a to 1 and
+    every other atom to 0."""
+    return per_factor_derive(e, lambda atom: e.ctx.one() if atom == a else e.ctx.zero())
 
 
 # -- integrability scan -----------------------------------------------------------
@@ -650,7 +720,8 @@ class ReferenceParser(_Parser):
             elif keyword == "lagrangian":
                 lagrangian = self.parse_expr()
             elif keyword == "spatial":
-                spatial = self.expect("NAME", expected=["independent name"]).value
+                name = self.expect("NAME", expected=["independent name"])
+                spatial = Node("name", name.value, pos=(name.line, name.column))
             elif keyword == "candidate":
                 candidates.append(self.parse_candidate(pos))
             elif keyword == "resolve":

@@ -16,22 +16,33 @@ from jetvar.symexpr import (
     JetCoord,
     MultiIndex,
     OpaqueFn,
+    _clean,
     _mono_mul,
+    _sum,
+    gradient,
+    is_coordinate,
 )
 
 from helpers import (
     E,
     atom_key,
     context2,
+    coordinate_partial,
     default_pool,
     generator_key,
     key_sorted_generators,
     merged_monomial,
     multi_index_key,
+    normalised,
     numerator_denominator,
     per_factor_derive,
     random_expression,
+    reference_power,
+    reference_product,
     reference_str,
+    reference_substitute,
+    reference_sum,
+    typed_terms,
 )
 
 import random
@@ -381,10 +392,26 @@ def test_tuple_order_is_the_canonical_order():
 # -- derive against the per-factor route ------------------------------------------
 
 
+def assert_gradient_matches_oracle(e):
+    """gradient(e) and partial(e, a), at every coordinate atom a of e, against
+    the per-factor route with the one/zero action; gradient keeps exactly
+    the nonzero partials."""
+    ctx = e.ctx
+    grad = gradient(e)
+    coords = {a for a in e.atoms() if is_coordinate(a)}
+    assert set(grad) <= coords
+    for a in coords:
+        expected = coordinate_partial(e, a)
+        assert typed_terms(grad.get(a, ctx.zero())) == typed_terms(expected)
+        assert (a in grad) == (not expected.is_zero())
+        assert partial(e, a) == expected
+
+
 def test_derive_matches_per_factor_oracle_randomized():
     """Random rational polynomials and monomial quotients, with formal
-    partials of opaque symbols among the atoms, under partials and under
-    random atom actions whose values are often quotients themselves."""
+    partials of opaque symbols among the atoms, under random atom actions
+    whose values are often quotients themselves, and under every coordinate
+    partial."""
     ctx = context2()
     pool = _printer_pool(ctx)
     coords = [a for a in pool if isinstance(a, (BaseVar, JetCoord))]
@@ -403,9 +430,7 @@ def test_derive_matches_per_factor_oracle_randomized():
         memo = {}
         assert e.derive(action, memo) == per_factor_derive(e, action)
         assert (e * e).derive(action, memo) == per_factor_derive(e * e, action)
-        a = rng.choice(coords)
-        assert partial(e, a) == per_factor_derive(
-            e, lambda atom: ctx.one() if atom == a else ctx.zero())
+        assert_gradient_matches_oracle(e)
     assert divided > 0
 
 
@@ -424,8 +449,9 @@ def _spied_derivations(monkeypatch):
 
 @pytest.mark.parametrize("name", ["laplace", "wave", "pkdv", "maxwell"])
 def test_derive_matches_per_factor_oracle_on_fixtures(name, monkeypatch):
-    """partial, total_derivative and SolvedEquation._dbar, each with the
-    atom action it passes to derive, on random restricted expressions."""
+    """total_derivative and SolvedEquation._dbar, each with the atom action
+    it passes to derive, and gradient and partial at every coordinate atom,
+    on random restricted expressions."""
     built = build(parse(fixture_text(name)))
     ctx, eq = built.ctx, built.eq
     pool = [BaseVar(i) for i in range(ctx.n)]
@@ -433,18 +459,81 @@ def test_derive_matches_per_factor_oracle_on_fixtures(name, monkeypatch):
              for alpha in iter_multi_indices(ctx.n, 2) if eq.is_internal(JetCoord(k, alpha))]
     pool += [ctx.atom(o) for o in ctx.opaque_names()]
     rng = random.Random(20261020)
+    rounds = 8 if name == "maxwell" else 25
     calls = _spied_derivations(monkeypatch)
-    for _ in range(8 if name == "maxwell" else 25):
+    restricted = []
+    for _ in range(rounds):
         e = eq.restrict(random_expression(rng, ctx, pool, max_terms=3, max_factors=3,
                                           allow_den=True, rational=True))
+        restricted.append(e)
         i = rng.randrange(ctx.n)
-        partial(e, rng.choice([a for a in pool if isinstance(a, (BaseVar, JetCoord))]))
         total_derivative(ctx, i, e)
         eq._dbar(i, e)
     monkeypatch.undo()
-    assert len(calls) >= 3 * (8 if name == "maxwell" else 25)
+    assert len(calls) >= 2 * rounds
     for e, action, out in calls:
         assert per_factor_derive(e, action) == out
+    for e in restricted:
+        assert_gradient_matches_oracle(e)
+
+
+# -- canonical construction ---------------------------------------------------------
+
+
+def assert_canonical(e):
+    """Every coefficient nonzero and an int when integral, so the dict the
+    constructor trusted is its own clean form, types included."""
+    assert typed_terms(e) == {m: (c, type(c)) for m, c in _clean(e.terms).items()}
+
+
+def test_every_producer_builds_the_normalised_form():
+    """Each producer on random Laurent input with rational coefficients
+    returns a canonical dict equal, types included, to the one the
+    normalising construction gives for the same arithmetic."""
+    ctx = context2()
+    pool = _printer_pool(ctx)
+    coords = [a for a in pool if isinstance(a, (BaseVar, JetCoord))]
+    # a rule on an opaque argument must yield an atom, so none is substituted
+    targets = [c for c in coords if c not in ctx.opaque_signature("h")]
+    rng = random.Random(20261021)
+    zero, one = ctx.zero(), ctx.one()
+    for _ in range(120):
+        a, b = (random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
+                                  allow_den=True, rational=True) for _ in range(2))
+        q = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+        mono = random_expression(rng, ctx, pool, max_terms=1, allow_den=True, rational=True)
+        rules = {c: random_expression(rng, ctx, pool, max_terms=1, allow_den=True,
+                                      rational=True) for c in rng.sample(targets, 2)}
+        k = rng.randint(-2, 3) if len(a.terms) == 1 else rng.randint(0, 3)
+        values = {c: random_expression(rng, ctx, coords, max_terms=2, allow_den=True,
+                                       rational=True) for c in coords}
+        cases = [
+            (a + b, reference_sum(ctx, [a, b])),
+            (a - b, reference_sum(ctx, [a, b], [1, -1])),
+            (a - a, zero),
+            (a + (-a), zero),
+            (1 - a, reference_sum(ctx, [one, a], [1, -1])),
+            (-a, reference_sum(ctx, [a], [-1])),
+            (a * b, reference_product(a, b)),
+            (a * q, reference_product(a, normalised(ctx, {(): q}))),
+            (q * a, reference_product(a, normalised(ctx, {(): q}))),
+            (a * Fraction(1, 2) * 2, a),
+            (a / mono, reference_product(a, reference_power(mono, -1))),
+            (a ** k, reference_power(a, k)),
+            (ctx.const(q), normalised(ctx, {(): q})),
+            (ctx.const(Fraction(4, 2)), normalised(ctx, {(): Fraction(4, 2)})),
+            (_sum(ctx, [a, b, -a]), b),
+            (a.derive(values.get), per_factor_derive(a, values.get)),
+            (a.substitute(rules), reference_substitute(a, rules)),
+        ]
+        cases += [(d, coordinate_partial(a, c)) for c, d in gradient(a).items()]
+        for out, expected in cases:
+            assert_canonical(out)
+            assert typed_terms(out) == typed_terms(expected)
+    # the identities hand back their operand, and the constants are shared
+    assert a + 0 is a and 0 + a is a and a - 0 is a and a * 1 is a and 1 * a is a
+    assert ctx.const(0) is zero and ctx.const(Fraction(3, 3)) is one
+    assert ctx.zero() is zero and ctx.one() is one
 
 
 # -- monomial product -------------------------------------------------------------
