@@ -42,12 +42,9 @@ from .forms import (
     DifferentialForm,
     cartan_degree_filter,
     contract_evolutionary,
-    dx,
     exterior_derivative,
     horizontal_differential,
     lie_derivative_evolutionary,
-    theta,
-    volume_contraction,
     volume_form,
     wedge,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import ConsistencyError, ContextMismatch, OrientationError
-from .forms import DifferentialForm, THETA, exterior_derivative, theta_image
+from .forms import DifferentialForm, exterior_derivative, theta_image
 from .jetcalc import EvolutionaryField, JetContext, linearization
 from .symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, OpaqueFn
 
@@ -184,7 +184,7 @@ class SolvedEquation:
 
     def restrict_form(self, omega: DifferentialForm) -> DifferentialForm:
         """Restrict coefficients and replace each generator by its image, kept
-        per generator as [(factor or None, generator)]: a principal theta^p
+        per generator as [(generator, factor or None)]: a principal theta^p
         maps to sum (d rhs/d u^j_beta) theta^j_beta, any other generator to
         itself with no factor."""
         images, items = self._images, []
@@ -193,11 +193,10 @@ class SolvedEquation:
             for g in gens:
                 image = images.get(g)
                 if image is None:
-                    coord = JetCoord(g.index, g.mindex)
-                    image = images[g] = [(None, g)] if g.is_dx() or self.is_internal(coord) else [
-                        (d, THETA(a.dep, a.mindex)) for a, d in theta_image(self.rule_for(coord))]
+                    image = images[g] = list(theta_image(self.rule_for(g))) \
+                        if isinstance(g, JetCoord) and self.is_principal(g) else [(g, None)]
                 pieces = [(c if f is None else c * f, gs + (fg,))
-                          for c, gs in pieces for f, fg in image]
+                          for c, gs in pieces for fg, f in image]
             items.extend(pieces)
         return DifferentialForm.from_terms(self.ctx, items)
 

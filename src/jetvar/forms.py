@@ -1,50 +1,18 @@
 """Exterior algebra on free infinite jets in the basis {dx^i, theta^k_alpha}.
 
-Forms are stored as maps from strictly increasing generator tuples to
-Expression coefficients; the wedge sign normalization keeps canonical
-forms unique, so equality of forms is decidable.
+A basis 1-form is the coordinate atom it differentiates: the BaseVar x^i
+stands for dx^i and the JetCoord u^k_alpha for theta^k_alpha.  Forms are
+stored as maps from strictly increasing atom tuples to Expression
+coefficients.  Atom tuple order is the canonical wedge order, every dx before
+every theta; the wedge sign normalization keeps canonical forms unique, so
+equality of forms is decidable.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .errors import ContextMismatch, DegreeError
 from .jetcalc import EvolutionaryField, JetContext, total_derivative, total_derivative_multi
-from .symexpr import Expression, JetCoord, MultiIndex, gradient
-
-# string tags, so no generator equals an atom or a MultiIndex (int tags);
-# "dx" < "theta" puts every dx before every theta in the canonical order,
-# which is the generators' tuple order
-_DX, _THETA = "dx", "theta"
-
-
-class Generator(tuple):
-    """Basis 1-form: DX(i) is dx^i, THETA(k, alpha) is the Cartan form of
-    u^k_alpha.  The tuple (kind, index, mindex), led by its kind."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, index: int, mindex: MultiIndex = MultiIndex()):
-        return tuple.__new__(cls, (kind, index, mindex))
-
-    kind = property(itemgetter(0))
-    index = property(itemgetter(1))
-    mindex = property(itemgetter(2))
-
-    def is_dx(self) -> bool:
-        return self[0] == _DX
-
-    def is_theta(self) -> bool:
-        return self[0] == _THETA
-
-
-def DX(i: int) -> Generator:
-    return Generator(_DX, i)
-
-
-def THETA(k: int, mindex: MultiIndex = MultiIndex()) -> Generator:
-    return Generator(_THETA, k, mindex)
+from .symexpr import BaseVar, Expression, JetCoord, MultiIndex, gradient
 
 
 def _sort_generators(gens):
@@ -104,7 +72,7 @@ class DifferentialForm:
         return DifferentialForm(coeff.ctx, {(): coeff})
 
     @staticmethod
-    def generator(ctx, gen: Generator) -> "DifferentialForm":
+    def generator(ctx, gen: BaseVar | JetCoord) -> "DifferentialForm":
         return DifferentialForm(ctx, {(gen,): ctx.one()})
 
     # -- structure ----------------------------------------------------------
@@ -125,7 +93,7 @@ class DifferentialForm:
         return ds.pop()
 
     def is_horizontal(self) -> bool:
-        return all(all(g.is_dx() for g in gens) for gens in self.terms)
+        return all(isinstance(g, BaseVar) for gens in self.terms for g in gens)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -194,36 +162,17 @@ class DifferentialForm:
     __repr__ = __str__
 
 
-def _generator_name(ctx, g: Generator) -> str:
-    if g.is_dx():
-        return f"d({ctx.independents[g.index]})"
-    return f"theta({ctx.atom_name(JetCoord(g.index, g.mindex))})"
+def _generator_name(ctx, g: BaseVar | JetCoord) -> str:
+    return f"{'d' if isinstance(g, BaseVar) else 'theta'}({ctx.atom_name(g)})"
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def dx(ctx: JetContext, name) -> DifferentialForm:
-    i = name if isinstance(name, int) else ctx.independent_index(name)
-    return DifferentialForm.generator(ctx, DX(i))
-
-
-def theta(ctx: JetContext, dep, mindex=MultiIndex()) -> DifferentialForm:
-    k = dep if isinstance(dep, int) else ctx.dependent_index(dep)
-    return DifferentialForm.generator(ctx, THETA(k, ctx.multi_index(mindex)))
-
-
 def volume_form(ctx: JetContext) -> DifferentialForm:
-    gens = tuple(DX(i) for i in range(ctx.n))
+    gens = tuple(BaseVar(i) for i in range(ctx.n))
     return DifferentialForm(ctx, {gens: ctx.one()})
-
-
-def volume_contraction(ctx: JetContext, k: int) -> DifferentialForm:
-    """The constant form  d/dx^k  contracted into dx^1 ^ ... ^ dx^n."""
-    gens = tuple(DX(i) for i in range(ctx.n) if i != k)
-    sign = (-1) ** k
-    return DifferentialForm(ctx, {gens: ctx.const(sign)})
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +198,8 @@ def vertical_split(coeff: Expression, directions):
     for i in directions:
         d = total_derivative(ctx, i, coeff)
         if not d.is_zero():
-            yield DX(i), d
-    for atom, d in theta_image(coeff):
-        yield THETA(atom.dep, atom.mindex), d
+            yield BaseVar(i), d
+    yield from theta_image(coeff)
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
@@ -261,18 +209,17 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     ctx = omega.ctx
     items = []
     for gens, coeff in omega.terms.items():
-        held = {g.index for g in gens if g.is_dx()}
-        free = [i for i in range(ctx.n) if i not in held]
+        free = [i for i in range(ctx.n) if BaseVar(i) not in gens]
         for gen, dcoeff in vertical_split(coeff, free):
             items.append((dcoeff, (gen,) + gens))
         for pos, g in enumerate(gens):
-            if not g.is_theta() or not free:
+            if not isinstance(g, JetCoord) or not free:
                 continue
             signed = -coeff if pos % 2 else coeff
             rest = gens[:pos] + gens[pos + 1:]
             for i in free:
-                shifted = THETA(g.index, g.mindex + MultiIndex.single(i))
-                items.append((signed, (DX(i), shifted) + rest))
+                shifted = JetCoord(g.dep, g.mindex + MultiIndex.single(i))
+                items.append((signed, (BaseVar(i), shifted) + rest))
     return DifferentialForm.from_terms(ctx, items)
 
 
@@ -286,7 +233,7 @@ def horizontal_differential(omega: DifferentialForm) -> DifferentialForm:
         for i in range(ctx.n):
             d = total_derivative(ctx, i, coeff)
             if not d.is_zero():
-                items.append((d, (DX(i),) + gens))
+                items.append((d, (BaseVar(i),) + gens))
     return DifferentialForm.from_terms(ctx, items)
 
 
@@ -296,9 +243,9 @@ def interior_product(omega: DifferentialForm, value) -> DifferentialForm:
     items = []
     for gens, coeff in omega.terms.items():
         for pos, g in enumerate(gens):
-            if not g.is_theta():
+            if not isinstance(g, JetCoord):
                 continue
-            v = value(JetCoord(g.index, g.mindex))
+            v = value(g)
             if v.is_zero():
                 continue
             sign = -1 if pos % 2 else 1
@@ -320,7 +267,7 @@ def lie_derivative_evolutionary(field: EvolutionaryField, omega: DifferentialFor
 
 
 def cartan_degree(gens) -> int:
-    return sum(1 for g in gens if g.is_theta())
+    return sum(isinstance(g, JetCoord) for g in gens)
 
 
 def cartan_degree_filter(omega: DifferentialForm, p: int) -> DifferentialForm:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 
 from ..errors import ParseError, SemanticError, UnsupportedExpression
-from ..forms import DifferentialForm, dx as dx_form, theta as theta_form
+from ..forms import DifferentialForm
 from ..jetcalc import JetContext, total_derivative
 from ..symexpr import Expression, FnPartial, JetCoord, OpaqueFn
 
@@ -671,7 +671,7 @@ class Evaluator:
                         f"opaque symbol {ident!r} used without arguments", *node.pos) from None
                 raise SemanticError(f"unknown name {ident!r}", *node.pos) from None
         if kind == "jet":
-            return ctx.jet(ctx.dependents[self._dep(node)], self._mindex(node))
+            return ctx.expr(self.coordinate_atom(node))
         if kind == "call":
             return self._opaque(args[0], args[1], (), node.pos)
         if kind == "partial":
@@ -689,13 +689,12 @@ class Evaluator:
             return total_derivative(ctx, i, inner)
         if kind == "dx":
             try:
-                return dx_form(ctx, args[0])
+                return DifferentialForm.generator(ctx, ctx.base_atom(args[0]))
             except KeyError:
                 raise SemanticError(f"unknown independent variable {args[0]!r}",
                                     *node.pos) from None
         if kind == "theta":
-            atom = self.coordinate_atom(args[0])
-            return theta_form(ctx, atom.dep, atom.mindex)
+            return DifferentialForm.generator(ctx, self.coordinate_atom(args[0]))
         if kind == "neg":
             return -self.value(args[0])
         raise TypeError(node)

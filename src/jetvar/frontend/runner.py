@@ -240,8 +240,7 @@ class _Run:
         evaluator = self.built.evaluator
         expected = (evaluator.form if isinstance(computed, DifferentialForm)
                     else evaluator.expression)(value)
-        matches = expected == computed or (computed - expected).is_zero()
-        self.report.add(name, PASS if matches else FAIL,
+        self.report.add(name, PASS if expected == computed else FAIL,
                         computed=str(computed), expected=str(expected), line=decl.line)
 
     def verdict(self, name, decl, computed, shown=None):
@@ -371,7 +370,9 @@ def _check_candidate(run: _Run, cname: str, candidate):
 
 # The pipeline, in order: (stage, function, expectation keys it exercises).  A
 # stage reads what earlier ones left in the run and returns True when its failure
-# ends the run; a JetvarError it raises refuses the stage and ends the run too.
+# ends the run; a JetvarError it raises refuses the stage and ends the run too,
+# and drops the checks the stage recorded first: which of them ran before the
+# refusal follows declaration order.
 STAGES = (
     ("integrability", _integrability, ()),
     ("euler", _euler, ("euler", "on_shell_euler")),
@@ -421,7 +422,7 @@ def _run_stages(run: _Run, stages):
             ended = function(run)
         except JetvarError as exc:
             ended, refusal = True, str(exc)
-        if stage not in stages:
+        if stage not in stages or refusal is not None:
             del report.checks[mark:]
         if refusal is not None:
             report.add(stage, REFUSED, message=refusal)

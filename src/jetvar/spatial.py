@@ -7,9 +7,10 @@ total derivatives.  Contact forms of any order together with the temporal
 covector annihilate that distribution, which grades every form by spatial
 degree.  Triviality of a degree-n form modulo that grading and exact terms
 is decided by spatial integration by parts plus a spatial-divergence test.
-Generator families are classified, and S-symmetries and constraint
-resolutions checked, at the minimal constraint points read off the rule
-heads (SpatialStructure); that this decides assumes formal integrability.
+Families of generating coordinates are classified, and S-symmetries and
+constraint resolutions checked, at the minimal constraint points read off
+the rule heads (SpatialStructure); that this decides assumes formal
+integrability.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from itertools import combinations
 
 from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
-from .forms import DX, DifferentialForm, interior_product, theta_image
+from .forms import DifferentialForm, interior_product, theta_image
 from .jetcalc import integrate_by_parts
-from .symexpr import Expression, JetCoord, MultiIndex, gradient
+from .symexpr import BaseVar, Expression, JetCoord, MultiIndex, gradient
 
 FREE = "free"
 NULL = "null"
@@ -48,7 +49,8 @@ class SpatialFrame:
 
 def s_degree(frame: SpatialFrame, gens) -> int:
     """Number of annihilating factors: every theta, plus dx^temporal."""
-    return sum(1 for g in gens if g.is_theta() or g.index == frame.temporal)
+    temporal = BaseVar(frame.temporal)
+    return sum(1 for g in gens if g == temporal or isinstance(g, JetCoord))
 
 
 def s_degree_filter(frame: SpatialFrame, omega: DifferentialForm, p: int) -> DifferentialForm:
@@ -323,11 +325,16 @@ def extend_S_symmetry(eq: SolvedEquation, frame: SpatialFrame,
 # constraint resolutions
 
 
+_DIVERGENCE_ONLY = ("antisymmetric potentials resolve only the relation "
+                    "sum_i D_i(target_i) = 0, targets in spatial order")
+
+
 class ConstraintResolution:
     """Substitution resolving an under-determined spatial constraint of
     (eq, frame) by potentials, e.g. divergence-free fields as curls of
-    antisymmetric potentials.  Maps resolved dependent indices to expressions
-    in the potential coordinates; verified when constructed."""
+    antisymmetric potentials.  Maps resolved dependent indices, in spatial
+    order, to expressions in the potential coordinates; verified when
+    constructed."""
 
     def __init__(self, eq: SolvedEquation, frame: SpatialFrame, substitutions: dict):
         self.eq, self.frame, self.substitutions = eq, frame, substitutions
@@ -348,22 +355,45 @@ class ConstraintResolution:
         return e.substitute(rules) if rules else e
 
     def verify(self):
-        """Every target family must be constrained: on a free or null family
-        a substitution passes the check below and still narrows the
+        """The targets, listed in spatial order, must carry exactly the one
+        divergence relation sum_i Dbar_i g^i = 0, which antisymmetric
+        potentials parametrise on a contractible domain (Poincare lemma): at
+        each temporal count tau, every target family is constrained, and
+        their minimal points are the one first-order head g^i_{tau+x_i} with
+        right side -sum_{j != i} g^j_{tau+x_j}.  On any other family a
+        substitution may pass the check below and still narrow the
         solutions.  Substituted expressions must then satisfy the constraint
         identically, checked at the minimal constraint points (see
         SpatialStructure)."""
         eq, subs = self.eq, self.substitutions
-        structure = spatial_structure(eq, self.frame)
+        ctx, structure = eq.ctx, spatial_structure(eq, self.frame)
+        direction = dict(zip(subs, self.frame.spatial_indices(ctx)))
+
+        def refuse(fam, why):
+            raise UnsupportedExpression(
+                f"resolve target family of {ctx.atom_name(structure.generator_coord(fam))} {why}")
+
         top = max((a.mindex.get(self.frame.temporal)
                    for e in subs.values() for a in e.jet_atoms()), default=0)
+        by_count: dict[MultiIndex, list] = {}
         for fam in structure._families(top):
-            status = structure.status(fam) if fam[0] in subs else CONSTRAINED
-            if status != CONSTRAINED:
-                raise UnsupportedExpression(
-                    "resolve target family of "
-                    f"{eq.ctx.atom_name(structure.generator_coord(fam))} is {status}, "
-                    "not constrained; only a constrained family can be resolved")
+            if fam[0] in subs:
+                status = structure.status(fam)
+                if status != CONSTRAINED:
+                    refuse(fam, f"is {status}, not constrained; only a constrained "
+                                "family can be resolved")
+                by_count.setdefault(fam[1], []).append(fam)
+        for tau, fams in by_count.items():
+            points = [p for fam in fams for p in structure._minimal_points(fam)[0]]
+            if not points:
+                refuse(fams[0], f"has no minimal head; {_DIVERGENCE_ONLY}")
+            for k, (coord, j, rhs) in enumerate(points):
+                divergence = {((ctx.atom_id(JetCoord(d, tau + MultiIndex.single(x))), 1),): -1
+                              for d, x in direction.items() if d != coord.dep}
+                if k or coord.mindex != tau or j != direction[coord.dep] or rhs.terms != divergence:
+                    head = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
+                    refuse(structure.family_of(coord), f"has minimal head "
+                           f"{ctx.atom_name(head)} = {rhs}; {_DIVERGENCE_ONLY}")
         defect = structure._first_defect(
             lambda fam: fam[0] in subs, top, self.coordinate_value, self.apply_to_expression)
         if defect is not None:
@@ -406,8 +436,8 @@ def _normal_form_parts(frame: SpatialFrame, omega: DifferentialForm):
     the theta coefficients over the spatial volume."""
     ctx = omega.ctx
     n = ctx.n
-    spatial_sorted = tuple(DX(i) for i in sorted(frame.spatial_indices(ctx)))
-    vol_gens = tuple(DX(i) for i in range(n))
+    spatial_sorted = tuple(BaseVar(i) for i in sorted(frame.spatial_indices(ctx)))
+    vol_gens = tuple(BaseVar(i) for i in range(n))
     horizontal = ctx.zero()
     thetas: dict[JetCoord, Expression] = {}
     for gens, coeff in omega.terms.items():
@@ -416,13 +446,13 @@ def _normal_form_parts(frame: SpatialFrame, omega: DifferentialForm):
         if gens == vol_gens:
             horizontal = horizontal + coeff
             continue
-        theta_gens = [g for g in gens if g.is_theta()]
-        dx_gens = tuple(g for g in gens if g.is_dx())
+        theta_gens = [g for g in gens if isinstance(g, JetCoord)]
+        dx_gens = tuple(g for g in gens if isinstance(g, BaseVar))
         if len(theta_gens) == 1 and dx_gens == spatial_sorted:
             # canonical order stores dx-part first: theta ^ vol_s picks up
             # (-1)^(n-1) moving theta past n-1 spatial covectors
             sign = (-1) ** (n - 1)
-            coord = JetCoord(theta_gens[0].index, theta_gens[0].mindex)
+            coord, = theta_gens
             thetas[coord] = thetas.get(coord, ctx.zero()) + sign * coeff
         else:
             raise ValueError(f"unexpected term of spatial degree >= 2 in a normal form: {gens}")

@@ -9,9 +9,7 @@ from functools import cached_property
 from .eqmanifold import SolvedEquation
 from .errors import LagrangianError
 from .forms import (
-    DX,
     DifferentialForm,
-    THETA,
     _sort_generators,
     cartan_degree_filter,
     theta_image,
@@ -26,7 +24,7 @@ from .jetcalc import (
     total_derivative,
     total_derivative_multi,
 )
-from .symexpr import Expression, JetCoord
+from .symexpr import BaseVar, Expression, JetCoord
 
 
 class Lagrangian:
@@ -50,7 +48,7 @@ class Lagrangian:
         _, boundary = self.variation
         return DifferentialForm.from_terms(ctx, (
             (c if j % 2 == 0 else -c,
-             (THETA(lower.dep, lower.mindex),) + tuple(DX(i) for i in range(ctx.n) if i != j))
+             (lower,) + tuple(BaseVar(i) for i in range(ctx.n) if i != j))
             for c, lower, j in boundary))
 
     def form(self) -> DifferentialForm:
@@ -70,7 +68,7 @@ class Lagrangian:
             if e.is_zero():
                 continue
             out = out + DifferentialForm.scalar(e).wedge(
-                DifferentialForm.generator(ctx, THETA(k))).wedge(vol)
+                DifferentialForm.generator(ctx, JetCoord(k))).wedge(vol)
         return out
 
 
@@ -112,7 +110,7 @@ def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangian
                 f"Euler expression for {ctx.dependents[k]!r} does not vanish "
                 f"on the equation: {residual}")
     omega_L = presymplectic_potential(L)
-    d_v_omega = DifferentialForm.from_terms(ctx, ((d, (THETA(a.dep, a.mindex),) + gens)
+    d_v_omega = DifferentialForm.from_terms(ctx, ((d, (a,) + gens)
                                                   for gens, c in omega_L.terms.items()
                                                   for a, d in theta_image(c)))
     return InternalLagrangianRep(eq, eq.restrict_form(L.form() + omega_L),
@@ -165,16 +163,16 @@ def verify_omega_identity(L: Lagrangian, omega_L: DifferentialForm,
         residual = residual - L.euler(k) * phi.component(k)
     fluxes = [ctx.zero() for _ in range(ctx.n)]
     for gens, coeff in omega_L.terms.items():
-        thetas = [pos for pos, g in enumerate(gens) if g.is_theta()]
+        thetas = [pos for pos, g in enumerate(gens) if isinstance(g, JetCoord)]
         if not thetas:
             continue
-        missing = set(range(ctx.n)).difference(g.index for g in gens if g.is_dx())
+        missing = [i for i in range(ctx.n) if BaseVar(i) not in gens]
         if len(thetas) != 1 or len(gens) != ctx.n or len(missing) != 1:
             return False
         (pos,), (j,) = thetas, missing
         theta = gens[pos]
-        sign, _ = _sort_generators(gens[:pos] + (DX(j),) + gens[pos + 1:])
-        flux = coeff * total_derivative_multi(ctx, theta.mindex, phi.component(theta.index))
+        sign, _ = _sort_generators(gens[:pos] + (BaseVar(j),) + gens[pos + 1:])
+        flux = coeff * total_derivative_multi(ctx, theta.mindex, phi.component(theta.dep))
         fluxes[j] = fluxes[j] + flux if sign == 1 else fluxes[j] - flux
     for j, flux in enumerate(fluxes):
         residual = residual - total_derivative(ctx, j, flux)

@@ -7,14 +7,11 @@ from jetvar import DifferentialForm, JetContext, SolvedEquation
 from jetvar.eqmanifold import iter_multi_indices
 from jetvar.errors import ConsistencyError, ParseError
 from jetvar.forms import (
-    DX,
-    THETA,
     contract_evolutionary,
     horizontal_differential,
     lie_derivative_evolutionary,
     theta_image,
     vertical_split,
-    volume_contraction,
 )
 from jetvar.frontend import parse_expression, parse_form
 from jetvar.frontend.parser import Node, ProblemFile, Token, _Parser
@@ -100,11 +97,11 @@ def default_pool(ctx):
 
 
 def random_form(rng: random.Random, ctx, pool, degree, max_terms=2):
-    gens = [DX(i) for i in range(ctx.n)]
+    gens = [BaseVar(i) for i in range(ctx.n)]
     for dep in range(ctx.m):
-        gens.append(THETA(dep))
-        gens.append(THETA(dep, MultiIndex.single(0)))
-        gens.append(THETA(dep, MultiIndex.single(1)))
+        gens.append(JetCoord(dep))
+        gens.append(JetCoord(dep, MultiIndex.single(0)))
+        gens.append(JetCoord(dep, MultiIndex.single(1)))
     total = DifferentialForm.zero(ctx)
     for _ in range(rng.randint(1, max_terms)):
         coeff = random_expression(rng, ctx, pool)
@@ -141,8 +138,11 @@ def atom_key(a):
 
 
 def generator_key(g):
-    """Every dx before every theta, then index, then multi-index."""
-    return (0 if g.is_dx() else 1, g.index, multi_index_key(g.mindex))
+    """Every dx (a BaseVar) before every theta (a JetCoord), then index or
+    dependent, then multi-index."""
+    if isinstance(g, BaseVar):
+        return (0, g.index, multi_index_key(MultiIndex()))
+    return (1, g.dep, multi_index_key(g.mindex))
 
 
 def key_sorted_generators(gens):
@@ -392,9 +392,8 @@ def theta_by_theta_restrict_form(eq, omega):
         pieces = [(eq.restrict(coeff), ())]
         for g in gens:
             expanded = [(ctx.one(), g)]
-            if g.is_theta() and eq.is_principal(JetCoord(g.index, g.mindex)):
-                expanded = [(d, THETA(atom.dep, atom.mindex)) for atom, d in
-                            theta_image(eq.rule_for(JetCoord(g.index, g.mindex)))]
+            if isinstance(g, JetCoord) and eq.is_principal(g):
+                expanded = [(d, atom) for atom, d in theta_image(eq.rule_for(g))]
             pieces = [(c * fc, gs + (fg,)) for c, gs in pieces for fc, fg in expanded]
         items.extend(pieces)
     return DifferentialForm.from_terms(ctx, items)
@@ -520,16 +519,16 @@ def omega_mutations(omega):
     ctx = omega.ctx
     for gens, coeff in omega.terms.items():
         others = [(c, g) for g, c in omega.terms.items() if g != gens]
-        theta, = (g for g in gens if g.is_theta())
-        j, = set(range(ctx.n)).difference(g.index for g in gens if g.is_dx())
-        raised = THETA(theta.index, theta.mindex + MultiIndex.single(0))
-        swapped = tuple(DX(i) for i in range(ctx.n) if i != (j + 1) % ctx.n)
+        theta, = (g for g in gens if isinstance(g, JetCoord))
+        j, = set(range(ctx.n)).difference(g.index for g in gens if isinstance(g, BaseVar))
+        raised = JetCoord(theta.dep, theta.mindex + MultiIndex.single(0))
+        swapped = tuple(BaseVar(i) for i in range(ctx.n) if i != (j + 1) % ctx.n)
         for label, items in (
                 ("doubled", [(coeff * 2, gens)]),
                 ("dropped", []),
                 ("raised", [(coeff, tuple(raised if g == theta else g for g in gens))]),
                 ("j swapped", [(coeff, swapped + (theta,))])):
-            yield (f"{label} {ctx.atom_name(JetCoord(theta.index, theta.mindex))} "
+            yield (f"{label} {ctx.atom_name(theta)} "
                    f"j={j}"), DifferentialForm.from_terms(ctx, others + items)
 
 
@@ -558,9 +557,15 @@ def boundary_loop_omega(L):
     omega = DifferentialForm.zero(ctx)
     for c, lower, j in boundary:
         omega = omega + DifferentialForm.scalar(c).wedge(
-            DifferentialForm.generator(ctx, THETA(lower.dep, lower.mindex))).wedge(
+            DifferentialForm.generator(ctx, lower)).wedge(
             volume_contraction(ctx, j))
     return omega
+
+
+def volume_contraction(ctx, k):
+    """The constant form  d/dx^k  contracted into dx^1 ^ ... ^ dx^n."""
+    gens = tuple(BaseVar(i) for i in range(ctx.n) if i != k)
+    return DifferentialForm(ctx, {gens: ctx.const((-1) ** k)})
 
 
 def subtracted_reduce_mod_S2(frame, omega):
@@ -579,11 +584,11 @@ def all_directions_exterior_derivative(omega):
         for gen, dcoeff in vertical_split(coeff, range(ctx.n)):
             items.append((dcoeff, (gen,) + gens))
         for pos, g in enumerate(gens):
-            if not g.is_theta():
+            if not isinstance(g, JetCoord):
                 continue
             sign = -1 if pos % 2 else 1
             for i in range(ctx.n):
-                struct = (DX(i), THETA(g.index, g.mindex + MultiIndex.single(i)))
+                struct = (BaseVar(i), JetCoord(g.dep, g.mindex + MultiIndex.single(i)))
                 rest = gens[:pos] + gens[pos + 1:]
                 items.append((coeff if sign == 1 else -coeff, struct + rest))
     return DifferentialForm.from_terms(ctx, items)

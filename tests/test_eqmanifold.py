@@ -19,11 +19,11 @@ from jetvar.errors import (
     OrientationError,
     UnsupportedExpression,
 )
-from jetvar.forms import DX, THETA, DifferentialForm, exterior_derivative
+from jetvar.forms import DifferentialForm, exterior_derivative
 from jetvar.frontend import parse
 from jetvar.frontend.parser import Evaluator
 from jetvar.frontend.runner import build, fixture_text
-from jetvar.symexpr import FnPartial, JetCoord, MultiIndex
+from jetvar.symexpr import BaseVar, FnPartial, JetCoord, MultiIndex
 from jetvar.variational import presymplectic_potential
 
 from helpers import (
@@ -100,16 +100,16 @@ def test_restrict_form_matches_theta_by_theta_oracle(name):
     ctx, eq, lag = built.ctx, built.eq, built.lagrangian
     lagrangian_form = lag.form() + presymplectic_potential(lag)
     forms = [lagrangian_form, exterior_derivative(lagrangian_form)]
-    gens = [DX(i) for i in range(ctx.n)] + [THETA(k) for k in range(ctx.m)]
-    gens += [THETA(h.dep, h.mindex + MultiIndex.single(i)) for h in eq.heads
-             for i in range(ctx.n)] + [THETA(h.dep, h.mindex) for h in eq.heads]
+    gens = [BaseVar(i) for i in range(ctx.n)] + [JetCoord(k) for k in range(ctx.m)]
+    gens += [JetCoord(h.dep, h.mindex + MultiIndex.single(i)) for h in eq.heads
+             for i in range(ctx.n)] + list(eq.heads)
     rng, pool = random.Random(f"restrict-form-{name}"), default_pool(ctx)
     for _ in range(20):
         forms.append(DifferentialForm.from_terms(ctx, [
             (random_expression(rng, ctx, pool), rng.sample(gens, rng.randint(0, 3)))
             for _ in range(rng.randint(1, 3))]))
-    assert any(not eq.is_internal(JetCoord(g.index, g.mindex))
-               for omega in forms for gs in omega.terms for g in gs if g.is_theta())
+    assert any(isinstance(g, JetCoord) and not eq.is_internal(g)
+               for omega in forms for gs in omega.terms for g in gs)
     for omega in forms:
         want = theta_by_theta_restrict_form(eq, omega)
         assert eq.restrict_form(omega) == want
@@ -156,8 +156,7 @@ def test_restricted_exterior_derivative_randomized():
             assert d_omega == eq.restricted_exterior_derivative(eq.restrict_form(omega))
             for gens, coeff in d_omega.terms.items():
                 assert all(eq.is_internal(a) for a in coeff.jet_atoms())
-                assert all(eq.is_internal(JetCoord(g.index, g.mindex))
-                           for g in gens if g.is_theta())
+                assert all(eq.is_internal(g) for g in gens if isinstance(g, JetCoord))
             assert eq.restricted_exterior_derivative(d_omega).is_zero()
 
 

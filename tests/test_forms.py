@@ -9,7 +9,6 @@ from jetvar import (
     exterior_derivative,
     horizontal_differential,
     lie_derivative_evolutionary,
-    volume_contraction,
     volume_form,
     wedge,
 )
@@ -23,6 +22,7 @@ from helpers import (
     context2,
     default_pool,
     random_form,
+    volume_contraction,
 )
 
 import random

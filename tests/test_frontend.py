@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from jetvar.errors import JetvarError, ParseError, SemanticError
 from jetvar.frontend import parse, parse_expression, parse_form, reproduce, run_check, runner
@@ -982,6 +982,80 @@ def test_cli_check_exit_code_contract_fuzz(tmp_path, capsys, text, command):
         assert re.match(r"\d+:\d+: ", str(exc)), (text, str(exc))
     except JetvarError:
         pass
+
+
+# -- order independence ----------------------------------------------------------
+# The order of the dependents and of the equation, opaque and candidate
+# declarations carries no meaning, so no status and no flag verdict may follow
+# it.  The order of the independents does: it orients the volume form and
+# pairs resolve targets with spatial directions.
+
+
+def _permuted_problem(text, rng):
+    """text with its dependents names, its equation lines, its opaque lines
+    and its candidate blocks (a candidate through its closing brace) each
+    shuffled among their own places."""
+    blocks, open_block = [], False
+    for line in text.splitlines(keepends=True):
+        if open_block:
+            blocks[-1][1].append(line)
+        else:
+            words = line.split(None, 1)
+            kind = words[0] if words and words[0] in ("equation", "opaque", "candidate") else None
+            blocks.append((kind, [line]))
+        open_block = blocks[-1][0] == "candidate" and "}" not in line
+    for kind in ("equation", "opaque", "candidate"):
+        places = [i for i, (k, _) in enumerate(blocks) if k == kind]
+        moved = [blocks[i] for i in places]
+        rng.shuffle(moved)
+        for i, block in zip(places, moved):
+            blocks[i] = block
+    out = []
+    for _, lines in blocks:
+        for line in lines:
+            words = line.split()
+            if words and words[0] == "dependents":
+                names = words[1:]
+                rng.shuffle(names)
+                line = "dependents " + " ".join(names) + "\n"
+            out.append(line)
+    return "".join(out)
+
+
+def _statuses_and_verdicts(report):
+    """Whether the run was refused, and each check's status with its flag
+    verdict, as a sorted list: report order follows declaration order."""
+    flags = ("s_symmetry[", "eq_symmetry[", "gauge[")
+    return report.error is not None, sorted(
+        (c.name, c.status, c.computed.split(" ", 1)[0]
+         if c.name.startswith(flags) and c.computed is not None else None)
+        for c in report.checks)
+
+
+def _assert_order_independent(text, seed):
+    rng = random.Random(seed)
+    want = _statuses_and_verdicts(run_check(text))
+    for _ in range(3):
+        permuted = _permuted_problem(text, rng)
+        assert _statuses_and_verdicts(run_check(permuted)) == want, (text, permuted)
+
+
+@pytest.mark.parametrize("name", ["laplace", "wave", "pkdv", "maxwell"])
+def test_verdicts_independent_of_declaration_order_fixtures(name):
+    text = fixture_text(name)
+    for seed in range(4):
+        _assert_order_independent(text, f"{name}-{seed}")
+    assert _permuted_problem(text, random.Random(0)) != text
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_problem_files(), seed=st.integers(0, 2**32 - 1))
+# a refused stage once kept the checks recorded before it: euler[v] with
+# dependents v u, none with u v
+@example(text="independents x y\ndependents u v\nequation u[x] = 0\n"
+              "expect euler[u] = theta(u)*d(x)\nlagrangian u[x]\n", seed=0)
+def test_verdicts_independent_of_declaration_order_fuzz(text, seed):
+    _assert_order_independent(text, seed)
 
 
 _SUBCOMMANDS = ("euler", "internal-lagrangian", "presymplectic", "gauge-check")

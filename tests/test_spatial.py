@@ -737,3 +737,16 @@ def test_resolve_on_free_families_refused(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[REFUSED] resolve target family of a is free, not constrained" in out
     assert "gauge[K]" not in out
+
+
+def test_resolve_of_a_constraint_other_than_the_divergence_refused(tmp_path, capsys):
+    # D_x(a_x + b_y) = 0 leaves a_x + b_y = g(y); the potentials a = r_y,
+    # b = -r_x satisfy it but give only g = 0, and flipped gauge[K] to trivial
+    target = tmp_path / "narrowed.jv"
+    target.write_text(_FREE_FAMILIES.replace("lagrangian", "equation a[xx] = -b[xy]\nlagrangian")
+                      + "resolve a b = antisym_potential(r)\n", encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    out = capsys.readouterr().out
+    assert "[REFUSED] resolve target family of a has minimal head a[x,x] = -b[x,y]; " \
+           "antisymmetric potentials resolve only the relation" in out
+    assert "gauge[K]" not in out

@@ -8,7 +8,7 @@ from jetvar.eqmanifold import iter_multi_indices
 from jetvar.errors import ContextMismatch, UnsupportedExpression
 from jetvar.frontend import parse
 from jetvar.frontend.runner import build, fixture_text
-from jetvar.forms import DX, THETA, _sort_generators
+from jetvar.forms import _sort_generators
 from jetvar.symexpr import (
     BaseVar,
     Expression,
@@ -68,17 +68,15 @@ def test_multi_index_basics():
 
 
 def test_value_types_equal_only_within_one_type():
-    # atoms, multi-indices and form generators are tuples led by a type tag:
-    # equal fields of two types, as in JetCoord(0, a) and THETA(0, a), differ
+    # atoms and multi-indices are tuples led by a type tag: equal fields of
+    # two types, as in BaseVar(0) and JetCoord(0), differ
     a = MultiIndex.single(0)
     args = (JetCoord(0, a),)
     values = [BaseVar(0), JetCoord(0), JetCoord(0, a), OpaqueFn("f", args),
-              FnPartial("f", args), FnPartial("f", args, (1,)), MultiIndex(), a,
-              DX(0), THETA(0), THETA(0, a)]
+              FnPartial("f", args), FnPartial("f", args, (1,)), MultiIndex(), a]
     again = [BaseVar(0), JetCoord(0), JetCoord(0, MultiIndex.of({0: 1})),
              OpaqueFn("f", (JetCoord(0, a),)), FnPartial("f", args, ()),
-             FnPartial("f", args, (1,)), MultiIndex.zero(), MultiIndex.single(0, 1),
-             DX(0), THETA(0, MultiIndex()), THETA(0, a)]
+             FnPartial("f", args, (1,)), MultiIndex.zero(), MultiIndex.single(0, 1)]
     for k, v in enumerate(values):
         assert v == again[k] and hash(v) == hash(again[k])
         assert type(v) is type(again[k])
@@ -368,8 +366,8 @@ def _random_atom(rng, depth=1):
 
 
 def _random_generator(rng):
-    return DX(rng.randrange(3)) if rng.random() < 0.3 else \
-        THETA(rng.randrange(2), _random_multi_index(rng))
+    return BaseVar(rng.randrange(3)) if rng.random() < 0.3 else \
+        JetCoord(rng.randrange(2), _random_multi_index(rng))
 
 
 def test_tuple_order_is_the_canonical_order():

@@ -20,7 +20,7 @@ from jetvar import (
 )
 from jetvar import jetcalc
 from jetvar.errors import DegreeError, LagrangianError, UnsupportedExpression
-from jetvar.forms import THETA, theta_image, volume_contraction, volume_form
+from jetvar.forms import theta_image, volume_form
 from jetvar.spatial import SpatialFrame, is_gauge_trivial, reduce_mod_S2
 from jetvar.symexpr import JetCoord, MultiIndex, partial
 from jetvar.variational import InternalLagrangianRep
@@ -37,6 +37,7 @@ from helpers import (
     per_dependent_euler,
     pkdv_equation,
     random_expression,
+    volume_contraction,
     wave_equation,
 )
 
@@ -79,7 +80,7 @@ def test_omega_L_first_order_generic():
     for i, spec in enumerate(("x", "y")):
         coeff = partial(lam, ctx.jet_atom("u", spec))
         expected = expected + coeff * DifferentialForm.generator(
-            ctx, THETA(0)).wedge(volume_contraction(ctx, i))
+            ctx, JetCoord(0)).wedge(volume_contraction(ctx, i))
     assert got == expected
     assert verify_omega_identity(lag, got, _test_phi(ctx))
 
@@ -93,7 +94,7 @@ def test_omega_L_maxwell_matches_field_strength(maxwell_built):
     fij = {(i, j): E(f"A{i}[x{j}] - A{j}[x{i}]", ctx)
            for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
     expected = DifferentialForm.zero(ctx)
-    theta = {nu: DifferentialForm.generator(ctx, THETA(ctx.dependent_index(f"A{nu}")))
+    theta = {nu: DifferentialForm.generator(ctx, ctx.jet_atom(f"A{nu}"))
              for nu in (0, 1, 2, 3)}
     for i in (1, 2, 3):
         # k = 0 (time leg): coefficient F^{0i} on theta^i, and spatial legs
@@ -318,7 +319,7 @@ def test_first_variation_gives_d_of_lagrangian_plus_omega_on_random_densities():
             lag = Lagrangian(ctx, random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
                                                     allow_den=True, rational=True))
             d_v_omega = DifferentialForm.from_terms(ctx, (
-                (d, (THETA(a.dep, a.mindex),) + gens)
+                (d, (a,) + gens)
                 for gens, c in lag.omega.terms.items() for a, d in theta_image(c)))
             d_omega = exterior_derivative(lag.omega)
             assert d_v_omega == cartan_degree_filter(d_omega, 2), str(lag.density)
@@ -391,8 +392,8 @@ def test_omega_identity_term_shapes():
                        u * volume_form(ctx)):
         assert verify_omega_identity(lag, omega + horizontal, phi)
         assert form_omega_identity(lag, omega + horizontal, phi)
-    theta_u = DifferentialForm.generator(ctx, THETA(0))
-    theta_ux = DifferentialForm.generator(ctx, THETA(0, MultiIndex.single(0)))
+    theta_u = DifferentialForm.generator(ctx, JetCoord(0))
+    theta_ux = DifferentialForm.generator(ctx, JetCoord(0, MultiIndex.single(0)))
     for shape in (theta_u, u * theta_u.wedge(volume_form(ctx)),
                   theta_u.wedge(theta_ux), F("d(x)", ctx).wedge(theta_u).wedge(theta_ux)):
         assert not verify_omega_identity(lag, omega + shape, phi), str(shape)
@@ -427,7 +428,7 @@ def _alternative_potential(lag):
         j = min(atom.mindex.indices())
         beta = atom.mindex - MultiIndex.single(j)
         omega = omega + c * DifferentialForm.generator(
-            ctx, THETA(atom.dep, beta)).wedge(volume_contraction(ctx, j))
+            ctx, JetCoord(atom.dep, beta)).wedge(volume_contraction(ctx, j))
         lower = JetCoord(atom.dep, beta)
         coeffs[lower] = coeffs.get(lower, ctx.zero()) - total_derivative(ctx, j, c)
     return omega
