@@ -60,8 +60,6 @@ from .variational import (
 )
 from .spatial import (
     ConstraintResolution,
-    SpatialFrame,
-    SSymmetryCandidate,
     antisymmetric_potential_resolution,
     extend_S_symmetry,
     is_gauge_symmetry,
@@ -70,6 +68,7 @@ from .spatial import (
     reduce_mod_S2,
     s_degree_filter,
     s_presymplectic_representative,
+    spatial_structure,
 )
 
 __version__ = "0.1.0"

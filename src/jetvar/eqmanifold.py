@@ -68,7 +68,7 @@ class SolvedEquation:
         self._changes: dict[int, bool] = {}
         # each generator's image under restrict_form, filled as it meets them
         self._images: dict = {}
-        # one SpatialStructure per frame, filled by spatial.spatial_structure
+        # one SpatialStructure per temporal index, filled by spatial.spatial_structure
         self.spatial_structures: dict = {}
         self.rhs = tuple(self.rule_for(head) for head in heads)
 
@@ -134,13 +134,6 @@ class SolvedEquation:
             lower = JetCoord(coord.dep, coord.mindex - MultiIndex.single(j))
             normal = self._dbar(j, self.rule_for(lower, _depth + 1), _depth + 1)
         return self._cache.setdefault(coord, normal)
-
-    def prolong_rule(self, principal: JetCoord, gamma: MultiIndex):
-        """Rule for the coordinate principal+gamma, derived from a declared head."""
-        if principal not in self.heads:
-            raise KeyError(f"{self.ctx.atom_name(principal)} is not a declared rule head")
-        coord = JetCoord(principal.dep, principal.mindex + gamma)
-        return coord, self.rule_for(coord)
 
     def _dbar(self, i: int, e: Expression, _depth=0) -> Expression:
         """Dbar_i of an expression in internal coordinates, memoised per atom."""

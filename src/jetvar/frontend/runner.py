@@ -21,12 +21,11 @@ from ..eqmanifold import SolvedEquation
 from ..forms import DifferentialForm
 from ..jetcalc import EvolutionaryField, JetContext
 from ..spatial import (
-    SpatialFrame,
-    SSymmetryCandidate,
     antisymmetric_potential_resolution,
     extend_S_symmetry,
     is_gauge_symmetry,
     s_presymplectic_representative,
+    spatial_structure,
 )
 from ..symexpr import JetCoord
 from ..variational import (
@@ -111,12 +110,13 @@ class Report:
 
 
 class BuiltProblem:
-    """A parsed problem made into the objects its stages work on."""
+    """A parsed problem made into the objects its stages work on; ``temporal``
+    is the index of the frame's temporal independent, None without a frame."""
 
     def __init__(self, problem: ProblemFile, ctx: JetContext, eq: SolvedEquation | None,
-                 frame: SpatialFrame | None, lagrangian: Lagrangian | None,
+                 temporal: int | None, lagrangian: Lagrangian | None,
                  candidates: dict, resolution, evaluator: Evaluator):
-        self.problem, self.ctx, self.eq, self.frame = problem, ctx, eq, frame
+        self.problem, self.ctx, self.eq, self.temporal = problem, ctx, eq, temporal
         self.lagrangian, self.candidates = lagrangian, candidates
         self.resolution, self.evaluator = resolution, evaluator
 
@@ -163,30 +163,28 @@ def build(problem: ProblemFile) -> BuiltProblem:
 
     evaluator = Evaluator(ctx, eq)
 
-    frame = lagrangian = None
+    temporal = lagrangian = None
     if problem.spatial is not None:
         direction = problem.spatial.args[0]
         if direction not in ctx.independents:
             raise SemanticError(f"spatial direction {direction!r} is not an independent",
                                 *problem.spatial.pos)
-        frame = SpatialFrame(ctx.independent_index(direction))
+        temporal = ctx.independent_index(direction)
     if problem.lagrangian is not None:
         lagrangian = Lagrangian(ctx, free_eval.expression(problem.lagrangian))
     candidates = {
-        name: SSymmetryCandidate({evaluator.coordinate_atom(t): evaluator.expression(v)
-                                  for t, v in entries})
+        name: {evaluator.coordinate_atom(t): evaluator.expression(v) for t, v in entries}
         for name, entries in (decl.args for decl in problem.candidates)}
 
     resolution = None
     if problem.resolves:
         [decl] = problem.resolves
-        if frame is None or eq is None:
+        if temporal is None or eq is None:
             raise SemanticError("resolve requires an equation and a spatial frame", *decl.pos)
         names, _, prefix = decl.args
-        spatial = frame.spatial_indices(ctx)
-        if len(names) != len(spatial):
+        n = ctx.n - 1  # spatial directions
+        if len(names) != n:
             raise SemanticError("resolve needs one target per spatial direction", *decl.pos)
-        n = len(spatial)
         potentials = {(i, j): f"{prefix}{i}{j}"
                       for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         for role, declared in (("target", names), ("potential", potentials.values())):
@@ -195,9 +193,10 @@ def build(problem: ProblemFile) -> BuiltProblem:
                     raise SemanticError(f"{role} {name!r} must be declared as a dependent",
                                         *decl.pos)
         targets = [ctx.dependent_index(name) for name in names]
-        resolution = antisymmetric_potential_resolution(eq, frame, targets, potentials)
+        resolution = antisymmetric_potential_resolution(
+            spatial_structure(eq, temporal), targets, potentials)
 
-    return BuiltProblem(problem, ctx, eq, frame, lagrangian, candidates,
+    return BuiltProblem(problem, ctx, eq, temporal, lagrangian, candidates,
                         resolution, evaluator)
 
 
@@ -305,8 +304,8 @@ def _presymplectic(run: _Run):
 
 
 def _s_presymplectic(run: _Run):
-    if run.rep is not None and run.built.frame is not None:
-        omega = s_presymplectic_representative(run.built.frame, run.rep.presymplectic)
+    if run.rep is not None and run.built.temporal is not None:
+        omega = s_presymplectic_representative(run.built.temporal, run.rep.presymplectic)
         run.golden("s_presymplectic", omega, "s_presymplectic")
 
 
@@ -320,15 +319,14 @@ def _candidates(run: _Run):
                 run.expect_for(key, cname)
 
 
-def _check_candidate(run: _Run, cname: str, candidate):
-    built, report, rep = run.built, run.report, run.rep
-    eq, frame = built.eq, built.frame
-    if eq is None or frame is None:
+def _check_candidate(run: _Run, cname: str, candidate: dict):
+    built, report, rep, eq = run.built, run.report, run.rep, run.built.eq
+    if eq is None or built.temporal is None:
         raise JetvarError("candidates need an equation and a spatial frame")
 
     extended = detail = None
     try:
-        extended = extend_S_symmetry(eq, frame, candidate)
+        extended = extend_S_symmetry(spatial_structure(eq, built.temporal), candidate)
     except SSymmetryError as exc:
         detail = str(exc)
 
@@ -343,9 +341,9 @@ def _check_candidate(run: _Run, cname: str, candidate):
 
     decl = run.expect_for("eq_symmetry", cname)
     if decl is not None:
-        ctx, comps = built.ctx, candidate.normalized(built.ctx)
+        ctx = built.ctx
         field = EvolutionaryField(
-            ctx, tuple(comps.get(JetCoord(k), ctx.zero()) for k in range(ctx.m)))
+            ctx, tuple(candidate.get(JetCoord(k), ctx.zero()) for k in range(ctx.m)))
         flag = "true" if eq.is_symmetry(field) else "false"
         run.verdict(f"eq_symmetry[{cname}]", decl, flag)
 

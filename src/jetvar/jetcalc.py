@@ -16,19 +16,6 @@ from .symexpr import (
     gradient,
 )
 
-__all__ = [
-    "JetContext",
-    "EvolutionaryField",
-    "total_derivative",
-    "total_derivative_multi",
-    "integrate_by_parts",
-    "first_variation",
-    "euler_derivative",
-    "apply_evolutionary",
-    "linearization",
-]
-
-
 def total_derivative(ctx: JetContext, i: int, e: Expression) -> Expression:
     """D_{x^i}: sends u^k_alpha to u^k_{alpha+x^i}, differentiates opaque
     symbols by the chain rule through their declared arguments.  D_{x^i} of

@@ -1,16 +1,16 @@
 """Spatial gradings and the (internal-Lagrangian, spatial-frame) gauge
 triviality oracle.
 
-A frame singles out one base coordinate as temporal; the lift of the
-complementary hyperplane distribution is spanned by the spatial restricted
-total derivatives.  Contact forms of any order together with the temporal
-covector annihilate that distribution, which grades every form by spatial
-degree.  Triviality of a degree-n form modulo that grading and exact terms
-is decided by spatial integration by parts plus a spatial-divergence test.
-Families of generating coordinates are classified, and S-symmetries and
-constraint resolutions checked, at the minimal constraint points read off
-the rule heads (SpatialStructure); that this decides assumes formal
-integrability.
+A frame is the index t of the temporal base coordinate; the lift of ker dx^t
+is spanned by the spatial restricted total derivatives.  Contact forms of
+any order together with dx^t annihilate it, which grades every form by
+spatial degree.  The spatial equation, an equation with its t, is one
+SpatialStructure, and everything built over an equation takes it.
+Triviality of a degree-n form modulo the grading and exact terms is decided
+by spatial integration by parts plus a spatial-divergence test.  Families
+of generating coordinates are classified, and S-symmetries and constraint
+resolutions checked, at the minimal constraint points read off the rule
+heads; that this decides assumes formal integrability.
 """
 
 from __future__ import annotations
@@ -28,55 +28,36 @@ NULL = "null"
 CONSTRAINED = "constrained"
 
 
-class SpatialFrame:
-    """ker dx^a lifted to the equation manifold; a is the temporal index.
-    Frames with one temporal index are equal: they key SpatialStructures."""
-
-    def __init__(self, temporal: int):
-        self.temporal = temporal
-
-    def __eq__(self, other):
-        if not isinstance(other, SpatialFrame):
-            return NotImplemented
-        return self.temporal == other.temporal
-
-    def __hash__(self):
-        return hash((SpatialFrame, self.temporal))
-
-    def spatial_indices(self, ctx) -> tuple[int, ...]:
-        return tuple(i for i in range(ctx.n) if i != self.temporal)
-
-
-def s_degree(frame: SpatialFrame, gens) -> int:
-    """Number of annihilating factors: every theta, plus dx^temporal."""
-    temporal = BaseVar(frame.temporal)
+def s_degree(t: int, gens) -> int:
+    """Number of annihilating factors: every theta, plus dx^t."""
+    temporal = BaseVar(t)
     return sum(1 for g in gens if g == temporal or isinstance(g, JetCoord))
 
 
-def s_degree_filter(frame: SpatialFrame, omega: DifferentialForm, p: int) -> DifferentialForm:
-    kept = {g: c for g, c in omega.terms.items() if s_degree(frame, g) >= p}
+def s_degree_filter(t: int, omega: DifferentialForm, p: int) -> DifferentialForm:
+    kept = {g: c for g, c in omega.terms.items() if s_degree(t, g) >= p}
     return DifferentialForm(omega.ctx, kept)
 
 
-def _s_degree_below(frame: SpatialFrame, omega: DifferentialForm, p: int) -> DifferentialForm:
+def _s_degree_below(t: int, omega: DifferentialForm, p: int) -> DifferentialForm:
     """Sub-sum of terms of spatial degree below p: omega minus
-    s_degree_filter(frame, omega, p), with no arithmetic."""
-    kept = {g: c for g, c in omega.terms.items() if s_degree(frame, g) < p}
+    s_degree_filter(t, omega, p), with no arithmetic."""
+    kept = {g: c for g, c in omega.terms.items() if s_degree(t, g) < p}
     return DifferentialForm(omega.ctx, kept)
 
 
-def reduce_mod_S2(frame: SpatialFrame, omega: DifferentialForm) -> DifferentialForm:
+def reduce_mod_S2(t: int, omega: DifferentialForm) -> DifferentialForm:
     """Normal form of a degree-n form modulo the square of the spatial ideal:
     a * vol plus first-order theta terms over the spatial volume."""
     if not omega.is_zero() and omega.degree != omega.ctx.n:
         raise ValueError("reduce_mod_S2 expects a form of degree n")
-    return _s_degree_below(frame, omega, 2)
+    return _s_degree_below(t, omega, 2)
 
 
-def s_presymplectic_representative(frame: SpatialFrame, d_rep: DifferentialForm) -> DifferentialForm:
+def s_presymplectic_representative(t: int, d_rep: DifferentialForm) -> DifferentialForm:
     """Representative of the spatial presymplectic class of a degree-(n+1)
     form: drop everything of spatial degree >= 3."""
-    return _s_degree_below(frame, d_rep, 3)
+    return _s_degree_below(t, d_rep, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +65,8 @@ def s_presymplectic_representative(frame: SpatialFrame, d_rep: DifferentialForm)
 
 
 class SpatialStructure:
-    """How the internal coordinates organize over a frame.
+    """The spatial equation: eq with the temporal index t, and how its
+    internal coordinates organize over the spatial directions ``spatial``.
 
     Every internal coordinate is spatial derivatives of a generator (an
     internal coordinate with a purely temporal multi-index): its family
@@ -113,13 +95,12 @@ class SpatialStructure:
     temporal heads once.  Beyond that the bound is not a proof.
     """
 
-    def __init__(self, eq: SolvedEquation, frame: SpatialFrame):
-        self.eq = eq
-        self.frame = frame
-        self.ctx = eq.ctx
+    def __init__(self, eq: SolvedEquation, t: int):
+        self.eq, self.ctx, self.temporal = eq, eq.ctx, t
+        self.spatial = tuple(i for i in range(self.ctx.n) if i != t)
         # per dependent k, the order of its lowest purely temporal head (None
         # without one): u^k_{t^h} is internal exactly when h is below it
-        t, self._reach, self._temporal_head = frame.temporal, 0, []
+        self._reach, self._temporal_head = 0, []
         for k in range(self.ctx.m):
             alphas = [h.mindex for h in eq.heads if h.dep == k]
             self._reach += max((a.get(t) for a in alphas), default=0)
@@ -132,11 +113,11 @@ class SpatialStructure:
     # family = (dependent, temporal part of the multi-index)
 
     def family_of(self, coord: JetCoord) -> tuple[int, MultiIndex]:
-        tau = MultiIndex.single(self.frame.temporal, coord.mindex.get(self.frame.temporal))
+        tau = MultiIndex.single(self.temporal, coord.mindex.get(self.temporal))
         return (coord.dep, tau)
 
     def spatial_part(self, coord: JetCoord) -> MultiIndex:
-        return MultiIndex(tuple(e for e in coord.mindex.entries if e[0] != self.frame.temporal))
+        return MultiIndex(tuple(e for e in coord.mindex.entries if e[0] != self.temporal))
 
     def generator_coord(self, family) -> JetCoord:
         return JetCoord(family[0], family[1])
@@ -153,7 +134,7 @@ class SpatialStructure:
         and the families their right sides name."""
         hit = self._minimal.get(family)
         if hit is None:
-            (dep, tau), t = family, self.frame.temporal
+            (dep, tau), t = family, self.temporal
             ideal = {self.spatial_part(h) for h in self.eq.heads
                      if h.dep == dep and h.mindex.get(t) <= tau.get(t)}
             points, names = [], set()
@@ -168,7 +149,7 @@ class SpatialStructure:
 
     def _families(self, top: int):
         """Families with temporal count at most top plus the reach."""
-        t, stop = self.frame.temporal, top + self._reach + 1
+        t, stop = self.temporal, top + self._reach + 1
         for dep, head in enumerate(self._temporal_head):
             for h in range(stop if head is None else min(stop, head)):
                 yield dep, MultiIndex.single(t, h)
@@ -205,8 +186,7 @@ class SpatialStructure:
         parameters."""
         coeffs = {a: d for a, d in gradient(f).items()
                   if isinstance(a, JetCoord) and self.family_of(a) == family}
-        residues, _ = integrate_by_parts(coeffs, self.frame.spatial_indices(self.ctx),
-                                         self.eq.restricted_total_derivative)
+        residues, _ = integrate_by_parts(coeffs, self.spatial, self.eq.restricted_total_derivative)
         return residues.get(self.generator_coord(family), self.ctx.zero())
 
     def is_spatial_divergence(self, f: Expression) -> bool:
@@ -224,11 +204,11 @@ class SpatialStructure:
                    for fam in families if self.status(fam) != NULL)
 
 
-def spatial_structure(eq: SolvedEquation, frame: SpatialFrame) -> SpatialStructure:
-    """The SpatialStructure of (eq, frame), built once and kept by eq."""
-    structure = eq.spatial_structures.get(frame)
+def spatial_structure(eq: SolvedEquation, t: int) -> SpatialStructure:
+    """The SpatialStructure of (eq, t), built once and kept by eq."""
+    structure = eq.spatial_structures.get(t)
     if structure is None:
-        structure = eq.spatial_structures[frame] = SpatialStructure(eq, frame)
+        structure = eq.spatial_structures[t] = SpatialStructure(eq, t)
     return structure
 
 
@@ -236,64 +216,45 @@ def spatial_structure(eq: SolvedEquation, frame: SpatialFrame) -> SpatialStructu
 # spatial symmetries
 
 
-class SSymmetryCandidate:
-    """Vertical field on the equation manifold given by its components on
+class ExtendedSSymmetry:
+    """Action of an S-symmetry on every internal coordinate.  The candidate
+    is a vertical field given by its components {generator: value} on
     generating internal coordinates; everything else follows by commuting
     with the spatial total derivatives."""
 
-    def __init__(self, components: dict):
-        self.components = components
-
-    def normalized(self, ctx) -> dict:
-        out = {}
-        for key, value in self.components.items():
-            coord = key if isinstance(key, JetCoord) else ctx.atom(key)
+    def __init__(self, structure: SpatialStructure, components: dict):
+        self.structure = structure
+        eq, ctx = structure.eq, structure.ctx
+        self._components = {}
+        for coord, value in components.items():
             if not isinstance(coord, JetCoord):
                 raise ValueError("candidate targets must be jet coordinates")
-            out[coord] = value
-        return out
-
-
-class ExtendedSSymmetry:
-    """Action of an S-symmetry on every internal coordinate."""
-
-    def __init__(self, eq: SolvedEquation, frame: SpatialFrame,
-                 candidate: SSymmetryCandidate):
-        self.eq = eq
-        self.frame = frame
-        self.ctx = eq.ctx
-        self.structure = spatial_structure(eq, frame)
-        self._components = candidate.normalized(self.ctx)
-        self._cache: dict[JetCoord, Expression] = {}
-        for coord, value in self._components.items():
             if not eq.is_internal(coord):
                 raise SSymmetryError(
                     f"candidate component on non-internal coordinate "
-                    f"{self.ctx.atom_name(coord)}", coordinate=coord)
-            if not self.structure.is_generator(coord):
+                    f"{ctx.atom_name(coord)}", coordinate=coord)
+            if not structure.is_generator(coord):
                 raise SSymmetryError(
-                    f"candidate component target {self.ctx.atom_name(coord)} "
+                    f"candidate component target {ctx.atom_name(coord)} "
                     "is not a generating coordinate", coordinate=coord)
             self._components[coord] = eq.restrict(value)
         self._verify()
 
     def apply_coord(self, coord: JetCoord) -> Expression:
         """Component on one internal coordinate."""
-        hit = self._cache.get(coord)
-        if hit is None:
-            gen, sigma = self.structure.decompose(coord)
-            base = self._components.get(gen, self.ctx.zero())
-            hit = self._cache[coord] = self.eq.restricted_total_derivative_multi(sigma, base)
-        return hit
+        gen, sigma = self.structure.decompose(coord)
+        base = self._components.get(gen, self.structure.ctx.zero())
+        return self.structure.eq.restricted_total_derivative_multi(sigma, base)
 
     def apply(self, e: Expression) -> Expression:
         """Derivation action on an expression, restricted first; the result
         is a normal form because every component is."""
+        zero = self.structure.ctx.zero()
 
         def action(atom):
-            return self.apply_coord(atom) if isinstance(atom, JetCoord) else self.ctx.zero()
+            return self.apply_coord(atom) if isinstance(atom, JetCoord) else zero
 
-        return self.eq.restrict(e).derive(action)
+        return self.structure.eq.restrict(e).derive(action)
 
     def contract(self, omega: DifferentialForm) -> DifferentialForm:
         """Interior product: dx -> 0, theta of an internal coordinate -> its
@@ -312,13 +273,12 @@ class ExtendedSSymmetry:
             step, residual = defect
             raise SSymmetryError(
                 "candidate does not commute with the spatial total "
-                f"derivatives at {self.ctx.atom_name(step)}: residual {residual}",
+                f"derivatives at {self.structure.ctx.atom_name(step)}: residual {residual}",
                 coordinate=step, residual=residual)
 
 
-def extend_S_symmetry(eq: SolvedEquation, frame: SpatialFrame,
-                      candidate: SSymmetryCandidate) -> ExtendedSSymmetry:
-    return ExtendedSSymmetry(eq, frame, candidate)
+def extend_S_symmetry(structure: SpatialStructure, components: dict) -> ExtendedSSymmetry:
+    return ExtendedSSymmetry(structure, components)
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +290,22 @@ _DIVERGENCE_ONLY = ("antisymmetric potentials resolve only the relation "
 
 
 class ConstraintResolution:
-    """Substitution resolving an under-determined spatial constraint of
-    (eq, frame) by potentials, e.g. divergence-free fields as curls of
+    """Substitution resolving an under-determined constraint of a spatial
+    equation by potentials, e.g. divergence-free fields as curls of
     antisymmetric potentials.  Maps resolved dependent indices, in spatial
     order, to expressions in the potential coordinates; verified when
     constructed."""
 
-    def __init__(self, eq: SolvedEquation, frame: SpatialFrame, substitutions: dict):
-        self.eq, self.frame, self.substitutions = eq, frame, substitutions
+    def __init__(self, structure: SpatialStructure, substitutions: dict):
+        self.structure, self.substitutions = structure, substitutions
         self.verify()
 
     def coordinate_value(self, coord: JetCoord) -> Expression:
         """A coordinate after substitution: itself when not resolved."""
         base = self.substitutions.get(coord.dep)
         if base is None:
-            return self.eq.ctx.expr(coord)
-        return self.eq.restricted_total_derivative_multi(coord.mindex, base)
+            return self.structure.ctx.expr(coord)
+        return self.structure.eq.restricted_total_derivative_multi(coord.mindex, base)
 
     def apply_to_expression(self, e: Expression) -> Expression:
         rules = {}
@@ -365,15 +325,14 @@ class ConstraintResolution:
         solutions.  Substituted expressions must then satisfy the constraint
         identically, checked at the minimal constraint points (see
         SpatialStructure)."""
-        eq, subs = self.eq, self.substitutions
-        ctx, structure = eq.ctx, spatial_structure(eq, self.frame)
-        direction = dict(zip(subs, self.frame.spatial_indices(ctx)))
+        structure, subs, ctx = self.structure, self.substitutions, self.structure.ctx
+        direction = dict(zip(subs, structure.spatial))
 
         def refuse(fam, why):
             raise UnsupportedExpression(
                 f"resolve target family of {ctx.atom_name(structure.generator_coord(fam))} {why}")
 
-        top = max((a.mindex.get(self.frame.temporal)
+        top = max((a.mindex.get(structure.temporal)
                    for e in subs.values() for a in e.jet_atoms()), default=0)
         by_count: dict[MultiIndex, list] = {}
         for fam in structure._families(top):
@@ -398,18 +357,17 @@ class ConstraintResolution:
             lambda fam: fam[0] in subs, top, self.coordinate_value, self.apply_to_expression)
         if defect is not None:
             raise UnsupportedExpression(
-                f"resolution violates the constraint at {eq.ctx.atom_name(defect[0])}")
+                f"resolution violates the constraint at {ctx.atom_name(defect[0])}")
 
 
-def antisymmetric_potential_resolution(eq: SolvedEquation, frame: SpatialFrame,
-                                       resolved: list[int], potentials: dict) -> ConstraintResolution:
+def antisymmetric_potential_resolution(structure: SpatialStructure, resolved: list[int],
+                                       potentials: dict) -> ConstraintResolution:
     """Resolve a divergence-free family g^i by g^i = sum_j d r^{ij}/dx^j with
     antisymmetric r.  ``resolved`` lists the dependents g^1..g^{n-1} in
     spatial order; ``potentials[(i, j)]`` (i < j, spatial positions 1-based)
     names the dependent holding r^{ij}.  A frame with fewer than two spatial
     directions has no antisymmetric potentials, so it is refused."""
-    ctx = eq.ctx
-    spatial = frame.spatial_indices(ctx)
+    ctx, spatial = structure.ctx, structure.spatial
     if len(spatial) < 2:
         raise UnresolvedConstraint(
             "antisymmetric potentials need a frame with at least two spatial "
@@ -424,19 +382,19 @@ def antisymmetric_potential_resolution(eq: SolvedEquation, frame: SpatialFrame,
                                MultiIndex.single(spatial[other - 1]))
                 total = total + (1 if pos < other else -1) * term
         subs[dep] = total
-    return ConstraintResolution(eq, frame, subs)
+    return ConstraintResolution(structure, subs)
 
 
 # ---------------------------------------------------------------------------
 # the triviality oracle
 
 
-def _normal_form_parts(frame: SpatialFrame, omega: DifferentialForm):
+def _normal_form_parts(structure: SpatialStructure, omega: DifferentialForm):
     """Split a reduce_mod_S2 normal form into the horizontal coefficient and
     the theta coefficients over the spatial volume."""
     ctx = omega.ctx
     n = ctx.n
-    spatial_sorted = tuple(BaseVar(i) for i in sorted(frame.spatial_indices(ctx)))
+    spatial_sorted = tuple(BaseVar(i) for i in structure.spatial)
     vol_gens = tuple(BaseVar(i) for i in range(n))
     horizontal = ctx.zero()
     thetas: dict[JetCoord, Expression] = {}
@@ -459,8 +417,7 @@ def _normal_form_parts(frame: SpatialFrame, omega: DifferentialForm):
     return horizontal, thetas
 
 
-def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
-                     omega1: DifferentialForm,
+def is_gauge_trivial(structure: SpatialStructure, omega1: DifferentialForm,
                      resolution: ConstraintResolution | None = None) -> bool:
     """Decide triviality of a spatial variational 1-form given in
     reduce_mod_S2 normal form a*vol + sum b theta^k_alpha ^ vol_s.
@@ -471,12 +428,12 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
     must be a spatial divergence.  Constrained generators require a
     resolution and are substituted away first.
     """
-    if resolution is not None and (resolution.eq is not eq or resolution.frame != frame):
+    eq, ctx, t = structure.eq, structure.ctx, structure.temporal
+    if resolution is not None and (resolution.structure.eq is not eq
+                                   or resolution.structure.temporal != t):
         raise ValueError("constraint resolution was built for a different equation or frame")
-    omega1 = reduce_mod_S2(frame, omega1)
-    structure = spatial_structure(eq, frame)
-    ctx = eq.ctx
-    horizontal, thetas = _normal_form_parts(frame, omega1)
+    omega1 = reduce_mod_S2(t, omega1)
+    horizontal, thetas = _normal_form_parts(structure, omega1)
 
     if resolution is not None:
         horizontal = resolution.apply_to_expression(horizontal)
@@ -488,8 +445,7 @@ def is_gauge_trivial(frame: SpatialFrame, eq: SolvedEquation,
         thetas = new_thetas
 
     # spatial integration by parts down to generating coordinates
-    residues, _ = integrate_by_parts(thetas, frame.spatial_indices(ctx),
-                                     eq.restricted_total_derivative)
+    residues, _ = integrate_by_parts(thetas, structure.spatial, eq.restricted_total_derivative)
     unresolved = []
     for coord in sorted(residues):
         b = eq.restrict(residues[coord])
@@ -522,18 +478,19 @@ def is_gauge_symmetry(rep, extended: ExtendedSSymmetry,
     term of spatial degree >= 3 contracts to spatial degree >= 2, which
     reduce_mod_S2 drops: only the s_presymplectic_representative is
     contracted."""
-    if rep.equation is not extended.eq:
+    structure = extended.structure
+    if rep.equation is not structure.eq:
         raise ValueError("internal Lagrangian was built over a different equation")
-    sigma = s_presymplectic_representative(extended.frame, rep.presymplectic)
-    return is_gauge_trivial(extended.frame, extended.eq, extended.contract(sigma), resolution)
+    sigma = s_presymplectic_representative(structure.temporal, rep.presymplectic)
+    return is_gauge_trivial(structure, extended.contract(sigma), resolution)
 
 
-def is_spatial_gradient(frame: SpatialFrame, eq: SolvedEquation, chi: dict) -> bool:
+def is_spatial_gradient(structure: SpatialStructure, chi: dict) -> bool:
     """chi maps spatial indices to components; true iff the spatial 1-form
     chi_i dx^i is spatially closed (hence locally exact)."""
-    spatial = frame.spatial_indices(eq.ctx)
-    comps = {i: eq.restrict(chi.get(i, eq.ctx.zero())) for i in spatial}
-    for a, b in combinations(spatial, 2):
+    eq = structure.eq
+    comps = {i: eq.restrict(chi.get(i, eq.ctx.zero())) for i in structure.spatial}
+    for a, b in combinations(structure.spatial, 2):
         curl = eq.restricted_total_derivative(a, comps[b]) - \
             eq.restricted_total_derivative(b, comps[a])
         if not curl.is_zero():

@@ -412,7 +412,7 @@ def direct_constraint_points(structure, max_order):
     eq = structure.eq
     out = []
     for coord in internal_coordinates(eq, max_order):
-        for j in structure.frame.spatial_indices(structure.ctx):
+        for j in structure.spatial:
             step = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
             if not eq.is_internal(step):
                 out.append((coord, j, eq.rule_for(step)))
@@ -440,7 +440,7 @@ def scan_statuses(structure, max_order):
 def scanned_families(structure, top):
     """Families with temporal count at most top plus the reach, found by
     asking whether each purely temporal coordinate is internal."""
-    t = structure.frame.temporal
+    t = structure.temporal
     for dep in range(structure.ctx.m):
         for k in range(top + structure._reach + 1):
             tau = MultiIndex.single(t, k)
@@ -469,7 +469,7 @@ def sampled_extension_commutes(structure, candidate, points):
     """Whether a candidate's extension commutes with the spatial total
     derivatives at each of the given constraint points."""
     eq, ctx = structure.eq, structure.ctx
-    comps = {c: eq.restrict(v) for c, v in candidate.normalized(ctx).items()}
+    comps = {c: eq.restrict(v) for c, v in candidate.items()}
 
     def value(coord):
         gen, sigma = structure.decompose(coord)
@@ -568,12 +568,12 @@ def volume_contraction(ctx, k):
     return DifferentialForm(ctx, {gens: ctx.const((-1) ** k)})
 
 
-def subtracted_reduce_mod_S2(frame, omega):
-    return omega - s_degree_filter(frame, omega, 2)
+def subtracted_reduce_mod_S2(t, omega):
+    return omega - s_degree_filter(t, omega, 2)
 
 
-def subtracted_s_presymplectic_representative(frame, d_rep):
-    return d_rep - s_degree_filter(frame, d_rep, 3)
+def subtracted_s_presymplectic_representative(t, d_rep):
+    return d_rep - s_degree_filter(t, d_rep, 3)
 
 
 def all_directions_exterior_derivative(omega):

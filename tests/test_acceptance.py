@@ -11,7 +11,6 @@ import random
 from jetvar import (
     EvolutionaryField,
     SolvedEquation,
-    SSymmetryCandidate,
     apply_evolutionary,
     euler_derivative,
     exterior_derivative,
@@ -23,6 +22,7 @@ from jetvar import (
     presymplectic_potential,
     reduce_mod_S2,
     s_presymplectic_representative,
+    spatial_structure,
     total_derivative,
     verify_omega_identity,
 )
@@ -54,7 +54,7 @@ def _line(number, label, ok):
 
 def test_acceptance_1_laplace(laplace_built):
     built = laplace_built
-    ctx, eq, frame = built.ctx, built.eq, built.frame
+    ctx, eq, t = built.ctx, built.eq, built.temporal
     rep = internal_lagrangian(built.lagrangian, eq)
     golden_l = F(
         "-((u[x]^2 + u[y]^2)/2)*d(x)*d(y) - u[x]*theta(u)*d(y) + u[y]*theta(u)*d(x)",
@@ -65,7 +65,7 @@ def test_acceptance_1_laplace(laplace_built):
     golden_dl = F("-theta(u[x])*theta(u)*d(y) + theta(u[y])*theta(u)*d(x)", ctx)
     ok = ok and dl == golden_dl
 
-    reduced = s_presymplectic_representative(frame, dl)
+    reduced = s_presymplectic_representative(t, dl)
     ok = ok and reduced == F("theta(u[y])*theta(u)*d(x)", ctx)
     ok = ok and (dl - reduced) == F("-theta(u[x])*theta(u)*d(y)", ctx)
 
@@ -87,9 +87,10 @@ def test_acceptance_1_laplace(laplace_built):
         (phi_op, chi_op, False),
         (E("u - u", ctx), zero, True),
     ]
+    structure = spatial_structure(eq, t)
     for phi, chi, expected in battery:
-        cand = SSymmetryCandidate({u: phi, uy: chi})
-        ok = ok and is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, cand)) == expected
+        ok = ok and is_gauge_symmetry(
+            rep, extend_S_symmetry(structure, {u: phi, uy: chi})) == expected
     _line(1, "laplace reproduction and gauge battery", ok)
 
 
@@ -98,17 +99,16 @@ def test_acceptance_1_laplace(laplace_built):
 
 def test_acceptance_2_wave(wave_built):
     built = wave_built
-    ctx, eq, frame = built.ctx, built.eq, built.frame
+    ctx, eq, t = built.ctx, built.eq, built.temporal
     rep = internal_lagrangian(built.lagrangian, eq)
     dl = eq.restricted_exterior_derivative(rep.form)
-    omega = s_presymplectic_representative(frame, dl)
+    omega = s_presymplectic_representative(t, dl)
     ok = omega == F("(theta(u[x])*theta(u)*d(x))/2", ctx)
 
     u, uy, uyy = ctx.jet_atom("u"), ctx.jet_atom("u", "y"), ctx.jet_atom("u", "yy")
     p0 = E("p0(y, u[y], u[yy])", ctx)
-    cand = SSymmetryCandidate({u: p0, uy: E("p1(y, u[y])", ctx),
-                               uyy: E("p2(y, u[yy])", ctx)})
-    ext = extend_S_symmetry(eq, frame, cand)
+    cand = {u: p0, uy: E("p1(y, u[y])", ctx), uyy: E("p2(y, u[yy])", ctx)}
+    ext = extend_S_symmetry(spatial_structure(eq, t), cand)
     # paper display: Y_phi _| omega = (phi_0/2) dx ^ theta_x
     contracted = ext.contract(omega)
     ok = ok and contracted == (p0 / 2) * F("d(x)*theta(u[x])", ctx)
@@ -123,7 +123,7 @@ def test_acceptance_2_wave(wave_built):
     ]
     for comps in instances:
         ok = ok and is_gauge_symmetry(
-            rep, extend_S_symmetry(eq, frame, SSymmetryCandidate(comps)))
+            rep, extend_S_symmetry(spatial_structure(eq, t), comps))
     _line(2, "wave S-presymplectic form and gauge family", ok)
 
 
@@ -132,7 +132,7 @@ def test_acceptance_2_wave(wave_built):
 
 def test_acceptance_3_maxwell(maxwell_built):
     built = maxwell_built
-    ctx, eq, frame = built.ctx, built.eq, built.frame
+    ctx, eq, t = built.ctx, built.eq, built.temporal
     lam = built.lagrangian.density
 
     # independent oracle: field strengths from their definition, then the
@@ -158,7 +158,7 @@ def test_acceptance_3_maxwell(maxwell_built):
 
     rep = internal_lagrangian(built.lagrangian, eq)
     dl = eq.restricted_exterior_derivative(rep.form)
-    omega = s_presymplectic_representative(frame, dl)
+    omega = s_presymplectic_representative(t, dl)
     golden = F(
         "(theta(F01)*theta(A1) + theta(F02)*theta(A2) + theta(F03)*theta(A3))"
         "*d(x1)*d(x2)*d(x3)", ctx)
@@ -168,9 +168,10 @@ def test_acceptance_3_maxwell(maxwell_built):
     A = {i: ctx.jet_atom(f"A{i}") for i in (1, 2, 3)}
     Fdep = {i: ctx.jet_atom(f"F0{i}") for i in (1, 2, 3)}
 
+    structure = spatial_structure(eq, t)
+
     def check(comps, expected):
-        cand = SSymmetryCandidate(comps)
-        return is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, cand), res) == expected
+        return is_gauge_symmetry(rep, extend_S_symmetry(structure, comps), res) == expected
 
     # chi^i = D^i(eps) = -Dbar_i(eps), eta = 0: gauge
     eps = E("eps(t, x1, x2, x3)", ctx)
@@ -205,13 +206,13 @@ def test_acceptance_3_maxwell(maxwell_built):
 
 def test_acceptance_4_pkdv(pkdv_built):
     built = pkdv_built
-    ctx, eq, frame = built.ctx, built.eq, built.frame
+    ctx, eq, t = built.ctx, built.eq, built.temporal
     lam = built.lagrangian.density
     ok = eq.restrict(euler_derivative(ctx, lam, 0)).is_zero()
 
     rep = internal_lagrangian(built.lagrangian, eq)
     dl = eq.restricted_exterior_derivative(rep.form)
-    omega = s_presymplectic_representative(frame, dl)
+    omega = s_presymplectic_representative(t, dl)
     ok = ok and omega == F("(theta(u[x])*theta(u)*d(x))/2", ctx)
 
     u = ctx.jet_atom("u")
@@ -222,8 +223,8 @@ def test_acceptance_4_pkdv(pkdv_built):
         (E("x*u[x]", ctx), False),
     ]
     for phi, expected in cases:
-        cand = SSymmetryCandidate({u: phi})
-        ok = ok and is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, cand)) == expected
+        ok = ok and is_gauge_symmetry(
+            rep, extend_S_symmetry(spatial_structure(eq, t), {u: phi})) == expected
     _line(4, "pkdv on-shell euler, omega, gauge classification", ok)
 
 
@@ -330,22 +331,22 @@ def test_acceptance_6_omega_identity():
 def test_acceptance_7_gauge_structure(all_built):
     ok = True
     for name, built in all_built.items():
-        ctx, eq, frame = built.ctx, built.eq, built.frame
+        ctx, eq, t = built.ctx, built.eq, built.temporal
         rep = internal_lagrangian(built.lagrangian, eq)
         dl = eq.restricted_exterior_derivative(rep.form)
-        omega = s_presymplectic_representative(frame, dl)
+        omega = s_presymplectic_representative(t, dl)
         for cname, cand in built.candidates.items():
             try:
-                ext = extend_S_symmetry(eq, frame, cand)
+                ext = extend_S_symmetry(spatial_structure(eq, t), cand)
             except SSymmetryError:
                 continue
             passes = is_gauge_symmetry(rep, ext, built.resolution)
             # a gauge symmetry must contract into dl itself as a trivial
             # spatial variational 1-form, through either representative
             direct = is_gauge_trivial(
-                frame, eq, reduce_mod_S2(frame, ext.contract(dl)), built.resolution)
+                ext.structure, reduce_mod_S2(t, ext.contract(dl)), built.resolution)
             via_omega = is_gauge_trivial(
-                frame, eq, reduce_mod_S2(frame, ext.contract(omega)), built.resolution)
+                ext.structure, reduce_mod_S2(t, ext.contract(omega)), built.resolution)
             ok = ok and (direct == passes) and (via_omega == passes)
             if passes:
                 ok = ok and direct and via_omega
@@ -354,7 +355,7 @@ def test_acceptance_7_gauge_structure(all_built):
     # an honest gauge symmetry of the equation must classify gauge-trivial:
     # the Maxwell characteristic d_mu(eps), checked for the t-frame
     built = all_built["maxwell"]
-    ctx, eq, frame = built.ctx, built.eq, built.frame
+    ctx, eq, t = built.ctx, built.eq, built.temporal
     rep = internal_lagrangian(built.lagrangian, eq)
     eps = E("eps(t, x1, x2, x3)", ctx)
     comps = {}
@@ -363,15 +364,15 @@ def test_acceptance_7_gauge_structure(all_built):
     comps[ctx.jet_atom("A0")] = eq.restricted_total_derivative(0, eps)
     comps[ctx.jet_atom("A0", "t")] = eq.restricted_total_derivative(
         0, eq.restricted_total_derivative(0, eps))
-    cand = SSymmetryCandidate(comps)
-    ok2 = is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, cand), built.resolution)
+    ok2 = is_gauge_symmetry(rep, extend_S_symmetry(spatial_structure(eq, t), comps),
+                            built.resolution)
 
     # the same characteristic annihilates the free-jet Maxwell operator
     lam = built.lagrangian.density
     field_comps = []
     for dep in ctx.dependents:
         coord = ctx.jet_atom(dep)
-        field_comps.append(cand.normalized(ctx).get(coord, ctx.zero()))
+        field_comps.append(comps.get(coord, ctx.zero()))
     phi = EvolutionaryField(ctx, tuple(field_comps))
     for nu in range(4):
         residual = eq.restrict(apply_evolutionary(

@@ -47,26 +47,19 @@ import random
 
 def test_prolong_laplace_once():
     ctx, eq = laplace_equation()
-    head = ctx.jet_atom("u", "yy")
-    coord, rhs = eq.prolong_rule(head, ctx.multi_index("y"))
-    assert coord == ctx.jet_atom("u", "yyy")
-    # hand oracle: D_y(-u_xx) then normalize
-    assert rhs == E("-u[xxy]", ctx)
+    # the head u[yy] prolonged once in y; hand oracle: D_y(-u_xx) then normalize
+    assert eq.rule_for(JetCoord(0, ctx.multi_index("yyy"))) == E("-u[xxy]", ctx)
 
 
 def test_prolong_identity():
     ctx, eq = laplace_equation()
-    head = ctx.jet_atom("u", "yy")
-    coord, rhs = eq.prolong_rule(head, MultiIndex.zero())
-    assert coord == head
-    assert rhs == E("-u[xx]", ctx)
+    assert eq.rule_for(JetCoord(0, ctx.multi_index("yy"))) == E("-u[xx]", ctx)
 
 
 def test_prolong_wave_zero():
     ctx, eq = wave_equation()
-    coord, rhs = eq.prolong_rule(ctx.jet_atom("u", "xy"), ctx.multi_index("x"))
-    assert coord == ctx.jet_atom("u", "xxy")
-    assert rhs.is_zero()
+    # the head u[xy] prolonged once in x
+    assert eq.rule_for(JetCoord(0, ctx.multi_index("xxy"))).is_zero()
 
 
 def test_restrict_laplace():

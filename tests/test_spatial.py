@@ -1,14 +1,13 @@
 import pytest
 
 import random
+from pathlib import Path
 
 from jetvar import (
     ConstraintResolution,
     JetContext,
     Lagrangian,
     SolvedEquation,
-    SpatialFrame,
-    SSymmetryCandidate,
     extend_S_symmetry,
     internal_lagrangian,
     is_gauge_symmetry,
@@ -63,31 +62,30 @@ from helpers import (
 @pytest.fixture
 def laplace():
     ctx, eq = laplace_equation()
-    return ctx, eq, SpatialFrame(1)
+    return ctx, eq, spatial_structure(eq, 1)
 
 
 def test_s_degree_counts(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     high = F("theta(u[x])*theta(u)*d(y)", ctx)
-    assert s_degree(frame, next(iter(high.terms))) == 3
-    assert s_degree_filter(frame, high, 3) == high
+    assert s_degree(st.temporal, next(iter(high.terms))) == 3
+    assert s_degree_filter(st.temporal, high, 3) == high
     horizontal = F("d(x)*d(y)", ctx)
-    assert s_degree(frame, next(iter(horizontal.terms))) == 1
+    assert s_degree(st.temporal, next(iter(horizontal.terms))) == 1
     mid = F("theta(u[y])*theta(u)*d(x)", ctx)
-    assert s_degree(frame, next(iter(mid.terms))) == 2
-    assert s_degree_filter(frame, mid, 3).is_zero()
+    assert s_degree(st.temporal, next(iter(mid.terms))) == 2
+    assert s_degree_filter(st.temporal, mid, 3).is_zero()
 
 
 def test_reduce_mod_s2(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     vol = F("d(x)*d(y)", ctx)
-    assert reduce_mod_S2(frame, vol) == vol
+    assert reduce_mod_S2(st.temporal, vol) == vol
     dropped = F("theta(u)*theta(u[y])", ctx)
-    assert reduce_mod_S2(frame, dropped).is_zero()
+    assert reduce_mod_S2(st.temporal, dropped).is_zero()
     # t-frame over (t, x): theta ^ theta ^ dt has spatial degree 3
     ctx2, eq2 = pkdv_equation()
-    f2 = SpatialFrame(0)
-    assert reduce_mod_S2(f2, F("theta(u)*theta(u[x])", ctx2)).is_zero()
+    assert reduce_mod_S2(0, F("theta(u)*theta(u[x])", ctx2)).is_zero()
 
 
 def test_filter_truncations_match_subtraction():
@@ -99,12 +97,12 @@ def test_filter_truncations_match_subtraction():
         ctx = JetContext(names, ["u", "v"])
         pool = default_pool(ctx)
         for _ in range(40):
-            frame = SpatialFrame(rng.randrange(ctx.n))
+            t = rng.randrange(ctx.n)
             omega = random_form(rng, ctx, pool, ctx.n, max_terms=4)
-            assert reduce_mod_S2(frame, omega) == subtracted_reduce_mod_S2(frame, omega)
+            assert reduce_mod_S2(t, omega) == subtracted_reduce_mod_S2(t, omega)
             d_rep = random_form(rng, ctx, pool, ctx.n + 1, max_terms=4)
-            sigma = s_presymplectic_representative(frame, d_rep)
-            assert sigma == subtracted_s_presymplectic_representative(frame, d_rep)
+            sigma = s_presymplectic_representative(t, d_rep)
+            assert sigma == subtracted_s_presymplectic_representative(t, d_rep)
             values = {}
 
             def value(coord):
@@ -112,31 +110,30 @@ def test_filter_truncations_match_subtraction():
                     values[coord] = random_expression(rng, ctx, pool)
                 return values[coord]
 
-            assert reduce_mod_S2(frame, interior_product(d_rep, value)) == \
-                reduce_mod_S2(frame, interior_product(sigma, value))
+            assert reduce_mod_S2(t, interior_product(d_rep, value)) == \
+                reduce_mod_S2(t, interior_product(sigma, value))
 
 
 def test_s_presymplectic_wave():
     ctx, eq = wave_equation()
-    frame = SpatialFrame(1)
     lag = Lagrangian(ctx, E("-(u[x]*u[y])/2", ctx))
     rep = internal_lagrangian(lag, eq)
     dl = eq.restricted_exterior_derivative(rep.form)
-    assert s_presymplectic_representative(frame, dl) == \
+    assert s_presymplectic_representative(1, dl) == \
         F("(theta(u[x])*theta(u)*d(x))/2", ctx)
 
 
 def test_structure_classification_wave():
     ctx, eq = wave_equation()
-    st = SpatialStructure(eq, SpatialFrame(1))
+    st = SpatialStructure(eq, 1)
     assert st.status((0, MultiIndex.zero())) == "free"
     assert st.status((0, MultiIndex.single(1))) == "null"
     assert st.status((0, MultiIndex.single(1, 3))) == "null"
 
 
 def test_structure_classification_maxwell(maxwell_built):
-    eq, ctx, frame = maxwell_built.eq, maxwell_built.ctx, maxwell_built.frame
-    st = SpatialStructure(eq, frame)
+    eq, ctx = maxwell_built.eq, maxwell_built.ctx
+    st = SpatialStructure(eq, maxwell_built.temporal)
     a1 = (ctx.dependent_index("A1"), MultiIndex.zero())
     f01 = (ctx.dependent_index("F01"), MultiIndex.zero())
     f02 = (ctx.dependent_index("F02"), MultiIndex.zero())
@@ -149,23 +146,41 @@ def test_structure_classification_maxwell(maxwell_built):
     assert st.status(a0_tower) == "free"
 
 
+def test_build_makes_a_spatial_structure_only_for_a_resolve():
+    # prolongation and the stages before the candidates need no spatial
+    # equation; Maxwell's resolve builds the one of its frame, keyed by the
+    # temporal index 0 (so a test for falsiness would drop it)
+    pkdv = build(parse(fixture_text("pkdv")))
+    assert pkdv.temporal == 0 and pkdv.eq.spatial_structures == {}
+    maxwell = build(parse(fixture_text("maxwell")))
+    assert maxwell.temporal == 0
+    assert list(maxwell.eq.spatial_structures) == [0]
+    assert maxwell.resolution.structure is maxwell.eq.spatial_structures[0]
+
+
+def test_readme_quick_tour_runs_and_ends_false():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A quick tour:\n\n```python\n", 1)[1].split("```", 1)[0]
+    *body, last = block.strip().splitlines()
+    scope = {}
+    exec("\n".join(body), scope)
+    assert scope["omega"] == F("theta(u[y])*theta(u)*d(x)", scope["ctx"])
+    assert last.endswith("# False: a real symmetry")
+    assert eval(last.split("#")[0], scope) is False
+
+
 def test_structure_built_once_per_equation_and_frame(laplace):
-    ctx, eq, frame = laplace
-    a = SSymmetryCandidate({ctx.jet_atom("u"): E("u[x]", ctx),
-                            ctx.jet_atom("u", "y"): E("u[xy]", ctx)})
-    b = SSymmetryCandidate({ctx.jet_atom("u"): E("u*u[y]", ctx),
-                            ctx.jet_atom("u", "y"): E("u[x]^2", ctx)})
-    shared = extend_S_symmetry(eq, frame, a).structure
-    assert extend_S_symmetry(eq, frame, b).structure is shared
-    assert spatial_structure(eq, frame) is shared
-    # frames are values: an equal frame built anew finds the same structure
-    assert SpatialFrame(1) == frame and hash(SpatialFrame(1)) == hash(frame)
-    assert spatial_structure(eq, SpatialFrame(1)) is shared
-    assert SpatialFrame(0) != frame
-    assert spatial_structure(eq, SpatialFrame(0)) is not shared
+    ctx, eq, shared = laplace
+    a = {ctx.jet_atom("u"): E("u[x]", ctx), ctx.jet_atom("u", "y"): E("u[xy]", ctx)}
+    b = {ctx.jet_atom("u"): E("u*u[y]", ctx), ctx.jet_atom("u", "y"): E("u[x]^2", ctx)}
+    assert extend_S_symmetry(shared, a).structure is shared
+    assert extend_S_symmetry(spatial_structure(eq, 1), b).structure is shared
+    # the equation keeps one structure per temporal index, keyed by that index
+    assert spatial_structure(eq, 0) is not shared
+    assert eq.spatial_structures == {0: spatial_structure(eq, 0), 1: shared}
     _, other_eq = laplace_equation(ctx)
-    assert spatial_structure(other_eq, frame) is not shared
-    direct = SpatialStructure(eq, frame)
+    assert spatial_structure(other_eq, 1) is not shared
+    direct = SpatialStructure(eq, 1)
     assert direct is not shared and direct.status((0, MultiIndex.zero())) == "free"
 
 
@@ -191,7 +206,7 @@ def test_reproduce_verifies_each_candidate_and_resolution_once(
 
 def _families(structure, top):
     """Families with an internal generator and temporal count at most top."""
-    t = structure.frame.temporal
+    t = structure.temporal
     return [fam for dep in range(structure.ctx.m) for k in range(top + 1)
             if structure.eq.is_internal(
                 structure.generator_coord(fam := (dep, MultiIndex.single(t, k))))]
@@ -224,7 +239,7 @@ def test_constraint_points_match_direct_loop(all_built):
     family."""
     seen = 0
     for name, built in all_built.items():
-        structure = spatial_structure(built.eq, built.frame)
+        structure = spatial_structure(built.eq, built.temporal)
         direct = direct_constraint_points(structure, 4 + _highest_head_order(built.eq) + 1)
         for fam in _families(structure, 4):
             got = structure._minimal_points(fam)[0]
@@ -243,7 +258,7 @@ def test_classification_matches_scan():
     seen = set()
     for text in [fixture_text(name) for name in bundled_fixture_names()] + [_U_XX_EQ_U]:
         built = build(parse(text))
-        structure = SpatialStructure(built.eq, built.frame)
+        structure = SpatialStructure(built.eq, built.temporal)
         scans = {}
         for fam in _families(structure, 4):
             order = fam[1].order + _highest_head_order(built.eq) + 1
@@ -256,7 +271,7 @@ def test_classification_matches_scan():
 
 def test_tower_of_u_xx_eq_u_constrained_at_every_height():
     built = build(parse(_U_XX_EQ_U))
-    structure = spatial_structure(built.eq, built.frame)
+    structure = spatial_structure(built.eq, built.temporal)
     for k in range(9):
         assert structure.status((0, MultiIndex.single(0, k))) == "constrained", k
 
@@ -265,15 +280,15 @@ def test_tower_of_u_xx_eq_u_constrained_at_every_height():
 def test_extension_refused_where_commutation_breaks_on_wave_tower(target, step):
     # the family of u[y^k] is null: its component may not see x
     ctx, eq = wave_equation()
-    cand = SSymmetryCandidate({ctx.jet_atom("u", target): ctx.var("u")})
+    cand = {ctx.jet_atom("u", target): ctx.var("u")}
     with pytest.raises(SSymmetryError) as err:
-        extend_S_symmetry(eq, SpatialFrame(1), cand)
+        extend_S_symmetry(spatial_structure(eq, 1), cand)
     assert ctx.atom_name(err.value.coordinate) == step
 
 
-def _extends(eq, frame, candidate):
+def _extends(structure, candidate):
     try:
-        extend_S_symmetry(eq, frame, candidate)
+        extend_S_symmetry(structure, candidate)
     except SSymmetryError:
         return False
     return True
@@ -282,15 +297,15 @@ def _extends(eq, frame, candidate):
 @pytest.fixture(scope="module")
 def oracle_points(all_built):
     """Every constraint point to order 6 of each fixture's structure."""
-    return {name: direct_constraint_points(spatial_structure(b.eq, b.frame), 6)
+    return {name: direct_constraint_points(spatial_structure(b.eq, b.temporal), 6)
             for name, b in all_built.items()}
 
 
 def test_extension_verdicts_match_sampled_check_on_fixture_candidates(all_built, oracle_points):
     for name, built in all_built.items():
-        structure = spatial_structure(built.eq, built.frame)
+        structure = spatial_structure(built.eq, built.temporal)
         for cname, cand in built.candidates.items():
-            assert _extends(built.eq, built.frame, cand) == sampled_extension_commutes(
+            assert _extends(structure, cand) == sampled_extension_commutes(
                 structure, cand, oracle_points[name]), (name, cname)
 
 
@@ -301,17 +316,17 @@ def _random_candidate(rng, structure, max_targets, **shape):
     generators = [structure.generator_coord(fam) for fam in _families(structure, 2)]
     pool = [ctx.base_atom(x) for x in ctx.independents] + internal_coordinates(structure.eq, 2)
     targets = rng.sample(generators, rng.randint(1, min(max_targets, len(generators))))
-    return SSymmetryCandidate({g: random_expression(rng, ctx, pool, **shape) for g in targets})
+    return {g: random_expression(rng, ctx, pool, **shape) for g in targets}
 
 
 def test_extension_verdicts_match_sampled_check_on_random_candidates(all_built, oracle_points):
     rng = random.Random(20261018)
     for name, built in all_built.items():
-        structure = spatial_structure(built.eq, built.frame)
+        structure = spatial_structure(built.eq, built.temporal)
         verdicts = []
         for _ in range(100):
             cand = _random_candidate(rng, structure, 3)
-            verdict = _extends(built.eq, built.frame, cand)
+            verdict = _extends(structure, cand)
             assert verdict == sampled_extension_commutes(
                 structure, cand, oracle_points[name]), (name, cand)
             verdicts.append(verdict)
@@ -357,8 +372,7 @@ def test_spatial_decisions_match_oracles_on_random_systems():
         if eq is None:
             continue
         systems += 1
-        frame = SpatialFrame(0)
-        structure = SpatialStructure(eq, frame)
+        structure = SpatialStructure(eq, 0)
         top = 2 + _highest_head_order(eq) + 1
         direct = direct_constraint_points(structure, top)
         for fam in _families(structure, 2):
@@ -369,7 +383,7 @@ def test_spatial_decisions_match_oracles_on_random_systems():
             statuses.add(structure.status(fam))
         for _ in range(5):
             cand = _random_candidate(rng, structure, 2, max_terms=2)
-            verdict = _extends(eq, frame, cand)
+            verdict = _extends(structure, cand)
             assert verdict == sampled_extension_commutes(structure, cand, direct)
             verdicts.add(verdict)
     assert statuses == {"free", "null", "constrained"} and verdicts == {True, False}
@@ -379,13 +393,13 @@ def test_families_and_statuses_match_scan_and_unmemoised_status():
     """The families read off the lowest purely temporal heads are those an
     is_internal scan finds, and each memoised status is the one read afresh,
     on the fixtures, u[xx] = u, and seeded random systems in every frame."""
-    structures = [SpatialStructure(b.eq, b.frame) for b in map(build, map(parse, [
+    structures = [SpatialStructure(b.eq, b.temporal) for b in map(build, map(parse, [
         fixture_text(name) for name in bundled_fixture_names()] + [_U_XX_EQ_U]))]
     rng = random.Random(20261018)
     while len(structures) < 5 + 3 * 40:
         eq = _random_integrable_system(rng)
         if eq is not None:
-            structures += [SpatialStructure(eq, SpatialFrame(t)) for t in range(3)]
+            structures += [SpatialStructure(eq, t) for t in range(3)]
     statuses = set()
     for structure in structures:
         for top in range(4):
@@ -402,7 +416,7 @@ def test_divergence_test_refuses_any_constrained_family_whatever_the_order(depen
     """A free family whose Euler test fails and a constrained family: the
     test refuses, whichever dependent, and so family, comes first."""
     built = build(parse(_U_XX_EQ_U.replace("dependents u", f"dependents {dependents}")))
-    structure, ctx = spatial_structure(built.eq, built.frame), built.ctx
+    structure, ctx = spatial_structure(built.eq, built.temporal), built.ctx
     u, v = ctx.dependent_index("u"), ctx.dependent_index("v")
     assert structure.status((v, MultiIndex())) == "free"
     assert structure.status((u, MultiIndex())) == "constrained"
@@ -411,8 +425,8 @@ def test_divergence_test_refuses_any_constrained_family_whatever_the_order(depen
 
 
 def test_resolution_verdicts_match_sampled_check(maxwell_built, oracle_points):
-    ctx, eq, frame = maxwell_built.ctx, maxwell_built.eq, maxwell_built.frame
-    structure = spatial_structure(eq, frame)
+    ctx, eq = maxwell_built.ctx, maxwell_built.eq
+    structure = spatial_structure(eq, maxwell_built.temporal)
     points = oracle_points["maxwell"]
     bundled = maxwell_built.resolution.substitutions
     assert sampled_resolution_holds(structure, bundled, points)
@@ -428,7 +442,7 @@ def test_resolution_verdicts_match_sampled_check(maxwell_built, oracle_points):
             dep = rng.choice(sorted(subs))
             subs[dep] = subs[dep] + rng.choice((-1, 1)) * rng.choice(terms)
         try:
-            ConstraintResolution(eq, frame, subs)
+            ConstraintResolution(structure, subs)
             verdict = True
         except UnsupportedExpression:
             verdict = False
@@ -463,10 +477,10 @@ def test_spatial_euler_matches_direct_sum_on_gauge_families(monkeypatch):
     for name in bundled_fixture_names():
         touched.clear()
         assert reproduce(name).exit_code == 0
-        frame = build(parse(fixture_text(name))).frame
+        t = build(parse(fixture_text(name))).temporal
         families = {}
         for eq, coords in touched:
-            structure = spatial_structure(eq, frame)
+            structure = spatial_structure(eq, t)
             for coord in coords:
                 families[structure.family_of(coord)] = structure
         assert families, name
@@ -485,10 +499,10 @@ def test_spatial_euler_matches_direct_sum_on_gauge_families(monkeypatch):
 
 
 def test_extension_matches_display_laplace(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     phi, chi = E("u*u[y]", ctx), E("u[x]^2", ctx)
-    cand = SSymmetryCandidate({ctx.jet_atom("u"): phi, ctx.jet_atom("u", "y"): chi})
-    ext = extend_S_symmetry(eq, frame, cand)
+    cand = {ctx.jet_atom("u"): phi, ctx.jet_atom("u", "y"): chi}
+    ext = extend_S_symmetry(st, cand)
     assert ext.apply_coord(ctx.jet_atom("u", "x")) == \
         eq.restricted_total_derivative(0, phi)
     assert ext.apply_coord(ctx.jet_atom("u", "xy")) == \
@@ -499,10 +513,10 @@ def test_extension_matches_display_laplace(laplace):
 
 def test_extension_wave_tower():
     ctx, eq = wave_equation()
-    frame = SpatialFrame(1)
+    st = spatial_structure(eq, 1)
     p0 = E("y*u[y]", ctx)
-    cand = SSymmetryCandidate({ctx.jet_atom("u"): p0, ctx.jet_atom("u", "y"): E("u[yy]", ctx)})
-    ext = extend_S_symmetry(eq, frame, cand)
+    cand = {ctx.jet_atom("u"): p0, ctx.jet_atom("u", "y"): E("u[yy]", ctx)}
+    ext = extend_S_symmetry(st, cand)
     assert ext.apply_coord(ctx.jet_atom("u", "x")) == \
         eq.restricted_total_derivative(0, p0)
     # the y-tower entries are independent components, not D_y images
@@ -512,37 +526,38 @@ def test_extension_wave_tower():
 
 def test_extension_rejects_x_dependence_on_wave_tower():
     ctx, eq = wave_equation()
-    frame = SpatialFrame(1)
-    cand = SSymmetryCandidate({ctx.jet_atom("u", "y"): ctx.var("u")})
+    st = spatial_structure(eq, 1)
+    cand = {ctx.jet_atom("u", "y"): ctx.var("u")}
     with pytest.raises(SSymmetryError) as err:
-        extend_S_symmetry(eq, frame, cand)
+        extend_S_symmetry(st, cand)
     assert err.value.coordinate is not None
 
 
 def test_extension_rejects_divergent_eta(maxwell_built):
-    eq, ctx, frame = maxwell_built.eq, maxwell_built.ctx, maxwell_built.frame
-    cand = SSymmetryCandidate({ctx.jet_atom("F01"): ctx.var("F02")})
+    eq, ctx = maxwell_built.eq, maxwell_built.ctx
+    st = spatial_structure(eq, maxwell_built.temporal)
+    cand = {ctx.jet_atom("F01"): ctx.var("F02")}
     with pytest.raises(SSymmetryError):
-        extend_S_symmetry(eq, frame, cand)
+        extend_S_symmetry(st, cand)
 
 
 def test_extension_accepts_divergence_free_eta(maxwell_built):
-    eq, ctx, frame = maxwell_built.eq, maxwell_built.ctx, maxwell_built.frame
-    cand = SSymmetryCandidate({
+    eq, ctx = maxwell_built.eq, maxwell_built.ctx
+    st = spatial_structure(eq, maxwell_built.temporal)
+    cand = {
         ctx.jet_atom("F01"): E("A3[x2]", ctx),
         ctx.jet_atom("F02"): E("-A3[x1]", ctx),
-    })
-    ext = extend_S_symmetry(eq, frame, cand)
+    }
+    ext = extend_S_symmetry(st, cand)
     # action on the eliminated coordinate follows the constraint
     spatial_div = eq.restricted_total_derivative(1, ext.apply_coord(ctx.jet_atom("F01")))
     assert spatial_div == ext.apply(E("-F02[x2] - F03[x3]", ctx))
 
 
 def test_extension_commutes_with_spatial_derivatives(laplace):
-    ctx, eq, frame = laplace
-    cand = SSymmetryCandidate({ctx.jet_atom("u"): E("u^2", ctx),
-                               ctx.jet_atom("u", "y"): E("x*u[y]", ctx)})
-    ext = extend_S_symmetry(eq, frame, cand)
+    ctx, eq, st = laplace
+    cand = {ctx.jet_atom("u"): E("u^2", ctx), ctx.jet_atom("u", "y"): E("x*u[y]", ctx)}
+    ext = extend_S_symmetry(st, cand)
     for coord in internal_coordinates(eq, 3):
         e = ctx.expr(coord)
         lhs = ext.apply(eq.restricted_total_derivative(0, e))
@@ -551,34 +566,34 @@ def test_extension_commutes_with_spatial_derivatives(laplace):
 
 
 def test_gauge_trivial_zero(laplace):
-    ctx, eq, frame = laplace
-    assert is_gauge_trivial(frame, eq, DifferentialForm.zero(ctx))
+    ctx, eq, st = laplace
+    assert is_gauge_trivial(st, DifferentialForm.zero(ctx))
 
 
 def test_laplace_contraction_display_and_criterion(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
     rep = internal_lagrangian(lag, eq)
     omega = s_presymplectic_representative(
-        frame, eq.restricted_exterior_derivative(rep.form))
+        st.temporal, eq.restricted_exterior_derivative(rep.form))
     phi, chi = E("u*u[x]", ctx), E("u[y]^2", ctx)
-    cand = SSymmetryCandidate({ctx.jet_atom("u"): phi, ctx.jet_atom("u", "y"): chi})
-    ext = extend_S_symmetry(eq, frame, cand)
+    cand = {ctx.jet_atom("u"): phi, ctx.jet_atom("u", "y"): chi}
+    ext = extend_S_symmetry(st, cand)
     got = ext.contract(omega)
     assert got == chi * F("theta(u)*d(x)", ctx) - phi * F("theta(u[y])*d(x)", ctx)
-    assert not is_gauge_trivial(frame, eq, reduce_mod_S2(frame, got))
+    assert not is_gauge_trivial(st, reduce_mod_S2(st.temporal, got))
 
 
 def test_gauge_trivial_horizontal_divergence(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     # Dbar_x of something is trivial; u_y alone is not
     div = eq.restricted_total_derivative(0, E("u*u[y] + x*u", ctx))
-    assert is_gauge_trivial(frame, eq, div * F("d(x)*d(y)", ctx))
-    assert not is_gauge_trivial(frame, eq, F("u[y]*d(x)*d(y)", ctx))
+    assert is_gauge_trivial(st, div * F("d(x)*d(y)", ctx))
+    assert not is_gauge_trivial(st, F("u[y]*d(x)*d(y)", ctx))
 
 
 def test_gauge_trivial_invariances_randomized(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     rng = random.Random(20260809)
     pool = [ctx.base_atom("x"), ctx.jet_atom("u"), ctx.jet_atom("u", "x"),
             ctx.jet_atom("u", "y"), ctx.jet_atom("u", "xy")]
@@ -590,98 +605,100 @@ def test_gauge_trivial_invariances_randomized(laplace):
     ]
     for trial in range(40):
         omega = base_forms[trial % len(base_forms)]
-        verdict = is_gauge_trivial(frame, eq, reduce_mod_S2(frame, omega))
+        verdict = is_gauge_trivial(st, reduce_mod_S2(st.temporal, omega))
         # adding spatial-degree >= 2 junk must not change the verdict
         junk = random_expression(rng, ctx, pool) * F("theta(u)*theta(u[x])", ctx) \
             + random_expression(rng, ctx, pool) * F("theta(u[y])*d(y)", ctx)
-        with_junk = reduce_mod_S2(frame, omega + junk)
-        assert is_gauge_trivial(frame, eq, with_junk) == verdict
+        with_junk = reduce_mod_S2(st.temporal, omega + junk)
+        assert is_gauge_trivial(st, with_junk) == verdict
         # adding d of a spatial-ideal 1-form must not change the verdict
         f = random_expression(rng, ctx, pool)
         rho = f * F("theta(u)", ctx)
         d_rho = eq.restricted_exterior_derivative(rho)
-        perturbed = reduce_mod_S2(frame, omega + d_rho)
-        assert is_gauge_trivial(frame, eq, perturbed) == verdict
+        perturbed = reduce_mod_S2(st.temporal, omega + d_rho)
+        assert is_gauge_trivial(st, perturbed) == verdict
 
 
 def test_gauge_trivial_exact_on_wave_tower():
     # d(f theta_{u_y}) leaves a divergence residue on a spatially constant
     # generator; the oracle must still call it trivial
     ctx, eq = wave_equation()
-    frame = SpatialFrame(1)
+    st = spatial_structure(eq, 1)
     for f_text in ("u*u[y]", "x*u[y]", "u[x]^2"):
         rho = E(f_text, ctx) * F("theta(u[y])", ctx)
         d_rho = eq.restricted_exterior_derivative(rho)
-        assert is_gauge_trivial(frame, eq, reduce_mod_S2(frame, d_rho))
+        assert is_gauge_trivial(st, reduce_mod_S2(st.temporal, d_rho))
 
 
 def test_unresolved_constraint_refused(maxwell_built):
-    eq, ctx, frame = maxwell_built.eq, maxwell_built.ctx, maxwell_built.frame
+    eq, ctx = maxwell_built.eq, maxwell_built.ctx
+    st = spatial_structure(eq, maxwell_built.temporal)
     omega = F("theta(F02)*d(x1)*d(x2)*d(x3)", ctx) * ctx.var("A1")
     with pytest.raises(UnresolvedConstraint):
-        is_gauge_trivial(frame, eq, omega, resolution=None)
+        is_gauge_trivial(st, omega, resolution=None)
     # with the bundled resolution the verdict is decidable
-    assert not is_gauge_trivial(frame, eq, omega, maxwell_built.resolution)
+    assert not is_gauge_trivial(st, omega, maxwell_built.resolution)
 
 
 def test_gauge_trivial_rejects_resolution_of_other_equation_or_frame(maxwell_built):
-    eq, ctx, frame = maxwell_built.eq, maxwell_built.ctx, maxwell_built.frame
+    eq, ctx = maxwell_built.eq, maxwell_built.ctx
     res = maxwell_built.resolution
     omega = F("theta(F02)*d(x1)*d(x2)*d(x3)", ctx) * ctx.var("A1")
     with pytest.raises(ValueError, match="different equation or frame"):
-        is_gauge_trivial(SpatialFrame(1), eq, omega, res)
+        is_gauge_trivial(spatial_structure(eq, 1), omega, res)
     twin = SolvedEquation(ctx, list(zip(eq.heads, eq.rhs)))
     with pytest.raises(ValueError, match="different equation or frame"):
-        is_gauge_trivial(frame, twin, omega, res)
+        is_gauge_trivial(spatial_structure(twin, maxwell_built.temporal), omega, res)
 
 
 def test_gauge_symmetry_rejects_rep_of_other_equation(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     _, other_eq = laplace_equation(ctx)
     rep = internal_lagrangian(Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx)), other_eq)
-    ext = extend_S_symmetry(eq, frame, SSymmetryCandidate({ctx.jet_atom("u"): ctx.zero()}))
+    ext = extend_S_symmetry(st, {ctx.jet_atom("u"): ctx.zero()})
     with pytest.raises(ValueError, match="different equation"):
         is_gauge_symmetry(rep, ext)
 
 
 def test_gauge_symmetry_wave_family():
     ctx, eq = wave_equation()
-    frame = SpatialFrame(1)
+    st = spatial_structure(eq, 1)
     lag = Lagrangian(ctx, E("-(u[x]*u[y])/2", ctx))
     rep = internal_lagrangian(lag, eq)
     ctx.declare_opaque("q0", [ctx.atom("y"), ctx.jet_atom("u", "y")])
-    good = SSymmetryCandidate({ctx.jet_atom("u"): ctx.expr(ctx.atom("q0")),
-                               ctx.jet_atom("u", "y"): E("u[yy]^2", ctx)})
-    assert is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, good))
-    bad = SSymmetryCandidate({ctx.jet_atom("u"): E("u[x]", ctx)})
-    assert not is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, bad))
+    good = {ctx.jet_atom("u"): ctx.expr(ctx.atom("q0")),
+            ctx.jet_atom("u", "y"): E("u[yy]^2", ctx)}
+    assert is_gauge_symmetry(rep, extend_S_symmetry(st, good))
+    bad = {ctx.jet_atom("u"): E("u[x]", ctx)}
+    assert not is_gauge_symmetry(rep, extend_S_symmetry(st, bad))
 
 
 def test_gauge_symmetry_zero_characteristic(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     lag = Lagrangian(ctx, E("-(u[x]^2 + u[y]^2)/2", ctx))
     rep = internal_lagrangian(lag, eq)
-    zero = SSymmetryCandidate({ctx.jet_atom("u"): ctx.zero()})
-    assert is_gauge_symmetry(rep, extend_S_symmetry(eq, frame, zero))
+    zero = {ctx.jet_atom("u"): ctx.zero()}
+    assert is_gauge_symmetry(rep, extend_S_symmetry(st, zero))
 
 
 def test_spatial_gradient_examples(laplace):
-    ctx, eq, frame = laplace
+    ctx, eq, st = laplace
     # explicit potential
     chi = {0: eq.restricted_total_derivative(0, E("u^2", ctx))}
-    assert is_spatial_gradient(frame, eq, chi)
-    assert is_spatial_gradient(frame, eq, {0: ctx.zero()})
+    assert is_spatial_gradient(st, chi)
+    assert is_spatial_gradient(st, {0: ctx.zero()})
 
 
 def test_spatial_gradient_curl_detected(maxwell_built):
-    eq, ctx, frame = maxwell_built.eq, maxwell_built.ctx, maxwell_built.frame
+    eq, ctx = maxwell_built.eq, maxwell_built.ctx
+    st = spatial_structure(eq, maxwell_built.temporal)
     good = {i: eq.restricted_total_derivative(i, E("F01 + A2^2", ctx))
-            for i in frame.spatial_indices(ctx)}
-    assert is_spatial_gradient(frame, eq, good)
+            for i in st.spatial}
+    assert is_spatial_gradient(st, good)
     bad = dict(good)
     bad[1] = bad[1] + ctx.var("A2")
     # oracle: the curl component Dbar_2 chi_1 - Dbar_1 chi_2 is A2_{x2} != 0
-    assert not is_spatial_gradient(frame, eq, bad)
+    assert not is_spatial_gradient(st, bad)
 
 
 def test_resolution_validates(maxwell_built):
@@ -689,21 +706,22 @@ def test_resolution_validates(maxwell_built):
 
 
 def test_resolution_violation_detected(maxwell_built):
-    ctx, eq, frame = maxwell_built.ctx, maxwell_built.eq, maxwell_built.frame
+    ctx, eq = maxwell_built.ctx, maxwell_built.eq
     bogus = {
         ctx.dependent_index("F01"): E("r12[x2]", ctx),
         ctx.dependent_index("F02"): E("r12[x1]", ctx),  # wrong sign: not antisymmetric
         ctx.dependent_index("F03"): ctx.zero(),
     }
     with pytest.raises(UnsupportedExpression):
-        ConstraintResolution(eq, frame, bogus)
+        ConstraintResolution(spatial_structure(eq, maxwell_built.temporal), bogus)
 
 
 def test_resolve_on_one_spatial_direction_refused(wave_built, tmp_path, capsys):
     # one spatial direction has no antisymmetric potentials: the resolve
     # would substitute 0 for u and make every gauge verdict trivial
     with pytest.raises(UnresolvedConstraint, match="at least two spatial directions"):
-        spatial.antisymmetric_potential_resolution(wave_built.eq, wave_built.frame, [0], {})
+        spatial.antisymmetric_potential_resolution(
+            spatial_structure(wave_built.eq, wave_built.temporal), [0], {})
     target = tmp_path / "wave_resolve.jv"
     target.write_text(fixture_text("wave") + "resolve u = antisym_potential(r)\n",
                       encoding="utf-8")

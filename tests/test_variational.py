@@ -21,7 +21,7 @@ from jetvar import (
 from jetvar import jetcalc
 from jetvar.errors import DegreeError, LagrangianError, UnsupportedExpression
 from jetvar.forms import theta_image, volume_form
-from jetvar.spatial import SpatialFrame, is_gauge_trivial, reduce_mod_S2
+from jetvar.spatial import is_gauge_trivial, reduce_mod_S2, spatial_structure
 from jetvar.symexpr import JetCoord, MultiIndex, partial
 from jetvar.variational import InternalLagrangianRep
 
@@ -264,8 +264,7 @@ def test_presymplectic_wave_s_reduction():
     rep = internal_lagrangian(lag, eq)
     sigma = presymplectic_structure(rep)
     from jetvar.spatial import s_presymplectic_representative
-    frame = SpatialFrame(1)
-    assert s_presymplectic_representative(frame, sigma.form) == \
+    assert s_presymplectic_representative(1, sigma.form) == \
         F("(theta(u[x])*theta(u)*d(x))/2", ctx)
 
 
@@ -434,7 +433,7 @@ def _alternative_potential(lag):
     return omega
 
 
-def _assert_routes_equivalent(lag, eq, resolution=None, resolution_frame=None):
+def _assert_routes_equivalent(lag, eq, resolution=None, resolution_temporal=None):
     from jetvar.errors import UnresolvedConstraint
     ctx = lag.ctx
     alt = _alternative_potential(lag)
@@ -442,12 +441,11 @@ def _assert_routes_equivalent(lag, eq, resolution=None, resolution_frame=None):
     rep_a = internal_lagrangian(lag, eq)
     rep_b = eq.restrict_form(lag.form() + alt)
     difference = rep_a.form - rep_b
-    for a in range(ctx.n):
-        frame = SpatialFrame(a)
-        reduced = reduce_mod_S2(frame, difference)
-        res = resolution if frame == resolution_frame else None
+    for t in range(ctx.n):
+        reduced = reduce_mod_S2(t, difference)
+        res = resolution if t == resolution_temporal else None
         try:
-            assert is_gauge_trivial(frame, eq, reduced, res)
+            assert is_gauge_trivial(spatial_structure(eq, t), reduced, res)
         except UnresolvedConstraint:
             # frames whose spatial equation has an unresolved constraint are
             # outside the oracle; the declared frame is always decidable
@@ -459,7 +457,7 @@ def test_potential_route_independence_up_to_triviality(all_built):
     # difference is trivial for every decidable coordinate spatial frame
     for name, built in all_built.items():
         _assert_routes_equivalent(built.lagrangian, built.eq, built.resolution,
-                                  built.frame)
+                                  built.temporal)
 
 
 def test_potential_route_independence_second_order_mixed():
