@@ -239,8 +239,11 @@ class _Run:
         evaluator = self.built.evaluator
         expected = (evaluator.form if isinstance(computed, DifferentialForm)
                     else evaluator.expression)(value)
-        self.report.add(name, PASS if expected == computed else FAIL,
-                        computed=str(computed), expected=str(expected), line=decl.line)
+        # equal canonical values print identically, so a pass prints once
+        text = str(computed)
+        passed = expected == computed
+        self.report.add(name, PASS if passed else FAIL, computed=text,
+                        expected=text if passed else str(expected), line=decl.line)
 
     def verdict(self, name, decl, computed, shown=None):
         """Record a flag verdict against the expectation decl."""

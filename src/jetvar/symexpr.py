@@ -15,10 +15,14 @@ Atoms are interned per JetContext: the context numbers each atom the first
 time an expression uses it, and a monomial is a tuple of (atom id, power)
 pairs sorted by id, every power nonzero.  Arithmetic is therefore work on
 tuples of ints, and the id order is the canonical order inside one
-context.  Ids depend on the order in which atoms are first seen, so nothing
-that is printed or compared across contexts reads them: printing sorts
-terms and factors by the atoms' own order, and callers that need a stable
-atom order sort the atoms themselves.
+context: a product splices each factor of its right monomial into the left
+one at its id.  Ids depend on the order in which atoms are first seen, so
+nothing that is printed or compared across contexts reads them: printing
+labels each distinct (atom, power) of an expression once per call with the
+atom's rank in the atoms' own order, its power and its text, and sorts
+terms and factors by those labels; callers that need a stable atom order
+sort the atoms themselves.  Each context keeps its atoms' printed names by
+id, filled on first print, so names are never shared across contexts.
 
 ``Expression(ctx, terms)`` trusts its dict to be canonical: every
 coefficient nonzero, an integral one an ``int``.  ``_clean`` makes a dict
@@ -187,11 +191,12 @@ class JetContext:
     opaque function signatures declared over them.
 
     The context also owns the atom intern table that monomials index into,
-    and one memo per direction of D_{x^i} on atoms, keyed by atom id.
+    the printed name of each atom and one memo per direction of D_{x^i} on
+    atoms, both keyed by atom id.
     """
 
     __slots__ = ("independents", "dependents", "_opaque", "_ind_pos", "_dep_pos",
-                 "_atom_ids", "_atoms", "total_derivative_memo", "_zero", "_one")
+                 "_atom_ids", "_atoms", "_names", "total_derivative_memo", "_zero", "_one")
 
     def __init__(self, independents, dependents):
         self.independents = tuple(independents)
@@ -208,6 +213,7 @@ class JetContext:
         self._dep_pos = {name: k for k, name in enumerate(self.dependents)}
         self._atom_ids: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
+        self._names: dict[int, str] = {}  # atom id -> printed name, filled on first print
         self.total_derivative_memo = tuple({} for _ in self.independents)
         self._zero = Expression(self, {})
         self._one = Expression(self, {(): 1})
@@ -355,27 +361,22 @@ Monomial = tuple
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """a*b: each factor of b spliced into a at its id."""
     if not a:
         return b
-    if not b:
-        return a
-    if len(b) == 1:  # splice the one factor into a
-        j, q = b[0]
+    for f in b:
+        j = f[0]
         for k, (i, p) in enumerate(a):
             if i >= j:
                 if i > j:
-                    return a[:k] + b + a[k:]
-                p += q
-                return a[:k] + ((j, p),) + a[k + 1:] if p else a[:k] + a[k + 1:]
-        return a + b
-    powers = dict(a)
-    for i, q in b:
-        p = powers.get(i, 0) + q
-        if p:
-            powers[i] = p
+                    a = a[:k] + (f,) + a[k:]
+                else:
+                    p += f[1]
+                    a = a[:k] + ((j, p),) + a[k + 1:] if p else a[:k] + a[k + 1:]
+                break
         else:
-            del powers[i]
-    return tuple(sorted(powers.items()))
+            a += (f,)
+    return a
 
 
 def _denominator(monomials) -> Monomial:
@@ -700,36 +701,36 @@ class Expression:
 
     def __str__(self):
         """The terms over their least common denominator, as (numerator)/(denominator)."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        atoms, ids = self.ctx._atoms, {i for m in self.terms for i, _ in m}
-        # each atom present ranked by the canonical order and named, once per call
-        ranked = sorted((atoms[i], i) for i in ids)
-        rank = {i: r for r, (_, i) in enumerate(ranked)}
-        names = [self.ctx.atom_name(a) for a, _ in ranked]
-
-        def factors(m: Monomial) -> tuple:
-            """(rank, power) per factor, in rank order."""
-            return tuple(sorted((rank[i], p) for i, p in m))
-
-        def body(fs: tuple) -> str:
-            return "*".join(names[r] if p == 1 else f"{names[r]}^{p}" for r, p in fs)
-
-        out = ""
-        # ranks are unique, so the factor tuples order the terms alone
-        for fs, c in sorted((factors(m), c) for m, c in self.terms.items()):
-            text, size = body(fs), abs(c)
-            piece = str(size) if not text else text if size == 1 else f"{size}*{text}"
-            if out:
-                out += (" - " if c < 0 else " + ") + piece
-            else:
-                out = ("-" if c < 0 else "") + piece
-        # only a negative power prints "^-": a text without one skips the search
-        lcd = _denominator(self.terms) if "^-" in out else ()
-        if lcd:
-            numerator = Expression(self.ctx, {_mono_mul(m, lcd): c for m, c in self.terms.items()})
-            return f"({numerator})/({Expression(self.ctx, {lcd: 1})})"
-        return out
+        ctx = self.ctx
+        atoms, names = ctx._atoms, ctx._names
+        factors = {f for m in terms for f in m}
+        if any(p < 0 for _, p in factors):
+            lcd = _denominator(terms)
+            numerator = Expression(ctx, {_mono_mul(m, lcd): c for m, c in terms.items()})
+            return f"({numerator})/({Expression(ctx, {lcd: 1})})"
+        # each atom present ranked by the canonical order, once per call
+        rank = {i: r for r, i in enumerate(sorted({i for i, _ in factors},
+                                                  key=atoms.__getitem__))}
+        # each distinct (atom, power) labelled (rank, power, text) once per call;
+        # ranks are unique, so labels order a term's factors and the label
+        # lists order the terms without comparing texts
+        label = {}
+        for f in factors:
+            i, p = f
+            name = names.get(i)
+            if name is None:
+                name = names[i] = ctx.atom_name(atoms[i])
+            label[f] = (rank[i], p, name if p == 1 else f"{name}^{p}")
+        pieces = []
+        for fs, c in sorted((sorted(map(label.__getitem__, m)), c) for m, c in terms.items()):
+            text, size = "*".join([t for _, _, t in fs]), abs(c)
+            pieces.append(" - " if c < 0 else " + ")
+            pieces.append(str(size) if not text else text if size == 1 else f"{size}*{text}")
+        pieces[0] = "-" if pieces[0] == " - " else ""  # the leading sign
+        return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,35 @@ def test_printer_matches_reference(make_ctx):
         assert str(e) == reference_str(e)
 
 
+def test_printing_ignores_atom_first_use_order():
+    # two identically declared contexts intern the same atoms in opposite
+    # orders, so their ids run in opposite orders: a printer that orders
+    # factors by id, or keeps names by id across contexts, prints one of them
+    # wrongly
+    contexts = [context2(), context2()]
+    pool = list(dict.fromkeys(_printer_pool(contexts[0])))
+    for ctx, order in zip(contexts, (pool, pool[::-1])):
+        for a in order:
+            ctx.atom_id(a)
+    assert [contexts[1]._atoms[i] for i in range(len(pool))] == pool[::-1]
+    seen = set()
+    for seed in range(200):
+        printed = []
+        for ctx in contexts:
+            rng = random.Random(seed)
+            e = random_expression(rng, ctx, pool, max_terms=4, max_factors=3, max_power=3,
+                                  allow_den=True, rational=True)
+            e = e * ctx.expr(rng.choice(pool)) ** rng.choice((-2, 1))
+            printed.append((str(e), reference_str(e)))
+            for m in e.terms:
+                for i, p in m:
+                    seen.add("opaque" if isinstance(ctx._atoms[i], (OpaqueFn, FnPartial))
+                             else "power above 1" if p > 1 else "negative power" if p < 0
+                             else "power 1")
+        assert printed[0][0] == printed[0][1] == printed[1][0] == printed[1][1], seed
+    assert seen == {"opaque", "power above 1", "negative power", "power 1"}
+
+
 # -- canonical order -----------------------------------------------------------------
 
 
@@ -556,7 +585,14 @@ _SINGLE = st.tuples(_IDS, _POWERS).map(lambda f: (f,))
 @example(((3, 1), (7, 2)), ((9, 1),))  # above
 @example(((3, 1),), ((3, -1),))  # cancels to the empty monomial
 @example(((3, 1), (7, 2)), ((7, -2),))  # cancels the last factor
-@example(((3, -1), (7, 2)), ((3, 1), (7, -1)))  # merge path, one factor cancels
+@example(((3, -1), (7, 2)), ((3, 1), (7, -1)))  # two factors, one cancels
+@example(((3, 1), (7, 2)), ((1, 1), (5, 3)))  # two factors: below, between
+@example(((3, 1), (7, 2)), ((5, -1), (9, 2)))  # two factors: between, above
+@example(((2, 1), (5, 1), (8, 1)), ((1, 2), (5, 1), (9, -1)))  # below, equal, above
+@example(((2, 1), (4, 1), (6, 1)), ((3, 1), (5, 1), (7, 1)))  # each between two
+@example(((3, 1), (7, 2)), ((3, -1), (7, -2)))  # cancels every factor
+@example(((2, 1), (5, -2), (8, 3)), ((2, -1), (5, 1), (8, -3)))  # cancels both ends
+@example(((2, 1), (5, -2), (8, 3)), ((1, 1), (5, 2), (9, 1)))  # cancels the middle
 def test_mono_mul_matches_dict_merge(a, b):
     out = _mono_mul(a, b)
     assert out == merged_monomial(a, b)

@@ -21,6 +21,8 @@ from jetvar import (
 from jetvar import jetcalc
 from jetvar.errors import DegreeError, LagrangianError, UnsupportedExpression
 from jetvar.forms import theta_image, volume_form
+from jetvar.frontend import parse
+from jetvar.frontend.runner import build, bundled_fixture_names, fixture_text
 from jetvar.spatial import is_gauge_trivial, reduce_mod_S2, spatial_structure
 from jetvar.symexpr import JetCoord, MultiIndex, partial
 from jetvar.variational import InternalLagrangianRep
@@ -55,6 +57,12 @@ def _test_phi(ctx, order=1):
         ctx.declare_opaque(name, args)
         comps.append(ctx.expr(ctx.atom(name)))
     return EvolutionaryField(ctx, tuple(comps))
+
+
+def _own_builds():
+    """Every fixture built in a context of its own, so that the opaques
+    _test_phi declares never reach the session-scoped fixtures."""
+    return {name: build(parse(fixture_text(name))) for name in bundled_fixture_names()}
 
 
 def _x_phi(ctx):
@@ -326,8 +334,8 @@ def test_first_variation_gives_d_of_lagrangian_plus_omega_on_random_densities():
                 lag.euler_form(), str(lag.density)
 
 
-def test_omega_identity_all_fixtures(all_built):
-    for name, built in all_built.items():
+def test_omega_identity_all_fixtures():
+    for name, built in _own_builds().items():
         lag = built.lagrangian
         omega = presymplectic_potential(lag)
         phi = _test_phi(lag.ctx)
@@ -341,11 +349,11 @@ def test_omega_identity_fails_without_boundary_term():
     assert not verify_omega_identity(lag, DifferentialForm.zero(ctx), phi)
 
 
-def test_omega_identity_matches_form_oracle(all_built):
+def test_omega_identity_matches_form_oracle():
     # the density check and the form-level identity agree for a characteristic
     # of the independents and for a jet-dependent one, on omega_L and on every
     # single-term mutation of it, and every mutation is refused
-    for name, built in all_built.items():
+    for name, built in _own_builds().items():
         lag = built.lagrangian
         omega = presymplectic_potential(lag)
         for phi in (_x_phi(lag.ctx), _test_phi(lag.ctx)):
@@ -452,10 +460,10 @@ def _assert_routes_equivalent(lag, eq, resolution=None, resolution_temporal=None
             continue
 
 
-def test_potential_route_independence_up_to_triviality(all_built):
+def test_potential_route_independence_up_to_triviality():
     # two admissible integration-by-parts orders give representatives whose
     # difference is trivial for every decidable coordinate spatial frame
-    for name, built in all_built.items():
+    for name, built in _own_builds().items():
         _assert_routes_equivalent(built.lagrangian, built.eq, built.resolution,
                                   built.temporal)
 
