@@ -78,10 +78,16 @@ class SpatialStructure:
     their right sides are all zero, else constrained, as it is when another
     family's minimal right side names it.
 
-    They decide.  At a non-minimal point (c, j), p = c+e_j has spatial part
-    g+rho, rho != 0; k in supp rho has k != j, c-e_k is internal, and with
-    r = rule(p-e_k), for X an extended S-symmetry or a substitution (then
-    dr/da is substituted too):
+    The structure keeps what its equation fixes: each family's minimal
+    points and status, the families up to each height, and the
+    S-presymplectic representative of each presymplectic form a gauge
+    decision contracts.  Its equation keeps it, so all of that goes with
+    the equation.
+
+    The minimal points decide.  At a non-minimal point (c, j), p = c+e_j
+    has spatial part g+rho, rho != 0; k in supp rho has k != j, c-e_k is
+    internal, and with r = rule(p-e_k), for X an extended S-symmetry or a
+    substitution (then dr/da is substituted too):
 
         [Dbar_j, X](c) = Dbar_k([Dbar_j, X](c-e_k)) + sum_a dr/da [Dbar_k, X](a)
 
@@ -106,9 +112,11 @@ class SpatialStructure:
             self._reach += max((a.get(t) for a in alphas), default=0)
             self._temporal_head.append(min((a.order for a in alphas if a.get(t) == a.order),
                                            default=None))
-        # the equation fixes each family's minimal points and status
+        # what the equation fixes, kept as the class docstring says
         self._minimal: dict[tuple[int, MultiIndex], tuple] = {}
         self._status: dict[tuple[int, MultiIndex], str] = {}
+        self._by_height: dict[int, tuple] = {}
+        self._sigma: dict[DifferentialForm, DifferentialForm] = {}
 
     # family = (dependent, temporal part of the multi-index)
 
@@ -147,12 +155,23 @@ class SpatialStructure:
             hit = self._minimal[family] = (points, names)
         return hit
 
-    def _families(self, top: int):
+    def _families(self, top: int) -> tuple:
         """Families with temporal count at most top plus the reach."""
-        t, stop = self.temporal, top + self._reach + 1
-        for dep, head in enumerate(self._temporal_head):
-            for h in range(stop if head is None else min(stop, head)):
-                yield dep, MultiIndex.single(t, h)
+        families = self._by_height.get(top)
+        if families is None:
+            t, stop = self.temporal, top + self._reach + 1
+            families = self._by_height[top] = tuple(
+                (dep, MultiIndex.single(t, h)) for dep, head in enumerate(self._temporal_head)
+                for h in range(stop if head is None else min(stop, head)))
+        return families
+
+    def _s_presymplectic(self, d_rep: DifferentialForm) -> DifferentialForm:
+        """s_presymplectic_representative of a presymplectic form, kept per
+        form: two internal Lagrangians over one equation keep one each."""
+        sigma = self._sigma.get(d_rep)
+        if sigma is None:
+            sigma = self._sigma[d_rep] = s_presymplectic_representative(self.temporal, d_rep)
+        return sigma
 
     def status(self, family) -> str:
         st = self._status.get(family)
@@ -294,18 +313,31 @@ class ConstraintResolution:
     equation by potentials, e.g. divergence-free fields as curls of
     antisymmetric potentials.  Maps resolved dependent indices, in spatial
     order, to expressions in the potential coordinates; verified when
-    constructed."""
+    constructed.  It keeps each coordinate's value after substitution and
+    that value's theta image, so the build check, apply_to_expression and
+    every gauge decision derive each once; they go with the resolution."""
 
     def __init__(self, structure: SpatialStructure, substitutions: dict):
         self.structure, self.substitutions = structure, substitutions
+        self._values: dict[JetCoord, Expression] = {}
+        self._theta_images: dict[JetCoord, tuple] = {}
         self.verify()
 
     def coordinate_value(self, coord: JetCoord) -> Expression:
         """A coordinate after substitution: itself when not resolved."""
-        base = self.substitutions.get(coord.dep)
-        if base is None:
-            return self.structure.ctx.expr(coord)
-        return self.structure.eq.restricted_total_derivative_multi(coord.mindex, base)
+        value = self._values.get(coord)
+        if value is None:
+            base = self.substitutions.get(coord.dep)
+            value = self._values[coord] = self.structure.ctx.expr(coord) if base is None \
+                else self.structure.eq.restricted_total_derivative_multi(coord.mindex, base)
+        return value
+
+    def _theta_image(self, coord: JetCoord) -> tuple:
+        """theta of the coordinate's value: (atom, coefficient) pairs."""
+        image = self._theta_images.get(coord)
+        if image is None:
+            image = self._theta_images[coord] = tuple(theta_image(self.coordinate_value(coord)))
+        return image
 
     def apply_to_expression(self, e: Expression) -> Expression:
         rules = {}
@@ -440,7 +472,7 @@ def is_gauge_trivial(structure: SpatialStructure, omega1: DifferentialForm,
         new_thetas: dict[JetCoord, Expression] = {}
         for coord, b in thetas.items():
             b = resolution.apply_to_expression(b)
-            for atom, d in theta_image(resolution.coordinate_value(coord)):
+            for atom, d in resolution._theta_image(coord):
                 new_thetas[atom] = new_thetas.get(atom, ctx.zero()) + b * d
         thetas = new_thetas
 
@@ -481,8 +513,8 @@ def is_gauge_symmetry(rep, extended: ExtendedSSymmetry,
     structure = extended.structure
     if rep.equation is not structure.eq:
         raise ValueError("internal Lagrangian was built over a different equation")
-    sigma = s_presymplectic_representative(structure.temporal, rep.presymplectic)
-    return is_gauge_trivial(structure, extended.contract(sigma), resolution)
+    return is_gauge_trivial(structure, extended.contract(
+        structure._s_presymplectic(rep.presymplectic)), resolution)
 
 
 def is_spatial_gradient(structure: SpatialStructure, chi: dict) -> bool:

@@ -26,7 +26,7 @@ from jetvar.errors import (
 )
 from jetvar.forms import DifferentialForm, interior_product
 from jetvar import spatial
-from jetvar.frontend import parse, reproduce
+from jetvar.frontend import parse, reproduce, runner
 from jetvar.frontend.cli import main as cli_main
 from jetvar.frontend.runner import build, bundled_fixture_names, fixture_text
 from jetvar.jetcalc import integrate_by_parts
@@ -202,6 +202,61 @@ def test_reproduce_verifies_each_candidate_and_resolution_once(
                         counting("resolution", ConstraintResolution.verify))
     assert reproduce(name).exit_code == 0
     assert calls == {"extension": extensions, "resolution": resolutions}
+
+
+@pytest.mark.parametrize("name", ["maxwell", "laplace", "wave", "pkdv"])
+def test_reproduce_takes_the_s_presymplectic_representative_twice(monkeypatch, name):
+    """Once for the s_presymplectic golden, once for all gauge decisions."""
+    calls = []
+
+    def counting(t, d_rep):
+        calls.append(d_rep)
+        return s_presymplectic_representative(t, d_rep)
+
+    monkeypatch.setattr(spatial, "s_presymplectic_representative", counting)
+    monkeypatch.setattr(runner, "s_presymplectic_representative", counting)
+    assert reproduce(name).exit_code == 0
+    assert len(calls) == 2
+
+
+def test_maxwell_resolution_derives_each_substituted_coordinate_once(monkeypatch):
+    """The Gauss resolution's build check and gauge decisions read 8
+    distinct resolved coordinates; each is differentiated out once."""
+    bases, derived = [], []
+    init, multi = ConstraintResolution.__init__, SolvedEquation.restricted_total_derivative_multi
+
+    def counting_init(self, structure, substitutions):
+        bases.extend(substitutions.values())
+        init(self, structure, substitutions)
+
+    def counting_multi(self, alpha, e):
+        if any(e is base for base in bases):
+            derived.append((alpha, id(e)))
+        return multi(self, alpha, e)
+
+    monkeypatch.setattr(ConstraintResolution, "__init__", counting_init)
+    monkeypatch.setattr(SolvedEquation, "restricted_total_derivative_multi", counting_multi)
+    assert reproduce("maxwell").exit_code == 0
+    assert len(derived) == len(set(derived)) == 8
+
+
+def test_s_presymplectic_representative_kept_per_form_not_per_structure():
+    """On one shared structure a null Lagrangian (representative 0) decides
+    Ybad trivial and the fixture's Lagrangian, decided after it, still
+    nontrivial: each verdict is the one a fresh structure gives."""
+    built = build(parse(fixture_text("wave")))
+    ctx, eq, t = built.ctx, built.eq, built.temporal
+    null = internal_lagrangian(Lagrangian(ctx, E("u[x]*u[y] + u*u[xy]", ctx)), eq)
+    fixture = internal_lagrangian(built.lagrangian, eq)
+    assert s_presymplectic_representative(t, null.presymplectic).is_zero()
+    assert s_presymplectic_representative(t, fixture.presymplectic) == \
+        F("(theta(u[x])*theta(u)*d(x))/2", ctx)
+    ybad, shared = built.candidates["Ybad"], spatial_structure(eq, t)
+    verdicts = [is_gauge_symmetry(rep, extend_S_symmetry(shared, ybad))
+                for rep in (null, fixture)]
+    assert verdicts == [True, False]
+    assert verdicts == [is_gauge_symmetry(rep, extend_S_symmetry(SpatialStructure(eq, t), ybad))
+                        for rep in (null, fixture)]
 
 
 def _families(structure, top):
