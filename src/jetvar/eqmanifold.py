@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import ConsistencyError, ContextMismatch, OrientationError
-from .forms import DifferentialForm, exterior_derivative, theta_image
+from .forms import DifferentialForm, exterior_derivative, pullback, theta_image
 from .jetcalc import EvolutionaryField, JetContext, linearization
 from .symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, OpaqueFn
 
@@ -176,22 +176,18 @@ class SolvedEquation:
         return False
 
     def restrict_form(self, omega: DifferentialForm) -> DifferentialForm:
-        """Restrict coefficients and replace each generator by its image, kept
-        per generator as [(generator, factor or None)]: a principal theta^p
-        maps to sum (d rhs/d u^j_beta) theta^j_beta, any other generator to
-        itself with no factor."""
-        images, items = self._images, []
-        for gens, coeff in omega.terms.items():
-            pieces = [(self.restrict(coeff), ())]
-            for g in gens:
-                image = images.get(g)
-                if image is None:
-                    image = images[g] = list(theta_image(self.rule_for(g))) \
-                        if isinstance(g, JetCoord) and self.is_principal(g) else [(g, None)]
-                pieces = [(c if f is None else c * f, gs + (fg,))
-                          for c, gs in pieces for fg, f in image]
-            items.extend(pieces)
-        return DifferentialForm.from_terms(self.ctx, items)
+        """Restrict coefficients and pull each generator back along the
+        equation: a principal theta^p maps to sum (d rhs/d u^j_beta)
+        theta^j_beta, any other generator to itself."""
+        return pullback(omega, self.restrict, self._image)
+
+    def _image(self, g) -> list:
+        """A generator's image under restrict_form, kept per generator."""
+        image = self._images.get(g)
+        if image is None:
+            image = self._images[g] = list(theta_image(self.rule_for(g))) \
+                if isinstance(g, JetCoord) and self.is_principal(g) else [(g, None)]
+        return image
 
     def restricted_total_derivative(self, i: int, e: Expression) -> Expression:
         return self._dbar(i, self.restrict(e))

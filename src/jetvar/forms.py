@@ -191,6 +191,20 @@ def theta_image(f: Expression):
         yield atom, grad[atom]
 
 
+def pullback(omega: DifferentialForm, coefficient, image) -> DifferentialForm:
+    """Map every coefficient by ``coefficient`` and replace each generator g
+    by image(g), a list [(generator, factor or None)] read as the sum of
+    factor * generator, None standing for the factor 1."""
+    items = []
+    for gens, coeff in omega.terms.items():
+        pieces = [(coefficient(coeff), ())]
+        for g in gens:
+            pieces = [(c if f is None else c * f, gs + (fg,))
+                      for c, gs in pieces for fg, f in image(g)]
+        items.extend(pieces)
+    return DifferentialForm.from_terms(omega.ctx, items)
+
+
 def vertical_split(coeff: Expression, directions):
     """d f = D_i(f) dx^i + (df/du^k_alpha) theta^k_alpha with i running over
     ``directions`` only, yielded as (generator, Expression) pairs."""

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
-from .forms import DifferentialForm, interior_product, theta_image
+from .forms import DifferentialForm, interior_product, pullback, theta_image
 from .jetcalc import integrate_by_parts
 from .symexpr import BaseVar, Expression, JetCoord, MultiIndex, gradient
 
@@ -314,13 +314,14 @@ class ConstraintResolution:
     antisymmetric potentials.  Maps resolved dependent indices, in spatial
     order, to expressions in the potential coordinates; verified when
     constructed.  It keeps each coordinate's value after substitution and
-    that value's theta image, so the build check, apply_to_expression and
-    every gauge decision derive each once; they go with the resolution."""
+    each generator's image under pullback, so the build check,
+    apply_to_expression and every gauge decision derive each once; they go
+    with the resolution.  A pulled-back vol_s ^ theta keeps that order."""
 
     def __init__(self, structure: SpatialStructure, substitutions: dict):
         self.structure, self.substitutions = structure, substitutions
         self._values: dict[JetCoord, Expression] = {}
-        self._theta_images: dict[JetCoord, tuple] = {}
+        self._images: dict = {}
         self.verify()
 
     def coordinate_value(self, coord: JetCoord) -> Expression:
@@ -332,12 +333,18 @@ class ConstraintResolution:
                 else self.structure.eq.restricted_total_derivative_multi(coord.mindex, base)
         return value
 
-    def _theta_image(self, coord: JetCoord) -> tuple:
-        """theta of the coordinate's value: (atom, coefficient) pairs."""
-        image = self._theta_images.get(coord)
+    def _image(self, g) -> list:
+        """A generator's image under pullback: theta of a resolved
+        coordinate's value, any other generator itself."""
+        image = self._images.get(g)
         if image is None:
-            image = self._theta_images[coord] = tuple(theta_image(self.coordinate_value(coord)))
+            image = self._images[g] = list(theta_image(self.coordinate_value(g))) \
+                if isinstance(g, JetCoord) and g.dep in self.substitutions else [(g, None)]
         return image
+
+    def pullback(self, omega: DifferentialForm) -> DifferentialForm:
+        """A form after substitution, coefficients and generators alike."""
+        return pullback(omega, self.apply_to_expression, self._image)
 
     def apply_to_expression(self, e: Expression) -> Expression:
         rules = {}
@@ -379,9 +386,9 @@ class ConstraintResolution:
             if not points:
                 refuse(fams[0], f"has no minimal head; {_DIVERGENCE_ONLY}")
             for k, (coord, j, rhs) in enumerate(points):
-                divergence = {((ctx.atom_id(JetCoord(d, tau + MultiIndex.single(x))), 1),): -1
-                              for d, x in direction.items() if d != coord.dep}
-                if k or coord.mindex != tau or j != direction[coord.dep] or rhs.terms != divergence:
+                divergence = -sum((ctx.expr(JetCoord(d, tau + MultiIndex.single(x)))
+                                   for d, x in direction.items() if d != coord.dep), ctx.zero())
+                if k or coord.mindex != tau or j != direction[coord.dep] or rhs != divergence:
                     head = JetCoord(coord.dep, coord.mindex + MultiIndex.single(j))
                     refuse(structure.family_of(coord), f"has minimal head "
                            f"{ctx.atom_name(head)} = {rhs}; {_DIVERGENCE_ONLY}")
@@ -421,38 +428,14 @@ def antisymmetric_potential_resolution(structure: SpatialStructure, resolved: li
 # the triviality oracle
 
 
-def _normal_form_parts(structure: SpatialStructure, omega: DifferentialForm):
-    """Split a reduce_mod_S2 normal form into the horizontal coefficient and
-    the theta coefficients over the spatial volume."""
-    ctx = omega.ctx
-    n = ctx.n
-    spatial_sorted = tuple(BaseVar(i) for i in structure.spatial)
-    vol_gens = tuple(BaseVar(i) for i in range(n))
-    horizontal = ctx.zero()
-    thetas: dict[JetCoord, Expression] = {}
-    for gens, coeff in omega.terms.items():
-        if len(gens) != n:
-            raise ValueError("normal form must be a degree-n form")
-        if gens == vol_gens:
-            horizontal = horizontal + coeff
-            continue
-        theta_gens = [g for g in gens if isinstance(g, JetCoord)]
-        dx_gens = tuple(g for g in gens if isinstance(g, BaseVar))
-        if len(theta_gens) == 1 and dx_gens == spatial_sorted:
-            # canonical order stores dx-part first: theta ^ vol_s picks up
-            # (-1)^(n-1) moving theta past n-1 spatial covectors
-            sign = (-1) ** (n - 1)
-            coord, = theta_gens
-            thetas[coord] = thetas.get(coord, ctx.zero()) + sign * coeff
-        else:
-            raise ValueError(f"unexpected term of spatial degree >= 2 in a normal form: {gens}")
-    return horizontal, thetas
-
-
 def is_gauge_trivial(structure: SpatialStructure, omega1: DifferentialForm,
                      resolution: ConstraintResolution | None = None) -> bool:
-    """Decide triviality of a spatial variational 1-form given in
-    reduce_mod_S2 normal form a*vol + sum b theta^k_alpha ^ vol_s.
+    """Decide triviality of a spatial variational 1-form, read in its
+    reduce_mod_S2 normal form as stored: a*vol + sum b vol_s ^ theta^k_alpha.
+
+    Written theta ^ vol_s, every b takes the sign (-1)^(n-1), which no
+    verdict reads: each residue is tested on its own (zero, a spatial
+    divergence, or refused), alike on -b and b, and the horizontal apart.
 
     Spatial integration by parts moves every theta to a generating
     coordinate; the residue must vanish on free generators, and the
@@ -465,16 +448,12 @@ def is_gauge_trivial(structure: SpatialStructure, omega1: DifferentialForm,
                                    or resolution.structure.temporal != t):
         raise ValueError("constraint resolution was built for a different equation or frame")
     omega1 = reduce_mod_S2(t, omega1)
-    horizontal, thetas = _normal_form_parts(structure, omega1)
-
     if resolution is not None:
-        horizontal = resolution.apply_to_expression(horizontal)
-        new_thetas: dict[JetCoord, Expression] = {}
-        for coord, b in thetas.items():
-            b = resolution.apply_to_expression(b)
-            for atom, d in resolution._theta_image(coord):
-                new_thetas[atom] = new_thetas.get(atom, ctx.zero()) + b * d
-        thetas = new_thetas
+        omega1 = resolution.pullback(omega1)
+    # of degree n and spatial degree below 2, a term is vol or vol_s ^ theta
+    vol = tuple(BaseVar(i) for i in range(ctx.n))
+    horizontal = omega1.terms.get(vol, ctx.zero())
+    thetas = {gens[-1]: c for gens, c in omega1.terms.items() if gens != vol}
 
     # spatial integration by parts down to generating coordinates
     residues, _ = integrate_by_parts(thetas, structure.spatial, eq.restricted_total_derivative)

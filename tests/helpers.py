@@ -576,6 +576,44 @@ def subtracted_s_presymplectic_representative(t, d_rep):
     return d_rep - s_degree_filter(t, d_rep, 3)
 
 
+def split_and_substitute_normal_form(structure, omega, resolution=None):
+    """The horizontal coefficient and the theta coefficients of a
+    reduce_mod_S2 normal form read as a*vol + sum b theta ^ vol_s: each
+    term's shape checked, theta moved in front of vol_s with the sign
+    (-1)^(n-1), and with a resolution every coefficient substituted and each
+    theta replaced by theta of its coordinate's value.  This is the route
+    is_gauge_trivial took before it pulled the form back through the
+    resolution and read the normal form as stored."""
+    ctx = omega.ctx
+    n = ctx.n
+    spatial_sorted = tuple(BaseVar(i) for i in structure.spatial)
+    vol_gens = tuple(BaseVar(i) for i in range(n))
+    horizontal = ctx.zero()
+    thetas = {}
+    for gens, coeff in omega.terms.items():
+        if len(gens) != n:
+            raise ValueError("normal form must be a degree-n form")
+        if gens == vol_gens:
+            horizontal = horizontal + coeff
+            continue
+        theta_gens = [g for g in gens if isinstance(g, JetCoord)]
+        dx_gens = tuple(g for g in gens if isinstance(g, BaseVar))
+        if len(theta_gens) == 1 and dx_gens == spatial_sorted:
+            coord, = theta_gens
+            thetas[coord] = thetas.get(coord, ctx.zero()) + (-1) ** (n - 1) * coeff
+        else:
+            raise ValueError(f"unexpected term of spatial degree >= 2 in a normal form: {gens}")
+    if resolution is not None:
+        horizontal = resolution.apply_to_expression(horizontal)
+        substituted = {}
+        for coord, b in thetas.items():
+            b = resolution.apply_to_expression(b)
+            for atom, d in theta_image(resolution.coordinate_value(coord)):
+                substituted[atom] = substituted.get(atom, ctx.zero()) + b * d
+        thetas = substituted
+    return horizontal, thetas
+
+
 def all_directions_exterior_derivative(omega):
     """d with D_i(c) dx^i and dx^i ^ theta^k_{alpha+x^i} built for every i."""
     ctx = omega.ctx

@@ -36,7 +36,7 @@ from jetvar.spatial import (
     s_degree,
     spatial_structure,
 )
-from jetvar.symexpr import JetCoord, MultiIndex, partial
+from jetvar.symexpr import BaseVar, JetCoord, MultiIndex, partial
 
 from helpers import (
     E,
@@ -52,6 +52,7 @@ from helpers import (
     sampled_resolution_holds,
     scan_statuses,
     scanned_families,
+    split_and_substitute_normal_form,
     subtracted_reduce_mod_S2,
     subtracted_s_presymplectic_representative,
     unmemoised_status,
@@ -683,6 +684,93 @@ def test_gauge_trivial_exact_on_wave_tower():
         rho = E(f_text, ctx) * F("theta(u[y])", ctx)
         d_rho = eq.restricted_exterior_derivative(rho)
         assert is_gauge_trivial(st, reduce_mod_S2(st.temporal, d_rho))
+
+
+def test_resolution_pullback_matches_split_and_substitute_oracle(maxwell_built):
+    """Pulled back through Maxwell's resolution and read as stored, a normal
+    form has the horizontal coefficient the oracle finds and each theta
+    coefficient the oracle's times (-1)^(n-1): vol_s ^ theta, not
+    theta ^ vol_s."""
+    ctx, eq, t = maxwell_built.ctx, maxwell_built.eq, maxwell_built.temporal
+    structure, resolution = spatial_structure(eq, t), maxwell_built.resolution
+    vol = tuple(BaseVar(i) for i in range(ctx.n))
+    vol_s = DifferentialForm(ctx, {vol[:t] + vol[t + 1:]: ctx.one()})
+    (spatial_gens,) = vol_s.terms
+    pool = [ctx.base_atom(x) for x in ctx.independents] + internal_coordinates(eq, 1)
+    sign = (-1) ** (ctx.n - 1)
+    rng = random.Random(20261019)
+    substituted = 0
+    for _ in range(30):
+        omega = reduce_mod_S2(t, eq.restrict_form(
+            random_form(rng, ctx, pool, 4) + vol_s.wedge(random_form(rng, ctx, pool, 1, 4))))
+        horizontal, thetas = split_and_substitute_normal_form(structure, omega, resolution)
+        pulled = resolution.pullback(omega)
+        assert pulled.terms.get(vol, ctx.zero()) == horizontal
+        assert all(gens[:-1] == spatial_gens for gens in pulled.terms if gens != vol)
+        assert {gens[-1]: c for gens, c in pulled.terms.items() if gens != vol} == \
+            {a: sign * b for a, b in thetas.items() if not b.is_zero()}
+        substituted += pulled != omega
+    assert substituted >= 10
+
+
+def _gauge_outcome(structure, omega, resolution=None):
+    """is_gauge_trivial's verdict, or the text of its refusal."""
+    try:
+        return is_gauge_trivial(structure, omega, resolution)
+    except UnresolvedConstraint as exc:
+        return str(exc)
+
+
+def _theta_flipped(omega):
+    """A reduced form with the sign of every theta term flipped."""
+    return DifferentialForm(omega.ctx, {gens: -c if isinstance(gens[-1], JetCoord) else c
+                                        for gens, c in omega.terms.items()})
+
+
+def test_gauge_verdicts_do_not_read_the_sign_of_the_theta_part(all_built):
+    """Each theta residue is tested on its own and the horizontal part
+    apart, so flipping every theta term of a reduced form changes no verdict
+    and no refusal: every fixture candidate (n = 2 and 4), with and without
+    the resolution."""
+    outcomes = set()
+    for name, built in all_built.items():
+        structure = spatial_structure(built.eq, built.temporal)
+        sigma = s_presymplectic_representative(
+            built.temporal, internal_lagrangian(built.lagrangian, built.eq).presymplectic)
+        for cname, cand in built.candidates.items():
+            if not _extends(structure, cand):
+                continue
+            omega = reduce_mod_S2(built.temporal, extend_S_symmetry(structure, cand).contract(sigma))
+            for resolution in {None, built.resolution}:
+                outcome = _gauge_outcome(structure, omega, resolution)
+                assert _gauge_outcome(structure, _theta_flipped(omega), resolution) == outcome, \
+                    (name, cname, resolution)
+                outcomes.add(outcome if isinstance(outcome, bool) else "refused")
+    assert outcomes == {True, False, "refused"}
+
+
+def test_gauge_verdicts_do_not_read_the_sign_of_the_theta_part_on_random_systems():
+    """The same at n = 3, on seeded random systems in the frame t, on random
+    reduced forms and on reduced exact forms."""
+    rng = random.Random(20261019)
+    outcomes, systems = set(), 0
+    while systems < 20:
+        eq = _random_integrable_system(rng)
+        if eq is None:
+            continue
+        systems += 1
+        ctx, structure = eq.ctx, SpatialStructure(eq, 0)
+        pool = [ctx.base_atom("x")] + internal_coordinates(eq, 1)
+        vol_s = DifferentialForm(ctx, {(BaseVar(1), BaseVar(2)): ctx.one()})
+        for _ in range(3):
+            forms = (random_form(rng, ctx, pool, 3) + vol_s.wedge(random_form(rng, ctx, pool, 1, 3)),
+                     eq.restricted_exterior_derivative(random_form(rng, ctx, pool, 2)))
+            for form in forms:
+                omega = reduce_mod_S2(0, eq.restrict_form(form))
+                outcome = _gauge_outcome(structure, omega)
+                assert _gauge_outcome(structure, _theta_flipped(omega)) == outcome, omega
+                outcomes.add(outcome if isinstance(outcome, bool) else "refused")
+    assert outcomes == {True, False, "refused"}
 
 
 def test_unresolved_constraint_refused(maxwell_built):
