@@ -1,4 +1,4 @@
-"""Command line interface: one parser, ``jetvar COMMAND TARGET [flags]``.
+"""Command line interface: ``jetvar COMMAND TARGET [flags]``.
 
     jetvar check <file>               run every declared check
     jetvar euler <file>               Euler-Lagrange expressions only
@@ -7,15 +7,18 @@
     jetvar presymplectic <file>
     jetvar gauge-check <file>
     jetvar reproduce <name>           laplace | wave | maxwell | pkdv
+    jetvar -h                         this text
 
-Flags go before or after the command: --out <path> (machine-readable
-report) and --verbose (computed values in the printed report), which every
-command but prolong takes, and --order, which only prolong takes; any other
-command refuses it.
+Flags go before or after the command: --out PATH (machine-readable report)
+and --verbose (computed values in the printed report), which every command
+but prolong takes, and --order K, which only prolong takes; any other
+command refuses it.  A flag's value follows it or is joined to it by ``=``
+(--order=3), the last of a repeated flag wins, a unique prefix names a flag
+(--verb, --ord 3), and ``--`` ends the flags.
 Integrability is decided only from the head overlaps under a ranking found
 when the equation is built; no order-by-order commutator scan runs (it lives
 on in tests/helpers.py as an oracle).  Exit codes: 0 all pass, 1 any fail,
-2 refused/unsupported.
+2 refused/unsupported or a usage error.
 
 Each report subcommand runs the pipeline's stages in order up to the last
 stage it reports (runner.REPORTED_STAGES) and prints those stages' checks and
@@ -24,7 +27,6 @@ any stage refusal, which ends the run; check and reproduce report every stage.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -34,7 +36,6 @@ from .runner import (
     REPORTED_STAGES,
     Report,
     build,
-    bundled_fixture_names,
     fixture_text,
     reproduce,
     run_check,
@@ -53,15 +54,15 @@ def _say(text: str) -> None:
         os.close(devnull)
 
 
-def _emit(report: Report, args) -> int:
-    if args.out:
+def _emit(report: Report, out_path, verbose: bool) -> int:
+    if out_path:
         try:
-            with open(args.out, "w", encoding="utf-8") as out:
+            with open(out_path, "w", encoding="utf-8") as out:
                 out.write(report.to_json())
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    _say(report.human(verbose=args.verbose))
+    _say(report.human(verbose=verbose))
     return report.exit_code
 
 
@@ -90,23 +91,101 @@ def _cmd_prolong(text: str, order: int) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="jetvar", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", choices=(*REPORTED_STAGES, "prolong", "reproduce"))
-    parser.add_argument("target", help="problem file; for reproduce, one of "
-                        + "|".join(bundled_fixture_names()))
-    parser.add_argument("--out", metavar="PATH", help="write the machine-readable report here")
-    parser.add_argument("--verbose", action="store_true", help="print the computed values")
-    parser.add_argument("--order", type=int, metavar="K",
-                        help="prolong only: highest order of the rules printed (default 2)")
+_COMMANDS = (*REPORTED_STAGES, "prolong", "reproduce")
+# the type of each flag's value; None marks a flag that takes no value
+_FLAGS = {"--out": str, "--order": int, "--verbose": None}
+# laid out as argparse lays it out on an 80-column terminal
+_USAGE = ("usage: jetvar [-h] [--out PATH] [--verbose] [--order K]\n"
+          "              {" + ",".join(_COMMANDS) + "}\n"
+          "              target")
 
-    args = parser.parse_args(argv)
-    if args.order is not None and args.command != "prolong":
-        parser.error(f"--order applies only to prolong, not to {args.command}")
-    order = 2 if args.order is None else args.order
-    if args.command == "prolong":
-        for flag, given in (("--out", args.out is not None), ("--verbose", args.verbose)):
+
+def _usage_error(message: str):
+    """Print the usage line and the error to stderr and exit 2, as argparse does."""
+    print(f"{_USAGE}\njetvar: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _flag_of(arg: str):
+    """None if arg is a value; else (flag, the value joined by ``=`` or None),
+    where flag is "" for an unknown flag and "--help" for -h."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg == "-h":
+        return "--help", None
+    name, eq, joined = arg.partition("=")
+    names = (*_FLAGS, "--help")
+    matches = ([] if not arg.startswith("--") else [name] if name in names
+               else [f for f in names if f.startswith(name)])
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], joined if eq else None
+    # argparse reads a negative number (-\d+ or -\d*\.\d+) as a value; a string
+    # test spares the import compiling that pattern (about 0.3 ms)
+    number = arg[1:].replace(".", "", 1)
+    negative = number.isdecimal() and not arg.endswith(".")
+    return None if negative or " " in arg else ("", None)
+
+
+def _read_argv(argv) -> tuple[str, str, dict]:
+    """Read COMMAND TARGET and the flags of _FLAGS, in any order, into
+    (command, target, {flag: value}); refuse anything else as argparse would."""
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    items = [(arg, _flag_of(arg)) for arg in argv[:end]] + [(arg, None) for arg in argv[end + 1:]]
+    flags = {"--out": None, "--order": None, "--verbose": False}
+    positionals, unrecognized = [], []
+    i = 0
+    while i < len(items):
+        arg, flag = items[i]
+        i += 1
+        if flag is None:
+            if not positionals and arg not in _COMMANDS:
+                _usage_error(f"argument command: invalid choice: {arg!r} "
+                             f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            (positionals if len(positionals) < 2 else unrecognized).append(arg)
+            continue
+        name, joined = flag
+        if not name:
+            unrecognized.append(arg)
+            continue
+        kind = _FLAGS.get(name)
+        if kind is None:
+            if joined is not None:
+                label = "-h/--help" if name == "--help" else name
+                _usage_error(f"argument {label}: ignored explicit argument {joined!r}")
+            if name == "--help":
+                print(f"{_USAGE}\n\n{__doc__}", end="")
+                raise SystemExit(0)
+            flags[name] = True
+            continue
+        if joined is None:
+            if i == len(items) or items[i][1] is not None:
+                _usage_error(f"argument {name}: expected one argument")
+            joined = items[i][0]
+            i += 1
+        try:
+            flags[name] = kind(joined)
+        except ValueError:
+            _usage_error(f"argument {name}: invalid {kind.__name__} value: {joined!r}")
+    missing = ("command", "target")[len(positionals):]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return positionals[0], positionals[1], flags
+
+
+def main(argv=None) -> int:
+    command, target, flags = _read_argv(sys.argv[1:] if argv is None else argv)
+    out_path, verbose, order = flags["--out"], flags["--verbose"], flags["--order"]
+    if order is not None and command != "prolong":
+        _usage_error(f"--order applies only to prolong, not to {command}")
+    if order is None:
+        order = 2
+    if command == "prolong":
+        for flag, given in (("--out", out_path is not None), ("--verbose", verbose)):
             if given:
                 print(f"refused: prolong writes no report, so it does not take {flag}",
                       file=sys.stderr)
@@ -115,28 +194,28 @@ def main(argv=None) -> int:
             print(f"refused: --order must be at least 0, not {order}", file=sys.stderr)
             return 2
 
-    if args.command == "reproduce":
+    if command == "reproduce":
         try:
-            fixture_text(args.target)
+            fixture_text(target)
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        report = reproduce(args.target)
-        return _emit(report, args)
+        report = reproduce(target)
+        return _emit(report, out_path, verbose)
 
     try:
-        with open(args.target, encoding="utf-8") as source:
+        with open(target, encoding="utf-8") as source:
             text = source.read()
     except OSError as exc:
         message = str(exc)
     except UnicodeDecodeError as exc:
-        message = f"{args.target} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        message = f"{target} is not UTF-8 text ({exc.reason} at byte {exc.start})"
     else:
-        if args.command == "prolong":
+        if command == "prolong":
             return _cmd_prolong(text, order)
-        name = os.path.splitext(os.path.basename(args.target))[0]
-        report = run_check(text, name=name, stages=REPORTED_STAGES[args.command])
-        return _emit(report, args)
+        name = os.path.splitext(os.path.basename(target))[0]
+        report = run_check(text, name=name, stages=REPORTED_STAGES[command])
+        return _emit(report, out_path, verbose)
     print(f"error: {message}", file=sys.stderr)
     return 2
 

@@ -441,7 +441,9 @@ def is_gauge_trivial(structure: SpatialStructure, omega1: DifferentialForm,
     coordinate; the residue must vanish on free generators, and the
     horizontal remainder (plus residues on spatially constant generators)
     must be a spatial divergence.  Constrained generators require a
-    resolution and are substituted away first.
+    resolution and are substituted away first: without one, a nonzero residue
+    on a constrained family refuses the decision, whatever the other residues
+    are, since the resolution could cancel it against them.
     """
     eq, ctx, t = structure.eq, structure.ctx, structure.temporal
     if resolution is not None and (resolution.structure.eq is not eq
@@ -457,28 +459,26 @@ def is_gauge_trivial(structure: SpatialStructure, omega1: DifferentialForm,
 
     # spatial integration by parts down to generating coordinates
     residues, _ = integrate_by_parts(thetas, structure.spatial, eq.restricted_total_derivative)
-    unresolved = []
+    nontrivial, unresolved = False, []
     for coord in sorted(residues):
+        if nontrivial and structure.status(structure.family_of(coord)) != CONSTRAINED:
+            continue
         b = eq.restrict(residues[coord])
         if b.is_zero():
             continue
-        fam = structure.family_of(coord)
-        st = structure.status(fam)
-        if st == FREE:
-            return False
+        st = structure.status(structure.family_of(coord))
         if st == CONSTRAINED:
             unresolved.append(coord)
-            continue
-        # spatially constant generator: the coefficient only needs to be a
-        # spatial divergence
-        if not structure.is_spatial_divergence(b):
-            return False
+        # a spatially constant generator's coefficient need only be a spatial
+        # divergence
+        elif st == FREE or not structure.is_spatial_divergence(b):
+            nontrivial = True
     if unresolved:
         names = ", ".join(ctx.atom_name(c) for c in unresolved)
         raise UnresolvedConstraint(
             f"residue on constrained coordinates ({names}); supply a "
             "constraint resolution")
-    return structure.is_spatial_divergence(eq.restrict(horizontal))
+    return not nontrivial and structure.is_spatial_divergence(eq.restrict(horizontal))
 
 
 def is_gauge_symmetry(rep, extended: ExtendedSSymmetry,

@@ -1,5 +1,6 @@
 """Shared construction helpers and seeded random generators for the suite."""
 
+import argparse
 import random
 from fractions import Fraction
 
@@ -13,9 +14,9 @@ from jetvar.forms import (
     theta_image,
     vertical_split,
 )
-from jetvar.frontend import parse_expression, parse_form
+from jetvar.frontend import cli, parse_expression, parse_form
 from jetvar.frontend.parser import Node, ProblemFile, Token, _Parser
-from jetvar.frontend.runner import REFUSED, Report
+from jetvar.frontend.runner import REFUSED, REPORTED_STAGES, Report, bundled_fixture_names
 from jetvar.jetcalc import integrate_by_parts, total_derivative
 from jetvar.spatial import CONSTRAINED, FREE, NULL, s_degree_filter
 from jetvar.symexpr import (
@@ -820,3 +821,20 @@ def reference_parse_expression_node(text: str) -> Node:
     if tok.kind != "END":
         raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
     return node
+
+
+def argparse_read_argv(argv):
+    """The command line as argparse reads it: (command, target, out, verbose,
+    order), or SystemExit.  The parser cli.main built before it read the
+    argument list from one flag table."""
+    parser = argparse.ArgumentParser(prog="jetvar", description=cli.__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=(*REPORTED_STAGES, "prolong", "reproduce"))
+    parser.add_argument("target", help="problem file; for reproduce, one of "
+                        + "|".join(bundled_fixture_names()))
+    parser.add_argument("--out", metavar="PATH", help="write the machine-readable report here")
+    parser.add_argument("--verbose", action="store_true", help="print the computed values")
+    parser.add_argument("--order", type=int, metavar="K",
+                        help="prolong only: highest order of the rules printed (default 2)")
+    args = parser.parse_args(argv)
+    return args.command, args.target, args.out, args.verbose, args.order

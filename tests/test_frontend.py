@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from jetvar.errors import JetvarError, ParseError, SemanticError
-from jetvar.frontend import parse, parse_expression, parse_form, reproduce, run_check, runner
+from jetvar.frontend import cli, parse, parse_expression, parse_form, reproduce, run_check, runner
 from jetvar.frontend.cli import main as cli_main
 from jetvar.frontend.parser import (
     MAX_NESTING,
@@ -27,6 +27,7 @@ from jetvar.frontend.runner import bundled_fixture_names, fixture_text
 from helpers import (
     _SECTIONS,
     _restrict_report,
+    argparse_read_argv,
     context2,
     reference_parse,
     reference_parse_expression_node,
@@ -847,6 +848,68 @@ def test_cli_help_lists_every_command(capsys):
     assert exit_.value.code == 0
     usage = capsys.readouterr().out
     assert "{" + ",".join(_COMMANDS) + "}" in usage
+
+
+# each argument list with the message fragment both readers print, if one is pinned
+_ARGVS = [
+    (["check", "f.jv"], None),
+    (["--out", "r.json", "--verbose", "check", "f.jv"], None),
+    (["check", "f.jv", "--out", "r.json", "--verbose"], None),
+    (["check", "--verbose", "f.jv"], None),
+    (["check", "f.jv", "--out=r.json"], None),
+    (["prolong", "f.jv", "--order=3"], None),
+    (["--", "check", "f.jv"], None),
+    (["check", "--", "-f.jv"], None),
+    (["check", "f.jv", "--", "--verbose"], "unrecognized arguments: --verbose"),
+    (["check", "f.jv", "--out", "a", "--out", "b"], None),
+    (["prolong", "f.jv", "--order", "3", "--order=4"], None),
+    (["check", "f.jv", "--verb"], None),
+    (["prolong", "f.jv", "--ord", "3"], None),
+    (["check", "f.jv", "--ou=r.json"], None),
+    (["check", "f.jv", "--o", "x"], "ambiguous option: --o"),
+    (["prolong", "f.jv", "--order", "-1"], None),
+    (["prolong", "f.jv", "--order", "-.5"], "argument --order: invalid int value: '-.5'"),
+    (["check", "-1"], None),
+    (["check", "f.jv", "--out", "-1."], "argument --out: expected one argument"),
+    (["prolong", "f.jv", "--order", "x"], "argument --order: invalid int value: 'x'"),
+    (["check", "f.jv", "--out"], "argument --out: expected one argument"),
+    (["check", "f.jv", "--out", "--verbose"], "argument --out: expected one argument"),
+    (["check"], "the following arguments are required: target"),
+    ([], "the following arguments are required: command, target"),
+    (["simplify", "laplace"], "invalid choice: 'simplify'"),
+    (["check", "f.jv", "--bogus"], "unrecognized arguments: --bogus"),
+    (["reproduce", "laplace", "--max-order", "4"], "unrecognized arguments: --max-order 4"),
+    (["reproduce", "laplace", "--max-order", "-1"], "unrecognized arguments: --max-order -1"),
+    (["check", "f.jv", "extra"], "unrecognized arguments: extra"),
+    (["check", "f.jv", "--verbose=1"], "argument --verbose: ignored explicit argument '1'"),
+    (["-h"], None),
+    (["--he", "check"], None),
+    (["check", "f.jv", "-x"], "unrecognized arguments: -x"),
+    (["check", "-"], None),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", _ARGVS, ids=[" ".join(a) or "-" for a, _ in _ARGVS])
+def test_cli_reader_matches_argparse(capsys, argv, fragment):
+    def read(reader):
+        try:
+            return reader(argv), None
+        except SystemExit as exit_:
+            return None, (exit_.code, capsys.readouterr())
+
+    oracle, oracle_exit = read(argparse_read_argv)
+    values, exit_ = read(cli._read_argv)
+    if oracle_exit is None:
+        assert exit_ is None
+        command, target, flags = values
+        assert (command, target, flags["--out"], flags["--verbose"], flags["--order"]) == oracle
+        return
+    assert exit_ is not None and exit_[0] == oracle_exit[0]
+    if fragment is not None:
+        assert fragment in exit_[1].err and fragment in oracle_exit[1].err
+    if exit_[0] == 0:
+        assert "{" + ",".join(_COMMANDS) + "}" in exit_[1].out
+    assert "Traceback" not in exit_[1].err
 
 
 @pytest.mark.parametrize("extra", ["", "equation u[yy] = 0\n"])

@@ -686,6 +686,19 @@ def test_gauge_trivial_exact_on_wave_tower():
         assert is_gauge_trivial(st, reduce_mod_S2(st.temporal, d_rho))
 
 
+def test_constrained_residue_refuses_whatever_the_free_residues(maxwell_built):
+    """On Maxwell, theta(F02) lies on a constrained family and the resolution
+    cancels it against the free potential residues: the form is trivial with
+    the resolution, and without it the decision is refused, not answered
+    nontrivial at the first free residue."""
+    ctx, eq = maxwell_built.ctx, maxwell_built.eq
+    structure = spatial_structure(eq, maxwell_built.temporal)
+    omega = F("A0*d(x1)*d(x2)*d(x3)*(theta(F02) + theta(r12[x1]) - theta(r23[x3]))", ctx, eq)
+    with pytest.raises(UnresolvedConstraint, match="F02"):
+        is_gauge_trivial(structure, omega)
+    assert is_gauge_trivial(structure, omega, maxwell_built.resolution)
+
+
 def test_resolution_pullback_matches_split_and_substitute_oracle(maxwell_built):
     """Pulled back through Maxwell's resolution and read as stored, a normal
     form has the horizontal coefficient the oracle finds and each theta
