@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import ConsistencyError, ContextMismatch, OrientationError
-from .forms import DifferentialForm, exterior_derivative, pullback, theta_image
+from .forms import DifferentialForm, exterior_derivative, pullback
 from .jetcalc import EvolutionaryField, JetContext, linearization
 from .symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, OpaqueFn
 
@@ -34,8 +34,6 @@ class SolvedEquation:
         heads: list[JetCoord] = []
         raw_rhs: list[Expression] = []
         for head, rhs in rules:
-            if not isinstance(head, JetCoord):
-                head = ctx.jet_atom(*head) if type(head) is tuple else ctx.atom(head)
             if not isinstance(head, JetCoord):
                 raise ValueError("rule head must be a jet coordinate")
             heads.append(head)
@@ -178,16 +176,11 @@ class SolvedEquation:
     def restrict_form(self, omega: DifferentialForm) -> DifferentialForm:
         """Restrict coefficients and pull each generator back along the
         equation: a principal theta^p maps to sum (d rhs/d u^j_beta)
-        theta^j_beta, any other generator to itself."""
-        return pullback(omega, self.restrict, self._image)
-
-    def _image(self, g) -> list:
-        """A generator's image under restrict_form, kept per generator."""
-        image = self._images.get(g)
-        if image is None:
-            image = self._images[g] = list(theta_image(self.rule_for(g))) \
-                if isinstance(g, JetCoord) and self.is_principal(g) else [(g, None)]
-        return image
+        theta^j_beta, any other generator to itself.  The images are kept
+        per generator in the equation's _images."""
+        return pullback(omega, self.restrict,
+                        lambda c: self.rule_for(c) if self.is_principal(c) else None,
+                        self._images)
 
     def restricted_total_derivative(self, i: int, e: Expression) -> Expression:
         return self._dbar(i, self.restrict(e))

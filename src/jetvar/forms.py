@@ -191,16 +191,22 @@ def theta_image(f: Expression):
         yield atom, grad[atom]
 
 
-def pullback(omega: DifferentialForm, coefficient, image) -> DifferentialForm:
-    """Map every coefficient by ``coefficient`` and replace each generator g
-    by image(g), a list [(generator, factor or None)] read as the sum of
-    factor * generator, None standing for the factor 1."""
+def pullback(omega: DifferentialForm, coefficient, value, images: dict) -> DifferentialForm:
+    """Map every coefficient by ``coefficient`` and pull each generator back.
+    ``value(c)`` is what a jet coordinate c becomes, or None when c stays;
+    theta^c maps to theta(value(c)), and every dx^i stays.  Each generator's
+    image [(generator, factor or None)], the sum of factor * generator with
+    None for 1, is built once into ``images``, a dict the caller keeps."""
     items = []
     for gens, coeff in omega.terms.items():
         pieces = [(coefficient(coeff), ())]
         for g in gens:
+            image = images.get(g)
+            if image is None:
+                v = value(g) if isinstance(g, JetCoord) else None
+                image = images[g] = [(g, None)] if v is None else list(theta_image(v))
             pieces = [(c if f is None else c * f, gs + (fg,))
-                      for c, gs in pieces for fg, f in image(g)]
+                      for c, gs in pieces for fg, f in image]
         items.extend(pieces)
     return DifferentialForm.from_terms(omega.ctx, items)
 

@@ -121,27 +121,33 @@ class Node:
     def line(self) -> int:
         return self.pos[0]
 
-    # equality and hashing walk the binary operators down the left spine in
-    # a loop, so a long left-associative chain takes no Python frame per operand
+    # equality and hashing read the left spine through _spine
+    def _key(self) -> tuple:
+        leaf, spine = _spine(self)
+        return leaf.kind, leaf.args, tuple((b.args[0], b.args[2]) for b in spine)
+
     def __eq__(self, other):
         if not isinstance(other, Node):
             return NotImplemented
-        a, b = self, other
-        while a.kind == b.kind == "bin":
-            if a.args[0] != b.args[0] or a.args[2] != b.args[2]:
-                return False
-            a, b = a.args[1], b.args[1]
-        return a.kind == b.kind and a.args == b.args
+        return self._key() == other._key()
 
     def __hash__(self):
-        node, spine = self, []
-        while node.kind == "bin":
-            spine.append((node.args[0], node.args[2]))
-            node = node.args[1]
-        return hash((node.kind, node.args, tuple(spine)))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Node{(self.kind,) + self.args!r}"
+
+
+def _spine(node: Node) -> tuple:
+    """The leftmost operand under node's binary operators, and the binary
+    nodes above it, innermost first.  It walks in a loop, so a long
+    left-associative chain takes no Python frame per operand."""
+    spine = []
+    while node.kind == "bin":
+        spine.append(node)
+        node = node.args[1]
+    spine.reverse()
+    return node, spine
 
 
 class ProblemFile:
@@ -201,15 +207,11 @@ _BINARY = {op: prec for op, prec in _PRECEDENCE.items() if op != "^"}
 
 
 def _serialize(node: Node, parent_prec: int) -> str:
-    # the binary operators down the left spine are written in a loop, so a
-    # long left-associative chain takes no Python frame per operand
-    spine = []  # (precedence of the parent, node), outermost first
-    while node.kind == "bin":
-        spine.append((parent_prec, node))
-        op = node.args[0]
-        # '^' is non-associative: parenthesize any compound base
-        parent_prec = _PRECEDENCE[op] + 1 if op == "^" else _PRECEDENCE[op]
-        node = node.args[1]
+    node, spine = _spine(node)
+    # the precedence each node of the spine is written under, the leftmost
+    # operand's first; '^' is non-associative: parenthesize any compound base
+    parents = [_PRECEDENCE[op] + 1 if op == "^" else _PRECEDENCE[op]
+               for op, _, _ in (b.args for b in spine)] + [parent_prec]
     kind, args = node.kind, node.args
     if kind == "num":
         text = str(args[0])
@@ -231,11 +233,11 @@ def _serialize(node: Node, parent_prec: int) -> str:
         text = f"theta({_serialize(args[0], 0)})"
     elif kind == "neg":
         text = f"-{_serialize(args[0], 25)}"
-        if parent_prec > 20:
+        if parents[0] > 20:
             text = f"({text})"
     else:
         raise TypeError(node)
-    for parent, b in reversed(spine):
+    for b, parent in zip(spine, parents[1:]):
         op, _, right = b.args
         prec = _PRECEDENCE[op]
         right = _serialize(right, prec + 1)
@@ -355,33 +357,32 @@ class _Parser:
             raise ParseError("expected at least one name", tok.line, tok.column, ["name"])
         return tuple(names)
 
+    def parse_list(self, item, close: str, empty: bool = False) -> tuple:
+        """What item() reads, one or more times separated by ',', up to the
+        closing token close; with empty, close may come first."""
+        if empty and self.accept("PUNCT", close):
+            return ()
+        items = [item()]
+        while not self.accept("PUNCT", close):
+            self.expect("PUNCT", ",", expected=[",", close])
+            items.append(item())
+        return tuple(items)
+
     def parse_opaque(self, pos: tuple) -> Node:
         name = self.declared_name(self.expect("NAME", expected=["opaque symbol name"]))
         self.expect("PUNCT", "(")
-        args = []
-        if not self.accept("PUNCT", ")"):
-            while True:
-                args.append(self.parse_coordinate())
-                if self.accept("PUNCT", ")"):
-                    break
-                self.expect("PUNCT", ",", expected=[",", ")"])
-        return Node("opaque", name, tuple(args), pos=pos)
+        return Node("opaque", name, self.parse_list(self.parse_coordinate, ")", empty=True),
+                    pos=pos)
 
     def parse_coordinate(self) -> Node:
         tok = self.expect("NAME", expected=["coordinate"])
         if self.accept("PUNCT", "["):
-            indices = self.parse_indices()
-            return Node("jet", tok.value, indices, pos=(tok.line, tok.column))
+            return Node("jet", tok.value, self.parse_indices(), pos=(tok.line, tok.column))
         return Node("name", tok.value, pos=(tok.line, tok.column))
 
     def parse_indices(self) -> tuple:
-        parts = []
-        while True:
-            tok = self.expect("NAME", expected=["independent name"])
-            parts.append(tok.value)
-            if self.accept("PUNCT", "]"):
-                return tuple(parts)
-            self.expect("PUNCT", ",", expected=[",", "]"])
+        return self.parse_list(
+            lambda: self.expect("NAME", expected=["independent name"]).value, "]")
 
     def parse_spatial(self, pos: tuple) -> Node:
         tok = self.expect("NAME", expected=["independent name"])
@@ -533,33 +534,16 @@ class _Parser:
             self.expect("PUNCT", ")")
             return Node("D", var, arg, pos=pos)
         if self.accept("PUNCT", "["):
-            indices = self.parse_indices()
-            return Node("jet", name, indices, pos=pos)
+            return Node("jet", name, self.parse_indices(), pos=pos)
         if self.accept("PUNCT", "{"):
-            derivs = []
-            while True:
-                d = self.expect("INT", expected=["argument slot"])
-                derivs.append(int(d.value))
-                if self.accept("PUNCT", "}"):
-                    break
-                self.expect("PUNCT", ",", expected=[",", "}"])
+            derivs = self.parse_list(
+                lambda: int(self.expect("INT", expected=["argument slot"]).value), "}")
             self.expect("PUNCT", "(")
-            args = self.parse_call_args()
+            args = self.parse_list(self.parse_expr, ")", empty=True)
             return Node("partial", name, tuple(sorted(derivs)), args, pos=pos)
         if self.accept("PUNCT", "("):
-            args = self.parse_call_args()
-            return Node("call", name, args, pos=pos)
+            return Node("call", name, self.parse_list(self.parse_expr, ")", empty=True), pos=pos)
         return Node("name", name, pos=pos)
-
-    def parse_call_args(self) -> tuple:
-        args = []
-        if self.accept("PUNCT", ")"):
-            return ()
-        while True:
-            args.append(self.parse_expr())
-            if self.accept("PUNCT", ")"):
-                return tuple(args)
-            self.expect("PUNCT", ",", expected=[",", ")"])
 
 
 def parse(text: str) -> ProblemFile:
@@ -582,9 +566,7 @@ def parse_expression_node(text: str) -> Node:
 def _start(node: Node) -> tuple:
     """Where an expression's text starts: the position of the leftmost node on
     its left spine (a binary node's own position is its operator's)."""
-    while node.kind == "bin":
-        node = node.args[1]
-    return node.pos
+    return _spine(node)[0].pos
 
 
 class Evaluator:
@@ -646,14 +628,9 @@ class Evaluator:
         return value
 
     def value(self, node: Node):
-        # the binary operators down the left spine are applied in a loop, so a
-        # long left-associative chain takes no Python frame per operand
-        spine = []
-        while node.kind == "bin":
-            spine.append(node)
-            node = node.args[1]
+        node, spine = _spine(node)
         value = self._operand(node)
-        for b in reversed(spine):
+        for b in spine:
             value = self._binary(b, value, self.value(b.args[2]))
         return value
 

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .eqmanifold import SolvedEquation
 from .errors import SSymmetryError, UnresolvedConstraint, UnsupportedExpression
-from .forms import DifferentialForm, interior_product, pullback, theta_image
+from .forms import DifferentialForm, interior_product, pullback
 from .jetcalc import integrate_by_parts
 from .symexpr import BaseVar, Expression, JetCoord, MultiIndex, gradient
 
@@ -313,10 +313,11 @@ class ConstraintResolution:
     equation by potentials, e.g. divergence-free fields as curls of
     antisymmetric potentials.  Maps resolved dependent indices, in spatial
     order, to expressions in the potential coordinates; verified when
-    constructed.  It keeps each coordinate's value after substitution and
-    each generator's image under pullback, so the build check,
-    apply_to_expression and every gauge decision derive each once; they go
-    with the resolution.  A pulled-back vol_s ^ theta keeps that order."""
+    constructed.  It keeps each coordinate's value after substitution in
+    _values and each generator's image under pullback in _images, which
+    forms.pullback fills, so the build check, apply_to_expression and every
+    gauge decision derive each once; they go with the resolution.  A
+    pulled-back vol_s ^ theta keeps that order."""
 
     def __init__(self, structure: SpatialStructure, substitutions: dict):
         self.structure, self.substitutions = structure, substitutions
@@ -333,18 +334,11 @@ class ConstraintResolution:
                 else self.structure.eq.restricted_total_derivative_multi(coord.mindex, base)
         return value
 
-    def _image(self, g) -> list:
-        """A generator's image under pullback: theta of a resolved
-        coordinate's value, any other generator itself."""
-        image = self._images.get(g)
-        if image is None:
-            image = self._images[g] = list(theta_image(self.coordinate_value(g))) \
-                if isinstance(g, JetCoord) and g.dep in self.substitutions else [(g, None)]
-        return image
-
     def pullback(self, omega: DifferentialForm) -> DifferentialForm:
         """A form after substitution, coefficients and generators alike."""
-        return pullback(omega, self.apply_to_expression, self._image)
+        return pullback(omega, self.apply_to_expression,
+                        lambda c: self.coordinate_value(c) if c.dep in self.substitutions
+                        else None, self._images)
 
     def apply_to_expression(self, e: Expression) -> Expression:
         rules = {}
@@ -404,8 +398,8 @@ def antisymmetric_potential_resolution(structure: SpatialStructure, resolved: li
     """Resolve a divergence-free family g^i by g^i = sum_j d r^{ij}/dx^j with
     antisymmetric r.  ``resolved`` lists the dependents g^1..g^{n-1} in
     spatial order; ``potentials[(i, j)]`` (i < j, spatial positions 1-based)
-    names the dependent holding r^{ij}.  A frame with fewer than two spatial
-    directions has no antisymmetric potentials, so it is refused."""
+    is the name of the dependent holding r^{ij}.  A frame with fewer than
+    two spatial directions has no antisymmetric potentials, so it is refused."""
     ctx, spatial = structure.ctx, structure.spatial
     if len(spatial) < 2:
         raise UnresolvedConstraint(
@@ -417,8 +411,7 @@ def antisymmetric_potential_resolution(structure: SpatialStructure, resolved: li
         for other in range(1, len(spatial) + 1):
             if other != pos:
                 r = potentials[(min(pos, other), max(pos, other))]
-                term = ctx.jet(ctx.dependents[r] if isinstance(r, int) else r,
-                               MultiIndex.single(spatial[other - 1]))
+                term = ctx.jet(r, MultiIndex.single(spatial[other - 1]))
                 total = total + (1 if pos < other else -1) * term
         subs[dep] = total
     return ConstraintResolution(structure, subs)

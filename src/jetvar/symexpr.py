@@ -191,12 +191,13 @@ class JetContext:
     opaque function signatures declared over them.
 
     The context also owns the atom intern table that monomials index into,
-    the printed name of each atom and one memo per direction of D_{x^i} on
-    atoms, both keyed by atom id.
+    the printed name of each atom, each atom's chain rule and one memo per
+    direction of D_{x^i} on atoms, all keyed by atom id.
     """
 
     __slots__ = ("independents", "dependents", "_opaque", "_ind_pos", "_dep_pos",
-                 "_atom_ids", "_atoms", "_names", "total_derivative_memo", "_zero", "_one")
+                 "_atom_ids", "_atoms", "_names", "_chains", "total_derivative_memo",
+                 "_zero", "_one")
 
     def __init__(self, independents, dependents):
         self.independents = tuple(independents)
@@ -214,6 +215,7 @@ class JetContext:
         self._atom_ids: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
         self._names: dict[int, str] = {}  # atom id -> printed name, filled on first print
+        self._chains: dict[int, list] = {}  # atom id -> its _chain, filled on first use
         self.total_derivative_memo = tuple({} for _ in self.independents)
         self._zero = Expression(self, {})
         self._one = Expression(self, {(): 1})
@@ -610,15 +612,9 @@ class Expression:
                 return d
             a = atoms[i]
             if isinstance(a, (OpaqueFn, FnPartial)):
-                pieces = []
-                base_derivs = a.derivs if isinstance(a, FnPartial) else ()
-                for slot, arg in enumerate(a.args, start=1):
-                    darg = atom_derivative(ctx.atom_id(arg))
-                    if darg.is_zero():
-                        continue
-                    derivs = tuple(sorted(base_derivs + (slot,)))
-                    pieces.append(ctx.expr(FnPartial(a.name, a.args, derivs)) * darg)
-                d = _sum(ctx, pieces)
+                # the sum over the coordinates x under a of (da/dx) * action(x)
+                d = _sum(ctx, [Expression(ctx, dadx) * dx for x, dadx in _chain(ctx, i)
+                               if (dx := atom_derivative(ctx.atom_id(x))).terms])
             else:
                 d = action(a)
             memo[i] = d
@@ -737,38 +733,39 @@ class Expression:
 # free-function operation surface
 
 
+def _chain(ctx: JetContext, i: int) -> list:
+    """The chain rule at atom i, kept in the context: the pairs (coordinate
+    x, terms of d atom/dx), a coordinate's itself with 1, an opaque
+    symbol's or partial's through each argument's own chain."""
+    out = ctx._chains.get(i)
+    if out is None:
+        a = ctx._atoms[i]
+        if isinstance(a, (OpaqueFn, FnPartial)):
+            base_derivs = a.derivs if isinstance(a, FnPartial) else ()
+            out = []
+            for slot, arg in enumerate(a.args, start=1):
+                fp = ((ctx.atom_id(FnPartial(a.name, a.args,
+                                             tuple(sorted(base_derivs + (slot,))))), 1),)
+                out += [(x, {_mono_mul(fp, m): c for m, c in d.items()})
+                        for x, d in _chain(ctx, ctx.atom_id(arg))]
+        else:
+            out = [(a, {(): 1})]
+        ctx._chains[i] = out
+    return out
+
+
 def gradient(e: Expression) -> dict:
     """Every nonzero formal partial derivative of e, from one walk over its
     terms: {coordinate atom: de/d atom}.  Every atom is an independent
     coordinate; opaque symbols differentiate through their argument lists
     by the chain rule."""
     ctx = e.ctx
-    atoms = ctx._atoms
-    chains: dict = {}  # atom id -> ((coordinate, terms of d atom/d coordinate), ...)
-
-    def chain(i: int) -> tuple:
-        out = chains.get(i)
-        if out is None:
-            a = atoms[i]
-            if isinstance(a, (OpaqueFn, FnPartial)):
-                base_derivs = a.derivs if isinstance(a, FnPartial) else ()
-                out = []
-                for slot, arg in enumerate(a.args, start=1):
-                    fp = ((ctx.atom_id(FnPartial(a.name, a.args,
-                                                 tuple(sorted(base_derivs + (slot,))))), 1),)
-                    out += [(x, {_mono_mul(fp, m): c for m, c in d.items()})
-                            for x, d in chain(ctx.atom_id(arg))]
-            else:
-                out = ((a, {(): 1}),)
-            chains[i] = out
-        return out
-
     acc: dict = {}
     for m, c in e.terms.items():
         for k, (i, p) in enumerate(m):
             rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p != 1 else m[:k] + m[k + 1:]
             cp = c * p
-            for x, d in chain(i):
+            for x, d in _chain(ctx, i):
                 terms = acc.get(x)
                 if terms is None:
                     terms = acc[x] = {}

@@ -729,8 +729,10 @@ def reference_tokenize(text: str) -> list:
 
 class ReferenceParser(_Parser):
     """The parser over reference_tokenize, with the recursive-descent chain
-    parse_expr -> parse_term -> parse_unary and the declaration if chain;
-    every other method is the parser's own."""
+    parse_expr -> parse_term -> parse_unary, the declaration if chain, and
+    one loop of its own for each comma list (opaque arguments, jet indices,
+    partial slots, call arguments) where the parser reads them all through
+    parse_list; every other method is the parser's own."""
 
     def __init__(self, text: str):
         self.tokens = reference_tokenize(text)
@@ -786,6 +788,75 @@ class ReferenceParser(_Parser):
             lagrangian=lagrangian, spatial=spatial,
             candidates=tuple(candidates), resolves=tuple(resolves),
             expects=tuple(expects))
+
+    def parse_opaque(self, pos: tuple) -> Node:
+        name = self.declared_name(self.expect("NAME", expected=["opaque symbol name"]))
+        self.expect("PUNCT", "(")
+        args = []
+        if not self.accept("PUNCT", ")"):
+            while True:
+                args.append(self.parse_coordinate())
+                if self.accept("PUNCT", ")"):
+                    break
+                self.expect("PUNCT", ",", expected=[",", ")"])
+        return Node("opaque", name, tuple(args), pos=pos)
+
+    def parse_indices(self) -> tuple:
+        parts = []
+        while True:
+            tok = self.expect("NAME", expected=["independent name"])
+            parts.append(tok.value)
+            if self.accept("PUNCT", "]"):
+                return tuple(parts)
+            self.expect("PUNCT", ",", expected=[",", "]"])
+
+    def parse_named_atom(self) -> Node:
+        tok = self.advance()
+        name = tok.value
+        pos = (tok.line, tok.column)
+        if name == "d" and self.accept("PUNCT", "("):
+            var = self.expect("NAME", expected=["independent name"]).value
+            self.expect("PUNCT", ")")
+            return Node("dx", var, pos=pos)
+        if name == "theta" and self.accept("PUNCT", "("):
+            coord = self.parse_coordinate()
+            self.expect("PUNCT", ")")
+            return Node("theta", coord, pos=pos)
+        if name == "D" and self.accept("PUNCT", "["):
+            var = self.expect("NAME", expected=["independent name"]).value
+            self.expect("PUNCT", "]")
+            self.expect("PUNCT", "(")
+            arg = self.parse_expr()
+            self.expect("PUNCT", ")")
+            return Node("D", var, arg, pos=pos)
+        if self.accept("PUNCT", "["):
+            indices = self.parse_indices()
+            return Node("jet", name, indices, pos=pos)
+        if self.accept("PUNCT", "{"):
+            derivs = []
+            while True:
+                d = self.expect("INT", expected=["argument slot"])
+                derivs.append(int(d.value))
+                if self.accept("PUNCT", "}"):
+                    break
+                self.expect("PUNCT", ",", expected=[",", "}"])
+            self.expect("PUNCT", "(")
+            args = self.parse_call_args()
+            return Node("partial", name, tuple(sorted(derivs)), args, pos=pos)
+        if self.accept("PUNCT", "("):
+            args = self.parse_call_args()
+            return Node("call", name, args, pos=pos)
+        return Node("name", name, pos=pos)
+
+    def parse_call_args(self) -> tuple:
+        args = []
+        if self.accept("PUNCT", ")"):
+            return ()
+        while True:
+            args.append(self.parse_expr())
+            if self.accept("PUNCT", ")"):
+                return tuple(args)
+            self.expect("PUNCT", ",", expected=[",", ")"])
 
     def parse_expr(self) -> Node:
         node = self.parse_term()

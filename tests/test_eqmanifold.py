@@ -62,6 +62,16 @@ def test_prolong_wave_zero():
     assert eq.rule_for(JetCoord(0, ctx.multi_index("xxy"))).is_zero()
 
 
+def test_rule_head_must_be_a_jet_coordinate():
+    # a head is a JetCoord; a (dependent, multi-index) tuple, a name or a base
+    # variable is refused, not converted
+    ctx = JetContext(["x", "y"], ["u"])
+    rhs = E("-u[xx]", ctx)
+    for head in (("u", "yy"), "u", BaseVar(1)):
+        with pytest.raises(ValueError, match="rule head must be a jet coordinate"):
+            SolvedEquation(ctx, [(head, rhs)])
+
+
 def test_restrict_laplace():
     ctx, eq = laplace_equation()
     assert eq.restrict(E("u[yy] + u[xx]", ctx)).is_zero()

@@ -657,6 +657,23 @@ def test_cli_prolong(tmp_path, capsys):
     assert "u[y,y,y] -> -u[x,x,y]" in out
 
 
+def test_cli_prolong_through_a_nested_opaque(tmp_path, capsys):
+    # g takes the opaque h as an argument, so each total derivative of g runs
+    # the chain rule through h's own arguments
+    target = tmp_path / "nested.jv"
+    target.write_text("independents x y\ndependents u\nopaque h(x, u)\nopaque g(h, u[x])\n"
+                      "equation u[yy] = g\n", encoding="utf-8")
+    code = cli_main(["prolong", str(target), "--order", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "u[y,y] -> g(h(x, u), u[x])",
+        "u[y,y,y] -> u[y]*g{1}(h(x, u), u[x])*h{2}(x, u) + u[x,y]*g{2}(h(x, u), u[x])",
+        "u[x,y,y] -> u[x]*g{1}(h(x, u), u[x])*h{2}(x, u) + u[x,x]*g{2}(h(x, u), u[x])"
+        " + g{1}(h(x, u), u[x])*h{1}(x, u)",
+        "-- 3 rules to order 3",
+    ]
+
+
 def test_cli_syntax_error_exit_2(tmp_path, capsys):
     target = tmp_path / "broken.jv"
     target.write_text("independents x\n???", encoding="utf-8")

@@ -438,18 +438,21 @@ def test_derive_matches_per_factor_oracle_randomized():
     """Random rational polynomials and monomial quotients, with formal
     partials of opaque symbols among the atoms, under random atom actions
     whose values are often quotients themselves, and under every coordinate
-    partial."""
+    partial.  The opaque g takes the opaque h as an argument, so the chain
+    rule runs through h's arguments too."""
     ctx = context2()
+    ctx.declare_opaque("g", [ctx.atom("h"), ctx.jet_atom("u", "x")])
     pool = _printer_pool(ctx)
     coords = [a for a in pool if isinstance(a, (BaseVar, JetCoord))]
     rng = random.Random(20261019)
-    divided = 0
+    divided = nested = 0
     for _ in range(150):
         e = random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
                               allow_den=True, rational=True)
         values = {a: random_expression(rng, ctx, coords, max_terms=2, allow_den=True,
                                        rational=True) for a in coords}
         divided += sum(1 for v in values.values() if numerator_denominator(v)[1])
+        nested += any(getattr(a, "name", None) == "g" for a in e.atoms())
 
         def action(atom):
             return values[atom]
@@ -458,7 +461,7 @@ def test_derive_matches_per_factor_oracle_randomized():
         assert e.derive(action, memo) == per_factor_derive(e, action)
         assert (e * e).derive(action, memo) == per_factor_derive(e * e, action)
         assert_gradient_matches_oracle(e)
-    assert divided > 0
+    assert divided > 0 and nested > 0
 
 
 def _spied_derivations(monkeypatch):
