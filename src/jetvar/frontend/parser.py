@@ -27,6 +27,7 @@ once, and no two candidates share a name nor two expectations a key.
 from __future__ import annotations
 
 import re
+import sys
 
 from ..errors import ParseError, SemanticError, UnsupportedExpression
 from ..forms import DifferentialForm
@@ -82,6 +83,18 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(kind, value, line, column))
     tokens.append(Token("END", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _int(tok: Token) -> int:
+    """The value of an INT token.  Its digits always read, so int() fails
+    only on a literal longer than Python's limit for reading an integer from
+    text, which is refused at its line:col."""
+    try:
+        return int(tok.value)
+    except ValueError:
+        raise ParseError(f"integer literal has more than {sys.get_int_max_str_digits()} "
+                         "digits, Python's limit for reading an integer", tok.line,
+                         tok.column) from None
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +507,7 @@ class _Parser:
             self.advance()
             neg = self.accept("PUNCT", "-") is not None
             exp = self.expect("INT", expected=["integer exponent"])
-            value = int(exp.value) * (-1 if neg else 1)
+            value = _int(exp) * (-1 if neg else 1)
             return Node("bin", "^", base, Node("num", value, pos=(exp.line, exp.column)),
                         pos=(tok.line, tok.column))
         return base
@@ -503,7 +516,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return Node("num", int(tok.value), pos=(tok.line, tok.column))
+            return Node("num", _int(tok), pos=(tok.line, tok.column))
         if tok.kind == "PUNCT" and tok.value == "(":
             self.advance()
             inner = self.parse_expr()
@@ -537,7 +550,7 @@ class _Parser:
             return Node("jet", name, self.parse_indices(), pos=pos)
         if self.accept("PUNCT", "{"):
             derivs = self.parse_list(
-                lambda: int(self.expect("INT", expected=["argument slot"]).value), "}")
+                lambda: _int(self.expect("INT", expected=["argument slot"])), "}")
             self.expect("PUNCT", "(")
             args = self.parse_list(self.parse_expr, ")", empty=True)
             return Node("partial", name, tuple(sorted(derivs)), args, pos=pos)

@@ -7,9 +7,10 @@ monomial is any nonzero integer, so a negative power divides: expressions
 are Laurent polynomials, and one prints as its numerator over the least
 common denominator of its terms.  Canonical forms are unique, so
 ``a == b`` decides mathematical equality on this fragment.  A coefficient
-is stored as an ``int`` whenever it is integral and as a ``Fraction``
-otherwise, so each value has one representation and the common integer
-case skips ``Fraction`` arithmetic.
+is an ``int`` whenever it is integral and a ``Rational`` otherwise, so each
+value has one representation and the common integer case is plain ``int``
+arithmetic.  ``Rational(p, q)`` reduces p/q and hands back the ``int``
+itself when q divides p, so no arithmetic result needs converting.
 
 Atoms are interned per JetContext: the context numbers each atom the first
 time an expression uses it, and a monomial is a tuple of (atom id, power)
@@ -25,24 +26,107 @@ sort the atoms themselves.  Each context keeps its atoms' printed names by
 id, filled on first print, so names are never shared across contexts.
 
 ``Expression(ctx, terms)`` trusts its dict to be canonical: every
-coefficient nonzero, an integral one an ``int``.  ``_clean`` makes a dict
-canonical, and only the producers whose result can cancel or turn a
-``Fraction`` integral call it: sums, differences and general products,
-scaling by a constant (an ``int`` times a ``Fraction`` coefficient can be
-integral), the inverse of a monomial, ``derive``, ``_sum`` and
-``gradient``.  The others (negation, ``const``,
-``expr``, the monomial pieces of ``substitute`` and of printing) hand their
-dict straight in.  Each context builds its zero and its one once, and
-``ctx.zero()``, ``ctx.one()`` and ``ctx.const(0 or 1)`` return those
-objects; an Expression is immutable, so sharing them is safe.
+coefficient nonzero, an integral one an ``int``.  ``_clean`` drops the zero
+coefficients, and only the producers whose terms can cancel call it: sums,
+differences and general products, ``derive``, ``_sum`` and ``gradient``.
+The others (negation, scaling by a nonzero constant, the inverse of a
+monomial, ``const``, ``expr``, the monomial pieces of ``substitute`` and of
+printing) hand their dict straight in.  Each context builds its zero and
+its one once, and ``ctx.zero()``, ``ctx.one()`` and ``ctx.const(0 or 1)``
+return those objects; an Expression is immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
+from math import gcd
 from operator import itemgetter
 
 from .errors import ContextMismatch, UnsupportedExpression
+
+
+# ---------------------------------------------------------------------------
+# coefficients
+
+
+class Rational:
+    """p/q in lowest terms with q > 1: a coefficient that is not integral.
+
+    ``Rational(p, q)`` reduces p/q and returns the ``int`` itself when q
+    divides p.  It carries only what coefficients need: ``+``, ``-`` and
+    ``*`` with an ``int`` or a Rational, unary ``-``, ``abs``, ``<``,
+    ``==``, ``hash`` and ``str``, which prints ``p/q`` as
+    ``fractions.Fraction`` does.  A Rational never equals an ``int``."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, p: int, q: int):
+        if q < 0:
+            p, q = -p, -q
+        elif not q:
+            raise ZeroDivisionError(f"Rational({p}, 0)")
+        g = gcd(p, q)
+        if g != 1:
+            p, q = p // g, q // g
+        return p if q == 1 else _rational(p, q)
+
+    def __add__(self, other):
+        p, q = self.numerator, self.denominator
+        if isinstance(other, int):
+            return _rational(p + other * q, q)  # p + n*q shares no factor with q
+        if isinstance(other, Rational):
+            return Rational(p * other.denominator + other.numerator * q, q * other.denominator)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Rational)):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Rational(self.numerator * other, self.denominator)
+        if isinstance(other, Rational):
+            return Rational(self.numerator * other.numerator, self.denominator * other.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _rational(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return _rational(abs(self.numerator), self.denominator)
+
+    def __lt__(self, other):
+        if isinstance(other, int):
+            return self.numerator < other * self.denominator
+        if isinstance(other, Rational):
+            return self.numerator * other.denominator < other.numerator * self.denominator
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, Rational):
+            return self.numerator == other.numerator and self.denominator == other.denominator
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
+
+    def __str__(self):
+        return f"{self.numerator}/{self.denominator}"
+
+
+def _rational(p: int, q: int) -> Rational:
+    """The Rational p/q, trusted to be in lowest terms with q > 1."""
+    r = object.__new__(Rational)
+    r.numerator, r.denominator = p, q
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +394,10 @@ class JetContext:
         return JetCoord(self.dependent_index(dep), self.multi_index(mindex))
 
     def const(self, value) -> "Expression":
+        """The constant value: an ``int`` or any exact rational with a
+        numerator and a denominator, a ``fractions.Fraction`` too."""
         if type(value) is not int:
-            value = Fraction(value)
-            if value.denominator == 1:
-                value = value.numerator
+            value = Rational(value.numerator, value.denominator)
         if value == 0:
             return self._zero
         if value == 1:
@@ -393,10 +477,10 @@ def _denominator(monomials) -> Monomial:
 
 
 def _clean(terms: dict) -> dict:
-    """terms without its zero coefficients and with each integral
-    coefficient an ``int``: the canonical dict an Expression holds."""
-    return {m: c if type(c) is int or c.denominator != 1 else c.numerator
-            for m, c in terms.items() if c}
+    """terms without its zero coefficients: the canonical dict an
+    Expression holds, since arithmetic already gives an integral
+    coefficient as an ``int``."""
+    return {m: c for m, c in terms.items() if c}
 
 
 def _sum(ctx: JetContext, pieces) -> "Expression":
@@ -435,15 +519,15 @@ class Expression:
             if other.ctx is not self.ctx:
                 raise ContextMismatch("expressions belong to different contexts")
             return other
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):  # an int, a Rational or a caller's rational
             return self.ctx.const(other)
         return None
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.const(other)
         if not isinstance(other, Expression):
-            return NotImplemented
+            if not hasattr(other, "denominator"):
+                return NotImplemented
+            other = self.ctx.const(other)
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
@@ -516,8 +600,7 @@ class Expression:
         """self times the nonzero constant c."""
         if c == 1:
             return self
-        # an int times a Fraction coefficient can be integral, so clean always
-        return Expression(self.ctx, _clean({m: c * x for m, x in self.terms.items()}))
+        return Expression(self.ctx, {m: c * x for m, x in self.terms.items()})
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -529,8 +612,8 @@ class Expression:
             raise UnsupportedExpression(
                 "only division by a single monomial is supported")
         (mono, coeff), = other.terms.items()
-        inverse = Expression(
-            self.ctx, _clean({tuple((i, -p) for i, p in mono): Fraction(1, coeff)}))
+        inverse = Expression(self.ctx, {tuple((i, -p) for i, p in mono):
+                                        Rational(coeff.denominator, coeff.numerator)})
         return self * inverse
 
     def __rtruediv__(self, other):
@@ -714,17 +797,23 @@ class Expression:
         # ranks are unique, so labels order a term's factors and the label
         # lists order the terms without comparing texts
         label = {}
-        for f in factors:
-            i, p = f
-            name = names.get(i)
-            if name is None:
-                name = names[i] = ctx.atom_name(atoms[i])
-            label[f] = (rank[i], p, name if p == 1 else f"{name}^{p}")
         pieces = []
-        for fs, c in sorted((sorted(map(label.__getitem__, m)), c) for m, c in terms.items()):
-            text, size = "*".join([t for _, _, t in fs]), abs(c)
-            pieces.append(" - " if c < 0 else " + ")
-            pieces.append(str(size) if not text else text if size == 1 else f"{size}*{text}")
+        try:  # str() of an int past Python's digit limit raises ValueError
+            for f in factors:
+                i, p = f
+                name = names.get(i)
+                if name is None:
+                    name = names[i] = ctx.atom_name(atoms[i])
+                label[f] = (rank[i], p, name if p == 1 else f"{name}^{p}")
+            for fs, c in sorted((sorted(map(label.__getitem__, m)), c)
+                                for m, c in terms.items()):
+                text, size = "*".join([t for _, _, t in fs]), abs(c)
+                pieces.append(" - " if c < 0 else " + ")
+                pieces.append(str(size) if not text else text if size == 1 else f"{size}*{text}")
+        except ValueError:
+            raise UnsupportedExpression(
+                f"a coefficient or power has more than {sys.get_int_max_str_digits()} "
+                "digits, Python's limit for printing an integer") from None
         pieces[0] = "-" if pieces[0] == " - " else ""  # the leading sign
         return "".join(pieces)
 

@@ -26,6 +26,7 @@ from jetvar.symexpr import (
     JetCoord,
     MultiIndex,
     OpaqueFn,
+    Rational,
     _sum,
     partial,
 )
@@ -191,7 +192,7 @@ def reference_str(e) -> str:
         return "*".join(name(a) if p == 1 else f"{name(a)}^{p}" for a, p in factors(m))
 
     def coeff_str(c):
-        c = Fraction(c)
+        c = fraction(c)
         return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
     if not e.terms:
@@ -240,10 +241,22 @@ def merged_monomial(a, b):
 # as the oracle for each producer that builds its canonical dict itself.
 
 
+def fraction(c):
+    """The exact coefficient c as a Fraction, read through its numerator and
+    denominator, so the oracles below do their arithmetic in fractions."""
+    return Fraction(c.numerator, c.denominator)
+
+
 def normalised(ctx, terms):
-    """An Expression from any dict of coefficients, normalised on the way in."""
-    return Expression(ctx, {m: c if type(c) is int or c.denominator != 1 else c.numerator
-                            for m, c in terms.items() if c})
+    """An Expression from any dict of exact coefficients, normalised on the
+    way in: zeros dropped, an integral coefficient an int and any other the
+    Rational of its lowest terms."""
+    out = {}
+    for m, c in terms.items():
+        c = fraction(c)
+        if c:
+            out[m] = c.numerator if c.denominator == 1 else Rational(c.numerator, c.denominator)
+    return Expression(ctx, out)
 
 
 def typed_terms(e):
@@ -257,7 +270,7 @@ def reference_sum(ctx, pieces, signs=None):
     for k, e in enumerate(pieces):
         sign = 1 if signs is None else signs[k]
         for m, c in e.terms.items():
-            acc[m] = acc.get(m, 0) + sign * c
+            acc[m] = acc.get(m, 0) + sign * fraction(c)
     return normalised(ctx, acc)
 
 
@@ -267,7 +280,7 @@ def reference_product(a, b):
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             key = merged_monomial(ma, mb)
-            acc[key] = acc.get(key, 0) + ca * cb
+            acc[key] = acc.get(key, 0) + fraction(ca) * fraction(cb)
     return normalised(a.ctx, acc)
 
 
@@ -275,7 +288,7 @@ def reference_power(e, k):
     """e ** k by repeated reference products; a negative k needs a monomial e."""
     if k < 0:
         (m, c), = e.terms.items()
-        e = normalised(e.ctx, {tuple((i, -p) for i, p in m): Fraction(1, c)})
+        e = normalised(e.ctx, {tuple((i, -p) for i, p in m): 1 / fraction(c)})
         k = -k
     out = normalised(e.ctx, {(): 1})
     for _ in range(k):
@@ -319,7 +332,7 @@ def per_factor_derive(e, action):
         pieces = []
         for k, (i, p) in enumerate(m):
             rest = m[:k] + ((i, p - 1),) + m[k + 1:] if p > 1 else m[:k] + m[k + 1:]
-            pieces.append(normalised(ctx, {rest: c * p}) * atom_derivative(i))
+            pieces.append(normalised(ctx, {rest: fraction(c) * p}) * atom_derivative(i))
         return pieces
 
     num, den = numerator_denominator(e)
@@ -732,7 +745,8 @@ class ReferenceParser(_Parser):
     parse_expr -> parse_term -> parse_unary, the declaration if chain, and
     one loop of its own for each comma list (opaque arguments, jet indices,
     partial slots, call arguments) where the parser reads them all through
-    parse_list; every other method is the parser's own."""
+    parse_list, and a parse_power that reads its exponent with int() itself;
+    every other method is the parser's own."""
 
     def __init__(self, text: str):
         self.tokens = reference_tokenize(text)
@@ -879,6 +893,18 @@ class ReferenceParser(_Parser):
                 node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
             else:
                 return node
+
+    def parse_power(self) -> Node:
+        base = self.parse_atom()
+        tok = self.peek()
+        if tok.kind == "PUNCT" and tok.value == "^":
+            self.advance()
+            neg = self.accept("PUNCT", "-") is not None
+            exp = self.expect("INT", expected=["integer exponent"])
+            value = int(exp.value) * (-1 if neg else 1)
+            return Node("bin", "^", base, Node("num", value, pos=(exp.line, exp.column)),
+                        pos=(tok.line, tok.column))
+        return base
 
 
 def reference_parse(text: str) -> ProblemFile:

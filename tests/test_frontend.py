@@ -222,6 +222,28 @@ def test_polynomial_blow_up_refused_at_its_position(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
+_PRINT_LIMIT = ("a coefficient or power has more than {} digits, "
+                "Python's limit for printing an integer")
+_READ_LIMIT = "integer literal has more than {} digits, Python's limit for reading an integer"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lagrangian (2*u[x])^100000", "euler: " + _PRINT_LIMIT),
+    ("lagrangian u[x]^2/2\nexpect euler[u] = 2^20000*u", "euler: " + _PRINT_LIMIT),
+    ("lagrangian u[x]^2*" + "7" * 5000, "3:19: " + _READ_LIMIT),
+    ("opaque f(x)\nlagrangian f{" + "7" * 5000 + "}(x)*u[x]^2", "4:14: " + _READ_LIMIT)],
+    ids=["power-coefficient", "expected-coefficient", "long-literal", "long-argument-slot"])
+def test_number_past_python_digit_limit_refused(tmp_path, capsys, line, message):
+    # Python converts no integer of more digits than its limit to or from
+    # text; such a number is refused with exit 2, never a traceback
+    target = tmp_path / "digits.jv"
+    target.write_text(f"independents x\ndependents u\n{line}\n", encoding="utf-8")
+    assert cli_main(["check", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"[REFUSED] {message.format(sys.get_int_max_str_digits())}\n" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("wrap", [lambda s: f"({s})", lambda s: f"-{s}"],
                          ids=["parentheses", "minus"])
 def test_nesting_bounded_with_located_parse_error(tmp_path, capsys, wrap):
@@ -1318,17 +1340,38 @@ def test_cli_problem_not_utf8_exits_2(tmp_path, capsys, command):
 def test_import_loads_no_dataclasses():
     # dataclasses, and importlib.resources on some Pythons, import inspect, ast,
     # dis and tokenize, which cost more than the rest of jetvar's start-up;
-    # json and pathlib serve only --out and reading a file; -S keeps out
-    # whatever site-packages hooks would load
+    # json and pathlib serve only --out and reading a file; coefficients are
+    # jetvar's own rationals, so fractions and the decimal and numbers it
+    # imports stay out; -S keeps out whatever site-packages hooks would load
     src = str(Path(runner.__file__).resolve().parents[2])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, jetvar.frontend.cli; print(sorted("
-         "{'dataclasses', 'importlib.resources', 'inspect', 'json', 'pathlib'}"
+         "{'dataclasses', 'importlib.resources', 'inspect', 'json', 'pathlib',"
+         " 'fractions', 'decimal', 'numbers'}"
          " & set(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_runs_load_no_numeric_tower():
+    # every fixture divides, so a rational type imported on first use would
+    # be loaded by every real run: reproducing all four fixtures and a long
+    # prolongation must leave fractions, decimal and numbers unloaded too
+    src = str(Path(runner.__file__).resolve().parents[2])
+    pkdv = str(Path(runner.__file__).parent / "fixtures" / "pkdv.jv")
+    code = ("import os, sys\n"
+            "from jetvar.frontend.cli import main\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            "codes = [main(['reproduce', n]) for n in ('laplace', 'wave', 'pkdv', 'maxwell')]\n"
+            "codes.append(main(['prolong', sys.argv[1], '--order', '8']))\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(codes, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code, pkdv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 0, 0] []\n"
 
 
 def test_cli_prolong_rule_loop_exit_2(tmp_path, capsys):

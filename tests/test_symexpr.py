@@ -16,6 +16,7 @@ from jetvar.symexpr import (
     JetCoord,
     MultiIndex,
     OpaqueFn,
+    Rational,
     _clean,
     _mono_mul,
     _sum,
@@ -45,7 +46,9 @@ from helpers import (
     typed_terms,
 )
 
+import operator
 import random
+import sys
 
 
 @pytest.fixture
@@ -276,7 +279,7 @@ def _assert_int_first(e):
         if c.denominator == 1:
             assert type(c) is int, (e, c)
         else:
-            assert type(c) is Fraction, (e, c)
+            assert type(c) is Rational, (e, c)
 
 
 @settings(max_examples=100, derandomize=True)
@@ -288,6 +291,61 @@ def test_coefficient_int_exactly_when_integral(a, b, p, m, coord, k, i):
               partial(a, coord), substitute(a, {v: m}), substitute(p, {v: a}),
               total_derivative(_CTX, i, a)):
         _assert_int_first(e)
+
+
+def test_rational_matches_fraction_randomized():
+    """Every operation of the coefficient type against fractions.Fraction:
+    an integral result is an int, any other a Rational in lowest terms with
+    its denominator above 1, printed as Fraction prints it."""
+    rng = random.Random(20261020)
+
+    def pick():
+        # small values cancel often; large ones carry common factors
+        p = rng.choice([rng.randint(-12, 12), rng.randint(-2 ** 70, 2 ** 70)])
+        q = rng.choice([1, rng.randint(1, 12), 6 * rng.randint(1, 2 ** 40)]) * rng.choice([1, -1])
+        return Rational(p, q), Fraction(p, q)
+
+    def check(value, expected):
+        if expected.denominator == 1:
+            assert type(value) is int and value == expected, (value, expected)
+        else:
+            assert type(value) is Rational, (value, expected)
+            assert (value.numerator, value.denominator) == \
+                (expected.numerator, expected.denominator)
+            assert str(value) == str(expected)
+
+    for _ in range(3000):
+        (a, fa), (b, fb) = pick(), pick()
+        check(a, fa)
+        for op in (operator.add, operator.sub, operator.mul):
+            check(op(a, b), op(fa, fb))
+        check(-a, -fa)
+        check(abs(a), abs(fa))
+        assert (a == b) == (fa == fb) and (b == a) == (fb == fa)
+        if type(a) is Rational or type(b) is int:
+            assert (a < b) == (fa < fb)
+        if type(a) is Rational:
+            assert a != fa.numerator and a == Rational(3 * fa.numerator, 3 * fa.denominator)
+            assert hash(a) == hash(Rational(-fa.numerator, -fa.denominator))
+    with pytest.raises(ZeroDivisionError):
+        Rational(1, 0)
+
+
+def test_printer_refuses_a_number_past_python_digit_limit(ctx):
+    u = ctx.var("u")
+    big = ctx.const(2) ** 3000 * u
+    small = ctx.const(Fraction(1, 3 ** 2000)) * u
+    high = u ** (10 ** 700)
+    texts = str(big), str(small), str(high)
+    assert texts == (f"{2 ** 3000}*u", f"1/{3 ** 2000}*u", f"u^{10 ** 700}")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # Python's smallest limit; each number above is longer
+    try:
+        for e in (big, small, high):
+            with pytest.raises(UnsupportedExpression, match="more than 640 digits"):
+                str(e)
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @settings(max_examples=100, derandomize=True)
