@@ -9,11 +9,11 @@ declared right side restricted, the rule of a derived coordinate is Dbar_j
 of the rule one derivative lower, and restriction substitutes rules once.
 
 Orientation is a Riquier ranking found when the equation is built: every
-right-side coordinate lies below its head, so rewriting terminates, and
-formal integrability is decided only at the overlaps of same-dependent heads
-(Riquier-Janet; Seiler, *Involution*, ch. 2-4).  The order-by-order
-commutator scan over internal coordinates lives on in tests/helpers.py as an
-oracle for that decision.
+right-side coordinate lies below its head.  So rules derive from an explicit
+stack with no depth cap, which empties, and formal integrability is decided
+only at the overlaps of same-dependent heads (Riquier-Janet; Seiler,
+*Involution*, ch. 2-4).  The order-by-order commutator scan over internal
+coordinates lives on in tests/helpers.py as an oracle for that decision.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import product
 from .errors import ConsistencyError, ContextMismatch, OrientationError
 from .forms import DifferentialForm, exterior_derivative, pullback
 from .jetcalc import EvolutionaryField, JetContext, linearization
-from .symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, OpaqueFn
+from .symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, OpaqueFn, _chain
 
 
 class SolvedEquation:
@@ -108,32 +108,43 @@ class SolvedEquation:
     def is_internal(self, coord: JetCoord) -> bool:
         return not self.is_principal(coord)
 
-    def rule_for(self, coord: JetCoord, _depth=0) -> Expression:
-        """Normal form of a principal coordinate.
+    def rule_for(self, coord: JetCoord) -> Expression:
+        """Normal form of a principal coordinate: at a head, its declared
+        right side restricted; elsewhere Dbar_j of the rule one step lower.
+        An explicit stack takes each rule once the rules it reads are cached.
+        Each lies below its reader in the ranking checked at build, and
+        finitely many coordinates lie below any one, so the stack empties."""
+        cache, ctx = self._cache, self.ctx
+        stack = [coord]
+        while stack:
+            c = stack[-1]
+            if c in cache:
+                stack.pop()
+                continue
+            if c in self._declared:
+                j, memo, shift, source = None, {}, MultiIndex(), self._declared[c]
+            else:
+                head = self._dividing_head(c)
+                if head is None:
+                    raise KeyError(f"{ctx.atom_name(c)} is not a principal coordinate")
+                # step down where the head has least, so Dbar mostly shifts internal coordinates
+                j = min((c.mindex - head.mindex).indices(), key=head.mindex.get)
+                memo, shift = self._dbar_memo[j], MultiIndex.single(j)
+                source = cache.get(lower := JetCoord(c.dep, c.mindex - shift))
+                if source is None:
+                    stack.append(lower)
+                    continue
+            reads = {JetCoord(x.dep, x.mindex + shift)
+                     for i in {i for m in source.terms for i, _ in m} - memo.keys()
+                     for x, _ in _chain(ctx, i)
+                     if isinstance(x, JetCoord)}
+            missing = [r for r in reads if r not in cache and self.is_principal(r)]
+            stack += missing
+            if not missing:
+                cache[c] = self.restrict(source) if j is None else self._dbar(j, source)
+        return cache[coord]
 
-        Under the ranking checked at build every recursive call is on a
-        lower coordinate, so derivation terminates; ``_depth`` turns a chain
-        deeper than 200 into a clean refusal, not a RecursionError."""
-        hit = self._cache.get(coord)
-        if hit is not None:
-            return hit
-        if _depth > 200:
-            raise OrientationError(
-                f"rewrite chain too deep at {self.ctx.atom_name(coord)}", rule=coord)
-        head = self._dividing_head(coord)
-        if head is None:
-            raise KeyError(f"{self.ctx.atom_name(coord)} is not a principal coordinate")
-        if coord == head:
-            normal = self.restrict(self._declared[head], _depth + 1)
-        else:
-            # step down in a direction the head uses least, where Dbar
-            # mostly shifts internal coordinates
-            j = min((coord.mindex - head.mindex).indices(), key=head.mindex.get)
-            lower = JetCoord(coord.dep, coord.mindex - MultiIndex.single(j))
-            normal = self._dbar(j, self.rule_for(lower, _depth + 1), _depth + 1)
-        return self._cache.setdefault(coord, normal)
-
-    def _dbar(self, i: int, e: Expression, _depth=0) -> Expression:
+    def _dbar(self, i: int, e: Expression) -> Expression:
         """Dbar_i of an expression in internal coordinates, memoised per atom."""
         ctx = self.ctx
 
@@ -142,13 +153,13 @@ class SolvedEquation:
                 return ctx.one() if atom[1] == i else ctx.zero()
             _, dep, mindex = atom
             step = JetCoord(dep, mindex + MultiIndex.single(i))
-            return self.rule_for(step, _depth) if self.is_principal(step) else ctx.expr(step)
+            return self.rule_for(step) if self.is_principal(step) else ctx.expr(step)
 
         return e.derive(action, self._dbar_memo[i])
 
     # -- restriction -----------------------------------------------------------
 
-    def restrict(self, e: Expression, _depth=0) -> Expression:
+    def restrict(self, e: Expression) -> Expression:
         """Substitute every principal coordinate by its rule, a normal form.
         An expression with no atom restriction changes is returned itself."""
         if e.ctx is not self.ctx:
@@ -160,7 +171,7 @@ class SolvedEquation:
                 if hit is None:
                     hit = changes[i] = self._changed_by_restriction(atoms[i])
                 if hit:
-                    return e.substitute({a: self.rule_for(a, _depth)
+                    return e.substitute({a: self.rule_for(a)
                                          for a in e.jet_atoms() if self.is_principal(a)})
         return e
 
@@ -187,9 +198,8 @@ class SolvedEquation:
 
     def restricted_total_derivative_multi(self, alpha: MultiIndex, e: Expression) -> Expression:
         out = self.restrict(e)
-        for i, count in alpha.entries:
-            for _ in range(count):
-                out = self._dbar(i, out)
+        for i in alpha.expand():
+            out = self._dbar(i, out)
         return out
 
     def restricted_exterior_derivative(self, omega: DifferentialForm) -> DifferentialForm:

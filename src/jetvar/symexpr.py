@@ -500,6 +500,11 @@ def _sum(ctx: JetContext, pieces) -> "Expression":
 # clean refusal; the bundled fixtures multiply at most 18 pairs at once.
 MAX_PRODUCT_PAIRS = 100_000
 
+# A power k of a one-term expression is refused, not computed, when k times
+# the bit length of its coefficient's numerator or denominator passes this,
+# so a constant such as 2^100000000 is refused before it is built.
+MAX_POWER_BITS = 1 << 20
+
 
 class Expression:
     """Canonical rational combination of atoms.  Immutable.  ``terms`` must
@@ -625,6 +630,12 @@ class Expression:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        if len(self.terms) == 1:
+            c, = self.terms.values()
+            if abs(c) != 1 and abs(k) * max(c.numerator.bit_length(),
+                                            c.denominator.bit_length()) > MAX_POWER_BITS:
+                raise UnsupportedExpression(
+                    f"power exceeds the budget of {MAX_POWER_BITS} coefficient bits")
         if k < 0:
             return self.ctx.one() / (self ** (-k))
         out = self.ctx.one()

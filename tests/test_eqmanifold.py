@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,11 +439,45 @@ def test_rule_for_matches_sympy_pkdv_prolongation():
         assert eq.rule_for(coord) == expected, ctx.atom_name(coord)
 
 
-def test_deep_rewrite_chain_refused_cleanly():
+def _shifted_equation():
+    """u[y] = u[x], whose rule for u[y^k] is u[x^k], k steps down one chain."""
     ctx = JetContext(["x", "y"], ["u"])
-    eq = SolvedEquation(ctx, [(ctx.jet_atom("u", "y"), E("u[x]", ctx))])
-    with pytest.raises(OrientationError, match="too deep"):
-        eq.rule_for(ctx.jet_atom("u", "y" * 400))
+    return ctx, SolvedEquation(ctx, [(ctx.jet_atom("u", "y"), E("u[x]", ctx))])
+
+
+def _crossed_equation():
+    """u[t] = v[x], v[t] = u[x]: each step of a t-chain crosses to the other head."""
+    ctx = JetContext(["t", "x"], ["u", "v"])
+    return ctx, SolvedEquation(ctx, [(ctx.jet_atom("u", "t"), E("v[x]", ctx)),
+                                     (ctx.jet_atom("v", "t"), E("u[x]", ctx))])
+
+
+def test_deep_rewrite_chain_derives_in_any_call_order():
+    # a chain of any length derives, and the rule does not depend on which
+    # coordinates were asked for before
+    ctx, cold = _shifted_equation()
+    assert cold.rule_for(ctx.jet_atom("u", "y" * 400)) == ctx.jet("u", "x" * 400)
+    ctx, warm = _shifted_equation()
+    for k in range(1, 400):
+        assert warm.rule_for(ctx.jet_atom("u", "y" * k)) == ctx.jet("u", "x" * k)
+    assert warm.rule_for(ctx.jet_atom("u", "y" * 400)) == ctx.jet("u", "x" * 400)
+
+
+def test_rule_derivation_keeps_no_frame_per_step():
+    # under a frame budget of 60 above the caller, chains of thousands of
+    # steps, and chains that cross between heads at every step, derive cold
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        ctx, eq = _shifted_equation()
+        assert eq.rule_for(ctx.jet_atom("u", "y" * 2000)) == ctx.jet("u", "x" * 2000)
+        ctx, eq = _crossed_equation()
+        assert eq.rule_for(ctx.jet_atom("u", "t" * 300)) == ctx.jet("u", "x" * 300)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_restrict_form_commutes_with_wedge_and_filter():

@@ -514,10 +514,12 @@ _FRAMED = "independents t x y\ndependents a b r12\nequation a[t] = 0\nspatial t\
      "5:3: resolve needs one target per spatial direction"),
     (_FRAMED + "  resolve a b = antisym_potential(q)\n",
      "5:3: potential 'q12' must be declared as a dependent"),
-    ("independents x y\ndependents u\nopaque f(zz)\n", "3:10: unknown name 'zz'")],
+    ("independents x y\ndependents u\nopaque f(zz)\n", "3:10: unknown name 'zz'"),
+    ("independents x y\ndependents u\nlagrangian 2^100000000*u[x]^2\n",
+     "3:13: power exceeds the budget of 1048576 coefficient bits")],
     ids=["spatial-not-independent", "resolve-target-undeclared", "independent-twice",
          "dependent-named-as-independent", "resolve-arity-indented",
-         "resolve-potential-indented", "opaque-argument-unknown"])
+         "resolve-potential-indented", "opaque-argument-unknown", "constant-power-budget"])
 def test_build_refusal_exits_2_with_its_message(tmp_path, capsys, text, message):
     target = tmp_path / "built.jv"
     target.write_text(text, encoding="utf-8")

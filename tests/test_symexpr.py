@@ -10,6 +10,7 @@ from jetvar.frontend import parse
 from jetvar.frontend.runner import build, fixture_text
 from jetvar.forms import _sort_generators
 from jetvar.symexpr import (
+    MAX_POWER_BITS,
     BaseVar,
     Expression,
     FnPartial,
@@ -346,6 +347,20 @@ def test_printer_refuses_a_number_past_python_digit_limit(ctx):
                 str(e)
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_power_past_the_coefficient_bit_budget_refused_before_it_is_built(ctx):
+    # k times the coefficient's bit length decides: a unit coefficient takes
+    # any power, and a rational one is judged by its denominator too
+    u = ctx.var("u")
+    assert (-u) ** (10 ** 700) == u ** (10 ** 700)
+    k = MAX_POWER_BITS // 2
+    assert ctx.const(2) ** k == ctx.const(2 ** k)
+    for base in (ctx.const(2) * u, ctx.const(Fraction(1, 2)) * u, ctx.const(-3)):
+        for power in (k + 1, -(k + 1)):
+            with pytest.raises(UnsupportedExpression,
+                               match=f"budget of {MAX_POWER_BITS} coefficient bits"):
+                base ** power
 
 
 @settings(max_examples=100, derandomize=True)
