@@ -8,8 +8,8 @@ derivatives Dbar_i are the one source of normal forms: a head's rule is its
 declared right side restricted, the rule of a derived coordinate is Dbar_j
 of the rule one derivative lower, and restriction substitutes rules once.
 
-Orientation is a Riquier ranking found when the equation is built: every
-right-side coordinate lies below its head.  So rules derive from an explicit
+Orientation is a Riquier ranking, decided exactly when the equation is
+built: every right-side coordinate lies below its head.  So rules derive from an explicit
 stack with no depth cap, which empties, and formal integrability is decided
 only at the overlaps of same-dependent heads (Riquier-Janet; Seiler,
 *Involution*, ch. 2-4).  The order-by-order commutator scan over internal
@@ -18,7 +18,7 @@ coordinates lives on in tests/helpers.py as an oracle for that decision.
 
 from __future__ import annotations
 
-from itertools import product
+from math import gcd
 
 from .errors import ConsistencyError, ContextMismatch, OrientationError
 from .forms import DifferentialForm, exterior_derivative, pullback
@@ -75,20 +75,16 @@ class SolvedEquation:
     def _check_ranking(self, heads, rhs):
         """Refuse a rule set no ranking "weighted order, then lex on
         directions, then dependent" orients: each right-side coordinate must
-        lie below its head.  Weights run over 1..K, K the highest order in a
-        rule.  The refusal names the first rule that, with the rules before
-        it, leaves no ranking."""
+        lie below its head.  Whether a ranking exists is decided exactly, with
+        no bound on the weights.  The refusal names the first rule that, with
+        the rules before it, leaves no ranking."""
         n = self.ctx.n
-        top, per_rule = 1, []
-        for head, e in zip(heads, rhs):
-            atoms = e.jet_atoms()
-            top = max(top, head.mindex.order, *(a.mindex.order for a in atoms))
-            per_rule.append([(tuple(head.mindex.get(i) - a.mindex.get(i) for i in range(n)),
-                              head.dep, a.dep) for a in atoms])
-        if _ranked([p for pairs in per_rule for p in pairs], n, top):
+        per_rule = [[(tuple(head.mindex.get(i) - a.mindex.get(i) for i in range(n)),
+                      head.dep, a.dep) for a in e.jet_atoms()] for head, e in zip(heads, rhs)]
+        if _ranked([p for pairs in per_rule for p in pairs], n):
             return
         for k, head in enumerate(heads):
-            if not _ranked([p for pairs in per_rule[:k + 1] for p in pairs], n, top):
+            if not _ranked([p for pairs in per_rule[:k + 1] for p in pairs], n):
                 raise OrientationError(
                     f"rule set loops or is not oriented at rule {self.ctx.atom_name(head)} "
                     f"= {rhs[k]}: with the rules before it, no ranking (weighted order, "
@@ -240,12 +236,15 @@ class SolvedEquation:
                         f"their cross-derivatives differ by {residual}")
 
 
-def _ranked(pairs, n: int, top: int) -> bool:
+def _ranked(pairs, n: int) -> bool:
     """Whether a ranking "weighted order, then lex on directions, then
-    dependent" with integer weights 1..top puts every atom below its head.
-    ``pairs`` holds (head multi-index minus atom multi-index as an n-tuple,
-    head dependent, atom dependent)."""
-    steps = {d for d, _, _ in pairs if any(d)}
+    dependent" puts every atom below its head.  ``pairs`` holds (head
+    multi-index minus atom multi-index as an n-tuple, head dependent, atom
+    dependent).  Weights w >= 1 with a lex tie-break (perturb w along it)
+    orient the nonzero steps d exactly when some u > 0 has u.d > 0 on every d.
+    Integer Fourier-Motzkin elimination (Schrijver, *Theory of Linear and
+    Integer Programming*, ch. 12) finds none exactly when a nonnegative
+    combination of the rows {d} and {e_j} is zero."""
     # dependents decide only between coordinates with the same multi-index
     outranks: dict[int, set] = {}
     for d, head_dep, atom_dep in pairs:
@@ -257,28 +256,26 @@ def _ranked(pairs, n: int, top: int) -> bool:
             return False
         for k in lowest:
             del outranks[k]
-    for largest in range(1, top + 1):
-        for w in product(range(1, largest + 1), repeat=n):
-            if largest not in w:
-                continue
-            sums = [(sum(wi * di for wi, di in zip(w, d)), d) for d in steps]
-            if all(s >= 0 for s, _ in sums) and \
-                    _lex_order_exists([d for s, d in sums if s == 0], n):
-                return True
-    return False
-
-
-def _lex_order_exists(steps, n: int) -> bool:
-    """Whether some order of the n directions makes the first nonzero entry
-    of every step positive.  Greedy: a direction no pending step has a
-    negative entry in can always come next."""
+    # each row maps to a mask of the original rows it combines; after k
+    # eliminations a row combining more than k + 1 is implied by the rest
+    # (Chernikov), and a row derived twice keeps the intersection of its masks
+    units = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    rows = {r: 1 << k for k, r in enumerate({d for d, _, _ in pairs if any(d)} | units)}
     free = set(range(n))
-    while steps:
-        i = next((i for i in free if all(d[i] >= 0 for d in steps)), None)
-        if i is None:
-            return False
-        free.discard(i)
-        steps = [d for d in steps if d[i] == 0]
+    while rows:
+        j = min(free, key=lambda j: sum(r[j] > 0 for r in rows) * sum(r[j] < 0 for r in rows))
+        free.discard(j)
+        kept = {r: m for r, m in rows.items() if not r[j]}
+        below = [(q, m) for q, m in rows.items() if q[j] < 0]
+        for p, pm in ((p, m) for p, m in rows.items() if p[j] > 0):
+            for q, qm in below:
+                if (m := pm | qm).bit_count() <= n - len(free) + 1:
+                    r = [p[j] * b - q[j] * a for a, b in zip(p, q)]
+                    if not (g := gcd(*r)):
+                        return False  # 0 > 0
+                    r = tuple(x // g for x in r)
+                    kept[r] = kept.get(r, m) & m
+        rows = kept
     return True
 
 

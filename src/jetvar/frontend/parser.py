@@ -32,7 +32,7 @@ import sys
 from ..errors import ParseError, SemanticError, UnsupportedExpression
 from ..forms import DifferentialForm
 from ..jetcalc import JetContext, total_derivative
-from ..symexpr import Expression, FnPartial, JetCoord, OpaqueFn
+from ..symexpr import Expression, FnPartial, JetCoord, OpaqueFn, _power
 
 RESERVED = {"d", "D", "theta"}
 
@@ -736,10 +736,9 @@ class Evaluator:
                 if lform:
                     if k < 0:
                         raise SemanticError("negative power of a form", *node.pos)
-                    out = DifferentialForm.scalar(self.ctx.one())
-                    for _ in range(k):
-                        out = out.wedge(left)
-                    return out
+                    if not left.degrees() - {0}:  # a scalar meets the scalar power budget
+                        return DifferentialForm.scalar(left.terms.get((), self.ctx.zero()) ** k)
+                    return _power(left, k, left.scalar(self.ctx.one()), DifferentialForm.wedge)
                 return left ** k
         except (UnsupportedExpression, ZeroDivisionError) as exc:
             raise SemanticError(str(exc), *node.pos) from None

@@ -492,6 +492,17 @@ def _sum(ctx: JetContext, pieces) -> "Expression":
     return Expression(ctx, _clean(acc))
 
 
+def _power(base, k: int, one, times):
+    """base^k for k >= 0 in O(log k) products: square and multiply."""
+    out = one
+    while k:
+        if k & 1:
+            out = times(out, base)
+        base = times(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # expressions
 
@@ -638,14 +649,7 @@ class Expression:
                     f"power exceeds the budget of {MAX_POWER_BITS} coefficient bits")
         if k < 0:
             return self.ctx.one() / (self ** (-k))
-        out = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, self.ctx.one(), Expression.__mul__)
 
     def __repr__(self):
         return str(self)

@@ -3,6 +3,7 @@
 import argparse
 import random
 from fractions import Fraction
+from itertools import product
 
 from jetvar import DifferentialForm, JetContext, SolvedEquation
 from jetvar.eqmanifold import iter_multi_indices
@@ -366,6 +367,50 @@ def internal_coordinates(eq, max_order):
             if eq.is_internal(coord):
                 out.append(coord)
     return out
+
+
+def enumerated_ranking(pairs, n: int, top: int) -> bool:
+    """Whether a ranking "weighted order, then lex on directions, then
+    dependent" with integer weights 1..top puts every atom below its head:
+    the bounded search SolvedEquation ran before it decided orientation
+    exactly.  ``pairs`` holds (head multi-index minus atom multi-index as an
+    n-tuple, head dependent, atom dependent), as eqmanifold._ranked takes
+    them.  What it accepts is orientable; it may refuse what is."""
+    steps = {d for d, _, _ in pairs if any(d)}
+    # dependents decide only between coordinates with the same multi-index
+    outranks: dict[int, set] = {}
+    for d, head_dep, atom_dep in pairs:
+        if not any(d):
+            outranks.setdefault(head_dep, set()).add(atom_dep)
+    while outranks:
+        lowest = [k for k, below in outranks.items() if not below & outranks.keys()]
+        if not lowest:
+            return False
+        for k in lowest:
+            del outranks[k]
+    for largest in range(1, top + 1):
+        for w in product(range(1, largest + 1), repeat=n):
+            if largest not in w:
+                continue
+            sums = [(sum(wi * di for wi, di in zip(w, d)), d) for d in steps]
+            if all(s >= 0 for s, _ in sums) and \
+                    _lex_order_exists([d for s, d in sums if s == 0], n):
+                return True
+    return False
+
+
+def _lex_order_exists(steps, n: int) -> bool:
+    """Whether some order of the n directions makes the first nonzero entry
+    of every step positive.  Greedy: a direction no pending step has a
+    negative entry in can always come next."""
+    free = set(range(n))
+    while steps:
+        i = next((i for i in free if all(d[i] >= 0 for d in steps)), None)
+        if i is None:
+            return False
+        free.discard(i)
+        steps = [d for d in steps if d[i] == 0]
+    return True
 
 
 def commutator_scan(eq, max_order):

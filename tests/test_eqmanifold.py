@@ -1,6 +1,8 @@
 import json
 import sys
+import time
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from jetvar import (
     total_derivative,
     total_derivative_multi,
 )
-from jetvar.eqmanifold import iter_multi_indices
+from jetvar.eqmanifold import _ranked, iter_multi_indices
 from jetvar.errors import (
     ConsistencyError,
     ContextMismatch,
@@ -22,6 +24,7 @@ from jetvar.errors import (
 )
 from jetvar.forms import DifferentialForm, exterior_derivative
 from jetvar.frontend import parse
+from jetvar.frontend.cli import main as cli_main
 from jetvar.frontend.parser import Evaluator
 from jetvar.frontend.runner import build, fixture_text
 from jetvar.symexpr import BaseVar, FnPartial, JetCoord, MultiIndex
@@ -33,6 +36,7 @@ from helpers import (
     commutator_scan,
     context2,
     default_pool,
+    enumerated_ranking,
     internal_coordinates,
     laplace_equation,
     pkdv_equation,
@@ -197,6 +201,72 @@ def test_orientation_rejected_mutual_loop():
             (ctx.jet_atom("u", "x"), E("v[y]", ctx)),
             (ctx.jet_atom("v", "y"), E("u[x]", ctx)),
         ])
+
+
+def _random_ranking_pairs(rng, n, steps, entries):
+    """Up to ``steps`` (head minus atom step, head dependent, atom dependent)
+    triples over n directions and three dependents; about a quarter of the
+    steps are zero, so the dependents alone must order them."""
+    return [(tuple(rng.randint(-entries, entries) for _ in range(n)) if rng.random() < 0.75
+             else (0,) * n, rng.randrange(3), rng.randrange(3))
+            for _ in range(rng.randint(1, steps))]
+
+
+def test_ranking_decision_accepts_what_the_bounded_search_accepts():
+    rng = random.Random(20261020)
+    verdicts = []
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        pairs = _random_ranking_pairs(rng, n, 6, 3)
+        verdicts.append(_ranked(pairs, n))
+        assert verdicts[-1] or not enumerated_ranking(pairs, n, 4), (pairs, n)
+    assert True in verdicts and False in verdicts
+
+
+def test_ranking_decision_has_a_witness_or_a_farkas_certificate():
+    # acceptance: weights with every w.d > 0 and an order of the dependents
+    # that puts each tied atom below its head; refusal: no such order, or
+    # multipliers l >= 0, not all zero, with sum l*d <= 0 in every direction
+    rng = random.Random(20261021)
+    verdicts = []
+    for _ in range(250):
+        n = rng.randint(1, 3)
+        pairs = _random_ranking_pairs(rng, n, 4, 2)
+        steps = sorted({d for d, _, _ in pairs if any(d)})
+        ties = {(h, a) for d, h, a in pairs if not any(d)}
+        ordered = any(all(order.index(h) > order.index(a) for h, a in ties)
+                      for order in permutations(range(3)))
+        weighted = any(all(sum(wi * di for wi, di in zip(w, d)) > 0 for d in steps)
+                       for w in product(range(1, 13), repeat=n))
+        certified = any(any(lam) and all(sum(li * d[i] for li, d in zip(lam, steps)) <= 0
+                                         for i in range(n))
+                        for lam in product(range(5), repeat=len(steps)))
+        verdicts.append(_ranked(pairs, n))
+        if verdicts[-1]:
+            assert ordered and weighted, (pairs, n)
+        else:
+            assert not ordered or certified, (pairs, n)
+    assert True in verdicts and False in verdicts
+
+
+def test_orientation_decided_without_a_weight_bound(tmp_path, capsys):
+    # six directions made the bounded search take 25 s to refuse this file
+    six = tmp_path / "six.jv"
+    six.write_text(f"independents a b c e f g\ndependents u v\nequation u[{'a' * 12}] = "
+                   f"v[{'b' * 13}]\nequation v[{'b' * 12}] = u[{'a' * 13}]\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert cli_main(["check", str(six)]) == 2
+    assert time.perf_counter() - start < 5
+    rule = f"v[{','.join('b' * 12)}] = u[{','.join('a' * 13)}]"
+    assert f"[REFUSED] 4:1: rule set loops or is not oriented at rule {rule}: with the " \
+           "rules before it, no ranking (weighted order, then directions, then dependents) " \
+           "puts every right-side coordinate below its head\n" in capsys.readouterr().out
+    # weights such as (9, 3, 1) orient this file, and none in the bounded search's 1..3
+    w931 = tmp_path / "w931.jv"
+    w931.write_text("independents a b c\ndependents u v\n"
+                    "equation u[a] = u[bbb]\nequation v[b] = v[ccc]\n", encoding="utf-8")
+    assert cli_main(["prolong", str(w931), "--order", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "-- 112 rules to order 6"
 
 
 def test_minimality_enforced():

@@ -1266,7 +1266,12 @@ def test_reserved_name_declaration_refused(tmp_path, capsys, text, where):
     ("expect euler[u] = theta(u)*d(x)",
      2, "[REFUSED] euler: 4:19: expected a scalar expression, found a form"),
     ("expect lagrangian_form = u[x]", 1, "[FAIL] internal_lagrangian"),
-    ("expect presymplectic = 0", 0, "[PASS] presymplectic")])
+    ("expect presymplectic = 0", 0, "[PASS] presymplectic"),
+    # a form's power takes O(log k) wedges, and a scalar's meets the bit budget
+    ("expect presymplectic = (theta(u)*d(x))^100000000", 0, "[PASS] presymplectic"),
+    ("expect presymplectic = (d(x)^0 + d(x))^100000000", 1, "[FAIL] presymplectic"),
+    ("expect presymplectic = (2*d(x)^0)^100000000", 2,
+     "[REFUSED] presymplectic: 4:34: power exceeds the budget of 1048576 coefficient bits")])
 def test_golden_of_the_other_kind_exits_cleanly(tmp_path, capsys, golden, code, line):
     target = tmp_path / "kinds.jv"
     target.write_text("independents x y\ndependents u\nequation u[x] = 0\n"
