@@ -56,6 +56,9 @@ class SolvedEquation:
         self._heads_of: dict[int, list[JetCoord]] = {}
         for head in heads:
             self._heads_of.setdefault(head.dep, []).append(head)
+        # the directions some head uses: only a step in one of them can take
+        # an internal coordinate to a principal one
+        self._head_dirs = {i for head in heads for i in head.mindex.indices()}
         self._declared = dict(zip(heads, raw_rhs))
         self._cache: dict[JetCoord, Expression] = {}
         # Dbar_i of each atom by atom id, one dict per direction; the values
@@ -109,8 +112,14 @@ class SolvedEquation:
         right side restricted; elsewhere Dbar_j of the rule one step lower.
         An explicit stack takes each rule once the rules it reads are cached.
         Each lies below its reader in the ranking checked at build, and
-        finitely many coordinates lie below any one, so the stack empties."""
-        cache, ctx = self._cache, self.ctx
+        finitely many coordinates lie below any one, so the stack empties.
+
+        A coordinate's reads are scanned once, and only at a head or when some
+        head uses j: an internal x with x + e_j principal has a head h dividing
+        x + e_j but not x, so h_j = x_j + 1.  An entry above a scanned
+        coordinate is popped only once cached, so when the coordinate is back
+        on top every rule it reads is cached."""
+        cache, ctx, scanned = self._cache, self.ctx, set()
         stack = [coord]
         while stack:
             c = stack[-1]
@@ -130,14 +139,17 @@ class SolvedEquation:
                 if source is None:
                     stack.append(lower)
                     continue
-            reads = {JetCoord(x.dep, x.mindex + shift)
-                     for i in {i for m in source.terms for i, _ in m} - memo.keys()
-                     for x, _ in _chain(ctx, i)
-                     if isinstance(x, JetCoord)}
-            missing = [r for r in reads if r not in cache and self.is_principal(r)]
-            stack += missing
-            if not missing:
-                cache[c] = self.restrict(source) if j is None else self._dbar(j, source)
+            if c not in scanned and (j is None or j in self._head_dirs):
+                scanned.add(c)
+                reads = {JetCoord(x.dep, x.mindex + shift)
+                         for i in {i for m in source.terms for i, _ in m} - memo.keys()
+                         for x, _ in _chain(ctx, i)
+                         if isinstance(x, JetCoord)}
+                missing = [r for r in reads if r not in cache and self.is_principal(r)]
+                if missing:
+                    stack += missing
+                    continue
+            cache[c] = self.restrict(source) if j is None else self._dbar(j, source)
         return cache[coord]
 
     def _dbar(self, i: int, e: Expression) -> Expression:

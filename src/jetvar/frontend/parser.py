@@ -736,8 +736,11 @@ class Evaluator:
                 if lform:
                     if k < 0:
                         raise SemanticError("negative power of a form", *node.pos)
-                    if not left.degrees() - {0}:  # a scalar meets the scalar power budget
-                        return DifferentialForm.scalar(left.terms.get((), self.ctx.zero()) ** k)
+                    # the power's degree-0 part, the coefficient's own power,
+                    # meets the scalar power budget before any wedge is taken
+                    constant = left.terms.get((), self.ctx.zero()) ** k
+                    if not left.degrees() - {0}:
+                        return DifferentialForm.scalar(constant)
                     return _power(left, k, left.scalar(self.ctx.one()), DifferentialForm.wedge)
                 return left ** k
         except (UnsupportedExpression, ZeroDivisionError) as exc:

@@ -277,7 +277,8 @@ def _euler(run: _Run):
         e = lag.euler(k)
         run.golden(f"euler[{dep}]", e, "euler", dep)
         if eq is not None:
-            run.golden(f"on_shell_euler[{dep}]", eq.restrict(e), "on_shell_euler", dep)
+            run.golden(f"on_shell_euler[{dep}]", lag.on_shell_euler(k, eq),
+                       "on_shell_euler", dep)
 
 
 def _omega_identity(run: _Run):

@@ -32,6 +32,8 @@ class Lagrangian:
 
     def __init__(self, ctx: JetContext, density: Expression):
         self.ctx, self.density = ctx, density
+        # E_k(L) restricted, by (equation, k)
+        self._on_shell: dict = {}
 
     @cached_property
     def variation(self) -> tuple[dict, list]:
@@ -57,6 +59,13 @@ class Lagrangian:
     def euler(self, k: int) -> Expression:
         refuse_opaque_of(self.ctx, self.density, k)
         return self.variation[0].get(JetCoord(k), self.ctx.zero())
+
+    def on_shell_euler(self, k: int, eq: SolvedEquation) -> Expression:
+        """E_k(L) restricted to the equation, computed once per equation."""
+        key = eq, k
+        if key not in self._on_shell:
+            self._on_shell[key] = eq.restrict(self.euler(k))
+        return self._on_shell[key]
 
     def euler_form(self) -> DifferentialForm:
         """E(L) as the source form  (delta lam / delta u^k) theta^k_0 ^ vol."""
@@ -104,7 +113,7 @@ def internal_lagrangian(L: Lagrangian, eq: SolvedEquation) -> InternalLagrangian
     if ctx is not eq.ctx:
         raise LagrangianError("Lagrangian and equation contexts differ")
     for k in range(ctx.m):
-        residual = eq.restrict(L.euler(k))
+        residual = L.on_shell_euler(k, eq)
         if not residual.is_zero():
             raise LagrangianError(
                 f"Euler expression for {ctx.dependents[k]!r} does not vanish "

@@ -1271,7 +1271,10 @@ def test_reserved_name_declaration_refused(tmp_path, capsys, text, where):
     ("expect presymplectic = (theta(u)*d(x))^100000000", 0, "[PASS] presymplectic"),
     ("expect presymplectic = (d(x)^0 + d(x))^100000000", 1, "[FAIL] presymplectic"),
     ("expect presymplectic = (2*d(x)^0)^100000000", 2,
-     "[REFUSED] presymplectic: 4:34: power exceeds the budget of 1048576 coefficient bits")])
+     "[REFUSED] presymplectic: 4:34: power exceeds the budget of 1048576 coefficient bits"),
+    # the degree-0 part of a mixed form's power is the coefficient's own power
+    ("expect presymplectic = (2*d(x)^0 + d(x))^100000000", 2,
+     "[REFUSED] presymplectic: 4:41: power exceeds the budget of 1048576 coefficient bits")])
 def test_golden_of_the_other_kind_exits_cleanly(tmp_path, capsys, golden, code, line):
     target = tmp_path / "kinds.jv"
     target.write_text("independents x y\ndependents u\nequation u[x] = 0\n"
