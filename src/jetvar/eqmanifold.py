@@ -230,10 +230,12 @@ class SolvedEquation:
         same-dependent heads a, b, Dbar^(L-a) of a's rule must equal
         Dbar^(L-b) of b's.  Under the ranking checked at build this is
         equivalent to [Dbar_i, Dbar_j] = 0 on every internal coordinate at
-        every order (Riquier-Janet), so no order-by-order scan is needed."""
+        every order (Riquier-Janet), so no order-by-order scan is needed.  The
+        pairs go by the heads' printed names, not by declaration order."""
         name = self.ctx.atom_name
-        for k, a in enumerate(self.heads):
-            for b in self.heads[k + 1:]:
+        heads = sorted(self.heads, key=name)
+        for k, a in enumerate(heads):
+            for b in heads[k + 1:]:
                 if a.dep != b.dep:
                     continue
                 lcm = JetCoord(a.dep, MultiIndex.of(

@@ -37,7 +37,6 @@ from .runner import (
     Report,
     build,
     fixture_text,
-    reproduce,
     run_check,
 )
 
@@ -196,12 +195,11 @@ def main(argv=None) -> int:
 
     if command == "reproduce":
         try:
-            fixture_text(target)
+            text = fixture_text(target)
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        report = reproduce(target)
-        return _emit(report, out_path, verbose)
+        return _emit(run_check(text, name=target), out_path, verbose)
 
     try:
         with open(target, encoding="utf-8") as source:

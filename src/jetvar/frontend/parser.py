@@ -18,10 +18,12 @@ Jet coordinates are written u[xy] (single-letter variables may be run
 together) or u[x1,x2].  In expression position, d(x) is the horizontal
 covector, theta(u[x]) the contact covector, D[x](e) the (restricted) total
 derivative, and f{1,2}(args) a formal partial of an opaque symbol; products
-of form factors are wedge products.  The names d, D and theta are reserved:
-no independent, dependent or opaque symbol may take them.  The declarations
-independents, dependents, lagrangian, spatial and resolve appear at most
-once, and no two candidates share a name nor two expectations a key.
+of form factors are wedge products.  A bare opaque name stands for its
+declared call: after opaque phi(x, u), phi is phi(x, u).  The names d, D and
+theta are reserved: no independent, dependent or opaque symbol may take
+them.  The declarations independents, dependents, lagrangian, spatial and
+resolve appear at most once, and no two candidates share a name nor two
+expectations a key.
 """
 
 from __future__ import annotations
@@ -176,38 +178,6 @@ class ProblemFile:
         self.opaques, self.equations, self.lagrangian = opaques, equations, lagrangian
         self.spatial, self.candidates = spatial, candidates
         self.resolves, self.expects = resolves, expects
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def serialize(self) -> str:
-        out = ["independents " + " ".join(serialize_node(n) for n in self.independents)]
-        out.append("dependents " + " ".join(serialize_node(n) for n in self.dependents))
-        for o in self.opaques:
-            name, args = o.args
-            out.append(f"opaque {name}({', '.join(serialize_node(a) for a in args)})")
-        for e in self.equations:
-            head, rhs = e.args
-            out.append(f"equation {serialize_node(head)} = {serialize_node(rhs)}")
-        if self.lagrangian is not None:
-            out.append(f"lagrangian {serialize_node(self.lagrangian)}")
-        if self.spatial is not None:
-            out.append(f"spatial {serialize_node(self.spatial)}")
-        for r in self.resolves:
-            targets, resolution, prefix = r.args
-            out.append(f"resolve {' '.join(targets)} = {resolution}({prefix})")
-        for c in self.candidates:
-            name, entries = c.args
-            entries = "; ".join(
-                f"{serialize_node(t)} -> {serialize_node(v)}" for t, v in entries)
-            out.append(f"candidate {name} {{ {entries} }}")
-        for x in self.expects:
-            value = x.args[2]
-            value = value if isinstance(value, str) else serialize_node(value)
-            out.append(f"expect {expect_label(x)} = {value}")
-        return "\n".join(out) + "\n"
 
 
 def serialize_node(node: Node) -> str:
@@ -590,43 +560,26 @@ class Evaluator:
         self.ctx = ctx
         self.eq = eq
 
+    def _decode(self, node: Node, lookup, *names):
+        """lookup(*names), a JetContext decoder of DSL names; its refusal of
+        an unknown name becomes a SemanticError at node."""
+        try:
+            return lookup(*names)
+        except KeyError as exc:
+            raise SemanticError(exc.args[0], *node.pos) from None
+
     def coordinate_atom(self, node: Node) -> JetCoord:
-        if node.kind == "jet":
-            return JetCoord(self._dep(node), self._mindex(node))
-        if node.kind != "name":
-            raise SemanticError("expected a coordinate", *_start(node))
         atom = self.base_or_jet_atom(node)
         if not isinstance(atom, JetCoord):
             raise SemanticError(f"{node.args[0]!r} is not a dependent coordinate", *node.pos)
         return atom
 
     def base_or_jet_atom(self, node: Node):
+        if node.kind == "jet":
+            return self._decode(node, self.ctx.jet_atom, *node.args)
         if node.kind != "name":
-            return self.coordinate_atom(node)
-        try:
-            return self.ctx.atom(node.args[0])
-        except KeyError as exc:
-            raise SemanticError(exc.args[0], *node.pos) from None
-
-    def _dep(self, node: Node) -> int:
-        name = node.args[0]
-        try:
-            return self.ctx.dependent_index(name)
-        except KeyError:
-            raise SemanticError(f"unknown dependent variable {name!r}", *node.pos) from None
-
-    def _mindex(self, node: Node):
-        names = []
-        for part in node.args[1]:
-            if part in self.ctx.independents:
-                names.append(part)
-            else:
-                for ch in part:
-                    if ch not in self.ctx.independents:
-                        raise SemanticError(
-                            f"unknown independent variable {part!r}", *node.pos)
-                    names.append(ch)
-        return self.ctx.multi_index(names)
+            raise SemanticError("expected a coordinate", *_start(node))
+        return self._decode(node, self.ctx.atom, node.args[0])
 
     def expression(self, node: Node) -> Expression:
         value = self.value(node)
@@ -652,49 +605,30 @@ class Evaluator:
         if kind == "num":
             return ctx.const(args[0])
         if kind == "name":
-            ident, = args
-            try:
-                return ctx.var(ident)
-            except KeyError:
-                if ident in ctx.opaque_names():
-                    raise SemanticError(
-                        f"opaque symbol {ident!r} used without arguments", *node.pos) from None
-                raise SemanticError(f"unknown name {ident!r}", *node.pos) from None
+            return self._decode(node, ctx.var, args[0])
         if kind == "jet":
             return ctx.expr(self.coordinate_atom(node))
         if kind == "call":
-            return self._opaque(args[0], args[1], (), node.pos)
+            return self._opaque(node, args[0], args[1], ())
         if kind == "partial":
-            return self._opaque(args[0], args[2], args[1], node.pos)
+            return self._opaque(node, args[0], args[2], args[1])
         if kind == "D":
-            direction, arg = args
-            try:
-                i = ctx.independent_index(direction)
-            except KeyError:
-                raise SemanticError(f"unknown independent variable {direction!r}",
-                                    *node.pos) from None
-            inner = self.expression(arg)
+            i = self._decode(node, ctx.independent_index, args[0])
+            inner = self.expression(args[1])
             if self.eq is not None:
                 return self.eq.restricted_total_derivative(i, inner)
             return total_derivative(ctx, i, inner)
         if kind == "dx":
-            try:
-                return DifferentialForm.generator(ctx, ctx.base_atom(args[0]))
-            except KeyError:
-                raise SemanticError(f"unknown independent variable {args[0]!r}",
-                                    *node.pos) from None
+            return DifferentialForm.generator(ctx, self._decode(node, ctx.base_atom, args[0]))
         if kind == "theta":
             return DifferentialForm.generator(ctx, self.coordinate_atom(args[0]))
         if kind == "neg":
             return -self.value(args[0])
         raise TypeError(node)
 
-    def _opaque(self, name: str, args, derivs, pos) -> Expression:
-        ctx = self.ctx
-        try:
-            signature = ctx.opaque_signature(name)
-        except KeyError:
-            raise SemanticError(f"unknown opaque symbol {name!r}", *pos) from None
+    def _opaque(self, node: Node, name: str, args, derivs) -> Expression:
+        ctx, pos = self.ctx, node.pos
+        signature = self._decode(node, ctx.opaque_signature, name)
         if tuple(self.base_or_jet_atom(a) for a in args) != signature:
             declared = ", ".join(ctx.atom_name(a) for a in signature)
             raise SemanticError(

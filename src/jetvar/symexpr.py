@@ -327,17 +327,19 @@ class JetContext:
             raise KeyError(f"unknown dependent variable {name!r}") from None
 
     def multi_index(self, spec) -> MultiIndex:
-        """Build a multi-index from independent-variable names.
-
-        Accepts a MultiIndex, an iterable of names, or a string of
-        single-letter names like "xxy".
-        """
+        """Build a multi-index from a MultiIndex, an iterable of DSL index
+        parts or one part as a string.  A part is a declared independent, or
+        else a run of single-letter ones, so u[xy], u[x1,x2] and "xxy" all
+        read here; an unknown part is refused whole, as 'xz' and not 'z'."""
         if isinstance(spec, MultiIndex):
             return spec
         counts: dict[int, int] = {}
-        for name in spec:
-            i = self.independent_index(name)
-            counts[i] = counts.get(i, 0) + 1
+        for part in (spec,) if isinstance(spec, str) else spec:
+            for name in (part,) if part in self._ind_pos else part:
+                i = self._ind_pos.get(name)
+                if i is None:
+                    raise KeyError(f"unknown independent variable {part!r}")
+                counts[i] = counts.get(i, 0) + 1
         return MultiIndex.of(counts)
 
     # -- opaque symbols ------------------------------------------------------

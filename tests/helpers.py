@@ -16,7 +16,7 @@ from jetvar.forms import (
     vertical_split,
 )
 from jetvar.frontend import cli, parse_expression, parse_form
-from jetvar.frontend.parser import Node, ProblemFile, Token, _Parser
+from jetvar.frontend.parser import Node, ProblemFile, Token, _Parser, expect_label, serialize_node
 from jetvar.frontend.runner import REFUSED, REPORTED_STAGES, Report, bundled_fixture_names
 from jetvar.jetcalc import integrate_by_parts, total_derivative
 from jetvar.spatial import CONSTRAINED, FREE, NULL, s_degree_filter
@@ -950,6 +950,40 @@ class ReferenceParser(_Parser):
             return Node("bin", "^", base, Node("num", value, pos=(exp.line, exp.column)),
                         pos=(tok.line, tok.column))
         return base
+
+
+def same_problem(a: ProblemFile, b: ProblemFile) -> bool:
+    """Whether two parsed problems declare the same, node positions aside."""
+    return vars(a) == vars(b)
+
+
+def serialize_problem(problem: ProblemFile) -> str:
+    """Problem-file text that parses back to problem."""
+    out = ["independents " + " ".join(serialize_node(n) for n in problem.independents)]
+    out.append("dependents " + " ".join(serialize_node(n) for n in problem.dependents))
+    for o in problem.opaques:
+        name, args = o.args
+        out.append(f"opaque {name}({', '.join(serialize_node(a) for a in args)})")
+    for e in problem.equations:
+        head, rhs = e.args
+        out.append(f"equation {serialize_node(head)} = {serialize_node(rhs)}")
+    if problem.lagrangian is not None:
+        out.append(f"lagrangian {serialize_node(problem.lagrangian)}")
+    if problem.spatial is not None:
+        out.append(f"spatial {serialize_node(problem.spatial)}")
+    for r in problem.resolves:
+        targets, resolution, prefix = r.args
+        out.append(f"resolve {' '.join(targets)} = {resolution}({prefix})")
+    for c in problem.candidates:
+        name, entries = c.args
+        entries = "; ".join(
+            f"{serialize_node(t)} -> {serialize_node(v)}" for t, v in entries)
+        out.append(f"candidate {name} {{ {entries} }}")
+    for x in problem.expects:
+        value = x.args[2]
+        value = value if isinstance(value, str) else serialize_node(value)
+        out.append(f"expect {expect_label(x)} = {value}")
+    return "\n".join(out) + "\n"
 
 
 def reference_parse(text: str) -> ProblemFile:

@@ -38,6 +38,8 @@ from helpers import (
     default_pool,
     random_expression,
     random_form,
+    same_problem,
+    serialize_problem,
 )
 
 SEED = 20260809
@@ -389,7 +391,7 @@ def test_acceptance_8_frontend():
     for name in bundled_fixture_names():
         text = fixture_text(name)
         problem = parse(text)
-        ok = ok and parse(problem.serialize()) == problem
+        ok = ok and same_problem(parse(serialize_problem(problem)), problem)
         report = reproduce(name)
         ok = ok and report.exit_code == 0
 

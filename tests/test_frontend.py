@@ -32,6 +32,8 @@ from helpers import (
     reference_parse,
     reference_parse_expression_node,
     reference_tokenize,
+    same_problem,
+    serialize_problem,
 )
 
 import random
@@ -89,10 +91,10 @@ def test_expression_forms_dispatch():
 def test_roundtrip_fixtures():
     for name in bundled_fixture_names():
         problem = parse(fixture_text(name))
-        again = parse(problem.serialize())
-        assert again == problem
+        again = parse(serialize_problem(problem))
+        assert same_problem(again, problem)
         # serialization is a fixpoint
-        assert again.serialize() == problem.serialize()
+        assert serialize_problem(again) == serialize_problem(problem)
 
 
 # every expression kind the parser builds; "pow" is a "bin" node with op "^"
@@ -164,7 +166,7 @@ def test_roundtrip_random_problem_asts():
             expects=(Node("expect", "gauge", "X", rng.choice(["trivial", "nontrivial"])),
                      Node("expect", "euler", "u", _random_node(rng))),
         )
-        assert parse(problem.serialize()) == problem
+        assert same_problem(parse(serialize_problem(problem)), problem)
 
 
 def test_nodes_compare_by_kind_and_fields_not_position():
@@ -529,6 +531,34 @@ def test_build_refusal_exits_2_with_its_message(tmp_path, capsys, text, message)
     assert "Traceback" not in captured.out + captured.err
 
 
+_LOOKUP = "independents x y x1\ndependents u\nopaque phi(x, u)\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("equation q[x] = 0", "4:10: unknown dependent variable 'q'"),
+    ("equation u[y] = u[xz]", "4:17: unknown independent variable 'xz'"),
+    ("lagrangian u[x1,q]", "4:12: unknown independent variable 'q'"),
+    ("lagrangian D[q](u)", "4:12: unknown independent variable 'q'"),
+    ("lagrangian u + d(q)", "4:16: unknown independent variable 'q'"),
+    ("lagrangian u*theta(q)", "4:20: unknown name 'q'"),
+    ("lagrangian f(x)", "4:12: unknown opaque symbol 'f'"),
+    ("lagrangian q{1}(x)", "4:12: unknown opaque symbol 'q'"),
+    ("lagrangian zz", "4:12: unknown name 'zz'"),
+    ("lagrangian theta(x)", "4:18: 'x' is not a dependent coordinate")],
+    ids=["dependent", "index-run", "index-list", "D", "d", "theta", "opaque", "partial",
+         "name", "theta-independent"])
+def test_lookup_refusal_names_the_name_at_its_position(line, message):
+    with pytest.raises(SemanticError) as err:
+        runner.build(parse(_LOOKUP + line + "\n"))
+    assert str(err.value) == message
+
+
+def test_bare_opaque_name_is_its_declared_call():
+    built = runner.build(parse(_LOOKUP))
+    assert parse_expression("phi", built.ctx) == parse_expression("phi(x, u)", built.ctx)
+    assert parse_expression("phi", built.ctx) != parse_expression("phi{1}(x, u)", built.ctx)
+
+
 def _repeat_candidate(problem):
     """The problem with its second candidate renamed after its first."""
     first, second, *rest = problem.candidates
@@ -613,11 +643,14 @@ expect gauge[Nope] = trivial
 # -- CLI ----------------------------------------------------------------------
 
 
-def test_cli_reproduce_ok(capsys):
+def test_cli_reproduce_ok(capsys, monkeypatch):
+    reads = []
+    monkeypatch.setattr(cli, "fixture_text", lambda name: reads.append(name) or fixture_text(name))
     code = cli_main(["reproduce", "wave"])
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS]" in out
+    assert reads == ["wave"]  # the fixture is read once
 
 
 def test_cli_reproduce_unknown(capsys):
@@ -983,6 +1016,21 @@ def test_cli_inconsistency_names_overlap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] integrability: heads u[x] and u[y] overlap at u[x,y], where " \
            "their cross-derivatives differ by y\n" in out
+
+
+@pytest.mark.parametrize("dependents", ["u w", "w u"])
+@pytest.mark.parametrize("first", ["u", "w"])
+def test_integrability_witness_does_not_follow_declaration_order(dependents, first):
+    # both overlaps fail: u's differs by x and w's by -1; the pair named is
+    # the least by the heads' printed names, whatever the declaration order
+    rules = {"u": "equation u[x] = w\nequation u[y] = 0\n",
+             "w": "equation w[x] = 1\nequation w[y] = x\n"}
+    second = "w" if first == "u" else "u"
+    report = run_check(f"independents x y\ndependents {dependents}\n"
+                       + rules[first] + rules[second])
+    [check] = report.checks
+    assert check.message == ("heads u[x] and u[y] overlap at u[x,y], where their "
+                             "cross-derivatives differ by x")
 
 
 def _polynomials(deps):
