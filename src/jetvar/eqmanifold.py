@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import ConsistencyError, ContextMismatch, OrientationError
+from .errors import ConsistencyError, ContextMismatch, OrientationError, UnsupportedExpression
 from .forms import DifferentialForm, exterior_derivative, pullback
 from .jetcalc import EvolutionaryField, JetContext, linearization
-from .symexpr import BaseVar, Expression, FnPartial, JetCoord, MultiIndex, OpaqueFn, _chain
+from .symexpr import (MAX_RULE_TERMS, BaseVar, Expression, FnPartial, JetCoord, MultiIndex,
+                      OpaqueFn, _chain)
 
 
 class SolvedEquation:
@@ -61,6 +62,7 @@ class SolvedEquation:
         self._head_dirs = {i for head in heads for i in head.mindex.indices()}
         self._declared = dict(zip(heads, raw_rhs))
         self._cache: dict[JetCoord, Expression] = {}
+        self._derived_terms = 0  # the terms of the derived rules, against MAX_RULE_TERMS
         # Dbar_i of each atom by atom id, one dict per direction; the values
         # for principal steps are the cached rules themselves
         self._dbar_memo = tuple({} for _ in range(ctx.n))
@@ -118,7 +120,9 @@ class SolvedEquation:
         head uses j: an internal x with x + e_j principal has a head h dividing
         x + e_j but not x, so h_j = x_j + 1.  An entry above a scanned
         coordinate is popped only once cached, so when the coordinate is back
-        on top every rule it reads is cached."""
+        on top every rule it reads is cached.  The rules' terms are counted
+        as they are derived, and derivation is refused once the total passes
+        ``MAX_RULE_TERMS``."""
         cache, ctx, scanned = self._cache, self.ctx, set()
         stack = [coord]
         while stack:
@@ -149,7 +153,12 @@ class SolvedEquation:
                 if missing:
                     stack += missing
                     continue
-            cache[c] = self.restrict(source) if j is None else self._dbar(j, source)
+            rule = self.restrict(source) if j is None else self._dbar(j, source)
+            self._derived_terms += len(rule.terms)
+            if self._derived_terms > MAX_RULE_TERMS:
+                raise UnsupportedExpression(
+                    f"derived rules exceed the budget of {MAX_RULE_TERMS} terms")
+            cache[c] = rule
         return cache[coord]
 
     def _dbar(self, i: int, e: Expression) -> Expression:

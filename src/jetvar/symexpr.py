@@ -17,13 +17,17 @@ time an expression uses it, and a monomial is a tuple of (atom id, power)
 pairs sorted by id, every power nonzero.  Arithmetic is therefore work on
 tuples of ints, and the id order is the canonical order inside one
 context: a product splices each factor of its right monomial into the left
-one at its id.  Ids depend on the order in which atoms are first seen, so
-nothing that is printed or compared across contexts reads them: printing
-labels each distinct (atom, power) of an expression once per call with the
-atom's rank in the atoms' own order, its power and its text, and sorts
-terms and factors by those labels; callers that need a stable atom order
-sort the atoms themselves.  Each context keeps its atoms' printed names by
-id, filled on first print, so names are never shared across contexts.
+one at its id.  ``derive`` on a large input packs each monomial instead into
+one int, with a field per atom present in ascending id (Monagan and Pearce,
+*Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors*, 2007), so a product there is one integer sum.  Ids depend on the
+order in which atoms are first seen, so nothing that is printed or compared
+across contexts reads them: printing labels each distinct (atom, power) of
+an expression once per call with the atom's rank in the atoms' own order,
+its power and its text, and sorts terms and factors by those labels;
+callers that need a stable atom order sort the atoms themselves.  Each
+context keeps its atoms' printed names by id, filled on first print, so
+names are never shared across contexts.
 
 ``Expression(ctx, terms)`` trusts its dict to be canonical: every
 coefficient nonzero, an integral one an ``int``.  ``_clean`` drops the zero
@@ -39,6 +43,7 @@ return those objects; an Expression is immutable, so sharing them is safe.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 
@@ -361,9 +366,6 @@ class JetContext:
         except KeyError:
             raise KeyError(f"unknown opaque symbol {name!r}") from None
 
-    def opaque_names(self):
-        return tuple(self._opaque)
-
     # -- atom interning --------------------------------------------------------
 
     def atom_id(self, a: Atom) -> int:
@@ -467,6 +469,68 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return a
 
 
+def _packed_derivative(terms: dict, atom_derivative) -> dict:
+    """The clean terms of the derivation of ``terms`` whose value at atom id
+    i is ``atom_derivative(i)``, with every monomial packed into one int.
+
+    Each atom present, in the input or in a derivative, gets one w-bit field
+    (a slot), in ascending id, and a monomial is the sum of power << offset
+    over its factors: a balanced base-2^w numeral, so a negative power packs
+    too.  Every power in a product is at most P + 1 + Q in absolute value
+    (P the input's largest, Q the derivatives'), and w leaves a sign bit
+    above that, so no field overflows and multiplying monomials is adding
+    their ints.  The input is packed with half a field added to every slot,
+    so a key's fields read off independently, from its highest nonzero one."""
+    # the atoms' derivatives are taken in the order the tuple loop takes
+    # them, since an action may derive rules and intern atoms as it goes
+    inputs = dict.fromkeys(chain.from_iterable(terms))  # the distinct input factors
+    derivatives = {i: d for i in dict.fromkeys([i for i, _ in inputs])
+                   if (d := atom_derivative(i).terms)}
+    if not derivatives:
+        return {}
+    factors = {f for d in derivatives.values() for m in d for f in m}
+    w = (max(abs(p) for _, p in inputs) + 1
+         + max((abs(p) for _, p in factors), default=0)).bit_length() + 1
+    factors.update(inputs)
+    ids = sorted({i for i, _ in factors})
+    offset = {i: s * w for s, i in enumerate(ids)}
+    packed = {f: f[1] << offset[f[0]] for f in factors}.__getitem__
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum(half << s for s in offset.values())
+    # a derivative's monomials, each divided by its atom: the product of
+    # (m / a) and mb is m's int plus mb's minus a's unit
+    pieces = {i: [(sum(map(packed, mb)) - (1 << offset[i]), cb) for mb, cb in d.items()]
+              for i, d in derivatives.items()}
+    acc: dict = {}
+    get = acc.get
+    for m, c in terms.items():
+        v = bias + sum(map(packed, m))
+        for i, p in m:
+            db = pieces.get(i)
+            if db is not None:
+                cp = c * p
+                for mb, cb in db:
+                    key = v + mb
+                    acc[key] = get(key, 0) + cp * cb
+    # pairs maps a field's slot and bits to its (id, power) pair, so the
+    # terms share one tuple per pair, as the tuple loop's products do
+    out, pairs = {}, {}
+    for key, c in acc.items():
+        if c:
+            y, mono = key ^ bias, []  # a zero power leaves its field all clear
+            while y:
+                s = (y.bit_length() - 1) // w
+                code = key >> s * w & mask | s << w
+                pair = pairs.get(code)
+                if pair is None:
+                    pair = pairs[code] = (ids[s], (code & mask) - half)
+                mono.append(pair)
+                y &= (1 << s * w) - 1
+            mono.reverse()
+            out[tuple(mono)] = c
+    return out
+
+
 def _denominator(monomials) -> Monomial:
     """The least common denominator of monomials: each atom with a negative
     power, at the largest such power negated."""
@@ -513,10 +577,22 @@ def _power(base, k: int, one, times):
 # clean refusal; the bundled fixtures multiply at most 18 pairs at once.
 MAX_PRODUCT_PAIRS = 100_000
 
+# Rule derivation is refused, not continued, once the terms of the rules an
+# equation has derived would pass this in total, so a high prolongation such
+# as pKdV's to order 40 ends in a clean refusal; pKdV's rules to order 16
+# hold 222,694 terms.
+MAX_RULE_TERMS = 250_000
+
 # A power k of a one-term expression is refused, not computed, when k times
 # the bit length of its coefficient's numerator or denominator passes this,
 # so a constant such as 2^100000000 is refused before it is built.
 MAX_POWER_BITS = 1 << 20
+
+# derive packs each monomial into one int from this many input terms up.
+# Below it, packing the input and each atom's derivative costs more than the
+# few products save: timed per call on pKdV's prolongation to order 8, the
+# two loops' total is flat for a threshold from 12 to 32 terms.
+PACKED_MIN_TERMS = 16
 
 
 class Expression:
@@ -700,6 +776,11 @@ class Expression:
         Expression; function atoms are routed through the chain rule before
         action sees them.  ``memo`` maps atom ids to their derivatives under
         this derivation; pass the same dict to reuse them across calls.
+
+        An input of ``PACKED_MIN_TERMS`` terms or more goes through
+        ``_packed_derivative``, where a monomial product is one int sum.  A
+        smaller one keeps the tuple loop below: packing costs a pass over the
+        input and every atom's derivative, which a few products do not repay.
         """
         ctx = self.ctx
         atoms = ctx._atoms
@@ -722,6 +803,8 @@ class Expression:
 
         # the power rule d(a^p) = p a^(p-1) da holds for every nonzero p, so
         # every term's derivative is summed into one dict
+        if len(self.terms) >= PACKED_MIN_TERMS:
+            return Expression(ctx, _packed_derivative(self.terms, atom_derivative))
         acc: dict = {}
         for m, c in self.terms.items():
             for k, (i, p) in enumerate(m):

@@ -40,6 +40,11 @@ def context2() -> JetContext:
     return ctx
 
 
+def opaque_names(ctx) -> tuple:
+    """The context's opaque symbols, in declaration order."""
+    return tuple(ctx._opaque)
+
+
 def E(text, ctx, eq=None):
     return parse_expression(text, ctx, eq)
 
@@ -94,7 +99,7 @@ def default_pool(ctx):
                 pool.append(ctx.jet_atom(dep, spec))
             except KeyError:
                 pass
-    for name in ctx.opaque_names():
+    for name in opaque_names(ctx):
         pool.append(ctx.atom(name))
     return pool
 

@@ -731,6 +731,21 @@ def test_cli_prolong_through_a_nested_opaque(tmp_path, capsys):
     ]
 
 
+def test_cli_prolong_past_the_rule_term_budget_refused(tmp_path, capsys, monkeypatch):
+    # pKdV's rules to order 6 hold 492 terms and to order 8 2,016; with the
+    # budget lowered to 1,000 the first fits, and the second stops at the
+    # rule that passes the budget and exits 2 with its text, no traceback
+    monkeypatch.setattr("jetvar.eqmanifold.MAX_RULE_TERMS", 1000)
+    target = tmp_path / "pkdv.jv"
+    target.write_text(fixture_text("pkdv"), encoding="utf-8")
+    assert cli_main(["prolong", str(target), "--order", "6"]) == 0
+    assert capsys.readouterr().out.endswith("-- 21 rules to order 6\n")
+    assert cli_main(["prolong", str(target), "--order", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "refused: derived rules exceed the budget of 1000 terms\n"
+    assert "rules to order" not in captured.out
+
+
 def test_cli_syntax_error_exit_2(tmp_path, capsys):
     target = tmp_path / "broken.jv"
     target.write_text("independents x\n???", encoding="utf-8")

@@ -11,6 +11,7 @@ from jetvar.frontend.runner import build, fixture_text
 from jetvar.forms import _sort_generators
 from jetvar.symexpr import (
     MAX_POWER_BITS,
+    PACKED_MIN_TERMS,
     BaseVar,
     Expression,
     FnPartial,
@@ -37,6 +38,7 @@ from helpers import (
     multi_index_key,
     normalised,
     numerator_denominator,
+    opaque_names,
     per_factor_derive,
     random_expression,
     reference_power,
@@ -400,7 +402,7 @@ def _printer_pool(ctx):
     first, last = ctx.independents[0], ctx.independents[-1]
     for dep in ctx.dependents:
         pool += [ctx.jet_atom(dep, [first]), ctx.jet_atom(dep, [first, last])]
-    for name in ctx.opaque_names():
+    for name in opaque_names(ctx):
         sig = ctx.opaque_signature(name)
         pool += [FnPartial(name, sig, d) for d in ((1,), (len(sig),), (1, len(sig)))]
     return pool
@@ -560,7 +562,7 @@ def test_derive_matches_per_factor_oracle_on_fixtures(name, monkeypatch):
     pool = [BaseVar(i) for i in range(ctx.n)]
     pool += [JetCoord(k, alpha) for k in range(ctx.m)
              for alpha in iter_multi_indices(ctx.n, 2) if eq.is_internal(JetCoord(k, alpha))]
-    pool += [ctx.atom(o) for o in ctx.opaque_names()]
+    pool += [ctx.atom(o) for o in opaque_names(ctx)]
     rng = random.Random(20261020)
     rounds = 8 if name == "maxwell" else 25
     calls = _spied_derivations(monkeypatch)
@@ -578,6 +580,58 @@ def test_derive_matches_per_factor_oracle_on_fixtures(name, monkeypatch):
         assert per_factor_derive(e, action) == out
     for e in restricted:
         assert_gradient_matches_oracle(e)
+
+
+_KERNEL_POWERS = (1, 2, 3, -1, -2, -3, 1 << 20, (1 << 20) + 1, -(1 << 20), 10 ** 8, -10 ** 8)
+
+
+def _random_term(rng, ctx, pool, powers):
+    """A product of one to three pool atoms, each to a power drawn from
+    powers, with a nonzero rational coefficient."""
+    term = ctx.const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
+    for a in rng.sample(pool, rng.randint(1, 3)):
+        term = term * ctx.expr(a) ** rng.choice(powers)
+    return term
+
+
+@pytest.mark.parametrize("size", [PACKED_MIN_TERMS - 1, PACKED_MIN_TERMS, 2 * PACKED_MIN_TERMS])
+@pytest.mark.parametrize("powers", [_KERNEL_POWERS[:6], _KERNEL_POWERS], ids=["small", "wide"])
+def test_derive_kernel_matches_per_factor_oracle(size, powers):
+    """derive on either side of PACKED_MIN_TERMS, where it switches from
+    tuple monomials to packed ints, against the per-factor route.  Powers
+    are ±1-3, and in the wide case also 2^20 and 10^8, so a field nears the
+    sign bit of its width; a power 1 falls to 0 under the decrement and a
+    negative one falls further.  The context interns over 100 atoms, the
+    opaque g takes the opaque h as an argument, and the rotation u -> v,
+    v -> -u makes u^2 + v^2 differentiate to 0, so terms cancel."""
+    ctx = context2()
+    ctx.declare_opaque("g", [ctx.atom("h"), ctx.jet_atom("u", "x")])
+    u, v = ctx.jet_atom("u"), ctx.jet_atom("v")
+    filler = [JetCoord(k % 2, MultiIndex.of({0: k // 2 + 3, 1: k % 3})) for k in range(120)]
+    for a in filler:
+        ctx.atom_id(a)
+    assert len(ctx._atoms) > 100
+    pool = _printer_pool(ctx) + [ctx.atom("g")] + filler[::20]
+    coords = [a for a in pool if is_coordinate(a)]
+    rng = random.Random(20261021 + size)
+    rotated = (ctx.expr(u) ** 2 + ctx.expr(v) ** 2).terms
+    for _ in range(4):
+        terms = {}
+        while len(terms.keys() | rotated.keys()) < size:
+            terms.update(_random_term(rng, ctx, pool, powers).terms)
+        e = Expression(ctx, {**terms, **rotated})
+        values = {a: _sum(ctx, [_random_term(rng, ctx, coords, powers)
+                                for _ in range(rng.randint(0, 3))]) for a in coords}
+        values[u], values[v] = ctx.expr(v), -ctx.expr(u)
+
+        def action(atom):
+            return values[atom]
+
+        out = e.derive(action)
+        assert len(e.terms) == size
+        assert out == per_factor_derive(e, action)
+        rest = Expression(ctx, {m: c for m, c in terms.items() if m not in rotated})
+        assert out == rest.derive(action) == per_factor_derive(rest, action)
 
 
 # -- canonical construction ---------------------------------------------------------
