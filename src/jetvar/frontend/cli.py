@@ -66,27 +66,23 @@ def _emit(report: Report, out_path, verbose: bool) -> int:
 
 
 def _cmd_prolong(text: str, order: int) -> int:
+    """Derive every rule, then print them all in one write: a refusal prints none."""
     from ..eqmanifold import iter_multi_indices
-    from ..symexpr import JetCoord
+    from ..symexpr import JetCoord, printed
     try:
         built = build(parse(text))
         if built.eq is None:
             print("refused: no equation declared", file=sys.stderr)
             return 2
-        eq = built.eq
-        count = 0
-        for k in range(built.ctx.m):
-            for alpha in iter_multi_indices(built.ctx.n, order):
-                coord = JetCoord(k, alpha)
-                if eq.is_internal(coord):
-                    continue
-                rhs = eq.rule_for(coord)
-                _say(f"{built.ctx.atom_name(coord)} -> {rhs}")
-                count += 1
+        eq, ctx = built.eq, built.ctx
+        heads = [coord for k in range(ctx.m) for alpha in iter_multi_indices(ctx.n, order)
+                 if not eq.is_internal(coord := JetCoord(k, alpha))]
+        rules = printed(ctx, [eq.rule_for(coord) for coord in heads])
     except JetvarError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    _say(f"-- {count} rules to order {order}")
+    _say("".join(f"{ctx.atom_name(coord)} -> {rhs}\n" for coord, rhs in zip(heads, rules))
+         + f"-- {len(heads)} rules to order {order}")
     return 0
 
 

@@ -166,10 +166,11 @@ def build(problem: ProblemFile) -> BuiltProblem:
     temporal = lagrangian = None
     if problem.spatial is not None:
         direction = problem.spatial.args[0]
-        if direction not in ctx.independents:
+        try:
+            temporal = ctx.independent_index(direction)
+        except KeyError:
             raise SemanticError(f"spatial direction {direction!r} is not an independent",
-                                *problem.spatial.pos)
-        temporal = ctx.independent_index(direction)
+                                *problem.spatial.pos) from None
     if problem.lagrangian is not None:
         lagrangian = Lagrangian(ctx, free_eval.expression(problem.lagrangian))
     candidates = {
@@ -189,9 +190,11 @@ def build(problem: ProblemFile) -> BuiltProblem:
                       for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         for role, declared in (("target", names), ("potential", potentials.values())):
             for name in declared:
-                if name not in ctx.dependents:
+                try:
+                    ctx.dependent_index(name)
+                except KeyError:
                     raise SemanticError(f"{role} {name!r} must be declared as a dependent",
-                                        *decl.pos)
+                                        *decl.pos) from None
         targets = [ctx.dependent_index(name) for name in names]
         resolution = antisymmetric_potential_resolution(
             spatial_structure(eq, temporal), targets, potentials)

@@ -22,22 +22,22 @@ one int, with a field per atom present in ascending id (Monagan and Pearce,
 *Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors*, 2007), so a product there is one integer sum.  Ids depend on the
 order in which atoms are first seen, so nothing that is printed or compared
-across contexts reads them: printing labels each distinct (atom, power) of
-an expression once per call with the atom's rank in the atoms' own order,
-its power and its text, and sorts terms and factors by those labels;
-callers that need a stable atom order sort the atoms themselves.  Each
-context keeps its atoms' printed names by id, filled on first print, so
-names are never shared across contexts.
+across contexts reads them: ``printed``, which ``str`` calls, labels each
+distinct (atom, power) of all the expressions it is given once, by the
+atom's rank in the atoms' own order and the power; callers that need a
+stable atom order sort the atoms themselves.  Each context keeps its atoms'
+printed names by id, filled on first print, so names are never shared
+across contexts.
 
 ``Expression(ctx, terms)`` trusts its dict to be canonical: every
 coefficient nonzero, an integral one an ``int``.  ``_clean`` drops the zero
 coefficients, and only the producers whose terms can cancel call it: sums,
 differences and general products, ``derive``, ``_sum`` and ``gradient``.
 The others (negation, scaling by a nonzero constant, the inverse of a
-monomial, ``const``, ``expr``, the monomial pieces of ``substitute`` and of
-printing) hand their dict straight in.  Each context builds its zero and
-its one once, and ``ctx.zero()``, ``ctx.one()`` and ``ctx.const(0 or 1)``
-return those objects; an Expression is immutable, so sharing them is safe.
+monomial, ``const``, ``expr``, the monomial pieces of ``substitute``) hand
+their dict straight in.  Each context builds its zero and its one once, and
+``ctx.zero()``, ``ctx.one()`` and ``ctx.const(0 or 1)`` return those
+objects; an Expression is immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -880,42 +880,56 @@ class Expression:
 
     def __str__(self):
         """The terms over their least common denominator, as (numerator)/(denominator)."""
-        terms = self.terms
-        if not terms:
-            return "0"
-        ctx = self.ctx
-        atoms, names = ctx._atoms, ctx._names
-        factors = {f for m in terms for f in m}
-        if any(p < 0 for _, p in factors):
+        return printed(self.ctx, (self,))[0] if self.terms else "0"  # zero has no labels
+
+
+def printed(ctx: JetContext, expressions) -> list[str]:
+    """``str`` of each of ctx's expressions, through one label table: each
+    distinct (atom, power) among them is labelled once by its place in the
+    print order, the atom's rank in the canonical order and then the power,
+    so a monomial's sorted labels order its factors and, compared as lists,
+    the terms.  A quotient prints its own numerator over its own least
+    common denominator, so every power printed is positive."""
+    atoms, names = ctx._atoms, ctx._names
+    parts, factors = [], set()  # parts: (numerator terms, denominator) per expression
+    for e in expressions:
+        if e.ctx is not ctx:
+            raise ContextMismatch("expressions belong to different contexts")
+        terms, lcd = e.terms, ()
+        fs = set(chain.from_iterable(terms))
+        if fs and any(p < 0 for _, p in fs):
             lcd = _denominator(terms)
-            numerator = Expression(ctx, {_mono_mul(m, lcd): c for m, c in terms.items()})
-            return f"({numerator})/({Expression(ctx, {lcd: 1})})"
-        # each atom present ranked by the canonical order, once per call
-        rank = {i: r for r, i in enumerate(sorted({i for i, _ in factors},
-                                                  key=atoms.__getitem__))}
-        # each distinct (atom, power) labelled (rank, power, text) once per call;
-        # ranks are unique, so labels order a term's factors and the label
-        # lists order the terms without comparing texts
-        label = {}
-        pieces = []
-        try:  # str() of an int past Python's digit limit raises ValueError
-            for f in factors:
-                i, p = f
-                name = names.get(i)
-                if name is None:
-                    name = names[i] = ctx.atom_name(atoms[i])
-                label[f] = (rank[i], p, name if p == 1 else f"{name}^{p}")
-            for fs, c in sorted((sorted(map(label.__getitem__, m)), c)
-                                for m, c in terms.items()):
-                text, size = "*".join([t for _, _, t in fs]), abs(c)
+            terms = {_mono_mul(m, lcd): c for m, c in terms.items()}
+            fs = set(chain(lcd, chain.from_iterable(terms)))
+        factors |= fs
+        parts.append((terms, lcd))
+    label, texts, out = {}, [], []
+    try:  # str() of an int past Python's digit limit raises ValueError
+        for f in sorted(factors, key=lambda ip: (atoms[ip[0]], ip[1])):
+            i, p = f
+            label[f] = len(texts)
+            name = names.get(i) or names.setdefault(i, ctx.atom_name(atoms[i]))
+            texts.append(name if p == 1 else f"{name}^{p}")
+        label, text_of = label.__getitem__, texts.__getitem__
+        for terms, lcd in parts:
+            rows = [(key := sorted(map(label, m)), "*".join(map(text_of, key)), c)
+                    for m, c in terms.items()]
+            rows.sort(key=itemgetter(0))
+            pieces = []
+            for _, text, c in rows:
+                size = abs(c)
                 pieces.append(" - " if c < 0 else " + ")
                 pieces.append(str(size) if not text else text if size == 1 else f"{size}*{text}")
-        except ValueError:
-            raise UnsupportedExpression(
-                f"a coefficient or power has more than {sys.get_int_max_str_digits()} "
-                "digits, Python's limit for printing an integer") from None
-        pieces[0] = "-" if pieces[0] == " - " else ""  # the leading sign
-        return "".join(pieces)
+            if pieces:
+                pieces[0] = "-" if pieces[0] == " - " else ""  # the leading sign
+            text = "".join(pieces) or "0"
+            out.append(f"({text})/({'*'.join(map(text_of, sorted(map(label, lcd))))})"
+                       if lcd else text)
+    except ValueError:
+        raise UnsupportedExpression(
+            f"a coefficient or power has more than {sys.get_int_max_str_digits()} "
+            "digits, Python's limit for printing an integer") from None
+    return out
 
 
 # ---------------------------------------------------------------------------

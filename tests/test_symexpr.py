@@ -24,6 +24,7 @@ from jetvar.symexpr import (
     _sum,
     gradient,
     is_coordinate,
+    printed,
 )
 
 from helpers import (
@@ -418,6 +419,45 @@ def test_printer_matches_reference(make_ctx):
         e = random_expression(rng, ctx, pool, max_terms=4, max_factors=3,
                               allow_den=True, rational=True)
         assert str(e) == reference_str(e)
+
+
+@pytest.mark.parametrize("make_ctx", [
+    context2, lambda: build(parse(fixture_text("maxwell"))).ctx], ids=["context2", "maxwell"])
+def test_shared_printer_matches_reference(make_ctx):
+    # printed() labels the (atom, power) pairs and builds each monomial's text
+    # once for all its expressions; each must print as it does alone, a
+    # quotient over its own denominator
+    ctx = make_ctx()
+    pool = _printer_pool(ctx)
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(30):
+        pieces = [random_expression(rng, ctx, pool, max_terms=4, max_factors=3, max_power=3,
+                                    allow_den=True, rational=True) for _ in range(5)]
+        # sums, multiples and quotients of the same pieces share monomials
+        exprs = pieces + [ctx.zero()]
+        for _ in range(8):
+            a, b = rng.choice(pieces), rng.choice(pieces)
+            exprs.append(rng.choice([a + b, a - b, a * Fraction(rng.choice((-3, 2)), 5),
+                                     a / ctx.expr(rng.choice(pool))]))
+        rng.shuffle(exprs)
+        assert printed(ctx, exprs) == [reference_str(e) for e in exprs]
+        monomials = [m for e in exprs for m in e.terms]
+        if len(set(monomials)) < len(monomials):
+            seen.add("shared monomial")
+        for e in exprs:
+            seen.add("zero" if not e.terms else "quotient" if any(
+                p < 0 for m in e.terms for _, p in m) else "polynomial")
+            for m, c in e.terms.items():
+                if isinstance(c, Rational):
+                    seen.add("rational")
+                for i, _ in m:
+                    seen.add(type(ctx._atoms[i]).__name__)
+    assert seen == {"shared monomial", "zero", "quotient", "polynomial", "rational",
+                    "BaseVar", "JetCoord", "OpaqueFn", "FnPartial"}
+    assert printed(ctx, []) == []
+    with pytest.raises(ContextMismatch):
+        printed(ctx, [ctx.one(), context2().one()])
 
 
 def test_printing_ignores_atom_first_use_order():
