@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import ContextMismatch, DegreeError
 from .jetcalc import EvolutionaryField, JetContext, total_derivative, total_derivative_multi
-from .symexpr import BaseVar, Expression, JetCoord, MultiIndex, gradient
+from .symexpr import BaseVar, Expression, JetCoord, MultiIndex, gradient, printed
 
 
 def _sort_generators(gens):
@@ -142,11 +142,10 @@ class DifferentialForm:
     def __str__(self):
         if not self.terms:
             return "0"
+        order = sorted(self.terms)
         parts = []
-        for gens in sorted(self.terms):
-            coeff = self.terms[gens]
+        for gens, cs in zip(order, printed(self.ctx, [self.terms[g] for g in order])):
             body = "*".join(_generator_name(self.ctx, g) for g in gens)
-            cs = str(coeff)
             if not body:
                 parts.append(cs)
             elif cs == "1":

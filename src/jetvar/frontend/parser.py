@@ -43,14 +43,6 @@ RESERVED = {"d", "D", "theta"}
 # tokens
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind: str, value: str, line: int, column: int):
-        self.kind = kind  # NAME INT PUNCT END
-        self.value, self.line, self.column = value, line, column
-
-
 # One alternative per token kind, tried in order after the blanks before a
 # token.  INT is a run of decimal digits of any script, which int() reads; a
 # NAME is a letter or '_' and then word characters.  A digit that is not a
@@ -67,10 +59,11 @@ _TOKEN = re.compile(r"""
     )""", re.VERBOSE)
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of text, closed by an END token one column past its last
-    character; columns count characters from the start of the line."""
-    tokens: list[Token] = []
+def tokenize(text: str) -> list[tuple]:
+    """The tokens of text, each the tuple (kind, value, line, column) with
+    kind NAME, INT, PUNCT or END, closed by an END token one column past its
+    last character; columns count characters from the start of the line."""
+    tokens: list[tuple] = []
     line, line_start = 1, 0
     # the scan stops before trailing blanks, so every match ends in a token
     for m in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r"))):
@@ -82,21 +75,20 @@ def tokenize(text: str) -> list[Token]:
             column = m.start(kind) - line_start + 1
             if kind == "BAD" or kind == "NAME" and not (value[0].isalpha() or value[0] == "_"):
                 raise ParseError(f"unexpected character {value[0]!r}", line, column)
-            tokens.append(Token(kind, value, line, column))
-    tokens.append(Token("END", "", line, len(text) - line_start + 1))
+            tokens.append((kind, value, line, column))
+    tokens.append(("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
-def _int(tok: Token) -> int:
+def _int(tok: tuple) -> int:
     """The value of an INT token.  Its digits always read, so int() fails
     only on a literal longer than Python's limit for reading an integer from
     text, which is refused at its line:col."""
     try:
-        return int(tok.value)
+        return int(tok[1])
     except ValueError:
         raise ParseError(f"integer literal has more than {sys.get_int_max_str_digits()} "
-                         "digits, Python's limit for reading an integer", tok.line,
-                         tok.column) from None
+                         "digits, Python's limit for reading an integer", *tok[2:]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -267,53 +259,56 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # nesting levels around the operand being parsed
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "END":
+        if tok[0] != "END":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, value: str | None = None, expected=None) -> Token:
-        tok = self.peek()
-        ok = tok.kind == kind and (value is None or tok.value == value)
-        if not ok:
-            what = expected or [value if value else kind]
-            raise ParseError(f"found {tok.value!r}" if tok.kind != "END" else "unexpected end of input",
-                             tok.line, tok.column, what)
-        return self.advance()
+    # expect and accept are never asked for END, so a match always advances
 
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok.kind == kind and (value is None or tok.value == value):
-            return self.advance()
+    def expect(self, kind: str, value: str | None = None, expected=None) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or value is not None and tok[1] != value:
+            what = expected or [value if value else kind]
+            raise ParseError(f"found {tok[1]!r}" if tok[0] != "END" else "unexpected end of input",
+                             *tok[2:], what)
+        self.pos += 1
+        return tok
+
+    def accept(self, kind: str, value: str | None = None) -> tuple | None:
+        tok = self.tokens[self.pos]
+        if tok[0] == kind and (value is None or tok[1] == value):
+            self.pos += 1
+            return tok
         return None
 
     # -- top level -------------------------------------------------------
 
     def parse_problem(self) -> ProblemFile:
         first = self.peek()
-        if first.kind != "NAME" or first.value != "independents":
+        if first[0] != "NAME" or first[1] != "independents":
             raise ParseError("problem must start with the independents declaration",
-                             first.line, first.column, ["independents"])
+                             *first[2:], ["independents"])
         found = {keyword: [] for keyword in self.DECLARATIONS}
         first_line = {}  # (keyword, key) of a declaration -> its line
-        while self.peek().kind != "END":
+        while self.peek()[0] != "END":
             tok = self.peek()
-            if tok.value not in self.DECLARATIONS:  # no other token's value is a keyword
-                raise ParseError(f"found {tok.value!r}", tok.line, tok.column,
+            if tok[1] not in self.DECLARATIONS:  # no other token's value is a keyword
+                raise ParseError(f"found {tok[1]!r}", *tok[2:],
                                  sorted(self.DECLARATIONS))
-            keyword = self.advance().value
+            keyword = self.advance()[1]
             parse_declaration, key_of = self.DECLARATIONS[keyword]
-            value = parse_declaration(self, (tok.line, tok.column))
+            value = parse_declaration(self, tok[2:])
             if key_of is not None:
-                refuse_repeat(first_line, keyword, key_of(value), (tok.line, tok.column))
+                refuse_repeat(first_line, keyword, key_of(value), tok[2:])
             found[keyword].append(value)
         if not found["dependents"]:
             tok = self.peek()
-            raise ParseError("missing dependents declaration", tok.line, tok.column,
+            raise ParseError("missing dependents declaration", *tok[2:],
                              ["dependents"])
         [independents], [dependents] = found["independents"], found["dependents"]
         return ProblemFile(
@@ -324,20 +319,20 @@ class _Parser:
             candidates=tuple(found["candidate"]), resolves=tuple(found["resolve"]),
             expects=tuple(found["expect"]))
 
-    def declared_name(self, tok: Token) -> str:
-        if tok.value in RESERVED:
-            raise SemanticError(f"{tok.value!r} is a reserved name", tok.line, tok.column)
-        return tok.value
+    def declared_name(self, tok: tuple) -> str:
+        if tok[1] in RESERVED:
+            raise SemanticError(f"{tok[1]!r} is a reserved name", *tok[2:])
+        return tok[1]
 
     def parse_names(self) -> tuple:
         """One or more declared names, each a positioned ``name`` node."""
         names = []
-        while self.peek().kind == "NAME" and self.peek().value not in self.DECLARATIONS:
+        while self.peek()[0] == "NAME" and self.peek()[1] not in self.DECLARATIONS:
             tok = self.advance()
-            names.append(Node("name", self.declared_name(tok), pos=(tok.line, tok.column)))
+            names.append(Node("name", self.declared_name(tok), pos=tok[2:]))
         if not names:
             tok = self.peek()
-            raise ParseError("expected at least one name", tok.line, tok.column, ["name"])
+            raise ParseError("expected at least one name", *tok[2:], ["name"])
         return tuple(names)
 
     def parse_list(self, item, close: str, empty: bool = False) -> tuple:
@@ -360,16 +355,16 @@ class _Parser:
     def parse_coordinate(self) -> Node:
         tok = self.expect("NAME", expected=["coordinate"])
         if self.accept("PUNCT", "["):
-            return Node("jet", tok.value, self.parse_indices(), pos=(tok.line, tok.column))
-        return Node("name", tok.value, pos=(tok.line, tok.column))
+            return Node("jet", tok[1], self.parse_indices(), pos=tok[2:])
+        return Node("name", tok[1], pos=tok[2:])
 
     def parse_indices(self) -> tuple:
         return self.parse_list(
-            lambda: self.expect("NAME", expected=["independent name"]).value, "]")
+            lambda: self.expect("NAME", expected=["independent name"])[1], "]")
 
     def parse_spatial(self, pos: tuple) -> Node:
         tok = self.expect("NAME", expected=["independent name"])
-        return Node("name", tok.value, pos=(tok.line, tok.column))
+        return Node("name", tok[1], pos=tok[2:])
 
     def parse_equation(self, pos: tuple) -> Node:
         head = self.parse_coordinate()
@@ -381,7 +376,7 @@ class _Parser:
         return Node("equation", head, rhs, pos=pos)
 
     def parse_candidate(self, pos: tuple) -> Node:
-        name = self.expect("NAME", expected=["candidate name"]).value
+        name = self.expect("NAME", expected=["candidate name"])[1]
         self.expect("PUNCT", "{")
         entries = []
         while not self.accept("PUNCT", "}"):
@@ -397,27 +392,27 @@ class _Parser:
     def parse_resolve(self, pos: tuple) -> Node:
         targets = tuple(n.args[0] for n in self.parse_names())
         self.expect("PUNCT", "=")
-        resolution = self.expect("NAME", expected=["antisym_potential"]).value
+        resolution = self.expect("NAME", expected=["antisym_potential"])[1]
         if resolution != "antisym_potential":
             tok = self.tokens[self.pos - 1]
-            raise ParseError(f"unknown resolution {resolution!r}", tok.line, tok.column,
+            raise ParseError(f"unknown resolution {resolution!r}", *tok[2:],
                              ["antisym_potential"])
         self.expect("PUNCT", "(")
-        prefix = self.expect("NAME", expected=["potential prefix"]).value
+        prefix = self.expect("NAME", expected=["potential prefix"])[1]
         self.expect("PUNCT", ")")
         return Node("resolve", targets, resolution, prefix, pos=pos)
 
     def parse_expect(self, pos: tuple) -> Node:
-        key = self.expect("NAME", expected=["expectation key"]).value
+        key = self.expect("NAME", expected=["expectation key"])[1]
         subject = None
         if self.accept("PUNCT", "["):
-            subject = self.expect("NAME", expected=["name"]).value
+            subject = self.expect("NAME", expected=["name"])[1]
             self.expect("PUNCT", "]")
         self.expect("PUNCT", "=")
         tok = self.peek()
-        if tok.kind == "NAME" and tok.value in ("trivial", "nontrivial", "true", "false", "refused"):
+        if tok[0] == "NAME" and tok[1] in ("trivial", "nontrivial", "true", "false", "refused"):
             self.advance()
-            return Node("expect", key, subject, tok.value, pos=pos)
+            return Node("expect", key, subject, tok[1], pos=pos)
         return Node("expect", key, subject, self.parse_expr(), pos=pos)
 
     # keyword: (its parse method, called with the keyword's position; the key
@@ -445,12 +440,12 @@ class _Parser:
         node = self.parse_unary()
         while True:
             tok = self.peek()
-            prec = _BINARY.get(tok.value)
+            prec = _BINARY.get(tok[1])
             if prec is None or prec < min_prec:
                 return node
             self.advance()
             right = self.parse_expr(prec + 1)
-            node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
+            node = Node("bin", tok[1], node, right, pos=tok[2:])
 
     def parse_unary(self) -> Node:
         # every level of nesting (a sign, parentheses, a call's or D's
@@ -458,13 +453,13 @@ class _Parser:
         tok = self.peek()
         if self.depth > MAX_NESTING:
             raise ParseError(f"expression nested more than {MAX_NESTING} levels deep",
-                             tok.line, tok.column)
+                             *tok[2:])
         self.depth += 1
-        if tok.kind == "PUNCT" and tok.value in "+-":
+        if tok[0] == "PUNCT" and tok[1] in "+-":
             self.advance()
             node = self.parse_unary()
-            if tok.value == "-":
-                node = Node("neg", node, pos=(tok.line, tok.column))
+            if tok[1] == "-":
+                node = Node("neg", node, pos=tok[2:])
         else:
             node = self.parse_power()
         self.depth -= 1
@@ -473,36 +468,35 @@ class _Parser:
     def parse_power(self) -> Node:
         base = self.parse_atom()
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == "^":
+        if tok[0] == "PUNCT" and tok[1] == "^":
             self.advance()
             neg = self.accept("PUNCT", "-") is not None
             exp = self.expect("INT", expected=["integer exponent"])
             value = _int(exp) * (-1 if neg else 1)
-            return Node("bin", "^", base, Node("num", value, pos=(exp.line, exp.column)),
-                        pos=(tok.line, tok.column))
+            return Node("bin", "^", base, Node("num", value, pos=exp[2:]), pos=tok[2:])
         return base
 
     def parse_atom(self) -> Node:
         tok = self.peek()
-        if tok.kind == "INT":
+        if tok[0] == "INT":
             self.advance()
-            return Node("num", _int(tok), pos=(tok.line, tok.column))
-        if tok.kind == "PUNCT" and tok.value == "(":
+            return Node("num", _int(tok), pos=tok[2:])
+        if tok[0] == "PUNCT" and tok[1] == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect("PUNCT", ")")
             return inner
-        if tok.kind == "NAME":
+        if tok[0] == "NAME":
             return self.parse_named_atom()
-        raise ParseError(f"found {tok.value!r}" if tok.kind != "END" else "unexpected end of input",
-                         tok.line, tok.column, ["expression"])
+        raise ParseError(f"found {tok[1]!r}" if tok[0] != "END" else "unexpected end of input",
+                         *tok[2:], ["expression"])
 
     def parse_named_atom(self) -> Node:
         tok = self.advance()
-        name = tok.value
-        pos = (tok.line, tok.column)
+        name = tok[1]
+        pos = tok[2:]
         if name == "d" and self.accept("PUNCT", "("):
-            var = self.expect("NAME", expected=["independent name"]).value
+            var = self.expect("NAME", expected=["independent name"])[1]
             self.expect("PUNCT", ")")
             return Node("dx", var, pos=pos)
         if name == "theta" and self.accept("PUNCT", "("):
@@ -510,7 +504,7 @@ class _Parser:
             self.expect("PUNCT", ")")
             return Node("theta", coord, pos=pos)
         if name == "D" and self.accept("PUNCT", "["):
-            var = self.expect("NAME", expected=["independent name"]).value
+            var = self.expect("NAME", expected=["independent name"])[1]
             self.expect("PUNCT", "]")
             self.expect("PUNCT", "(")
             arg = self.parse_expr()
@@ -537,8 +531,8 @@ def parse_expression_node(text: str) -> Node:
     p = _Parser(text)
     node = p.parse_expr()
     tok = p.peek()
-    if tok.kind != "END":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
+    if tok[0] != "END":
+        raise ParseError(f"trailing input {tok[1]!r}", *tok[2:])
     return node
 
 

@@ -50,6 +50,10 @@ class CheckResult:
         self.expected, self.message, self.line = expected, message, line
 
 
+# the keys of a check's --out entry, in the order the report writes them
+_CHECK_KEYS = tuple(sorted(CheckResult.__slots__))
+
+
 class Report:
     def __init__(self, problem: str, checks: list | None = None, error: str | None = None,
                  elapsed: float = 0.0):
@@ -71,20 +75,24 @@ class Report:
         counts = self.counts  # an error ends a run before any check
         return 1 if counts[FAIL] else 2 if counts[REFUSED] else 0
 
-    def to_document(self) -> dict:
-        # deliberately excludes timing so identical inputs give identical bytes
-        return {
-            "problem": self.problem,
-            "error": self.error,
-            "checks": [{key: getattr(c, key) for key in CheckResult.__slots__}
-                       for c in self.checks],
-            "summary": self.counts,
-            "exit_code": self.exit_code,
-        }
-
     def to_json(self) -> str:
-        import json  # only --out writes JSON; start-up skips the import
-        return json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
+        """json.dumps(indent=2, sort_keys=True) of the report's document, written
+        directly: its keys are fixed and each value is a str, an int or None.
+        Timing is left out, so identical inputs give identical bytes."""
+        from json.encoder import encode_basestring_ascii as quoted  # only --out needs it
+
+        def value(v) -> str:
+            return "null" if v is None else str(v) if type(v) is int else quoted(v)
+
+        checks = ",\n".join("    {\n" + ",\n".join(f'      "{key}": {value(getattr(c, key))}'
+                                                  for key in _CHECK_KEYS) + "\n    }"
+                            for c in self.checks)
+        checks = f"[\n{checks}\n  ]" if checks else "[]"
+        counts = self.counts
+        summary = ",\n".join(f'    "{key}": {counts[key]}' for key in sorted(counts))
+        return (f'{{\n  "checks": {checks},\n'
+                f'  "error": {value(self.error)},\n  "exit_code": {self.exit_code},\n'
+                f'  "problem": {value(self.problem)},\n  "summary": {{\n{summary}\n  }}\n}}\n')
 
     def human(self, verbose: bool = False) -> str:
         lines = [f"== {self.problem} =="]

@@ -117,22 +117,33 @@ class SpatialStructure:
         self._status: dict[tuple[int, MultiIndex], str] = {}
         self._by_height: dict[int, tuple] = {}
         self._sigma: dict[DifferentialForm, DifferentialForm] = {}
+        self._parts: dict[JetCoord, tuple] = {}  # coordinate -> (family, spatial part)
 
     # family = (dependent, temporal part of the multi-index)
 
+    def _split(self, coord: JetCoord) -> tuple:
+        """(family, spatial part) of coord, split once per coordinate."""
+        parts = self._parts.get(coord)
+        if parts is None:
+            t, mindex = self.temporal, coord.mindex
+            parts = self._parts[coord] = (
+                (coord.dep, MultiIndex.single(t, mindex.get(t))),
+                MultiIndex(tuple(e for e in mindex.entries if e[0] != t)))
+        return parts
+
     def family_of(self, coord: JetCoord) -> tuple[int, MultiIndex]:
-        tau = MultiIndex.single(self.temporal, coord.mindex.get(self.temporal))
-        return (coord.dep, tau)
+        return self._split(coord)[0]
 
     def spatial_part(self, coord: JetCoord) -> MultiIndex:
-        return MultiIndex(tuple(e for e in coord.mindex.entries if e[0] != self.temporal))
+        return self._split(coord)[1]
 
     def generator_coord(self, family) -> JetCoord:
         return JetCoord(family[0], family[1])
 
     def decompose(self, coord: JetCoord):
         """Internal coordinate as (generator coordinate, spatial multi-index)."""
-        return self.generator_coord(self.family_of(coord)), self.spatial_part(coord)
+        family, sigma = self._split(coord)
+        return self.generator_coord(family), sigma
 
     def is_generator(self, coord: JetCoord) -> bool:
         return self.eq.is_internal(coord) and self.spatial_part(coord).order == 0

@@ -285,8 +285,8 @@ class JetContext:
     """
 
     __slots__ = ("independents", "dependents", "_opaque", "_ind_pos", "_dep_pos",
-                 "_atom_ids", "_atoms", "_names", "_chains", "total_derivative_memo",
-                 "_zero", "_one")
+                 "_jet_coords", "_atom_ids", "_atoms", "_names", "_chains",
+                 "total_derivative_memo", "_zero", "_one")
 
     def __init__(self, independents, dependents):
         self.independents = tuple(independents)
@@ -301,6 +301,7 @@ class JetContext:
         self._opaque: dict[str, tuple] = {}
         self._ind_pos = {name: i for i, name in enumerate(self.independents)}
         self._dep_pos = {name: k for k, name in enumerate(self.dependents)}
+        self._jet_coords: dict[tuple, JetCoord] = {}  # (dep name, index spec) -> coordinate
         self._atom_ids: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
         self._names: dict[int, str] = {}  # atom id -> printed name, filled on first print
@@ -395,7 +396,14 @@ class JetContext:
         return BaseVar(self.independent_index(name))
 
     def jet_atom(self, dep: str, mindex=MultiIndex()) -> JetCoord:
-        return JetCoord(self.dependent_index(dep), self.multi_index(mindex))
+        """u[mindex] for dep named u, decoded once per (dep, mindex) with a
+        list spec keyed as a tuple; an unknown name is refused, not kept."""
+        key = dep, mindex if isinstance(mindex, (str, tuple)) else tuple(mindex)
+        coord = self._jet_coords.get(key)
+        if coord is None:
+            coord = self._jet_coords[key] = JetCoord(self.dependent_index(dep),
+                                                     self.multi_index(key[1]))
+        return coord
 
     def const(self, value) -> "Expression":
         """The constant value: an ``int`` or any exact rational with a
@@ -588,11 +596,12 @@ MAX_RULE_TERMS = 250_000
 # so a constant such as 2^100000000 is refused before it is built.
 MAX_POWER_BITS = 1 << 20
 
-# derive packs each monomial into one int from this many input terms up.
-# Below it, packing the input and each atom's derivative costs more than the
-# few products save: timed per call on pKdV's prolongation to order 8, the
-# two loops' total is flat for a threshold from 12 to 32 terms.
-PACKED_MIN_TERMS = 16
+# derive packs each monomial into one int from this many input terms up;
+# below it, packing costs more than the few products save.  Swept in-process
+# over 16/19/24/32 (Python 3.11, shared 2-vCPU x86-64 VM), 24 sends Maxwell's
+# one 18-term call back to the tuple loop, q1 of a check 7.60 -> 7.51 ms, and
+# leaves pKdV's order-8 prolongation (11.82 -> 11.80 ms) and wave flat.
+PACKED_MIN_TERMS = 24
 
 
 class Expression:

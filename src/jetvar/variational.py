@@ -34,6 +34,7 @@ class Lagrangian:
         self.ctx, self.density = ctx, density
         # E_k(L) restricted, by (equation, k)
         self._on_shell: dict = {}
+        self._admitted: set = set()  # dependents whose opaque refusal found nothing
 
     @cached_property
     def variation(self) -> tuple[dict, list]:
@@ -57,7 +58,9 @@ class Lagrangian:
         return DifferentialForm.scalar(self.density).wedge(volume_form(self.ctx))
 
     def euler(self, k: int) -> Expression:
-        refuse_opaque_of(self.ctx, self.density, k)
+        if k not in self._admitted:  # a refused k is never admitted, so refuses again
+            refuse_opaque_of(self.ctx, self.density, k)
+            self._admitted.add(k)
         return self.variation[0].get(JetCoord(k), self.ctx.zero())
 
     def on_shell_euler(self, k: int, eq: SolvedEquation) -> Expression:

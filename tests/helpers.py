@@ -16,8 +16,14 @@ from jetvar.forms import (
     vertical_split,
 )
 from jetvar.frontend import cli, parse_expression, parse_form
-from jetvar.frontend.parser import Node, ProblemFile, Token, _Parser, expect_label, serialize_node
-from jetvar.frontend.runner import REFUSED, REPORTED_STAGES, Report, bundled_fixture_names
+from jetvar.frontend.parser import Node, ProblemFile, _Parser, expect_label, serialize_node
+from jetvar.frontend.runner import (
+    REFUSED,
+    REPORTED_STAGES,
+    CheckResult,
+    Report,
+    bundled_fixture_names,
+)
 from jetvar.jetcalc import integrate_by_parts, total_derivative
 from jetvar.spatial import CONSTRAINED, FREE, NULL, s_degree_filter
 from jetvar.symexpr import (
@@ -722,6 +728,19 @@ def _restrict_report(report, prefixes):
                   elapsed=report.elapsed)
 
 
+def to_document(report) -> dict:
+    """The --out document of a report, as json.dumps would be given it: the
+    oracle of Report.to_json, which writes its text directly."""
+    return {
+        "problem": report.problem,
+        "error": report.error,
+        "checks": [{key: getattr(c, key) for key in CheckResult.__slots__}
+                   for c in report.checks],
+        "summary": report.counts,
+        "exit_code": report.exit_code,
+    }
+
+
 # The front end once scanned with a character loop, parsed the binary
 # operators with one method per precedence level (parse_expr for + and -,
 # parse_term for * and /), and read declarations through a keyword set and an
@@ -760,12 +779,12 @@ def reference_tokenize(text: str) -> list:
             continue
         two = text[i:i + 2]
         if two in _REFERENCE_PUNCT2:
-            tokens.append(Token("PUNCT", two, line, col))
+            tokens.append(("PUNCT", two, line, col))
             i += 2
             col += 2
             continue
         if ch in _REFERENCE_PUNCT1:
-            tokens.append(Token("PUNCT", ch, line, col))
+            tokens.append(("PUNCT", ch, line, col))
             i += 1
             col += 1
             continue
@@ -773,7 +792,7 @@ def reference_tokenize(text: str) -> list:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
+            tokens.append(("INT", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -781,12 +800,12 @@ def reference_tokenize(text: str) -> list:
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
+            tokens.append(("NAME", text[i:j], line, col))
             col += j - i
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
+    tokens.append(("END", "", line, col))
     return tokens
 
 
@@ -809,16 +828,16 @@ class ReferenceParser(_Parser):
         lagrangian = None
         spatial = None
         first = self.peek()
-        if first.kind != "NAME" or first.value != "independents":
+        if first[0] != "NAME" or first[1] != "independents":
             raise ParseError("problem must start with the independents declaration",
-                             first.line, first.column, ["independents"])
-        while self.peek().kind != "END":
+                             *first[2:], ["independents"])
+        while self.peek()[0] != "END":
             tok = self.peek()
-            if tok.kind != "NAME" or tok.value not in REFERENCE_KEYWORDS:
-                raise ParseError(f"found {tok.value!r}", tok.line, tok.column,
+            if tok[0] != "NAME" or tok[1] not in REFERENCE_KEYWORDS:
+                raise ParseError(f"found {tok[1]!r}", *tok[2:],
                                  sorted(REFERENCE_KEYWORDS))
-            keyword = self.advance().value
-            pos = (tok.line, tok.column)
+            keyword = self.advance()[1]
+            pos = tok[2:]
             if keyword == "independents":
                 independents = self.parse_names()
             elif keyword == "dependents":
@@ -831,7 +850,7 @@ class ReferenceParser(_Parser):
                 lagrangian = self.parse_expr()
             elif keyword == "spatial":
                 name = self.expect("NAME", expected=["independent name"])
-                spatial = Node("name", name.value, pos=(name.line, name.column))
+                spatial = Node("name", name[1], pos=name[2:])
             elif keyword == "candidate":
                 candidates.append(self.parse_candidate(pos))
             elif keyword == "resolve":
@@ -840,11 +859,11 @@ class ReferenceParser(_Parser):
                 expects.append(self.parse_expect(pos))
         if independents is None:
             tok = self.peek()
-            raise ParseError("missing independents declaration", tok.line, tok.column,
+            raise ParseError("missing independents declaration", *tok[2:],
                              ["independents"])
         if dependents is None:
             tok = self.peek()
-            raise ParseError("missing dependents declaration", tok.line, tok.column,
+            raise ParseError("missing dependents declaration", *tok[2:],
                              ["dependents"])
         return ProblemFile(
             independents=independents, dependents=dependents,
@@ -869,17 +888,17 @@ class ReferenceParser(_Parser):
         parts = []
         while True:
             tok = self.expect("NAME", expected=["independent name"])
-            parts.append(tok.value)
+            parts.append(tok[1])
             if self.accept("PUNCT", "]"):
                 return tuple(parts)
             self.expect("PUNCT", ",", expected=[",", "]"])
 
     def parse_named_atom(self) -> Node:
         tok = self.advance()
-        name = tok.value
-        pos = (tok.line, tok.column)
+        name = tok[1]
+        pos = tok[2:]
         if name == "d" and self.accept("PUNCT", "("):
-            var = self.expect("NAME", expected=["independent name"]).value
+            var = self.expect("NAME", expected=["independent name"])[1]
             self.expect("PUNCT", ")")
             return Node("dx", var, pos=pos)
         if name == "theta" and self.accept("PUNCT", "("):
@@ -887,7 +906,7 @@ class ReferenceParser(_Parser):
             self.expect("PUNCT", ")")
             return Node("theta", coord, pos=pos)
         if name == "D" and self.accept("PUNCT", "["):
-            var = self.expect("NAME", expected=["independent name"]).value
+            var = self.expect("NAME", expected=["independent name"])[1]
             self.expect("PUNCT", "]")
             self.expect("PUNCT", "(")
             arg = self.parse_expr()
@@ -900,7 +919,7 @@ class ReferenceParser(_Parser):
             derivs = []
             while True:
                 d = self.expect("INT", expected=["argument slot"])
-                derivs.append(int(d.value))
+                derivs.append(int(d[1]))
                 if self.accept("PUNCT", "}"):
                     break
                 self.expect("PUNCT", ",", expected=[",", "}"])
@@ -926,10 +945,10 @@ class ReferenceParser(_Parser):
         node = self.parse_term()
         while True:
             tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value in "+-":
+            if tok[0] == "PUNCT" and tok[1] in "+-":
                 self.advance()
                 right = self.parse_term()
-                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
+                node = Node("bin", tok[1], node, right, pos=tok[2:])
             else:
                 return node
 
@@ -937,23 +956,22 @@ class ReferenceParser(_Parser):
         node = self.parse_unary()
         while True:
             tok = self.peek()
-            if tok.kind == "PUNCT" and tok.value in "*/":
+            if tok[0] == "PUNCT" and tok[1] in "*/":
                 self.advance()
                 right = self.parse_unary()
-                node = Node("bin", tok.value, node, right, pos=(tok.line, tok.column))
+                node = Node("bin", tok[1], node, right, pos=tok[2:])
             else:
                 return node
 
     def parse_power(self) -> Node:
         base = self.parse_atom()
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == "^":
+        if tok[0] == "PUNCT" and tok[1] == "^":
             self.advance()
             neg = self.accept("PUNCT", "-") is not None
             exp = self.expect("INT", expected=["integer exponent"])
-            value = int(exp.value) * (-1 if neg else 1)
-            return Node("bin", "^", base, Node("num", value, pos=(exp.line, exp.column)),
-                        pos=(tok.line, tok.column))
+            value = int(exp[1]) * (-1 if neg else 1)
+            return Node("bin", "^", base, Node("num", value, pos=exp[2:]), pos=tok[2:])
         return base
 
 
@@ -999,8 +1017,8 @@ def reference_parse_expression_node(text: str) -> Node:
     p = ReferenceParser(text)
     node = p.parse_expr()
     tok = p.peek()
-    if tok.kind != "END":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
+    if tok[0] != "END":
+        raise ParseError(f"trailing input {tok[1]!r}", *tok[2:])
     return node
 
 

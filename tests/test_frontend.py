@@ -34,6 +34,7 @@ from helpers import (
     reference_tokenize,
     same_problem,
     serialize_problem,
+    to_document,
 )
 
 import random
@@ -278,8 +279,6 @@ def _dump(value):
         return tuple(_dump(a) for a in value)
     if isinstance(value, ProblemFile):
         return {field: _dump(v) for field, v in vars(value).items()}
-    if isinstance(value, list):  # tokens
-        return [(t.kind, t.value, t.line, t.column) for t in value]
     return value
 
 
@@ -302,7 +301,7 @@ def _end(tokenizer, text):
         end = tokenizer(text)[-1]
     except ParseError:
         return None
-    return end.line, end.column
+    return end[2:]
 
 
 def _assert_matches_reference(text, function, reference):
@@ -594,6 +593,48 @@ def test_reports_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def _oracle_json(report) -> str:
+    return json.dumps(to_document(report), indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_matches_json_dumps_on_fixtures():
+    for name in bundled_fixture_names():
+        report = reproduce(name)
+        assert report.to_json() == _oracle_json(report), name
+
+
+def test_report_writer_matches_json_dumps_randomized():
+    rng = random.Random(3737)
+    # what json.dumps escapes: quotes, backslashes, control characters,
+    # non-ASCII letters and a character outside the Basic Multilingual Plane
+    alphabet = 'ab "\\/\n\t\r\x00\x01\x1f\x7fé中\u2028\U0001f600'
+    # counts reads each check's status, so it is the one field never None
+    nullable = ("problem", "error") + tuple(
+        key for key in runner.CheckResult.__slots__ if key != "status")
+    seen = {field: False for field in nullable} | {"error report": False, "no checks": False}
+
+    def text(field):
+        if rng.random() < 0.2:
+            seen[field] = True
+            return None
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+
+    for _ in range(250):
+        report = runner.Report(problem=text("problem"))
+        if rng.random() < 0.15:
+            report.error = text("error")
+            seen["error report"] |= report.error is not None
+        else:
+            for _ in range(rng.randrange(4)):
+                line = None if rng.random() < 0.2 else rng.randrange(-5, 10**12)
+                seen["line"] |= line is None
+                report.add(text("name"), rng.choice((runner.PASS, runner.FAIL, runner.REFUSED)),
+                           text("computed"), text("expected"), text("message"), line)
+        seen["no checks"] |= not report.checks
+        assert report.to_json() == _oracle_json(report)
+    assert all(seen.values()), seen
+
+
 def test_reproduce_all_fixtures_pass():
     for name in bundled_fixture_names():
         report = reproduce(name)
@@ -852,7 +893,7 @@ def test_omega_characteristic_names_cannot_collide(tmp_path, capsys, declaration
     phi = runner._declare_test_characteristic(built)
     for component in phi.components:
         name = component.as_atom().name
-        assert name not in {t.value for t in tokenize(name)}, name
+        assert name not in {t[1] for t in tokenize(name)}, name
         assert Node("name", name) not in built.problem.dependents
         assert built.ctx.opaque_signature(name) == tuple(
             built.ctx.base_atom(x) for x in built.ctx.independents)
@@ -1251,7 +1292,7 @@ def test_subcommand_report_is_check_filtered_by_name(tmp_path, capsys, name):
     for command in _SUBCOMMANDS:
         out_path = tmp_path / f"{command}.json"
         cli_main([command, str(target), "--out", str(out_path)])
-        expected = _restrict_report(full, _SECTIONS[command]).to_document()
+        expected = to_document(_restrict_report(full, _SECTIONS[command]))
         assert json.loads(out_path.read_text(encoding="utf-8")) == expected, command
     capsys.readouterr()
 

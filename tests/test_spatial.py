@@ -554,6 +554,25 @@ def test_spatial_euler_matches_direct_sum_on_gauge_families(monkeypatch):
     assert checked >= 40
 
 
+@pytest.mark.parametrize("name", bundled_fixture_names())
+def test_coordinate_split_matches_recomputation(name):
+    # each coordinate is split once per structure, whichever of the three
+    # readers asks first; every reading equals the split worked out afresh
+    built = build(parse(fixture_text(name)))
+    eq, t, ctx = built.eq, built.temporal, built.ctx
+    coords = [JetCoord(k, a) for k in range(ctx.m) for a in iter_multi_indices(ctx.n, 3)]
+    for first in ("family_of", "spatial_part", "decompose"):
+        structure = SpatialStructure(eq, t)
+        for coord in coords:
+            getattr(structure, first)(coord)
+            family = (coord.dep, MultiIndex.single(t, coord.mindex.get(t)))
+            sigma = MultiIndex(tuple(e for e in coord.mindex.entries if e[0] != t))
+            assert structure.family_of(coord) == family, (name, coord)
+            assert structure.spatial_part(coord) == sigma, (name, coord)
+            assert structure.decompose(coord) == (JetCoord(*family), sigma), (name, coord)
+            assert sigma + family[1] == coord.mindex
+
+
 def test_extension_matches_display_laplace(laplace):
     ctx, eq, st = laplace
     phi, chi = E("u*u[y]", ctx), E("u[x]^2", ctx)

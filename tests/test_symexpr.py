@@ -74,6 +74,25 @@ def test_multi_index_basics():
         b - a
 
 
+def test_jet_atom_decodes_each_name_once():
+    ctx = JetContext(["x", "y"], ["u", "v"])
+    uxy = JetCoord(0, MultiIndex.of({0: 1, 1: 1}))
+    for spec in ("xy", ("x", "y"), ["x", "y"], ["xy"], uxy.mindex):
+        first = ctx.jet_atom("u", spec)
+        assert first == uxy, spec
+        assert ctx.jet_atom("u", spec) is first, spec
+    assert ctx.jet_atom("u", "xx") == JetCoord(0, MultiIndex.single(0, 2))
+    assert ctx.jet_atom("v") is ctx.jet_atom("v") == JetCoord(1)
+    assert ctx.jet_atom("v", "y") == JetCoord(1, MultiIndex.single(1))
+    for _ in range(2):  # a refusal keeps nothing, so it is the same every time
+        for dep, spec, message in (("w", "x", "unknown dependent variable 'w'"),
+                                   ("u", "xz", "unknown independent variable 'xz'"),
+                                   ("u", ["x", "z"], "unknown independent variable 'z'")):
+            with pytest.raises(KeyError) as err:
+                ctx.jet_atom(dep, spec)
+            assert err.value.args == (message,)
+
+
 def test_value_types_equal_only_within_one_type():
     # atoms and multi-indices are tuples led by a type tag: equal fields of
     # two types, as in BaseVar(0) and JetCoord(0), differ
@@ -634,11 +653,13 @@ def _random_term(rng, ctx, pool, powers):
     return term
 
 
-@pytest.mark.parametrize("size", [PACKED_MIN_TERMS - 1, PACKED_MIN_TERMS, 2 * PACKED_MIN_TERMS])
+@pytest.mark.parametrize("size", sorted(
+    {15, 16, 32, PACKED_MIN_TERMS - 1, PACKED_MIN_TERMS, 2 * PACKED_MIN_TERMS}))
 @pytest.mark.parametrize("powers", [_KERNEL_POWERS[:6], _KERNEL_POWERS], ids=["small", "wide"])
 def test_derive_kernel_matches_per_factor_oracle(size, powers):
     """derive on either side of PACKED_MIN_TERMS, where it switches from
-    tuple monomials to packed ints, against the per-factor route.  Powers
+    tuple monomials to packed ints, and at 15, 16 and 32 terms, against the
+    per-factor route.  Powers
     are ±1-3, and in the wide case also 2^20 and 10^8, so a field nears the
     sign bit of its width; a power 1 falls to 0 under the decrement and a
     negative one falls further.  The context interns over 100 atoms, the

@@ -142,12 +142,15 @@ def test_first_variation_matches_per_dependent_oracles_on_random_densities():
 
 
 def test_first_variation_keeps_the_opaque_refusal_per_dependent():
-    # h(y, u[y]) refuses E_u, not E_v nor omega_L, whichever is asked first
+    # h(y, u[y]) refuses E_u, not E_v nor omega_L, whichever is asked first,
+    # and E_u on every call: the Lagrangian admits only a dependent that passed
     ctx = context2()
     lag = Lagrangian(ctx, E("h(y, u[y])*u[x] + v[x]^2", ctx))
     assert lag.euler(1) == per_dependent_euler(ctx, lag.density, 1)
+    assert lag.euler(1) == per_dependent_euler(ctx, lag.density, 1)
     assert presymplectic_potential(lag) == boundary_loop_omega(lag)
-    for ask in (lambda: lag.euler(0), lambda: euler_derivative(ctx, lag.density, 0)):
+    for ask in (lambda: lag.euler(0), lambda: lag.euler(0),
+                lambda: euler_derivative(ctx, lag.density, 0), lambda: lag.euler(0)):
         with pytest.raises(UnsupportedExpression, match="^euler_derivative: opaque symbol "
                            "depends on jet coordinates of 'u'"):
             ask()
