@@ -36,11 +36,6 @@ class LagrangianError(JetvarError):
 class SSymmetryError(JetvarError):
     """Candidate components do not extend to a spatial symmetry."""
 
-    def __init__(self, message, coordinate=None, residual=None):
-        super().__init__(message)
-        self.coordinate = coordinate
-        self.residual = residual
-
 
 class UnresolvedConstraint(JetvarError):
     """The spatial equation carries a constraint and no resolution was supplied."""

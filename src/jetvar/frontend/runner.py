@@ -24,7 +24,6 @@ from ..spatial import (
     antisymmetric_potential_resolution,
     extend_S_symmetry,
     is_gauge_symmetry,
-    s_presymplectic_representative,
     spatial_structure,
 )
 from ..symexpr import JetCoord
@@ -34,7 +33,15 @@ from ..variational import (
     presymplectic_potential,
     verify_omega_identity,
 )
-from .parser import Evaluator, ProblemFile, expect_label, parse, refuse_repeat, serialize_node
+from .parser import (
+    Evaluator,
+    ProblemFile,
+    _Parser,
+    expect_label,
+    parse,
+    refuse_repeat,
+    serialize_node,
+)
 
 
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
@@ -132,12 +139,11 @@ class BuiltProblem:
 def build(problem: ProblemFile) -> BuiltProblem:
     # a ProblemFile made in code has not met the parser's refusal of repeats
     first_line: dict = {}
-    for decl in problem.candidates:
-        refuse_repeat(first_line, "candidate", decl.args[0], decl.pos)
-    for decl in problem.resolves:
-        refuse_repeat(first_line, "resolve", None, decl.pos)
-    for decl in problem.expects:
-        refuse_repeat(first_line, "expect", expect_label(decl), decl.pos)
+    for keyword, decls in (("candidate", problem.candidates), ("resolve", problem.resolves),
+                           ("expect", problem.expects)):
+        key_of = _Parser.DECLARATIONS[keyword][1]
+        for decl in decls:
+            refuse_repeat(first_line, keyword, key_of(decl), decl.pos)
 
     try:
         ctx = JetContext([n.args[0] for n in problem.independents],
@@ -164,9 +170,7 @@ def build(problem: ProblemFile) -> BuiltProblem:
             decl_of[head] = decl  # a repeated head keeps its later declaration
         try:
             eq = SolvedEquation(ctx, rules)
-        except OrientationError as exc:  # refused at the rule it names
-            if exc.rule not in decl_of:
-                raise
+        except OrientationError as exc:  # refused at the rule it names, always a head
             raise SemanticError(str(exc), *decl_of[exc.rule].pos) from None
 
     evaluator = Evaluator(ctx, eq)
@@ -320,8 +324,9 @@ def _presymplectic(run: _Run):
 
 def _s_presymplectic(run: _Run):
     if run.rep is not None and run.built.temporal is not None:
-        omega = s_presymplectic_representative(run.built.temporal, run.rep.presymplectic)
-        run.golden("s_presymplectic", omega, "s_presymplectic")
+        structure = spatial_structure(run.built.eq, run.built.temporal)
+        run.golden("s_presymplectic", structure.s_presymplectic(run.rep.presymplectic),
+                   "s_presymplectic")
 
 
 def _candidates(run: _Run):

@@ -24,9 +24,8 @@ def total_derivative(ctx: JetContext, i: int, e: Expression) -> Expression:
     def action(atom):
         if isinstance(atom, BaseVar):
             return ctx.one() if atom.index == i else ctx.zero()
-        if isinstance(atom, JetCoord):
-            return ctx.expr(JetCoord(atom.dep, atom.mindex + MultiIndex.single(i)))
-        return ctx.zero()
+        # a JetCoord: derive sends opaque symbols through the chain rule
+        return ctx.expr(JetCoord(atom.dep, atom.mindex + MultiIndex.single(i)))
 
     if e.ctx is not ctx:
         raise ContextMismatch("expression belongs to a different context")

@@ -69,14 +69,14 @@ class SpatialStructure:
     internal coordinates organize over the spatial directions ``spatial``.
 
     Every internal coordinate is spatial derivatives of a generator (an
-    internal coordinate with a purely temporal multi-index): its family
-    (d, tau).  A constraint point (c, j) is an internal c with c+e_j
-    principal.  The spatial parts of the heads of d with temporal count at
-    most tau's generate the ideal of principal steps; a minimal generator g
-    and j in supp g give the minimal point (d, tau+g-e_j), right side
-    rule(d, tau+g).  A family is free without minimal points, null when
-    their right sides are all zero, else constrained, as it is when another
-    family's minimal right side names it.
+    internal coordinate u^d_tau with a purely temporal multi-index tau),
+    and that generator coordinate is its family.  A constraint point (c, j)
+    is an internal c with c+e_j principal.  The spatial parts of the heads
+    of d with temporal count at most tau's generate the ideal of principal
+    steps; a minimal generator g and j in supp g give the minimal point
+    u^d_{tau+g-e_j}, right side rule(u^d_{tau+g}).  A family is free
+    without minimal points, null when their right sides are all zero, else
+    constrained, as it is when another family's minimal right side names it.
 
     The structure keeps what its equation fixes: each family's minimal
     points and status, the families up to each height, and the
@@ -104,58 +104,44 @@ class SpatialStructure:
     def __init__(self, eq: SolvedEquation, t: int):
         self.eq, self.ctx, self.temporal = eq, eq.ctx, t
         self.spatial = tuple(i for i in range(self.ctx.n) if i != t)
-        # per dependent k, the order of its lowest purely temporal head (None
-        # without one): u^k_{t^h} is internal exactly when h is below it
-        self._reach, self._temporal_head = 0, []
-        for k in range(self.ctx.m):
-            alphas = [h.mindex for h in eq.heads if h.dep == k]
-            self._reach += max((a.get(t) for a in alphas), default=0)
-            self._temporal_head.append(min((a.order for a in alphas if a.get(t) == a.order),
-                                           default=None))
-        # what the equation fixes, kept as the class docstring says
-        self._minimal: dict[tuple[int, MultiIndex], tuple] = {}
-        self._status: dict[tuple[int, MultiIndex], str] = {}
+        self._reach = sum(max((h.mindex.get(t) for h in eq.heads if h.dep == k), default=0)
+                          for k in range(self.ctx.m))
+        # what the equation fixes, kept as the class docstring says; a family
+        # is keyed by its generator coordinate
+        self._minimal: dict[JetCoord, tuple] = {}
+        self._status: dict[JetCoord, str] = {}
         self._by_height: dict[int, tuple] = {}
         self._sigma: dict[DifferentialForm, DifferentialForm] = {}
         self._parts: dict[JetCoord, tuple] = {}  # coordinate -> (family, spatial part)
 
-    # family = (dependent, temporal part of the multi-index)
-
     def _split(self, coord: JetCoord) -> tuple:
-        """(family, spatial part) of coord, split once per coordinate."""
+        """(family, spatial part) of coord, split once per coordinate: the
+        family is the generator coordinate, coord without its spatial part."""
         parts = self._parts.get(coord)
         if parts is None:
             t, mindex = self.temporal, coord.mindex
             parts = self._parts[coord] = (
-                (coord.dep, MultiIndex.single(t, mindex.get(t))),
+                JetCoord(coord.dep, MultiIndex.single(t, mindex.get(t))),
                 MultiIndex(tuple(e for e in mindex.entries if e[0] != t)))
         return parts
 
-    def family_of(self, coord: JetCoord) -> tuple[int, MultiIndex]:
+    def family_of(self, coord: JetCoord) -> JetCoord:
         return self._split(coord)[0]
 
     def spatial_part(self, coord: JetCoord) -> MultiIndex:
         return self._split(coord)[1]
 
-    def generator_coord(self, family) -> JetCoord:
-        return JetCoord(family[0], family[1])
-
-    def decompose(self, coord: JetCoord):
-        """Internal coordinate as (generator coordinate, spatial multi-index)."""
-        family, sigma = self._split(coord)
-        return self.generator_coord(family), sigma
-
     def is_generator(self, coord: JetCoord) -> bool:
         return self.eq.is_internal(coord) and self.spatial_part(coord).order == 0
 
-    def _minimal_points(self, family):
+    def _minimal_points(self, family: JetCoord):
         """The family's minimal points (coordinate, direction, right side)
         and the families their right sides name."""
         hit = self._minimal.get(family)
         if hit is None:
-            (dep, tau), t = family, self.temporal
+            dep, tau = family.dep, family.mindex
             ideal = {self.spatial_part(h) for h in self.eq.heads
-                     if h.dep == dep and h.mindex.get(t) <= tau.get(t)}
+                     if h.dep == dep and h.mindex.get(self.temporal) <= tau.order}
             points, names = [], set()
             for g in sorted(ideal):
                 if not any(o != g and o.divides(g) for o in ideal):
@@ -167,30 +153,32 @@ class SpatialStructure:
         return hit
 
     def _families(self, top: int) -> tuple:
-        """Families with temporal count at most top plus the reach."""
+        """Families with temporal count at most top plus the reach: the
+        purely temporal coordinates that are internal."""
         families = self._by_height.get(top)
         if families is None:
-            t, stop = self.temporal, top + self._reach + 1
+            t, eq = self.temporal, self.eq
             families = self._by_height[top] = tuple(
-                (dep, MultiIndex.single(t, h)) for dep, head in enumerate(self._temporal_head)
-                for h in range(stop if head is None else min(stop, head)))
+                gen for dep in range(self.ctx.m) for h in range(top + self._reach + 1)
+                if not eq.is_principal(gen := JetCoord(dep, MultiIndex.single(t, h))))
         return families
 
-    def _s_presymplectic(self, d_rep: DifferentialForm) -> DifferentialForm:
+    def s_presymplectic(self, d_rep: DifferentialForm) -> DifferentialForm:
         """s_presymplectic_representative of a presymplectic form, kept per
-        form: two internal Lagrangians over one equation keep one each."""
+        form: the s_presymplectic golden and every gauge decision share it,
+        and two internal Lagrangians over one equation keep one each."""
         sigma = self._sigma.get(d_rep)
         if sigma is None:
             sigma = self._sigma[d_rep] = s_presymplectic_representative(self.temporal, d_rep)
         return sigma
 
-    def status(self, family) -> str:
+    def status(self, family: JetCoord) -> str:
         st = self._status.get(family)
         if st is None:
             points, _ = self._minimal_points(family)
             constrained = any(not rhs.is_zero() for _, _, rhs in points) or any(
                 family in self._minimal_points(other)[1]
-                for other in self._families(family[1].order))
+                for other in self._families(family.mindex.order))
             st = self._status[family] = CONSTRAINED if constrained else NULL if points else FREE
         return st
 
@@ -209,7 +197,7 @@ class SpatialStructure:
 
     # -- spatial variational calculus ---------------------------------------
 
-    def spatial_euler(self, f: Expression, family) -> Expression:
+    def spatial_euler(self, f: Expression, family: JetCoord) -> Expression:
         """Variational derivative of a normal form f in the spatial directions
         with respect to one generator family: the residue on its generator of
         integrating by parts with Dbar.  Temporal-pure coordinates act as
@@ -217,7 +205,7 @@ class SpatialStructure:
         coeffs = {a: d for a, d in gradient(f).items()
                   if isinstance(a, JetCoord) and self.family_of(a) == family}
         residues, _ = integrate_by_parts(coeffs, self.spatial, self.eq.restricted_total_derivative)
-        return residues.get(self.generator_coord(family), self.ctx.zero())
+        return residues.get(family, self.ctx.zero())
 
     def is_spatial_divergence(self, f: Expression) -> bool:
         """Euler-vanishing criterion for membership in the image of the
@@ -228,7 +216,7 @@ class SpatialStructure:
             if self.status(fam) == CONSTRAINED:
                 raise UnresolvedConstraint(
                     "divergence test touches the constrained family of "
-                    f"{self.ctx.atom_name(self.generator_coord(fam))}")
+                    f"{self.ctx.atom_name(fam)}")
         # a null family is spatially constant: a parameter, not varied
         return all(self.spatial_euler(f, fam).is_zero()
                    for fam in families if self.status(fam) != NULL)
@@ -262,17 +250,17 @@ class ExtendedSSymmetry:
             if not eq.is_internal(coord):
                 raise SSymmetryError(
                     f"candidate component on non-internal coordinate "
-                    f"{ctx.atom_name(coord)}", coordinate=coord)
+                    f"{ctx.atom_name(coord)}")
             if not structure.is_generator(coord):
                 raise SSymmetryError(
                     f"candidate component target {ctx.atom_name(coord)} "
-                    "is not a generating coordinate", coordinate=coord)
+                    "is not a generating coordinate")
             self._components[coord] = eq.restrict(value)
         self._verify()
 
     def apply_coord(self, coord: JetCoord) -> Expression:
         """Component on one internal coordinate."""
-        gen, sigma = self.structure.decompose(coord)
+        gen, sigma = self.structure._split(coord)
         base = self._components.get(gen, self.structure.ctx.zero())
         return self.structure.eq.restricted_total_derivative_multi(sigma, base)
 
@@ -297,14 +285,13 @@ class ExtendedSSymmetry:
         checked at the minimal constraint points (see SpatialStructure)."""
         touched = {self.structure.family_of(c) for c in self._components}
         defect = self.structure._first_defect(
-            touched.__contains__, max((fam[1].order for fam in touched), default=0),
+            touched.__contains__, max((fam.mindex.order for fam in touched), default=0),
             self.apply_coord, self.apply)
         if defect is not None:
             step, residual = defect
             raise SSymmetryError(
                 "candidate does not commute with the spatial total "
-                f"derivatives at {self.structure.ctx.atom_name(step)}: residual {residual}",
-                coordinate=step, residual=residual)
+                f"derivatives at {self.structure.ctx.atom_name(step)}: residual {residual}")
 
 
 def extend_S_symmetry(structure: SpatialStructure, components: dict) -> ExtendedSSymmetry:
@@ -374,18 +361,18 @@ class ConstraintResolution:
 
         def refuse(fam, why):
             raise UnsupportedExpression(
-                f"resolve target family of {ctx.atom_name(structure.generator_coord(fam))} {why}")
+                f"resolve target family of {ctx.atom_name(fam)} {why}")
 
         top = max((a.mindex.get(structure.temporal)
                    for e in subs.values() for a in e.jet_atoms()), default=0)
         by_count: dict[MultiIndex, list] = {}
         for fam in structure._families(top):
-            if fam[0] in subs:
+            if fam.dep in subs:
                 status = structure.status(fam)
                 if status != CONSTRAINED:
                     refuse(fam, f"is {status}, not constrained; only a constrained "
                                 "family can be resolved")
-                by_count.setdefault(fam[1], []).append(fam)
+                by_count.setdefault(fam.mindex, []).append(fam)
         for tau, fams in by_count.items():
             points = [p for fam in fams for p in structure._minimal_points(fam)[0]]
             if not points:
@@ -398,7 +385,7 @@ class ConstraintResolution:
                     refuse(structure.family_of(coord), f"has minimal head "
                            f"{ctx.atom_name(head)} = {rhs}; {_DIVERGENCE_ONLY}")
         defect = structure._first_defect(
-            lambda fam: fam[0] in subs, top, self.coordinate_value, self.apply_to_expression)
+            lambda fam: fam.dep in subs, top, self.coordinate_value, self.apply_to_expression)
         if defect is not None:
             raise UnsupportedExpression(
                 f"resolution violates the constraint at {ctx.atom_name(defect[0])}")
@@ -497,7 +484,7 @@ def is_gauge_symmetry(rep, extended: ExtendedSSymmetry,
     if rep.equation is not structure.eq:
         raise ValueError("internal Lagrangian was built over a different equation")
     return is_gauge_trivial(structure, extended.contract(
-        structure._s_presymplectic(rep.presymplectic)), resolution)
+        structure.s_presymplectic(rep.presymplectic)), resolution)
 
 
 def is_spatial_gradient(structure: SpatialStructure, chi: dict) -> bool:

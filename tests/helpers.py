@@ -508,14 +508,15 @@ def scan_statuses(structure, max_order):
 
 
 def scanned_families(structure, top):
-    """Families with temporal count at most top plus the reach, found by
-    asking whether each purely temporal coordinate is internal."""
+    """Families (generator coordinates) with temporal count at most top plus
+    the reach, found by asking whether each purely temporal coordinate is
+    internal."""
     t = structure.temporal
     for dep in range(structure.ctx.m):
         for k in range(top + structure._reach + 1):
-            tau = MultiIndex.single(t, k)
-            if structure.eq.is_internal(JetCoord(dep, tau)):
-                yield dep, tau
+            gen = JetCoord(dep, MultiIndex.single(t, k))
+            if structure.eq.is_internal(gen):
+                yield gen
 
 
 def unmemoised_status(structure, family):
@@ -524,7 +525,7 @@ def unmemoised_status(structure, family):
     points, _ = structure._minimal_points(family)
     if any(not rhs.is_zero() for _, _, rhs in points) or any(
             family in structure._minimal_points(other)[1]
-            for other in scanned_families(structure, family[1].order)):
+            for other in scanned_families(structure, family.mindex.order)):
         return CONSTRAINED
     return NULL if points else FREE
 
@@ -542,7 +543,7 @@ def sampled_extension_commutes(structure, candidate, points):
     comps = {c: eq.restrict(v) for c, v in candidate.items()}
 
     def value(coord):
-        gen, sigma = structure.decompose(coord)
+        gen, sigma = structure.family_of(coord), structure.spatial_part(coord)
         return eq.restricted_total_derivative_multi(sigma, comps.get(gen, ctx.zero()))
 
     def image(e):

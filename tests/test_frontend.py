@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from jetvar import spatial
 from jetvar.errors import JetvarError, ParseError, SemanticError
 from jetvar.frontend import cli, parse, parse_expression, parse_form, reproduce, run_check, runner
 from jetvar.frontend.cli import main as cli_main
@@ -1297,8 +1298,10 @@ def test_subcommand_report_is_check_filtered_by_name(tmp_path, capsys, name):
     capsys.readouterr()
 
 
-_SPIED = ("verify_omega_identity", "internal_lagrangian", "s_presymplectic_representative",
-          "extend_S_symmetry")
+# each stage's work, spied where it is looked up: the S-presymplectic
+# representative is taken by the spatial structure, the rest by the runner
+_SPIED = ((runner, "verify_omega_identity"), (runner, "internal_lagrangian"),
+          (spatial, "s_presymplectic_representative"), (runner, "extend_S_symmetry"))
 
 
 @pytest.mark.parametrize("command, counts", [
@@ -1307,17 +1310,17 @@ _SPIED = ("verify_omega_identity", "internal_lagrangian", "s_presymplectic_repre
     ("check", (1, 1, 1, 9))])
 def test_subcommand_runs_only_the_stages_it_needs(tmp_path, capsys, monkeypatch,
                                                   command, counts):
-    calls = dict.fromkeys(_SPIED, 0)
-    for name in _SPIED:
-        def spy(*args, _name=name, _original=getattr(runner, name), **kwargs):
+    calls = dict.fromkeys((name for _, name in _SPIED), 0)
+    for module, name in _SPIED:
+        def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(runner, name, spy)
+        monkeypatch.setattr(module, name, spy)
     target = tmp_path / "maxwell.jv"
     target.write_text(fixture_text("maxwell"), encoding="utf-8")
     assert cli_main([command, str(target)]) == 0
     capsys.readouterr()
-    assert tuple(calls[name] for name in _SPIED) == counts
+    assert tuple(calls[name] for _, name in _SPIED) == counts
 
 
 @pytest.mark.parametrize("command, labels", [
@@ -1400,6 +1403,37 @@ def test_golden_of_the_other_kind_exits_cleanly(tmp_path, capsys, golden, code, 
                       f"{golden}\nlagrangian u[x]\n", encoding="utf-8")
     assert cli_main(["check", str(target)]) == code
     assert line in capsys.readouterr().out
+
+
+def test_golden_given_a_flag_fails_with_its_reason(tmp_path, capsys):
+    target, out_path = tmp_path / "flag.jv", tmp_path / "flag.json"
+    target.write_text("independents x\ndependents u\nlagrangian u[x]^2/2\n"
+                      "expect euler[u] = true\n", encoding="utf-8")
+    assert cli_main(["check", str(target), "--out", str(out_path)]) == 1
+    capsys.readouterr()
+    [entry] = [c for c in json.loads(out_path.read_text(encoding="utf-8"))["checks"]
+               if c["name"] == "euler[u]"]
+    assert entry == {"name": "euler[u]", "status": "fail", "computed": "-u[x,x]",
+                     "expected": "true", "line": 4,
+                     "message": "euler expects a serialized value, not a flag"}
+
+
+def test_gauge_without_expectation_passes_with_its_verdict():
+    report = run_check(fixture_text("laplace") + "candidate Z { u -> 0; u[y] -> 0 }\n")
+    assert report.exit_code == 0, report.human()
+    [gauge] = [c for c in report.checks if c.name == "gauge[Z]"]
+    assert (gauge.status, gauge.computed, gauge.expected, gauge.line) == \
+        ("pass", "trivial", None, None)
+
+
+@pytest.mark.parametrize("divergence", ["u*u[x]", "u^2"])
+def test_total_derivative_in_a_lagrangian_leaves_euler_unchanged(divergence):
+    # with no equation D[y] is the free total derivative; D[y](u^2) read as
+    # u^2 itself would add 2u to the Euler expression
+    text = "independents x y\ndependents u\nlagrangian u[x]^2/2{}\n"
+    euler = [[(c.status, c.computed) for c in run_check(t).checks if c.name == "euler[u]"]
+             for t in (text.format(f" + D[y]({divergence})"), text.format(""))]
+    assert euler[0] == euler[1] == [("pass", "-u[x,x]")]
 
 
 @pytest.mark.parametrize("text, evaluate, where, message", [
@@ -1511,6 +1545,14 @@ def test_cli_prolong_rule_loop_exit_2(tmp_path, capsys):
     code = cli_main(["prolong", str(target), "--order", "2"])
     assert code == 2
     assert "loops" in capsys.readouterr().err
+
+
+def test_cli_prolong_without_equation_exit_2(tmp_path, capsys):
+    target = tmp_path / "free.jv"
+    target.write_text("independents x y\ndependents u\nlagrangian u[x]^2\n", encoding="utf-8")
+    assert cli_main(["prolong", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "refused: no equation declared\n")
 
 
 def test_cli_prolong_negative_order_exit_2(tmp_path, capsys):
